@@ -92,6 +92,7 @@ class RunState:
     timers: dict[str, float] = field(default_factory=dict)
 
     def live_graph(self) -> Graph:
+        """The healer's live graph: read-only, valid until the next event."""
         return self.healer.live_graph()
 
     @property

@@ -4,8 +4,9 @@ Everything downstream (virtual graphs, healers, metrics) builds on this module.
 Graphs are plain dict-of-sets adjacency structures; node ids are non-negative
 integers that are never reused within a run, even after deletion.
 
-Distances are computed by breadth-first traversal. At desk scale we recompute
-per query instead of maintaining dynamic-connectivity structures.
+Distances and connectivity are computed by breadth-first traversal per
+query; no dynamic-connectivity structure is maintained. The healed graph
+itself is maintained edge by edge by `virtual_graph.VirtualGraph`.
 
 Concurrency contract: a Graph is either exclusively owned while being mutated
 or treated as immutable once shared; instances hold no hidden shared state and
@@ -124,6 +125,12 @@ class Graph:
         self._adj[u].add(v)
         self._adj[v].add(u)
         return True
+
+    def remove_edge(self, u: int, v: int) -> None:
+        if not self.has_edge(u, v):
+            raise GraphError(f"edge {u}-{v} not in graph")
+        self._adj[u].discard(v)
+        self._adj[v].discard(u)
 
     def remove_node(self, v: int) -> set[int]:
         """Remove v and its incident edges; returns the former neighbors."""

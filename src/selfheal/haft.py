@@ -144,15 +144,14 @@ def leaf_depths(h: Haft) -> list[int]:
     if root is None:
         return []
     out: list[int] = []
-
-    def walk(node: HaftNode, depth: int) -> None:
+    stack: list[tuple[HaftNode, int]] = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
         if isinstance(node, Leaf):
             out.append(depth)
         else:
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
-
-    walk(root, 0)
+            stack.append((node.right, depth + 1))
+            stack.append((node.left, depth + 1))
     return out
 
 
@@ -217,25 +216,14 @@ def assign_simulators(h: Haft) -> dict[int, LeafSlot]:
     subtree (whole-subtree fallback). Injective and subtree-local."""
     root = h.root()
     assignment: dict[int, LeafSlot] = {}
-    if root is None or isinstance(root, Leaf):
-        return assignment
-
-    def first_eligible(node: HaftNode) -> LeafSlot | None:
-        if isinstance(node, Leaf):
-            return node.slot if node.slot.processor is not None else None
-        return first_eligible(node.left) or first_eligible(node.right)
-
-    def walk(node: HaftNode) -> None:
-        if isinstance(node, Leaf):
-            return
-        slot = first_eligible(node.right) or first_eligible(node.left)
+    stack = [root] if isinstance(root, Internal) else []
+    while stack:
+        node = stack.pop()
+        slot = _first_eligible(node.right) or _first_eligible(node.left)
         if slot is None:
             raise UnassignableError(f"no eligible slot in subtree of vid {node.vid}")
         assignment[node.vid] = slot
-        walk(node.left)
-        walk(node.right)
-
-    walk(root)
+        stack += [c for c in (node.right, node.left) if isinstance(c, Internal)]
     taken: set[LeafSlot] = set()
     for vid in sorted(assignment):
         slot = assignment[vid]
@@ -243,6 +231,19 @@ def assign_simulators(h: Haft) -> dict[int, LeafSlot]:
             raise UnassignableError(f"slot {slot.origin} would simulate two internals")
         taken.add(slot)
     return assignment
+
+
+def _first_eligible(node: HaftNode) -> LeafSlot | None:
+    if isinstance(node, Leaf):
+        return node.slot if node.slot.processor is not None else None
+    return _first_eligible(node.left) or _first_eligible(node.right)
+
+
+def vnode_of(node: HaftNode) -> VNode:
+    """The virtual-graph node a haft node stands for."""
+    if isinstance(node, Leaf):
+        return node.slot.endpoint
+    return virt(node.vid)
 
 
 def to_virtual_edges(
@@ -256,26 +257,19 @@ def to_virtual_edges(
     root = h.root()
     decls: list[tuple[int, int]] = []
     edges: list[tuple[VNode, VNode]] = []
-    if root is None or isinstance(root, Leaf):
-        return decls, edges
-
-    def vnode_of(node: HaftNode) -> VNode:
+    # Preorder: each node is declared just after the edge from its parent.
+    stack: list[tuple[HaftNode, Internal | None]] = [] if root is None else [(root, None)]
+    while stack:
+        node, parent = stack.pop()
+        if parent is not None:
+            edges.append((virt(parent.vid), vnode_of(node)))
         if isinstance(node, Leaf):
-            return node.slot.endpoint
-        return virt(node.vid)
-
-    def walk(node: HaftNode) -> None:
-        if isinstance(node, Leaf):
-            return
+            continue
         slot = assignment[node.vid]
         if slot.processor is None:
             raise UnassignableError(f"vid {node.vid} assigned an ineligible slot")
         decls.append((node.vid, slot.processor))
-        for child in (node.left, node.right):
-            edges.append((virt(node.vid), vnode_of(child)))
-            walk(child)
-
-    walk(root)
+        stack += [(node.right, node), (node.left, node)]
     return decls, edges
 
 
@@ -291,23 +285,27 @@ def split_out(h: Haft, dead_processor: int) -> tuple[list[HaftNode], list[int]]:
     """
     pieces: list[HaftNode] = []
     dissolved: list[int] = []
-
-    def walk(node: HaftNode) -> tuple[list[HaftNode], bool]:
-        if isinstance(node, Leaf):
-            dead = node.slot.processor == dead_processor
-            return ([] if dead else [node]), dead
-        left_pieces, left_dead = walk(node.left)
-        right_pieces, right_dead = walk(node.right)
-        if not (left_dead or right_dead):
-            return [node], False
-        dissolved.append(node.vid)
-        return left_pieces + right_pieces, True
-
     for tree in h.trees:
-        tree_pieces, _ = walk(tree)
+        tree_pieces, _ = _split(tree, dead_processor, dissolved)
         pieces.extend(tree_pieces)
     dissolved.extend(h.spine)
     return pieces, dissolved
+
+
+def _split(
+    node: HaftNode, dead_processor: int, dissolved: list[int]
+) -> tuple[list[HaftNode], bool]:
+    """Pieces of one subtree and whether it held a dead slot; appends the
+    vids it dissolves (children before parents) to `dissolved`."""
+    if isinstance(node, Leaf):
+        dead = node.slot.processor == dead_processor
+        return ([] if dead else [node]), dead
+    left_pieces, left_dead = _split(node.left, dead_processor, dissolved)
+    right_pieces, right_dead = _split(node.right, dead_processor, dissolved)
+    if not (left_dead or right_dead):
+        return [node], False
+    dissolved.append(node.vid)
+    return left_pieces + right_pieces, True
 
 
 # -- validation ---------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Five healers share one interface: `preprocess` the initial graph, then
 `on_insert` / `on_delete` per adversary event, each returning a HealerReport
-with the edge changes and cost accounting. `live_graph` yields the current
-healed graph.
+with the edge changes and cost accounting. `live_graph` returns the current
+healed graph itself, not a copy: it is read-only and valid until the next
+event, so a caller that wants to keep it calls `.copy()`. The tree healers
+keep it up to date inside their virtual graph and read each repair's edge
+changes from the virtual graph's repair journal.
 
 * null     - does nothing on deletion; negative control for the checkers.
 * star     - wires all orphans to the minimum-id orphan.
@@ -38,17 +41,21 @@ from .graph import Graph, UnknownNodeError
 from .haft import (
     Haft,
     HaftNode,
+    Internal,
     Leaf,
     LeafSlot,
     _assemble,
     assign_simulators,
     haft_slots,
     leaf_count,
+    leaves,
+    node_vids,
     split_out,
     to_virtual_edges,
     validate_haft,
+    vnode_of,
 )
-from .virtual_graph import VirtualGraph, real
+from .virtual_graph import VirtualGraph, real, virt
 
 HEALER_NAMES = ("null", "star", "ring", "rebuild", "haft")
 
@@ -105,6 +112,7 @@ class Healer:
         raise NotImplementedError
 
     def live_graph(self) -> Graph:
+        """The healed graph itself: read-only, valid until the next event."""
         raise NotImplementedError
 
     def virtual_node_count(self) -> int:
@@ -166,7 +174,7 @@ class BaselineHealer(Healer):
         )
 
     def live_graph(self) -> Graph:
-        return self.graph.copy()
+        return self.graph
 
     def audit(self) -> list[str]:
         return self.graph.audit()
@@ -270,9 +278,8 @@ class HaftHealer(Healer):
     def on_delete(self, v: int) -> HealerReport:
         if v not in self.vg.reals:
             raise UnknownNodeError(f"processor {v} is not live")
-        pre_live = self.live_graph()
-        hops = pre_live.bfs_distances(v)
-        notified = pre_live.neighbors(v)
+        hops = self.vg.image.bfs_distances(v)
+        notified = self.vg.image.neighbors(v)
 
         direct = sorted(
             w.id for w in self.vg.neighbors(real(v)) if w.kind == "r"
@@ -280,13 +287,40 @@ class HaftHealer(Healer):
         affected = sorted(self.index.get(v, set()))
 
         # Adversary's removal: v, everything v simulates, their edges.
-        old_sim = dict(self.vg.sim)
         self.vg.remove_processor(v)
 
-        # Snapshot after the adversary's damage; diffs below are healer work.
-        mid_virtual_edges = self.vg.edge_set()
-        mid_real_edges = _edge_set(self.vg.de_simulate())
+        # Everything journaled from here on is healer work.
+        self.vg.open_journal()
+        try:
+            created_virtuals = self._repair(v, direct, affected)
+        finally:
+            journal = self.vg.close_journal()
 
+        touched = set(notified)
+        for edges in (journal.real_added, journal.real_dropped):
+            for a, b in edges:
+                touched.update((a, b))
+        for procs in (journal.virtual_added, journal.virtual_dropped):
+            for pa, pb in procs.values():
+                touched.update((pa, pb))
+
+        v_changes = len(journal.virtual_added) + len(journal.virtual_dropped)
+        messages = len(notified) + 2 * v_changes + created_virtuals
+        rounds = 1 + math.ceil(math.log2(len(touched))) if touched else 0
+        max_hops = max((hops[p] for p in touched if p in hops), default=0)
+        return HealerReport(
+            edges_added=journal.real_added,
+            edges_dropped=journal.real_dropped,
+            virtual_nodes_created=created_virtuals,
+            messages=messages,
+            rounds=rounds,
+            touched=touched,
+            max_hops=max_hops,
+        )
+
+    def _repair(self, v: int, direct: list[int], affected: list[int]) -> int:
+        """Split the hafts that lost v, then rebuild over their pieces and
+        the slots of v's real neighbors. Returns the virtual nodes created."""
         pieces: list[HaftNode] = []
         for hid in affected:
             rec = self._unregister(hid)
@@ -307,8 +341,8 @@ class HaftHealer(Healer):
             new_slots = list(by_proc.values())
 
         if self.mode == "rebuild":
-            survivors = [s for piece in pieces for s in _piece_slots(piece)]
-            for vid in {x for piece in pieces for x in _piece_vids(piece)}:
+            survivors = [s for piece in pieces for s in leaves(piece)]
+            for vid in {x for piece in pieces for x in node_vids(piece)}:
                 if vid in self.vg.virtuals:
                     self.vg.remove_virtual(vid)
             items: list[HaftNode] = [
@@ -318,41 +352,13 @@ class HaftHealer(Healer):
             items = sorted(pieces, key=_piece_key)
             items += [Leaf(s) for s in sorted(new_slots, key=_slot_key)]
 
-        created_virtuals = self._install(items)
-
-        post_virtual_edges = self.vg.edge_set()
-        post_real_edges = _edge_set(self.vg.de_simulate())
-        v_added = post_virtual_edges - mid_virtual_edges
-        v_dropped = mid_virtual_edges - post_virtual_edges
-        edges_added = post_real_edges - mid_real_edges
-        edges_dropped = mid_real_edges - post_real_edges
-
-        touched = set(notified)
-        for a, b in edges_added | edges_dropped:
-            touched.update((a, b))
-        for a, b in v_added:
-            touched.add(self.vg.processor_of(a))
-            touched.add(self.vg.processor_of(b))
-        for a, b in v_dropped:
-            for x in (a, b):
-                touched.add(x.id if x.kind == "r" else old_sim[x.id])
-
-        messages = len(notified) + 2 * (len(v_added) + len(v_dropped)) + created_virtuals
-        rounds = 1 + math.ceil(math.log2(len(touched))) if touched else 0
-        max_hops = max((hops[p] for p in touched if p in hops), default=0)
-        return HealerReport(
-            edges_added=edges_added,
-            edges_dropped=edges_dropped,
-            virtual_nodes_created=created_virtuals,
-            messages=messages,
-            rounds=rounds,
-            touched=touched,
-            max_hops=max_hops,
-        )
+        return self._install(items)
 
     def _install(self, items: list[HaftNode]) -> int:
         """Assemble the replacement structure and wire it into the virtual
-        graph. Returns the number of virtual nodes created."""
+        graph. Only the new internal nodes (carries and spine) are declared
+        and linked to their children; preserved subtrees are already wired.
+        Returns the number of virtual nodes created."""
         total = sum(leaf_count(it) for it in items)
         if total == 0:
             return 0
@@ -360,33 +366,36 @@ class HaftHealer(Healer):
             return 0  # lone claimant: nothing left to connect
         if total == 2 and len(items) == 2:
             # Two separate single slots: direct real edge, no virtual nodes.
-            procs = sorted({s.processor for it in items for s in _piece_slots(it)})
+            procs = sorted({s.processor for it in items for s in leaves(it)})
             if len(procs) == 2:
                 self.vg.add_edge(real(procs[0]), real(procs[1]))
             return 0
         new_haft = _assemble(items, self.vg.vids)
         assignment = assign_simulators(new_haft)
-        decls, vedges = to_virtual_edges(new_haft, assignment)
         created = 0
-        for vid, proc in decls:
-            if vid in self.vg.virtuals:
-                if self.vg.sim[vid] != proc:
+        stack: list[tuple[HaftNode, Internal | None]] = [(new_haft.root(), None)]
+        while stack:
+            node, parent = stack.pop()
+            if isinstance(node, Internal):
+                proc = assignment[node.vid].processor
+                if node.vid not in self.vg.virtuals:  # a carry or spine node
+                    self.vg.declare_virtual(node.vid, proc)
+                    created += 1
+                    stack += [(node.right, node), (node.left, node)]
+                elif self.vg.sim[node.vid] != proc:  # a preserved subtree's root
                     raise HealerError(
-                        f"preserved vid {vid} changed simulator "
-                        f"{self.vg.sim[vid]} -> {proc}"
+                        f"preserved vid {node.vid} changed simulator "
+                        f"{self.vg.sim[node.vid]} -> {proc}"
                     )
-            else:
-                self.vg.declare_virtual(vid, proc)
-                created += 1
-        for a, b in vedges:
-            self.vg.add_edge(a, b)
+            if parent is not None:
+                self.vg.add_edge(virt(parent.vid), vnode_of(node))
         self._register(new_haft, assignment)
         return created
 
     # -- views ---------------------------------------------------------------
 
     def live_graph(self) -> Graph:
-        return self.vg.de_simulate()
+        return self.vg.image
 
     def virtual_node_count(self) -> int:
         return len(self.vg.virtuals)
@@ -453,23 +462,6 @@ class HaftHealer(Healer):
         return problems
 
 
-def _piece_slots(node: HaftNode) -> list[LeafSlot]:
-    if isinstance(node, Leaf):
-        return [node.slot]
-    return _piece_slots(node.left) + _piece_slots(node.right)
-
-
-def _piece_vids(node: HaftNode) -> list[int]:
-    if isinstance(node, Leaf):
-        return []
-    return [node.vid] + _piece_vids(node.left) + _piece_vids(node.right)
-
-
 def _piece_key(node: HaftNode) -> tuple[int, tuple[int, tuple[int, int]]]:
-    return (-leaf_count(node), min(_slot_key(s) for s in _piece_slots(node)))
-def _edge_set(g: Graph) -> set[tuple[int, int]]:
-    out: set[tuple[int, int]] = set()
-    for u in g.nodes:
-        for w in g.neighbors(u):
-            out.add((u, w) if u < w else (w, u))
-    return out
+    return (-leaf_count(node), min(_slot_key(s) for s in leaves(node)))
+

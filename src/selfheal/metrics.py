@@ -30,7 +30,8 @@ from statistics import median
 
 import numpy as np
 
-from .graph import INF, Graph
+from .graph import INF, Graph, UnknownNodeError
+from .haft import ceil_log2
 
 CSV_COLUMNS = [
     "t",
@@ -92,20 +93,24 @@ def degree_ratio_max(
     live graph is empty. A live node with shadow degree 0 signals an engine
     invariant breach and raises.
     """
-    best = Fraction(1)
+    # The running maximum is best_n / best_d; candidates are compared by
+    # integer cross-multiplication and one Fraction is built at the end.
+    best_n, best_d = 1, 1
     arg: int | None = None
-    for v in sorted(live.nodes):
+    live_adj, shadow_adj = live._adj, shadow._adj
+    for v in sorted(live_adj):
         if deleted is not None and v in deleted:
             raise ZeroShadowDegreeError(f"node {v} is both live and deleted")
-        shadow_deg = shadow.degree(v)
+        if v not in shadow_adj:
+            raise UnknownNodeError(f"node {v} not in graph")
+        live_deg, shadow_deg = len(live_adj[v]), len(shadow_adj[v])
         if shadow_deg == 0:
-            if live.degree(v) == 0:
+            if live_deg == 0:
                 continue
             raise ZeroShadowDegreeError(f"live node {v} has shadow degree 0")
-        ratio = Fraction(live.degree(v), shadow_deg)
-        if ratio > best:
-            best, arg = ratio, v
-    return best, arg
+        if live_deg * best_d > best_n * shadow_deg:
+            best_n, best_d, arg = live_deg, shadow_deg, v
+    return Fraction(best_n, best_d), arg
 
 
 # -- exact all-pairs distances ---------------------------------------------------
@@ -244,17 +249,11 @@ def _stretch_sampled(
 
 
 def hard_stretch_bound(shadow_nodes: int) -> int:
-    return 2 * _ceil_log2(shadow_nodes)
+    return 2 * ceil_log2(shadow_nodes)
 
 
 def target_stretch_bound(shadow_nodes: int) -> int:
-    return _ceil_log2(shadow_nodes)
-
-
-def _ceil_log2(x: int) -> int:
-    if x <= 1:
-        return 0
-    return (x - 1).bit_length()
+    return ceil_log2(shadow_nodes)
 
 
 HARD_DEGREE_BOUND = Fraction(4)

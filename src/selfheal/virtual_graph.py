@@ -1,12 +1,22 @@
-"""Virtual graphs: real nodes, simulated helper nodes, and de-simulation.
+"""Virtual graphs: real nodes, simulated helper nodes, and their real image.
 
 A virtual graph partitions its nodes into *real* nodes (one per live
 processor) and *virtual* nodes, each simulated by exactly one real node.
 Mapping every node to its simulating processor and taking edge images is a
-graph homomorphism onto the real graph; `de_simulate` materializes that
-image. Parallel images collapse and self-loop images are dropped, so the
-real graph is always a simple graph whose edges are exactly the images of
-the virtual-graph edges.
+graph homomorphism onto the real graph. Parallel images collapse and
+self-loop images are dropped, so the real graph is always a simple graph
+whose edges are exactly the images of the virtual-graph edges.
+
+The image is maintained, not recomputed: `image` is a `Graph` kept up to
+date by every mutation, with a count of the virtual edges mapping onto each
+image edge. An image edge appears when its count goes 0 -> 1 and disappears
+on 1 -> 0. `de_simulate` returns a copy of it. A processor -> hosted-vids
+index makes removing a processor proportional to what it simulates.
+
+While a `RepairJournal` is open (`open_journal` .. `close_journal`), every
+mutation is also recorded in it, netted against the graph as it was when
+the journal opened: a healer reads the edges its repair changed from the
+journal instead of diffing snapshots.
 
 Two consequences of the homomorphism that downstream bounds lean on, and
 that the property tests check against a breadth-first oracle:
@@ -22,10 +32,10 @@ processor cascades to everything it simulates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
-from .graph import DuplicateNodeError, Graph, UnknownNodeError
+from .graph import DuplicateNodeError, Graph, GraphError, UnknownNodeError
 
 
 @dataclass(frozen=True, order=True)
@@ -65,16 +75,40 @@ class VidSource:
         return self._next
 
 
+Edge = tuple[VNode, VNode]
+
+
+@dataclass
+class RepairJournal:
+    """Net edge changes since the journal opened.
+
+    Virtual edges are canonically ordered VNode pairs, each mapped to the
+    processors of its endpoints (for a dropped edge, as they were at its
+    removal). Real edges are image edges as (min, max) processor pairs. An
+    edge added and dropped again within one journal appears in neither set.
+    """
+
+    virtual_added: dict[Edge, tuple[int, int]] = field(default_factory=dict)
+    virtual_dropped: dict[Edge, tuple[int, int]] = field(default_factory=dict)
+    real_added: set[tuple[int, int]] = field(default_factory=set)
+    real_dropped: set[tuple[int, int]] = field(default_factory=set)
+
+
 class VirtualGraph:
-    """Simple graph over VNodes with a total simulation map on virtual nodes."""
+    """Simple graph over VNodes with a total simulation map on virtual nodes,
+    plus its maintained homomorphic image."""
 
     def __init__(self, vids: VidSource | None = None):
         self.reals: set[int] = set()
         self.virtuals: set[int] = set()
         self.sim: dict[int, int] = {}
         self.vids = vids if vids is not None else VidSource()
+        self.image = Graph()
         self._adj: dict[VNode, set[VNode]] = {}
         self._spent_vids: set[int] = set()
+        self._hosted: dict[int, set[int]] = {}
+        self._multiplicity: dict[tuple[int, int], int] = {}
+        self._journal: RepairJournal | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -93,6 +127,7 @@ class VirtualGraph:
             raise DuplicateNodeError(f"real node {processor} already present")
         self.reals.add(processor)
         self._adj[real(processor)] = set()
+        self.image.add_node(processor)
 
     def add_virtual_node(self, simulator: int) -> int:
         """Mint a fresh vid simulated by `simulator`."""
@@ -118,6 +153,7 @@ class VirtualGraph:
         self._spent_vids.add(vid)
         self.virtuals.add(vid)
         self.sim[vid] = simulator
+        self._hosted.setdefault(simulator, set()).add(vid)
         self._adj[virt(vid)] = set()
 
     def add_edge(self, a: VNode, b: VNode) -> bool:
@@ -131,6 +167,7 @@ class VirtualGraph:
             return False
         self._adj[a].add(b)
         self._adj[b].add(a)
+        self._count_image(a, b, +1)
         return True
 
     # -- removal ----------------------------------------------------------
@@ -145,13 +182,14 @@ class VirtualGraph:
         if processor not in self.reals:
             raise UnknownNodeError(f"real node {processor} not present")
         doomed = [real(processor)]
-        doomed += [virt(vid) for vid in sorted(self.virtuals) if self.sim[vid] == processor]
+        doomed += [virt(vid) for vid in sorted(self._hosted.pop(processor, ()))]
         report: dict[VNode, set[VNode]] = {}
         for node in doomed:
             report[node] = set(self._adj[node])
         for node in doomed:
             self._detach(node)
         self.reals.discard(processor)
+        self.image.remove_node(processor)
         for node in doomed:
             if node.kind == "v":
                 self.virtuals.discard(node.id)
@@ -166,12 +204,65 @@ class VirtualGraph:
         former = set(self._adj[node])
         self._detach(node)
         self.virtuals.discard(vid)
-        del self.sim[vid]
+        self._hosted[self.sim.pop(vid)].discard(vid)
         return former
 
     def _detach(self, node: VNode) -> None:
         for nbr in self._adj.pop(node):
             self._adj[nbr].discard(node)
+            self._count_image(node, nbr, -1)
+
+    def _count_image(self, a: VNode, b: VNode, delta: int) -> None:
+        """Book one virtual edge a-b being added (+1) or removed (-1): update
+        the count of the image edge it maps onto, the image itself when that
+        count leaves or reaches 0, and the journal if one is open."""
+        pa, pb = self.processor_of(a), self.processor_of(b)
+        journal = self._journal
+        if journal is not None:
+            key, procs = ((a, b), (pa, pb)) if a < b else ((b, a), (pb, pa))
+            if delta > 0:
+                if journal.virtual_dropped.pop(key, None) is None:
+                    journal.virtual_added[key] = procs
+            elif journal.virtual_added.pop(key, None) is None:
+                journal.virtual_dropped[key] = procs
+        if pa == pb:
+            return
+        edge = (pa, pb) if pa < pb else (pb, pa)
+        before = self._multiplicity.get(edge, 0)
+        after = before + delta
+        if after:
+            self._multiplicity[edge] = after
+        else:
+            del self._multiplicity[edge]
+        if before and after:
+            return
+        if after:
+            self.image.add_edge(pa, pb)
+        else:
+            self.image.remove_edge(pa, pb)
+        if journal is not None:
+            gained, lost = (
+                (journal.real_added, journal.real_dropped)
+                if after
+                else (journal.real_dropped, journal.real_added)
+            )
+            if edge in lost:
+                lost.discard(edge)
+            else:
+                gained.add(edge)
+
+    # -- repair journal -----------------------------------------------------
+
+    def open_journal(self) -> None:
+        """Start recording net edge changes (replacing any open journal)."""
+        self._journal = RepairJournal()
+
+    def close_journal(self) -> RepairJournal:
+        """Stop recording and return the changes since `open_journal`."""
+        journal, self._journal = self._journal, None
+        if journal is None:
+            raise GraphError("no repair journal is open")
+        return journal
 
     # -- views ------------------------------------------------------------
 
@@ -207,20 +298,10 @@ class VirtualGraph:
     # -- de-simulation ------------------------------------------------------
 
     def de_simulate(self) -> Graph:
-        """Homomorphic image: nodes are the live processors, edges the images
-        of virtual-graph edges (self-loop images dropped, parallels collapsed)."""
-        g = Graph()
-        adj = {p: set() for p in self.reals}
-        sim = self.sim
-        for a, nbrs in self._adj.items():
-            pa = a.id if a.kind == "r" else sim[a.id]
-            row = adj[pa]
-            for b in nbrs:
-                pb = b.id if b.kind == "r" else sim[b.id]
-                if pa != pb:
-                    row.add(pb)
-        g._adj = adj
-        return g
+        """A copy of the homomorphic image: nodes are the live processors,
+        edges the images of virtual-graph edges (self-loop images dropped,
+        parallels collapsed)."""
+        return self.image.copy()
 
     def edge_set(self) -> set[tuple[VNode, VNode]]:
         """All edges as canonically ordered pairs (no sorting of the set)."""

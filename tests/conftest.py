@@ -2,15 +2,19 @@
 
 The oracles here are written from scratch against plain adjacency dicts so
 they stay independent of the library code they check: breadth-first search
-with an explicit queue, and Floyd-Warshall for all-pairs distances.
+with an explicit queue, Floyd-Warshall for all-pairs distances, the
+homomorphic image of a virtual graph recomputed from its adjacency and
+simulation map, and the degree ratio with one Fraction per node.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from fractions import Fraction
 
-from selfheal.graph import Graph
+from selfheal.graph import Graph, UnknownNodeError
+from selfheal.metrics import ZeroShadowDegreeError
 from selfheal.virtual_graph import VirtualGraph, real, virt
 
 INF = float("inf")
@@ -58,6 +62,43 @@ def adj_of(g: Graph) -> dict:
 def vg_adj(vg: VirtualGraph) -> dict:
     nodes = [real(p) for p in vg.reals] + [virt(v) for v in vg.virtuals]
     return {x: vg.neighbors(x) for x in nodes}
+
+
+def oracle_image(vg: VirtualGraph) -> Graph:
+    """The homomorphic image recomputed from scratch: nodes are the live
+    processors, edges the images of virtual-graph edges, self-loop images
+    dropped and parallels collapsed."""
+    adj = {p: set() for p in vg.reals}
+    for a, nbrs in vg._adj.items():
+        pa = a.id if a.kind == "r" else vg.sim[a.id]
+        for b in nbrs:
+            pb = b.id if b.kind == "r" else vg.sim[b.id]
+            if pa != pb:
+                adj[pa].add(pb)
+    g = Graph()
+    g._adj = adj
+    return g
+
+
+def oracle_degree_ratio_max(live: Graph, shadow: Graph, deleted: set[int] | None = None):
+    """max over live nodes of Fraction(live degree, shadow degree), ties to
+    the smallest id, with the same errors as `metrics.degree_ratio_max`."""
+    best = Fraction(1)
+    arg = None
+    for v in sorted(live.nodes):
+        if deleted is not None and v in deleted:
+            raise ZeroShadowDegreeError(f"node {v} is both live and deleted")
+        if not shadow.has_node(v):
+            raise UnknownNodeError(f"node {v} not in graph")
+        shadow_deg = shadow.degree(v)
+        if shadow_deg == 0:
+            if live.degree(v) == 0:
+                continue
+            raise ZeroShadowDegreeError(f"live node {v} has shadow degree 0")
+        ratio = Fraction(live.degree(v), shadow_deg)
+        if ratio > best:
+            best, arg = ratio, v
+    return best, arg
 
 
 # -- generators --------------------------------------------------------------

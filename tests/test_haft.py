@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -243,6 +244,26 @@ class TestSplitOut:
         h = build_haft(make_slots([1, 2, 3, 4, 5, 6]), vids)  # trees [4, 2]
         pieces, _ = split_out(h, 5)
         assert sorted(leaf_count(p) for p in pieces) == [1, 4]
+
+
+def test_helpers_leave_no_cyclic_garbage():
+    # Every walk is iterative or a module-level recursion, so a call frees
+    # all it allocated by reference counting alone.
+    h = build_haft(make_slots(range(64)), VidSource())
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assignment = assign_simulators(h)
+        to_virtual_edges(h, assignment)
+        split_out(h, 5)
+        leaf_depths(h)
+        validate_haft(h)
+        del assignment
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- exhaustive structure checks (acceptance criterion 6 runs these at 64) --

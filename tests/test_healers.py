@@ -172,6 +172,16 @@ class TestDeleteHaft:
         h.preprocess(triangle())
         assert h.live_graph() == triangle()
 
+    def test_preserved_root_changing_simulator_is_an_internal_error(self):
+        h = make_healer("haft")
+        h.preprocess(star_graph(9))
+        h.on_delete(0)
+        (rec,) = h.hafts.values()
+        kept = rec.haft.trees[0].right  # survives the deletion of leaf 1
+        h.vg.sim[kept.vid] = 8 if h.vg.sim[kept.vid] != 8 else 7  # corrupt
+        with pytest.raises(HealerError, match="changed simulator"):
+            h.on_delete(1)
+
     def test_dedup_slots_collapses_parallel_claims(self):
         h = make_healer("haft", dedup_slots=True)
         h.preprocess(star_graph(6))

@@ -26,7 +26,12 @@ from selfheal.metrics import (
     summarize,
 )
 
-from conftest import adj_of, oracle_apsp_floyd, random_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from selfheal.graph import UnknownNodeError
+
+from conftest import adj_of, oracle_apsp_floyd, oracle_degree_ratio_max, random_graph
 
 
 class TestDegreeRatio:
@@ -90,6 +95,40 @@ class TestDegreeRatio:
         bigger.add_edge(50, 51)
         _, arg2 = degree_ratio_max(live, bigger)
         assert arg == arg2
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroShadowDegreeError, UnknownNodeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_degree_ratio_matches_fraction_oracle(seed):
+    # Live graph: a random subset of the shadow nodes with random healing
+    # edges; occasionally a stray, deleted or shadow-isolated live node to
+    # exercise every error path. Result and error must match the oracle.
+    rng = random.Random(seed)
+    shadow = random_graph(rng, max_nodes=20, p=0.25)
+    nodes = sorted(shadow.nodes)
+    live_nodes = [v for v in nodes if rng.random() < 0.7]
+    deleted = set(nodes) - set(live_nodes)
+    live = Graph(nodes=live_nodes)
+    for _ in range(rng.randint(0, 3 * len(live_nodes))):
+        if len(live_nodes) >= 2:
+            u, v = rng.sample(live_nodes, 2)
+            live.add_edge(u, v)
+    corruption = rng.random()
+    if corruption < 0.05 and deleted:
+        live.add_node(min(deleted))
+    elif corruption < 0.1:
+        live.add_node(10_000)
+    elif corruption < 0.15:
+        deleted = None
+    got = _outcome(degree_ratio_max, live, shadow, deleted)
+    assert got == _outcome(oracle_degree_ratio_max, live, shadow, deleted)
 
 
 class TestAllPairs:

@@ -1,0 +1,113 @@
+"""Stateful invariants of the tree healers under interleaved churn.
+
+A Hypothesis state machine drives `haft` and `rebuild` through random
+inserts and deletes. After every step the maintained live graph must equal
+the image recomputed from scratch, the healer's audit must be clean, and
+the report's edge changes, message count and touched set must equal a
+recount from before/after snapshots of the real and virtual graphs.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+
+from selfheal.healers import HaftHealer
+from selfheal.virtual_graph import real, virt
+
+from conftest import oracle_image, random_graph
+
+
+class HealerMachine(RuleBasedStateMachine):
+    mode = "haft"
+
+    @initialize(seed=st.integers(0, 10**9), dedup=st.booleans())
+    def start(self, seed, dedup):
+        self.rng = random.Random(seed)
+        self.healer = HaftHealer(mode=self.mode, dedup_slots=dedup)
+        initial = random_graph(self.rng, max_nodes=16, p=0.3)
+        self.healer.preprocess(initial)
+        self.next_id = max(initial.nodes) + 1
+
+    @property
+    def vg(self):
+        return self.healer.vg
+
+    @rule(degree=st.integers(1, 3))
+    def insert(self, degree):
+        live = sorted(self.vg.reals)
+        neighbors = set(self.rng.sample(live, min(degree, len(live))))
+        v, self.next_id = self.next_id, self.next_id + 1
+        before = set(oracle_image(self.vg).edges())
+        report = self.healer.on_insert(v, neighbors)
+        after = set(oracle_image(self.vg).edges())
+        assert after - before == {(min(v, w), max(v, w)) for w in neighbors}
+        assert before <= after
+        assert report.messages == len(neighbors)
+
+    # The last live node stays, so that inserts always have a neighbor.
+    @precondition(lambda self: len(self.vg.reals) > 1)
+    @rule(pick=st.integers(0, 10**6))
+    def delete(self, pick):
+        vg = self.vg
+        live = sorted(vg.reals)
+        v = live[pick % len(live)]
+        before_image = oracle_image(vg)
+        notified = before_image.neighbors(v)
+        before_real = {e for e in before_image.edges() if v not in e}
+        doomed = {real(v)} | {virt(x) for x in vg.virtuals if vg.sim[x] == v}
+        before_virtual = {e for e in vg.edge_set() if not doomed & set(e)}
+        before_sim = dict(vg.sim)
+        before_virtuals = set(vg.virtuals)
+
+        report = self.healer.on_delete(v)
+
+        after_real = set(oracle_image(vg).edges())
+        after_virtual = vg.edge_set()
+        assert report.edges_added == after_real - before_real
+        assert report.edges_dropped == before_real - after_real
+        v_added = after_virtual - before_virtual
+        v_dropped = before_virtual - after_virtual
+        created = len(vg.virtuals - before_virtuals)
+        assert report.virtual_nodes_created == created
+        assert report.messages == len(notified) + 2 * (len(v_added) + len(v_dropped)) + created
+
+        def proc(x, sim):
+            return x.id if x.kind == "r" else sim[x.id]
+
+        touched = set(notified)
+        for a, b in report.edges_added | report.edges_dropped:
+            touched.update((a, b))
+        for a, b in v_added:
+            touched.update((proc(a, vg.sim), proc(b, vg.sim)))
+        for a, b in v_dropped:
+            touched.update((proc(a, before_sim), proc(b, before_sim)))
+        assert report.touched == touched
+        assert report.rounds == (1 + math.ceil(math.log2(len(touched))) if touched else 0)
+
+    @invariant()
+    def image_matches_oracle(self):
+        if hasattr(self, "healer"):
+            assert self.vg.image == oracle_image(self.vg)
+            assert self.healer.live_graph() is self.vg.image
+
+    @invariant()
+    def audit_clean(self):
+        if hasattr(self, "healer"):
+            assert self.healer.audit() == []
+
+
+class RebuildMachine(HealerMachine):
+    mode = "rebuild"
+
+
+SETTINGS = settings(max_examples=60, stateful_step_count=40, deadline=None)
+
+TestHaftStateful = HealerMachine.TestCase
+TestHaftStateful.settings = SETTINGS
+TestRebuildStateful = RebuildMachine.TestCase
+TestRebuildStateful.settings = SETTINGS

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from selfheal.graph import DuplicateNodeError, UnknownNodeError
 from selfheal.virtual_graph import VirtualGraph, real, virt
 
-from conftest import oracle_bfs, random_virtual_graph, vg_adj
+from conftest import oracle_bfs, oracle_image, random_virtual_graph, vg_adj
 
 
 class TestAddNodes:
@@ -117,6 +117,112 @@ class TestDeSimulate:
         image = vg.de_simulate()
         assert set(image.edges()) == set()
         assert image.nodes == {1}
+
+
+class TestMaintainedImage:
+    def test_parallel_images_counted(self):
+        # (h,2) and (1,2) share the image edge 1-2: it survives until both go.
+        vg = VirtualGraph()
+        for p in (1, 2):
+            vg.add_real_node(p)
+        h = vg.add_virtual_node(1)
+        vg.add_edge(virt(h), real(2))
+        vg.add_edge(real(1), real(2))
+        vg.remove_virtual(h)
+        assert set(vg.image.edges()) == {(1, 2)}
+        vg.remove_processor(2)
+        assert vg.image.nodes == {1}
+        assert set(vg.image.edges()) == set()
+
+    def test_de_simulate_is_a_copy(self):
+        vg = VirtualGraph()
+        vg.add_real_node(1)
+        image = vg.de_simulate()
+        image.add_node(2)
+        assert vg.image.nodes == {1}
+
+    def test_remove_processor_cascades_through_index(self):
+        vg = VirtualGraph()
+        for p in (1, 2, 3):
+            vg.add_real_node(p)
+        a, b = vg.add_virtual_node(1), vg.add_virtual_node(2)
+        vg.add_edge(virt(a), virt(b))
+        vg.add_edge(virt(a), real(3))
+        report = vg.remove_processor(1)
+        assert set(report) == {real(1), virt(a)}
+        assert vg.virtuals == {b}
+        assert vg.image == oracle_image(vg)
+
+
+class TestJournal:
+    def test_nets_changes_since_open(self):
+        vg = VirtualGraph()
+        for p in (1, 2, 3):
+            vg.add_real_node(p)
+        h = vg.add_virtual_node(1)
+        vg.add_edge(virt(h), real(2))
+        vg.open_journal()
+        g = vg.add_virtual_node(3)
+        vg.add_edge(virt(g), real(2))
+        vg.add_edge(virt(g), real(1))
+        vg.remove_virtual(h)
+        vg.remove_virtual(g)  # added and dropped again: in neither set
+        k = vg.add_virtual_node(2)
+        vg.add_edge(virt(k), real(1))
+        journal = vg.close_journal()
+        assert journal.virtual_added == {(real(1), virt(k)): (1, 2)}
+        assert journal.virtual_dropped == {(real(2), virt(h)): (2, 1)}
+        # 1-2 was dropped with h and came back through k: no net change.
+        assert journal.real_added == set()
+        assert journal.real_dropped == set()
+
+    def test_closed_journal_records_nothing(self):
+        vg = VirtualGraph()
+        vg.open_journal()
+        vg.close_journal()
+        vg.add_real_node(1)
+        vg.add_real_node(2)
+        vg.add_edge(real(1), real(2))
+        vg.open_journal()
+        assert vg.close_journal().real_added == set()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_image_and_journal_match_recomputation(seed):
+    # Random removals and re-wirings under an open journal: the maintained
+    # image equals the from-scratch image, and the journal equals the
+    # difference of edge sets before and after.
+    rng = random.Random(seed)
+    vg = random_virtual_graph(rng)
+    assert vg.image == oracle_image(vg)
+    before_v, before_r = vg.edge_set(), set(oracle_image(vg).edges())
+    sims = dict(vg.sim)
+    vg.open_journal()
+    for _ in range(rng.randint(1, 12)):
+        roll = rng.random()
+        if roll < 0.3 and vg.virtuals:
+            vg.remove_virtual(rng.choice(sorted(vg.virtuals)))
+        elif roll < 0.5 and len(vg.reals) > 1:
+            vg.add_virtual_node(rng.choice(sorted(vg.reals)))
+        else:
+            nodes = [real(p) for p in sorted(vg.reals)] + [virt(v) for v in sorted(vg.virtuals)]
+            if len(nodes) >= 2:
+                vg.add_edge(*rng.sample(nodes, 2))
+        assert vg.image == oracle_image(vg)
+    journal = vg.close_journal()
+    after_v, after_r = vg.edge_set(), set(oracle_image(vg).edges())
+    assert set(journal.virtual_added) == after_v - before_v
+    assert set(journal.virtual_dropped) == before_v - after_v
+    assert journal.real_added == after_r - before_r
+    assert journal.real_dropped == before_r - after_r
+
+    def proc(x):
+        return x.id if x.kind == "r" else sims.get(x.id, vg.sim.get(x.id))
+
+    for edges in (journal.virtual_added, journal.virtual_dropped):
+        for (a, b), procs in edges.items():
+            assert procs == (proc(a), proc(b))
 
 
 class TestAudit:
