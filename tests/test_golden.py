@@ -1,10 +1,12 @@
-"""Golden digests: `selfheal run` output stays byte-identical across refactors.
+"""Golden digests: CLI output stays byte-identical across refactors.
 
 A small fixed corpus of runs (healers `haft` and `rebuild`; adversaries
 `clustered`, `mixed` and `random`; exact stretch on) is executed through the
 CLI, and the sha256 of each output file is compared with the digests in
-`tests/golden/digests.json`. `summary.json` is hashed without `rng.python`,
-which embeds the interpreter version.
+`tests/golden/digests.json`. Two negative-control runs (`star`, `null`) pin a
+`summary.json` with non-empty `violations`, and one `gen` case pins the
+generated edge list, trace and manifest. `summary.json` and `manifest.json`
+are hashed without `rng.python`, which embeds the interpreter version.
 
 Regenerate the digests (only when an output change is intended) with:
 
@@ -24,7 +26,10 @@ import pytest
 from selfheal.cli import main
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
-OUTPUTS = ("metrics.csv", "live.dot", "virtual.dot", "summary.json")
+OUTPUTS = {
+    "run": ("metrics.csv", "live.dot", "virtual.dot", "summary.json"),
+    "gen": ("graph.edges", "trace.jsonl", "manifest.json"),
+}
 
 FAMILIES = {
     "tree": "family = random-tree\nn = 40\n",
@@ -33,8 +38,9 @@ FAMILIES = {
 
 CASES = {
     f"{healer}-{strategy}-{family}": (
+        "run",
         FAMILIES[family]
-        + f"healer = {healer}\nstrategy = {strategy}\nT = 30\nexact_apsp_cap = 256\n"
+        + f"healer = {healer}\nstrategy = {strategy}\nT = 30\nexact_apsp_cap = 256\n",
     )
     for healer in ("haft", "rebuild")
     for strategy in ("clustered", "mixed", "random")
@@ -42,14 +48,32 @@ CASES = {
 }
 # A larger tree grows deeper hafts, so merges carry across several sizes.
 CASES["haft-clustered-bigtree"] = (
+    "run",
     "family = random-tree\nn = 96\nhealer = haft\nstrategy = clustered\n"
-    "T = 64\nexact_apsp_cap = 256\n"
+    "T = 64\nexact_apsp_cap = 256\n",
+)
+# Negative controls: the star healer breaks the 4x degree bound, and the null
+# healer disconnects the tree (infinite stretch), so `violations` is filled.
+CASES["star-maxdegree-star"] = (
+    "run",
+    "family = star\nn = 24\nhealer = star\nstrategy = max-degree\n"
+    "T = 8\nexact_apsp_cap = 256\n",
+)
+CASES["null-random-tree"] = (
+    "run",
+    FAMILIES["tree"] + "healer = null\nstrategy = random\nT = 20\nexact_apsp_cap = 256\n",
+)
+# `gen` without `T` (default 32); its `trace` key is ignored.
+CASES["gen-mixed-tree"] = (
+    "gen",
+    FAMILIES["tree"] + "healer = haft\nstrategy = mixed\np_delete = 0.6\n"
+    "trace = unused.jsonl\n",
 )
 
 
 def _digest(path: Path) -> str:
     data = path.read_bytes()
-    if path.name == "summary.json":
+    if path.name in ("summary.json", "manifest.json"):
         payload = json.loads(data)
         del payload["rng"]["python"]
         data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
@@ -57,12 +81,13 @@ def _digest(path: Path) -> str:
 
 
 def run_case(name: str, workdir: Path) -> dict[str, str]:
+    command, text = CASES[name]
     cfg = workdir / f"{name}.cfg"
-    cfg.write_text(CASES[name], encoding="utf-8")
+    cfg.write_text(text, encoding="utf-8")
     out = workdir / name
-    code = main(["run", "--config", str(cfg), "--out", str(out), "--seed", "7", "--quiet"])
+    code = main([command, "--config", str(cfg), "--out", str(out), "--seed", "7", "--quiet"])
     assert code == 0
-    return {f: _digest(out / f) for f in OUTPUTS}
+    return {f: _digest(out / f) for f in OUTPUTS[command]}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
