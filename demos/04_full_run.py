@@ -9,6 +9,7 @@ Run:  python demos/04_full_run.py
 
 import json
 import random
+from dataclasses import asdict
 from pathlib import Path
 
 from selfheal import (
@@ -37,7 +38,7 @@ state = run(config)
 (out / "virtual.dot").write_text(state.healer.vg.to_dot("virtual"), encoding="utf-8")
 summary = summarize(state.records)
 (out / "summary.json").write_text(
-    json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n", encoding="utf-8"
 )
 
 print(f"status: {state.status} after {len(state.records)} timesteps")

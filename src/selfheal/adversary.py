@@ -224,19 +224,28 @@ def parse_trace(text: str) -> list[Event]:
             node = obj["node"]
         except KeyError as exc:
             raise TraceFormatError(f"line {lineno}: missing key {exc}") from None
-        if not isinstance(t, int) or t <= last_t:
+        if isinstance(t, bool) or not isinstance(t, int) or t <= last_t:
             raise TraceFormatError(f"line {lineno}: t={t!r} not strictly increasing")
         last_t = t
+        _check_id(node, lineno, "node")
         if op == "insert":
             neighbors = obj.get("neighbors", [])
             if not isinstance(neighbors, list):
                 raise TraceFormatError(f"line {lineno}: neighbors must be a list")
+            for w in neighbors:
+                _check_id(w, lineno, "neighbor")
             events.append(Event(op="insert", node=node, neighbors=tuple(sorted(neighbors))))
         elif op == "delete":
             events.append(Event(op="delete", node=node))
         else:
             raise TraceFormatError(f"line {lineno}: unknown op {op!r}")
     return events
+
+
+def _check_id(value, lineno: int, what: str) -> None:
+    """Node ids are non-negative ints; JSON booleans are not ids."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise TraceFormatError(f"line {lineno}: {what} {value!r} is not a non-negative integer")
 
 
 def write_trace(events: list[Event], path) -> None:

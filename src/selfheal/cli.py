@@ -8,8 +8,13 @@ Usage:
 
 Config files are flat "key = value" lines with '#' comments. The master
 seed comes from --seed, else the SELFHEAL_SEED environment variable, else
-the config's `seed` key. Exit codes: 0 success (for verify: zero hard
-violations), 1 verification found violations, 2 parse/config/I-O failure.
+the config's `seed` key. Exit codes: 0 success (for verify: zero
+violations), 1 verification found violations, 2 parse/config/I-O failure,
+3 internal invariant breach (a healer, haft or metrics check failed).
+
+gen, run and verify build their `RunConfig` in one place (`_run_config`)
+and all drive `engine.run`; verify adds the healer audit after every step
+and reports the same hard-bound violations that `summary.json` counts.
 """
 
 from __future__ import annotations
@@ -21,23 +26,17 @@ import os
 import platform
 import random
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 from statistics import median
-
-from fractions import Fraction
 
 from .adversary import RNG_NAME, STRATEGY_KINDS, StrategySpec, read_trace, write_trace
 from .engine import RunConfig, RunState, run
 from .families import FAMILY_NAMES, make_family
 from .graph import Graph, dump_edge_list, load_edge_list
-from .healers import HEALER_NAMES, HaftHealer
-from .metrics import (
-    HARD_DEGREE_BOUND,
-    hard_stretch_bound,
-    parse_csv,
-    records_to_csv,
-    summarize,
-)
+from .haft import HaftError
+from .healers import HEALER_NAMES, HaftHealer, HealerError
+from .metrics import ZeroShadowDegreeError, parse_csv, records_to_csv, summarize
 from .virtual_graph import VirtualGraph
 
 
@@ -142,35 +141,24 @@ def _write_manifest(out: Path, command: str, cfg: dict, seed: int) -> None:
 
 def cmd_gen(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     """Write an initial graph, a scripted trace, and a manifest."""
-    initial = _initial_graph(cfg, seed)
-    strategy = _strategy_from(cfg, seed)
-    t_max = _get_int(cfg, "T", 32)
-    healer = cfg.get("healer", "haft")
-    if healer not in HEALER_NAMES:
-        raise ConfigError(f"unknown healer {healer!r}")
     # Online strategies see the healed graph, so trace generation replays
-    # the loop against the named healer (recorded in the manifest).
-    state = run(
-        RunConfig(
-            initial=initial,
-            healer=healer,
-            strategy=strategy,
-            t_max=t_max,
-            seed=seed,
-            exact_apsp_cap=0,
-            stretch_samples=0,
-        )
+    # the loop against the named healer (recorded in the manifest). gen
+    # always draws from the online strategy, so a `trace` key is ignored.
+    online = {key: value for key, value in cfg.items() if key != "trace"}
+    config = replace(
+        _run_config({"T": "32", **online}, seed), exact_apsp_cap=0, stretch_samples=0
     )
+    state = run(config)
     out.mkdir(parents=True, exist_ok=True)
-    dump_edge_list(initial, out / "graph.edges")
+    dump_edge_list(config.initial, out / "graph.edges")
     write_trace(state.events, out / "trace.jsonl")
     _write_manifest(out, "gen", cfg, seed)
     if not quiet:
-        print(f"gen: {initial.node_count} nodes, {len(state.events)} events -> {out}")
+        print(f"gen: {config.initial.node_count} nodes, {len(state.events)} events -> {out}")
     return 0
 
 
-def _run_from_config(cfg: dict, seed: int) -> RunState:
+def _run_config(cfg: dict, seed: int) -> RunConfig:
     initial = _initial_graph(cfg, seed)
     healer = cfg.get("healer", "haft")
     if healer not in HEALER_NAMES:
@@ -182,23 +170,21 @@ def _run_from_config(cfg: dict, seed: int) -> RunState:
     else:
         strategy = _strategy_from(cfg, seed)
         t_max = _get_int(cfg, "T")
-    return run(
-        RunConfig(
-            initial=initial,
-            healer=healer,
-            strategy=strategy,
-            t_max=t_max,
-            seed=seed,
-            exact_apsp_cap=_get_int(cfg, "exact_apsp_cap", 256),
-            stretch_samples=_get_int(cfg, "stretch_samples", 1000),
-            dedup_slots=_get_bool(cfg, "dedup_slots", False),
-        )
+    return RunConfig(
+        initial=initial,
+        healer=healer,
+        strategy=strategy,
+        t_max=t_max,
+        seed=seed,
+        exact_apsp_cap=_get_int(cfg, "exact_apsp_cap", 256),
+        stretch_samples=_get_int(cfg, "stretch_samples", 1000),
+        dedup_slots=_get_bool(cfg, "dedup_slots", False),
     )
 
 
 def cmd_run(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     """Execute a run; write metrics CSV, DOT exports, and a summary."""
-    state = _run_from_config(cfg, seed)
+    state = run(_run_config(cfg, seed))
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(records_to_csv(state.records), encoding="utf-8")
     live = state.live_graph()
@@ -217,7 +203,7 @@ def cmd_run(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         "healer": cfg.get("healer", "haft"),
         "seed": seed,
         "rng": {"name": RNG_NAME, "python": platform.python_version()},
-        "summary": summary.to_dict(),
+        "summary": asdict(summary),
     }
     (out / "summary.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -234,63 +220,20 @@ def cmd_run(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     """Replay a run and check every invariant level.
 
-    Virtual level: healer state audit (virtual-graph invariants, haft shape,
-    simulator assignment). Real level: connectivity, the 4x degree hard
-    bound, and the 2*ceil(log2 n') stretch hard bound in exact mode. The
-    virtual checks implying the real ones is the point; both are exercised.
+    Virtual level: the healer's state audit (virtual-graph invariants, haft
+    shape, simulator assignment) after every step. Real level: the hard
+    bounds that `summary.json` counts, namely connectivity, the 4x degree
+    bound and the 2*ceil(log2 n') stretch bound (exact or sampled; a sampled
+    maximum never exceeds the true one). The virtual checks implying the
+    real ones is the point; both are exercised.
     """
-    from .engine import start, step
-    from .adversary import next_event
-
-    initial = _initial_graph(cfg, seed)
-    healer = cfg.get("healer", "haft")
-    if healer not in HEALER_NAMES:
-        raise ConfigError(f"unknown healer {healer!r}")
-    if "trace" in cfg:
-        events = tuple(read_trace(cfg["trace"]))
-        strategy = StrategySpec(kind="scripted", events=events, seed=seed)
-        t_max = _get_int(cfg, "T", len(events))
-    else:
-        strategy = _strategy_from(cfg, seed)
-        t_max = _get_int(cfg, "T")
-    config = RunConfig(
-        initial=initial,
-        healer=healer,
-        strategy=strategy,
-        t_max=t_max,
-        seed=seed,
-        exact_apsp_cap=_get_int(cfg, "exact_apsp_cap", 256),
-        stretch_samples=_get_int(cfg, "stretch_samples", 1000),
-        dedup_slots=_get_bool(cfg, "dedup_slots", False),
-    )
     violations: list[str] = []
-    state = start(config)
-    for _ in range(config.t_max):
-        event = next_event(config.strategy, state.live_graph(), state.shadow, state.adversary)
-        if event is None:
-            break
-        step(state, event)
-        record = state.records[-1]
-        audit = state.healer.audit()
-        for issue in audit:
-            violations.append(f"t={record.t} state-audit: {issue}")
-        if not record.connected:
-            violations.append(f"t={record.t} connectivity: live graph disconnected")
-        if record.max_degree_ratio > HARD_DEGREE_BOUND:
-            violations.append(
-                f"t={record.t} degree: ratio {float(record.max_degree_ratio)} > 4"
-            )
-        if record.stretch_mode == "exact" and record.shadow_nodes > 1:
-            bound = hard_stretch_bound(record.shadow_nodes)
-            stretch = record.max_stretch
-            if stretch is not None and (
-                not isinstance(stretch, Fraction) or stretch > bound
-            ):
-                violations.append(
-                    f"t={record.t} stretch: {stretch} > {bound}"
-                )
-        if state.live_count == 0:
-            break
+
+    def audit(state: RunState) -> None:
+        violations.extend(f"t={state.t} state-audit: {issue}" for issue in state.healer.audit())
+
+    state = run(_run_config(cfg, seed), on_step=audit)
+    violations.extend(summarize(state.records).violations)
     if "csv" in cfg:
         try:
             text = Path(cfg["csv"]).read_text(encoding="utf-8")
@@ -301,7 +244,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
             violations.append("csv: stored metrics differ from replay")
     out.mkdir(parents=True, exist_ok=True)
     report = {
-        "healer": healer,
+        "healer": state.config.healer,
         "seed": seed,
         "timesteps": len(state.records),
         "status": state.status,
@@ -463,6 +406,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, out, seed, args.quiet)
         return cmd_bench(cfg, out, seed, args.quiet, args.trials)
+    except (HealerError, HaftError, ZeroShadowDegreeError) as exc:
+        # The inputs were validated, so only the library's own invariant
+        # checks raise these.
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

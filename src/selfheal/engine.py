@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -142,8 +143,11 @@ def step(state: RunState, event: Event) -> RunState:
     return state
 
 
-def run(config: RunConfig) -> RunState:
-    """The full loop: T events or until the strategy/network gives out."""
+def run(config: RunConfig, on_step: Callable[[RunState], None] | None = None) -> RunState:
+    """The full loop: T events or until the strategy/network gives out.
+
+    `on_step`, if given, is called with the state after every step.
+    """
     state = start(config)
     for _ in range(config.t_max):
         event = _next(state)
@@ -151,6 +155,8 @@ def run(config: RunConfig) -> RunState:
             state.status = "exhausted"
             break
         step(state, event)
+        if on_step is not None:
+            on_step(state)
         if state.live_count == 0:
             state.status = "annihilated"
             break

@@ -258,13 +258,7 @@ class HaftHealer(Healer):
         )
 
     def on_insert(self, v: int, neighbors: set[int]) -> HealerReport:
-        if v in self.vg.reals:
-            raise HealerError(f"insert reuses live id {v}")
-        if not neighbors:
-            raise HealerError("insert must attach to at least one live node")
-        for w in neighbors:
-            if w not in self.vg.reals:
-                raise UnknownNodeError(f"insert neighbor {w} is not live")
+        self._check_insert(v, neighbors, self.vg.image)
         self.vg.add_real_node(v)
         for w in sorted(neighbors):
             self.vg.add_edge(real(v), real(w))

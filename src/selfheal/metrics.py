@@ -280,27 +280,6 @@ class Summary:
     edges_dropped: int = 0
     violations: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "records": self.records,
-            "disconnects": self.disconnects,
-            "hard_degree_violations": self.hard_degree_violations,
-            "target_degree_violations": self.target_degree_violations,
-            "hard_stretch_violations": self.hard_stretch_violations,
-            "target_stretch_violations": self.target_stretch_violations,
-            "max_degree_ratio": self.max_degree_ratio,
-            "max_stretch": self.max_stretch,
-            "median_messages": self.median_messages,
-            "max_messages": self.max_messages,
-            "median_rounds": self.median_rounds,
-            "max_rounds": self.max_rounds,
-            "median_max_hops": self.median_max_hops,
-            "max_max_hops": self.max_max_hops,
-            "edges_added": self.edges_added,
-            "edges_dropped": self.edges_dropped,
-            "violations": self.violations,
-        }
-
 
 def summarize(records: list[MetricsRecord]) -> Summary:
     """Maxima, medians and threshold-violation counts for one run.

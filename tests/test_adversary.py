@@ -191,6 +191,10 @@ class TestTraceFormat:
         with pytest.raises(TraceFormatError):
             parse_trace(text)
 
+    def test_bool_t_rejected(self):
+        with pytest.raises(TraceFormatError):
+            parse_trace('{"t": true, "op": "delete", "node": 1}\n')
+
     def test_bad_json_rejected(self):
         with pytest.raises(TraceFormatError):
             parse_trace("{not json}\n")

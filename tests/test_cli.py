@@ -110,6 +110,42 @@ class TestRun:
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines[1].split(",")[3] == "false"
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"t": 1, "op": "delete", "node": true}',
+            '{"t": 1, "op": "delete", "node": [5]}',
+            '{"t": 1, "op": "delete", "node": "x"}',
+            '{"t": 1, "op": "delete", "node": -1}',
+            '{"t": 1, "op": "insert", "node": 9, "neighbors": [1, "a"]}',
+            '{"t": 1, "op": "insert", "node": 9, "neighbors": [false]}',
+        ],
+        ids=["bool", "list", "str", "negative", "str-neighbor", "bool-neighbor"],
+    )
+    def test_mistyped_trace_ids_exit_2(self, tmp_path, capsys, line):
+        graph = write(tmp_path / "g.edges", "0 1\n1 2\n")
+        trace = write(tmp_path / "t.jsonl", line + "\n")
+        cfg = write(tmp_path / "r.cfg", f"graph = {graph}\ntrace = {trace}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "not a non-negative integer" in capsys.readouterr().err
+
+    def test_malformed_edge_list_exits_2(self, tmp_path):
+        graph = write(tmp_path / "g.edges", "0 1\n1 x\n")
+        cfg = write(tmp_path / "r.cfg", f"graph = {graph}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_internal_breach_exits_3(self, triangle_run, monkeypatch, capsys, command):
+        from selfheal.healers import HaftHealer, HealerError
+
+        def breach(self, v):
+            raise HealerError("simulator moved")
+
+        monkeypatch.setattr(HaftHealer, "on_delete", breach)
+        cfg, tmp_path = triangle_run
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+        assert "internal error: simulator moved" in capsys.readouterr().err
+
     def test_missing_trace_exits_2(self, tmp_path):
         graph = write(tmp_path / "g.edges", "0 1\n")
         cfg = write(tmp_path / "r.cfg", f"graph = {graph}\ntrace = {tmp_path}/nope.jsonl\n")
@@ -178,6 +214,43 @@ class TestVerify:
             (tmp_path / "run.cfg").read_text() + f"csv = {out}/metrics.csv\n",
         )
         assert main(["verify", "--config", cfg2, "--out", str(tmp_path / "v"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("healer", ["haft", "null"])
+@pytest.mark.parametrize(
+    "trace, extra, status",
+    [
+        # every node of the path deleted: the engine stops as "annihilated"
+        pytest.param(
+            '{"t": 1, "op": "delete", "node": 1}\n'
+            '{"t": 2, "op": "delete", "node": 0}\n'
+            '{"t": 3, "op": "delete", "node": 2}\n',
+            "",
+            "annihilated",
+            id="annihilated",
+        ),
+        # one scripted event under T = 3: the strategy runs out, "exhausted"
+        pytest.param(
+            '{"t": 1, "op": "delete", "node": 1}\n', "T = 3\n", "exhausted", id="exhausted"
+        ),
+    ],
+)
+def test_run_and_verify_agree(tmp_path, healer, trace, extra, status):
+    graph = write(tmp_path / "g.edges", "0 1\n1 2\n")
+    trace_path = write(tmp_path / "t.jsonl", trace)
+    cfg = write(
+        tmp_path / "c.cfg", f"graph = {graph}\ntrace = {trace_path}\nhealer = {healer}\n{extra}"
+    )
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    code = main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet"])
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    assert summary["status"] == report["status"] == status
+    assert summary["timesteps"] == report["timesteps"]
+    assert set(summary["summary"]["violations"]) <= set(report["violations"])
+    assert code == (1 if report["violations"] else 0)
+    if healer == "null":
+        assert summary["summary"]["violations"]
 
 
 class TestBench:
