@@ -4,7 +4,8 @@ A small fixed corpus of runs (healers `haft` and `rebuild`; adversaries
 `clustered`, `mixed` and `random`; exact stretch on) is executed through the
 CLI, and the sha256 of each output file is compared with the digests in
 `tests/golden/digests.json`. Two negative-control runs (`star`, `null`) pin a
-`summary.json` with non-empty `violations`, and one `gen` case pins the
+`summary.json` with non-empty `violations`, one `ring` run pins the third
+baseline under inserts and deletions, and one `gen` case pins the
 generated edge list, trace and manifest. `summary.json` and `manifest.json`
 are hashed without `rng.python`, which embeds the interpreter version.
 
@@ -62,6 +63,11 @@ CASES["star-maxdegree-star"] = (
 CASES["null-random-tree"] = (
     "run",
     FAMILIES["tree"] + "healer = null\nstrategy = random\nT = 20\nexact_apsp_cap = 256\n",
+)
+# The ring baseline under churn: inserts, and deletions healed by a cycle.
+CASES["ring-mixed-tree"] = (
+    "run",
+    FAMILIES["tree"] + "healer = ring\nstrategy = mixed\nT = 30\nexact_apsp_cap = 256\n",
 )
 # `gen` without `T` (default 32); its `trace` key is ignored.
 CASES["gen-mixed-tree"] = (
