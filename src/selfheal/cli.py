@@ -6,11 +6,13 @@ Usage:
     selfheal verify --config run.cfg    --out results/
     selfheal bench  --config bench.cfg  --out bench/
 
-Config files are flat "key = value" lines with '#' comments. The master
-seed comes from --seed, else the SELFHEAL_SEED environment variable, else
-the config's `seed` key. Exit codes: 0 success (for verify: zero
-violations), 1 verification found violations, 2 parse/config/I-O failure,
-3 internal invariant breach (a healer, haft or metrics check failed).
+Every subcommand takes --config, --out, --seed and --quiet; gen, run and
+verify also take --healer, and bench takes --trials. Config files are flat
+"key = value" lines with '#' comments. The master seed comes from --seed,
+else the SELFHEAL_SEED environment variable, else the config's `seed` key.
+Exit codes: 0 success (for verify: zero violations), 1 verification found
+violations, 2 parse/config/I-O failure, 3 internal invariant breach (any
+library check that fails on an event the engine already validated).
 
 gen, run and verify build their `RunConfig` in one place (`_run_config`)
 and all drive `engine.run`; verify adds the healer audit after every step
@@ -31,13 +33,11 @@ from pathlib import Path
 from statistics import median
 
 from .adversary import RNG_NAME, STRATEGY_KINDS, StrategySpec, read_trace, write_trace
-from .engine import RunConfig, RunState, run
+from .engine import InternalError, RunConfig, RunState, run
 from .families import FAMILY_NAMES, make_family
 from .graph import Graph, dump_edge_list, load_edge_list
-from .haft import HaftError
-from .healers import HEALER_NAMES, HaftHealer, HealerError
-from .metrics import ZeroShadowDegreeError, parse_csv, records_to_csv, summarize
-from .virtual_graph import VirtualGraph
+from .healers import HEALER_NAMES
+from .metrics import parse_csv, records_to_csv, summarize
 
 
 class ConfigError(ValueError):
@@ -187,13 +187,8 @@ def cmd_run(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     state = run(_run_config(cfg, seed))
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(records_to_csv(state.records), encoding="utf-8")
-    live = state.live_graph()
-    (out / "live.dot").write_text(live.to_dot("live"), encoding="utf-8")
-    if isinstance(state.healer, HaftHealer):
-        vg = state.healer.vg
-    else:
-        vg = VirtualGraph.from_graph(live)
-    (out / "virtual.dot").write_text(vg.to_dot("virtual"), encoding="utf-8")
+    (out / "live.dot").write_text(state.live_graph().to_dot("live"), encoding="utf-8")
+    (out / "virtual.dot").write_text(state.healer.vg.to_dot("virtual"), encoding="utf-8")
     summary = summarize(state.records)
     payload = {
         "status": state.status,
@@ -389,13 +384,15 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--config", required=True, help="key = value config file")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="master seed override")
-        sp.add_argument("--healer", default=None, help="healer name override")
-        sp.add_argument("--trials", type=int, default=None, help="bench trials override")
+        if name == "bench":
+            sp.add_argument("--trials", type=int, default=None, help="trials override")
+        else:
+            sp.add_argument("--healer", default=None, help="healer name override")
         sp.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.healer is not None:
+        if getattr(args, "healer", None) is not None:
             cfg["healer"] = args.healer
         seed = _resolve_seed(args.seed, cfg)
         out = Path(args.out)
@@ -406,9 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, out, seed, args.quiet)
         return cmd_bench(cfg, out, seed, args.quiet, args.trials)
-    except (HealerError, HaftError, ZeroShadowDegreeError) as exc:
-        # The inputs were validated, so only the library's own invariant
-        # checks raise these.
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError, OSError) as exc:

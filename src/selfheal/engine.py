@@ -38,6 +38,10 @@ class InvalidEventError(ValueError):
     pass
 
 
+class InternalError(RuntimeError):
+    """A library check failed on an event that passed validation."""
+
+
 @dataclass
 class RunConfig:
     initial: Graph
@@ -125,21 +129,25 @@ def step(state: RunState, event: Event) -> RunState:
     violations = validate_event(event, live, state.shadow)
     if violations:
         raise InvalidEventError(f"illegal event {event}: {', '.join(violations)}")
-    t0 = time.perf_counter()
-    if event.op == "insert":
-        state.shadow.add_node(event.node)
-        for w in event.neighbors:
-            state.shadow.add_edge(event.node, w)
-        if state.oracle is not None:
-            state.oracle.invalidate()
-        report = state.healer.on_insert(event.node, set(event.neighbors))
-    else:
-        state.deleted.add(event.node)
-        report = state.healer.on_delete(event.node)
-    state.timers["heal"] = state.timers.get("heal", 0.0) + (time.perf_counter() - t0)
-    state.t += 1
-    state.events.append(event)
-    state.records.append(_measure(state, op=event.op, node=event.node, report=report))
+    # The event is legal, so a ValueError from here on is the library's own.
+    try:
+        t0 = time.perf_counter()
+        if event.op == "insert":
+            state.shadow.add_node(event.node)
+            for w in event.neighbors:
+                state.shadow.add_edge(event.node, w)
+            if state.oracle is not None:
+                state.oracle.invalidate()
+            report = state.healer.on_insert(event.node, set(event.neighbors))
+        else:
+            state.deleted.add(event.node)
+            report = state.healer.on_delete(event.node)
+        state.timers["heal"] = state.timers.get("heal", 0.0) + (time.perf_counter() - t0)
+        state.t += 1
+        state.events.append(event)
+        state.records.append(_measure(state, op=event.op, node=event.node, report=report))
+    except ValueError as exc:
+        raise InternalError(str(exc)) from exc
     return state
 
 

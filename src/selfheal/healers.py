@@ -1,12 +1,15 @@
 """Healing algorithms for the recovery phase.
 
-Five healers share one interface: `preprocess` the initial graph, then
-`on_insert` / `on_delete` per adversary event, each returning a HealerReport
-with the edge changes and cost accounting. `live_graph` returns the current
-healed graph itself, not a copy: it is read-only and valid until the next
-event, so a caller that wants to keep it calls `.copy()`. The tree healers
-keep it up to date inside their virtual graph and read each repair's edge
-changes from the virtual graph's repair journal.
+Every healer keeps one piece of state, a `VirtualGraph`, and the healed
+network is its real image. Five healers share one implementation: `preprocess`
+lifts the initial graph into the virtual graph, then `on_insert` /
+`on_delete` per adversary event each return a HealerReport with the edge
+changes and cost accounting. A deletion removes the processor and everything
+it simulates, then a healer-specific `_repair` rewires the survivors while
+the virtual graph's repair journal records every edge it changes; the report
+is read off that journal. `live_graph` returns the maintained image itself,
+not a copy: it is read-only and valid until the next event, so a caller that
+wants to keep it calls `.copy()`.
 
 * null     - does nothing on deletion; negative control for the checkers.
 * star     - wires all orphans to the minimum-id orphan.
@@ -18,6 +21,9 @@ changes from the virtual graph's repair journal.
              merged by binary addition, so only the spine, the carries and
              the reassigned simulators are touched, and edges of dissolved
              internal nodes are dropped.
+
+The three baselines mint no virtual nodes: each real edge they add is one
+virtual edge, so their virtual graph is their healed graph.
 
 Recovery is modeled with knowledge replication: every processor pushes its
 neighbor-list and tree-metadata updates to current neighbors on change, so
@@ -34,7 +40,6 @@ nothing and may run in parallel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .graph import Graph, UnknownNodeError
@@ -46,6 +51,7 @@ from .haft import (
     LeafSlot,
     _assemble,
     assign_simulators,
+    ceil_log2,
     haft_slots,
     leaf_count,
     leaves,
@@ -98,30 +104,26 @@ def make_healer(name: str, dedup_slots: bool = False) -> "Healer":
 
 
 class Healer:
-    """Interface shared by all healers."""
+    """A healer over a virtual graph. Subclasses supply `_repair`, and may
+    override `_rounds`."""
 
     name = "abstract"
 
+    def __init__(self) -> None:
+        self.vg = VirtualGraph()
+
+    # -- lifecycle ---------------------------------------------------------
+
     def preprocess(self, initial: Graph) -> HealerReport:
-        raise NotImplementedError
+        self.vg = VirtualGraph.from_graph(initial)
+        return HealerReport(
+            messages=2 * initial.edge_count,
+            rounds=1 if initial.edge_count else 0,
+            touched=set(initial.nodes),
+        )
 
     def on_insert(self, v: int, neighbors: set[int]) -> HealerReport:
-        raise NotImplementedError
-
-    def on_delete(self, v: int) -> HealerReport:
-        raise NotImplementedError
-
-    def live_graph(self) -> Graph:
-        """The healed graph itself: read-only, valid until the next event."""
-        raise NotImplementedError
-
-    def virtual_node_count(self) -> int:
-        return 0
-
-    def audit(self) -> list[str]:
-        return []
-
-    def _check_insert(self, v: int, neighbors: set[int], live: Graph) -> None:
+        live = self.vg.image
         if live.has_node(v):
             raise HealerError(f"insert reuses live id {v}")
         if not neighbors:
@@ -129,27 +131,9 @@ class Healer:
         for w in neighbors:
             if not live.has_node(w):
                 raise UnknownNodeError(f"insert neighbor {w} is not live")
-
-
-class BaselineHealer(Healer):
-    """Keeps a plain Graph; subclasses choose the edges that replace a node."""
-
-    def __init__(self) -> None:
-        self.graph = Graph()
-
-    def preprocess(self, initial: Graph) -> HealerReport:
-        self.graph = initial.copy()
-        return HealerReport(
-            messages=2 * self.graph.edge_count,
-            rounds=1 if self.graph.edge_count else 0,
-            touched=set(self.graph.nodes),
-        )
-
-    def on_insert(self, v: int, neighbors: set[int]) -> HealerReport:
-        self._check_insert(v, neighbors, self.graph)
-        self.graph.add_node(v)
+        self.vg.add_real_node(v)
         for w in sorted(neighbors):
-            self.graph.add_edge(v, w)
+            self.vg.add_edge(real(v), real(w))
         return HealerReport(
             messages=len(neighbors),
             rounds=1,
@@ -158,59 +142,90 @@ class BaselineHealer(Healer):
         )
 
     def on_delete(self, v: int) -> HealerReport:
-        hops = self.graph.bfs_distances(v)
-        orphans = sorted(self.graph.remove_node(v))
-        added = set()
-        for u, w in self._heal_edges(orphans):
-            if self.graph.add_edge(u, w):
-                added.add((min(u, w), max(u, w)))
-        touched = set(orphans) | {x for e in added for x in e}
+        if v not in self.vg.reals:
+            raise UnknownNodeError(f"processor {v} is not live")
+        hops = self.vg.image.bfs_distances(v)
+        notified = self.vg.image.neighbors(v)
+        direct = sorted(w.id for w in self.vg.neighbors(real(v)) if w.kind == "r")
+
+        # Adversary's removal: v, everything v simulates, their edges.
+        self.vg.remove_processor(v)
+
+        # Everything journaled from here on is healer work.
+        self.vg.open_journal()
+        try:
+            created_virtuals = self._repair(v, direct)
+        finally:
+            journal = self.vg.close_journal()
+
+        touched = set(notified)
+        for edges in (journal.real_added, journal.real_dropped):
+            for a, b in edges:
+                touched.update((a, b))
+        for procs in (journal.virtual_added, journal.virtual_dropped):
+            for pa, pb in procs.values():
+                touched.update((pa, pb))
+
+        v_changes = len(journal.virtual_added) + len(journal.virtual_dropped)
         return HealerReport(
-            edges_added=added,
-            messages=len(orphans) + 2 * len(added),
-            rounds=1 if touched else 0,
+            edges_added=journal.real_added,
+            edges_dropped=journal.real_dropped,
+            virtual_nodes_created=created_virtuals,
+            messages=len(notified) + 2 * v_changes + created_virtuals,
+            rounds=self._rounds(len(touched)) if touched else 0,
             touched=touched,
-            max_hops=max((hops[p] for p in touched), default=0),
+            max_hops=max((hops[p] for p in touched if p in hops), default=0),
         )
 
-    def live_graph(self) -> Graph:
-        return self.graph
-
-    def audit(self) -> list[str]:
-        return self.graph.audit()
-
-    def _heal_edges(self, orphans: list[int]) -> list[tuple[int, int]]:
+    def _repair(self, v: int, direct: list[int]) -> int:
+        """Rewire the survivors after v's removal; `direct` lists v's former
+        real neighbors in ascending order. Returns the virtual nodes created."""
         raise NotImplementedError
 
+    def _rounds(self, touched: int) -> int:
+        """Recovery rounds of a repair that touched `touched` > 0 nodes."""
+        return 1
 
-class NullHealer(BaselineHealer):
+    # -- views ---------------------------------------------------------------
+
+    def live_graph(self) -> Graph:
+        """The healed graph itself: read-only, valid until the next event."""
+        return self.vg.image
+
+    def virtual_node_count(self) -> int:
+        return len(self.vg.virtuals)
+
+    def audit(self) -> list[str]:
+        """Virtual-graph invariants, then the healed graph's own."""
+        return self.vg.audit() + self.vg.image.audit()
+
+
+class NullHealer(Healer):
     name = "null"
 
-    def _heal_edges(self, orphans: list[int]) -> list[tuple[int, int]]:
-        return []
+    def _repair(self, v: int, direct: list[int]) -> int:
+        return 0
 
 
-class StarHealer(BaselineHealer):
+class StarHealer(Healer):
     name = "star"
 
-    def _heal_edges(self, orphans: list[int]) -> list[tuple[int, int]]:
-        if len(orphans) < 2:
-            return []
-        hub = orphans[0]
-        return [(hub, w) for w in orphans[1:]]
+    def _repair(self, v: int, direct: list[int]) -> int:
+        for w in direct[1:]:
+            self.vg.add_edge(real(direct[0]), real(w))
+        return 0
 
 
-class RingHealer(BaselineHealer):
+class RingHealer(Healer):
     name = "ring"
 
-    def _heal_edges(self, orphans: list[int]) -> list[tuple[int, int]]:
-        if len(orphans) < 2:
-            return []
-        if len(orphans) == 2:
-            return [(orphans[0], orphans[1])]
-        pairs = list(zip(orphans, orphans[1:]))
-        pairs.append((orphans[-1], orphans[0]))
-        return pairs
+    def _repair(self, v: int, direct: list[int]) -> int:
+        pairs = list(zip(direct, direct[1:]))
+        if len(direct) > 2:
+            pairs.append((direct[-1], direct[0]))
+        for u, w in pairs:
+            self.vg.add_edge(real(u), real(w))
+        return 0
 
 
 @dataclass
@@ -236,87 +251,28 @@ class HaftHealer(Healer):
     def __init__(self, mode: str = "haft", dedup_slots: bool = False):
         if mode not in ("haft", "rebuild"):
             raise HealerError(f"unknown mode {mode!r}")
+        super().__init__()
         self.name = mode
         self.mode = mode
         self.dedup_slots = dedup_slots
-        self.vg = VirtualGraph()
         self.hafts: dict[int, HaftRecord] = {}
         self.index: dict[int, set[int]] = {}
         self._next_haft_id = 0
 
-    # -- lifecycle ---------------------------------------------------------
-
     def preprocess(self, initial: Graph) -> HealerReport:
-        self.vg = VirtualGraph.from_graph(initial)
         self.hafts.clear()
         self.index.clear()
         self._next_haft_id = 0
-        return HealerReport(
-            messages=2 * initial.edge_count,
-            rounds=1 if initial.edge_count else 0,
-            touched=set(initial.nodes),
-        )
+        return super().preprocess(initial)
 
-    def on_insert(self, v: int, neighbors: set[int]) -> HealerReport:
-        self._check_insert(v, neighbors, self.vg.image)
-        self.vg.add_real_node(v)
-        for w in sorted(neighbors):
-            self.vg.add_edge(real(v), real(w))
-        return HealerReport(
-            messages=len(neighbors),
-            rounds=1,
-            touched={v} | set(neighbors),
-            max_hops=1,
-        )
+    def _rounds(self, touched: int) -> int:
+        return 1 + ceil_log2(touched)
 
-    def on_delete(self, v: int) -> HealerReport:
-        if v not in self.vg.reals:
-            raise UnknownNodeError(f"processor {v} is not live")
-        hops = self.vg.image.bfs_distances(v)
-        notified = self.vg.image.neighbors(v)
-
-        direct = sorted(
-            w.id for w in self.vg.neighbors(real(v)) if w.kind == "r"
-        )
-        affected = sorted(self.index.get(v, set()))
-
-        # Adversary's removal: v, everything v simulates, their edges.
-        self.vg.remove_processor(v)
-
-        # Everything journaled from here on is healer work.
-        self.vg.open_journal()
-        try:
-            created_virtuals = self._repair(v, direct, affected)
-        finally:
-            journal = self.vg.close_journal()
-
-        touched = set(notified)
-        for edges in (journal.real_added, journal.real_dropped):
-            for a, b in edges:
-                touched.update((a, b))
-        for procs in (journal.virtual_added, journal.virtual_dropped):
-            for pa, pb in procs.values():
-                touched.update((pa, pb))
-
-        v_changes = len(journal.virtual_added) + len(journal.virtual_dropped)
-        messages = len(notified) + 2 * v_changes + created_virtuals
-        rounds = 1 + math.ceil(math.log2(len(touched))) if touched else 0
-        max_hops = max((hops[p] for p in touched if p in hops), default=0)
-        return HealerReport(
-            edges_added=journal.real_added,
-            edges_dropped=journal.real_dropped,
-            virtual_nodes_created=created_virtuals,
-            messages=messages,
-            rounds=rounds,
-            touched=touched,
-            max_hops=max_hops,
-        )
-
-    def _repair(self, v: int, direct: list[int], affected: list[int]) -> int:
+    def _repair(self, v: int, direct: list[int]) -> int:
         """Split the hafts that lost v, then rebuild over their pieces and
         the slots of v's real neighbors. Returns the virtual nodes created."""
         pieces: list[HaftNode] = []
-        for hid in affected:
+        for hid in sorted(self.index.get(v, ())):
             rec = self._unregister(hid)
             tree_pieces, dissolved = split_out(rec.haft, v)
             pieces.extend(tree_pieces)
@@ -386,14 +342,6 @@ class HaftHealer(Healer):
         self._register(new_haft, assignment)
         return created
 
-    # -- views ---------------------------------------------------------------
-
-    def live_graph(self) -> Graph:
-        return self.vg.image
-
-    def virtual_node_count(self) -> int:
-        return len(self.vg.virtuals)
-
     # -- bookkeeping -----------------------------------------------------------
 
     def _register(self, haft: Haft, assignment: dict[int, LeafSlot]) -> int:
@@ -415,9 +363,9 @@ class HaftHealer(Healer):
         return rec
 
     def audit(self) -> list[str]:
-        """State consistency: virtual graph invariants, haft shapes,
-        assignment validity, index agreement."""
-        problems = list(self.vg.audit())
+        """State consistency: virtual and healed graph invariants, haft
+        shapes, assignment validity, index agreement."""
+        problems = super().audit()
         seen_vids: set[int] = set()
         seen_origins: set[tuple[int, int]] = set()
         for hid in sorted(self.hafts):

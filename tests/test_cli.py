@@ -8,6 +8,8 @@ import pytest
 
 from selfheal.adversary import read_trace
 from selfheal.cli import loglog_slope, main, parse_config
+from selfheal.graph import UnknownNodeError
+from selfheal.healers import HaftHealer, HealerError
 
 
 def write(path, text):
@@ -134,12 +136,22 @@ class TestRun:
         cfg = write(tmp_path / "r.cfg", f"graph = {graph}\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
-    @pytest.mark.parametrize("command", ["run", "verify"])
-    def test_internal_breach_exits_3(self, triangle_run, monkeypatch, capsys, command):
-        from selfheal.healers import HaftHealer, HealerError
-
+    # A check that fails after the engine validated the event is a library
+    # bug, whatever ValueError subclass it raises: UnknownNodeError is a
+    # GraphError, like a malformed edge list, yet it exits 3 here.
+    @pytest.mark.parametrize(
+        "command, error",
+        [
+            ("run", HealerError),
+            ("verify", HealerError),
+            ("run", UnknownNodeError),
+            ("verify", UnknownNodeError),
+        ],
+        ids=["run", "verify", "run-UnknownNodeError", "verify-UnknownNodeError"],
+    )
+    def test_internal_breach_exits_3(self, triangle_run, monkeypatch, capsys, command, error):
         def breach(self, v):
-            raise HealerError("simulator moved")
+            raise error("simulator moved")
 
         monkeypatch.setattr(HaftHealer, "on_delete", breach)
         cfg, tmp_path = triangle_run
@@ -167,6 +179,14 @@ class TestRun:
 
         rows = parse_csv((out / "metrics.csv").read_text())
         assert rows[0]["op"] == "delete"
+
+    def test_trials_flag_rejected(self, triangle_run, capsys):
+        # --trials is a bench flag; run would ignore it
+        cfg, tmp_path = triangle_run
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--trials", "2"])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
 
     def test_healer_flag_overrides_config(self, triangle_run):
         cfg, tmp_path = triangle_run
@@ -281,6 +301,14 @@ class TestBench:
         assert main(["bench", "--config", cfg, "--out", str(out), "--trials", "1", "--quiet"]) == 0
         line = (out / "bench.csv").read_text().splitlines()[1]
         assert line.split(",")[2] == "1"
+
+    def test_healer_flag_rejected(self, tmp_path, capsys):
+        # bench sweeps the `healers` key; a --healer flag would be ignored
+        cfg = write(tmp_path / "b.cfg", "n_list = 12\nhealers = haft\ntrials = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", cfg, "--out", str(tmp_path / "b"), "--healer", "star"])
+        assert exc.value.code == 2
+        assert "--healer" in capsys.readouterr().err
 
 
 class TestSeeds:

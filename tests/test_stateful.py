@@ -1,6 +1,6 @@
-"""Stateful invariants of the tree healers under interleaved churn.
+"""Stateful invariants of every healer under interleaved churn.
 
-A Hypothesis state machine drives `haft` and `rebuild` through random
+A Hypothesis state machine drives each of the five healers through random
 inserts and deletes. After every step the maintained live graph must equal
 the image recomputed from scratch, the healer's audit must be clean, and
 the report's edge changes, message count and touched set must equal a
@@ -16,7 +16,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from selfheal.healers import HaftHealer
+from selfheal.healers import make_healer
 from selfheal.virtual_graph import real, virt
 
 from conftest import oracle_image, random_graph
@@ -28,7 +28,7 @@ class HealerMachine(RuleBasedStateMachine):
     @initialize(seed=st.integers(0, 10**9), dedup=st.booleans())
     def start(self, seed, dedup):
         self.rng = random.Random(seed)
-        self.healer = HaftHealer(mode=self.mode, dedup_slots=dedup)
+        self.healer = make_healer(self.mode, dedup_slots=dedup)
         initial = random_graph(self.rng, max_nodes=16, p=0.3)
         self.healer.preprocess(initial)
         self.next_id = max(initial.nodes) + 1
@@ -87,7 +87,11 @@ class HealerMachine(RuleBasedStateMachine):
         for a, b in v_dropped:
             touched.update((proc(a, before_sim), proc(b, before_sim)))
         assert report.touched == touched
-        assert report.rounds == (1 + math.ceil(math.log2(len(touched))) if touched else 0)
+        if self.mode in ("haft", "rebuild"):
+            assert report.rounds == (1 + math.ceil(math.log2(len(touched))) if touched else 0)
+        else:
+            assert report.rounds == (1 if touched else 0)
+            assert not vg.virtuals  # a baseline adds real edges only
 
     @invariant()
     def image_matches_oracle(self):
@@ -105,9 +109,27 @@ class RebuildMachine(HealerMachine):
     mode = "rebuild"
 
 
+class NullMachine(HealerMachine):
+    mode = "null"
+
+
+class StarMachine(HealerMachine):
+    mode = "star"
+
+
+class RingMachine(HealerMachine):
+    mode = "ring"
+
+
 SETTINGS = settings(max_examples=60, stateful_step_count=40, deadline=None)
 
 TestHaftStateful = HealerMachine.TestCase
 TestHaftStateful.settings = SETTINGS
 TestRebuildStateful = RebuildMachine.TestCase
 TestRebuildStateful.settings = SETTINGS
+TestNullStateful = NullMachine.TestCase
+TestNullStateful.settings = SETTINGS
+TestStarStateful = StarMachine.TestCase
+TestStarStateful.settings = SETTINGS
+TestRingStateful = RingMachine.TestCase
+TestRingStateful.settings = SETTINGS
