@@ -1,13 +1,14 @@
 """Golden digests: CLI output stays byte-identical across refactors.
 
 A small fixed corpus of runs (healers `haft` and `rebuild`; adversaries
-`clustered`, `mixed` and `random`; exact stretch on) is executed through the
-CLI, and the sha256 of each output file is compared with the digests in
-`tests/golden/digests.json`. Two negative-control runs (`star`, `null`) pin a
-`summary.json` with non-empty `violations`, one `ring` run pins the third
-baseline under inserts and deletions, and one `gen` case pins the
-generated edge list, trace and manifest. `summary.json` and `manifest.json`
-are hashed without `rng.python`, which embeds the interpreter version.
+`clustered`, `mixed`, `random` and `articulation`; exact stretch on) is
+executed through the CLI, and the sha256 of each output file is compared
+with the digests in `tests/golden/digests.json`. Two negative-control runs
+(`star`, `null`) pin a `summary.json` with non-empty `violations`, one
+`ring` run pins the third baseline under inserts and deletions, and one
+`gen` case pins the generated edge list, trace and manifest. `summary.json`
+and `manifest.json` are hashed without `rng.python`, which embeds the
+interpreter version.
 
 Regenerate the digests (only when an output change is intended) with:
 
@@ -68,6 +69,17 @@ CASES["null-random-tree"] = (
 CASES["ring-mixed-tree"] = (
     "run",
     FAMILIES["tree"] + "healer = ring\nstrategy = mixed\nT = 30\nexact_apsp_cap = 256\n",
+)
+# The articulation adversary: each deletion takes the smallest cut vertex.
+CASES["rebuild-articulation-tree"] = (
+    "run",
+    FAMILIES["tree"] + "healer = rebuild\nstrategy = articulation\n"
+    "T = 30\nexact_apsp_cap = 256\n",
+)
+CASES["haft-articulation-er"] = (
+    "run",
+    FAMILIES["er"] + "healer = haft\nstrategy = articulation\n"
+    "T = 30\nexact_apsp_cap = 256\n",
 )
 # `gen` without `T` (default 32); its `trace` key is ignored.
 CASES["gen-mixed-tree"] = (
