@@ -12,7 +12,8 @@ verify also take --healer, and bench takes --trials. Config files are flat
 else the SELFHEAL_SEED environment variable, else the config's `seed` key.
 Exit codes: 0 success (for verify: zero violations), 1 verification found
 violations, 2 parse/config/I-O failure, 3 internal invariant breach (any
-library check that fails on an event the engine already validated).
+library check that fails while preprocessing the initial graph or on an
+event the engine already validated).
 
 gen, run and verify build their `RunConfig` in one place (`_run_config`)
 and all drive `engine.run`; verify adds the healer audit after every step

@@ -39,7 +39,8 @@ class InvalidEventError(ValueError):
 
 
 class InternalError(RuntimeError):
-    """A library check failed on an event that passed validation."""
+    """A library check failed on input that passed validation: while
+    preprocessing the initial graph, or on a validated event."""
 
 
 @dataclass
@@ -108,18 +109,23 @@ class RunState:
 def start(config: RunConfig) -> RunState:
     """Preprocessing: build healer state and the shadow graph, snapshot G0."""
     healer = make_healer(config.healer, dedup_slots=config.dedup_slots)
-    setup = healer.preprocess(config.initial)
-    state = RunState(
-        config=config,
-        healer=healer,
-        shadow=config.initial.copy(),
-        adversary=new_state(config.strategy, config.seed),
-        setup_messages=setup.messages,
-    )
-    state.oracle = ShadowOracle(state.shadow)
-    if not config.initial.is_connected():
-        state.warnings.append("initial graph is not connected")
-    state.initial_record = _measure(state, op="init", node=-1, report=setup)
+    # The healer name is known and the graph well formed, so a ValueError
+    # from here on is the library's own.
+    try:
+        setup = healer.preprocess(config.initial)
+        state = RunState(
+            config=config,
+            healer=healer,
+            shadow=config.initial.copy(),
+            adversary=new_state(config.strategy, config.seed),
+            setup_messages=setup.messages,
+        )
+        state.oracle = ShadowOracle(state.shadow)
+        if not config.initial.is_connected():
+            state.warnings.append("initial graph is not connected")
+        state.initial_record = _measure(state, op="init", node=-1, report=setup)
+    except ValueError as exc:
+        raise InternalError(str(exc)) from exc
     return state
 
 

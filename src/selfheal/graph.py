@@ -5,8 +5,10 @@ Graphs are plain dict-of-sets adjacency structures; node ids are non-negative
 integers that are never reused within a run, even after deletion.
 
 Distances and connectivity are computed by breadth-first traversal per
-query; no dynamic-connectivity structure is maintained. The healed graph
-itself is maintained edge by edge by `virtual_graph.VirtualGraph`.
+query; no dynamic-connectivity structure is maintained. Cut vertices come
+from one iterative Tarjan low-link depth-first search, linear in nodes plus
+edges. The healed graph itself is maintained edge by edge by
+`virtual_graph.VirtualGraph`.
 
 Concurrency contract: a Graph is either exclusively owned while being mutated
 or treated as immutable once shared; instances hold no hidden shared state and
@@ -164,15 +166,6 @@ class Graph:
         start = next(iter(self._adj))
         return len(self.bfs_distances(start)) == len(self._adj)
 
-    def component_count(self) -> int:
-        seen: set[int] = set()
-        count = 0
-        for v in self._adj:
-            if v not in seen:
-                count += 1
-                seen.update(self.bfs_distances(v))
-        return count
-
     def distance(self, u: int, v: int) -> float:
         """Minimum hop count, 0 for u == v, INF when disconnected."""
         if v not in self._adj:
@@ -195,17 +188,49 @@ class Graph:
         return best
 
     def articulation_points(self) -> list[int]:
-        """Cut vertices, ascending. Brute force: remove, compare component counts."""
-        base = self.component_count()
-        cuts = []
-        for v in sorted(self._adj):
-            if len(self._adj) == 1:
-                break
-            g = self.copy()
-            g.remove_node(v)
-            if g.component_count() > base:
-                cuts.append(v)
-        return cuts
+        """Cut vertices, ascending, in O(n + m).
+
+        Tarjan's low-link DFS, run from every undiscovered node with an
+        explicit stack of (node, parent, neighbour iterator), so a path of
+        any length needs no recursion. low[v] is the smallest discovery
+        index reachable from v's DFS subtree by one back edge. A root is a
+        cut vertex when it has more than one DFS child; any other node p is
+        one when some child u has low[u] >= disc[p]. The tree edge back to
+        p may count as a back edge: it lowers low[u] to disc[p] at most,
+        which leaves that test unchanged.
+        """
+        adj = self._adj
+        disc: dict[int, int] = {}
+        low: dict[int, int] = {}
+        cuts: set[int] = set()
+        for root in adj:
+            if root in disc:
+                continue
+            disc[root] = low[root] = len(disc)
+            root_children = 0
+            stack = [(root, None, iter(adj[root]))]
+            while stack:
+                v, parent, nbrs = stack[-1]
+                for w in nbrs:
+                    if w not in disc:
+                        disc[w] = low[w] = len(disc)
+                        stack.append((w, v, iter(adj[w])))
+                        break
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    stack.pop()
+                    if parent is None:
+                        continue
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if parent == root:
+                        root_children += 1
+                    elif low[v] >= disc[parent]:
+                        cuts.add(parent)
+            if root_children > 1:
+                cuts.add(root)
+        return sorted(cuts)
 
     def audit(self) -> list[str]:
         """Invariant walk: adjacency symmetry, no self-loops, key consistency."""

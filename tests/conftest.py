@@ -2,7 +2,8 @@
 
 The oracles here are written from scratch against plain adjacency dicts so
 they stay independent of the library code they check: breadth-first search
-with an explicit queue, Floyd-Warshall for all-pairs distances, the
+with an explicit queue, Floyd-Warshall for all-pairs distances, cut
+vertices by deleting each vertex and recounting components, the
 homomorphic image of a virtual graph recomputed from its adjacency and
 simulation map, and the degree ratio with one Fraction per node.
 """
@@ -53,6 +54,32 @@ def oracle_apsp_floyd(adj: dict) -> dict:
                 if alt < dist[(i, j)]:
                     dist[(i, j)] = alt
     return dist
+
+
+def oracle_articulation_points(adj: dict) -> list:
+    """Cut vertices, ascending, by brute force: v is one when the graph
+    without v has more connected components than the graph with it."""
+
+    def components(nodes: set) -> int:
+        seen: set = set()
+        count = 0
+        for source in nodes:
+            if source in seen:
+                continue
+            count += 1
+            seen.add(source)
+            queue = deque([source])
+            while queue:
+                u = queue.popleft()
+                for w in adj[u]:
+                    if w in nodes and w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+        return count
+
+    nodes = set(adj)
+    base = components(nodes)
+    return [v for v in sorted(adj) if components(nodes - {v}) > base]
 
 
 def adj_of(g: Graph) -> dict:

@@ -49,6 +49,27 @@ class TestStrategies:
         event = next_event(spec, g, g.copy(), new_state(spec))
         assert event == Event(op="delete", node=0)
 
+    def test_articulation_deletes_smallest_cut_vertex(self):
+        # A wheel (hub 0, rim 1-3-4-5) with the tail 5-2-8-9-6. Nodes are
+        # added from 9 down, so the DFS meets the cut vertices 9, 8, 2, 5
+        # in that order; the max-degree fallback would pick the hub 0.
+        g = Graph(
+            nodes=[9, 6, 8, 2, 5, 4, 3, 1, 0],
+            edges=[(0, 1), (0, 3), (0, 4), (0, 5), (1, 3), (3, 4), (4, 5), (5, 1)]
+            + [(5, 2), (2, 8), (8, 9), (9, 6)],
+        )
+        assert g.articulation_points() == [2, 5, 8, 9]
+        spec = StrategySpec(kind="articulation")
+        event = next_event(spec, g, g.copy(), new_state(spec))
+        assert event == Event(op="delete", node=2)
+
+    def test_articulation_finds_cut_vertex_in_second_component(self):
+        # A triangle has no cut vertex; the path 7-5-9 after it has one.
+        g = Graph(nodes=[0, 1, 2, 7, 5, 9], edges=[(0, 1), (1, 2), (0, 2), (7, 5), (5, 9)])
+        spec = StrategySpec(kind="articulation")
+        event = next_event(spec, g, g.copy(), new_state(spec))
+        assert event == Event(op="delete", node=5)
+
     def test_clustered_walks_neighbors(self):
         g = path_graph(6)
         spec = StrategySpec(kind="clustered")

@@ -6,10 +6,12 @@ import json
 
 import pytest
 
+from selfheal import metrics
 from selfheal.adversary import read_trace
 from selfheal.cli import loglog_slope, main, parse_config
 from selfheal.graph import UnknownNodeError
 from selfheal.healers import HaftHealer, HealerError
+from selfheal.metrics import ZeroShadowDegreeError
 
 
 def write(path, text):
@@ -136,27 +138,49 @@ class TestRun:
         cfg = write(tmp_path / "r.cfg", f"graph = {graph}\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
-    # A check that fails after the engine validated the event is a library
+    # A check that fails after the engine validated its input is a library
     # bug, whatever ValueError subclass it raises: UnknownNodeError is a
-    # GraphError, like a malformed edge list, yet it exits 3 here.
+    # GraphError, like a malformed edge list, yet it exits 3 here. That holds
+    # before the first event too, in preprocessing and the t=0 measurement.
     @pytest.mark.parametrize(
-        "command, error",
+        "command, target, error",
         [
-            ("run", HealerError),
-            ("verify", HealerError),
-            ("run", UnknownNodeError),
-            ("verify", UnknownNodeError),
+            ("run", (HaftHealer, "on_delete"), HealerError),
+            ("verify", (HaftHealer, "on_delete"), HealerError),
+            ("run", (HaftHealer, "on_delete"), UnknownNodeError),
+            ("verify", (HaftHealer, "on_delete"), UnknownNodeError),
+            ("run", (HaftHealer, "preprocess"), UnknownNodeError),
+            ("verify", (HaftHealer, "preprocess"), UnknownNodeError),
+            ("run", (metrics, "degree_ratio_max"), ZeroShadowDegreeError),
+            ("verify", (metrics, "degree_ratio_max"), ZeroShadowDegreeError),
         ],
-        ids=["run", "verify", "run-UnknownNodeError", "verify-UnknownNodeError"],
+        ids=[
+            "run",
+            "verify",
+            "run-UnknownNodeError",
+            "verify-UnknownNodeError",
+            "run-preprocess",
+            "verify-preprocess",
+            "run-measure",
+            "verify-measure",
+        ],
     )
-    def test_internal_breach_exits_3(self, triangle_run, monkeypatch, capsys, command, error):
-        def breach(self, v):
+    def test_internal_breach_exits_3(
+        self, triangle_run, monkeypatch, capsys, command, target, error
+    ):
+        def breach(*args):
             raise error("simulator moved")
 
-        monkeypatch.setattr(HaftHealer, "on_delete", breach)
+        monkeypatch.setattr(*target, breach)
         cfg, tmp_path = triangle_run
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
         assert "internal error: simulator moved" in capsys.readouterr().err
+
+    def test_unknown_healer_exits_2(self, triangle_run, capsys):
+        cfg, tmp_path = triangle_run
+        args = ["run", "--config", cfg, "--healer", "bogus", "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert "unknown healer" in capsys.readouterr().err
 
     def test_missing_trace_exits_2(self, tmp_path):
         graph = write(tmp_path / "g.edges", "0 1\n")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfheal.families import make_family
 from selfheal.graph import (
     INF,
     DuplicateNodeError,
@@ -19,7 +20,13 @@ from selfheal.graph import (
     parse_edge_list,
 )
 
-from conftest import adj_of, oracle_apsp_floyd, oracle_bfs, random_graph
+from conftest import (
+    adj_of,
+    oracle_apsp_floyd,
+    oracle_articulation_points,
+    oracle_bfs,
+    random_graph,
+)
 
 
 def path(n: int) -> Graph:
@@ -156,6 +163,49 @@ class TestArticulation:
             for v in range(u + 1, 4):
                 g.add_edge(u, v)
         assert g.articulation_points() == []
+
+    @pytest.mark.parametrize("g", [Graph(), Graph(nodes=[7])], ids=["empty", "single"])
+    def test_tiny_graphs_have_none(self, g):
+        assert g.articulation_points() == oracle_articulation_points(adj_of(g)) == []
+
+    def test_long_path_needs_no_recursion(self):
+        # 5,000 nodes is far past the default recursion limit of 1,000.
+        assert path(5000).articulation_points() == list(range(1, 4999))
+
+    def test_two_triangles_joined_at_one_vertex(self):
+        g = Graph(edges=[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        assert g.articulation_points() == oracle_articulation_points(adj_of(g)) == [2]
+
+    def test_sorted_not_dfs_order(self):
+        # Nodes added in descending id order: the DFS starts at 8 and meets
+        # the cut vertex 5 before 1 and 3.
+        g = Graph(nodes=[8, 5, 3, 2, 1, 0], edges=[(8, 5), (5, 1), (1, 0), (5, 3), (3, 2)])
+        assert g.articulation_points() == oracle_articulation_points(adj_of(g)) == [1, 3, 5]
+
+    def test_random_tree_cuts_are_inner_nodes(self):
+        # In a tree the cut vertices are exactly the nodes of degree >= 2,
+        # an oracle independent of the brute force. At 3,000 nodes a
+        # quadratic copy-and-recount is slow enough to stand out in the suite.
+        g = make_family("random-tree", 3000, 0.0, random.Random("tarjan-tree"))
+        expected = sorted(v for v in g.nodes if g.degree(v) >= 2)
+        assert g.articulation_points() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10**9),
+    p=st.sampled_from([0.03, 0.08, 0.15, 0.3, 0.6]),
+    shuffle=st.booleans(),
+)
+def test_articulation_points_match_oracle(seed, p, shuffle):
+    rng = random.Random(seed)
+    g = random_graph(rng, max_nodes=30, p=p)
+    if shuffle:
+        # Insertion order picks the DFS roots; ids must still come out sorted.
+        order = sorted(g.nodes)
+        rng.shuffle(order)
+        g = Graph(nodes=order, edges=g.edges())
+    assert g.articulation_points() == oracle_articulation_points(adj_of(g))
 
 
 @settings(max_examples=120, deadline=None)
