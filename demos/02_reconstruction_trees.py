@@ -8,15 +8,12 @@ counter adds: equal sizes pair up under a single fresh node.
 Run:  python demos/02_reconstruction_trees.py
 """
 
-from selfheal import LeafSlot, VidSource, build_haft, merge_hafts, real
+from selfheal import LeafSlot, VidSource, build_haft, merge_hafts
 from selfheal.haft import haft_slots, leaf_count, leaf_depths
 
 
 def slots(procs, base):
-    return [
-        LeafSlot(processor=p, origin=(base, i), endpoint=real(p))
-        for i, p in enumerate(procs)
-    ]
+    return [LeafSlot(processor=p, origin=(base, i)) for i, p in enumerate(procs)]
 
 
 print("shape of a haft over L leaves (tree sizes = binary representation):")

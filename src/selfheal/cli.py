@@ -86,23 +86,19 @@ def _get_float(cfg: dict, key: str, default: float) -> float:
         raise ConfigError(f"config key {key!r} must be a number") from None
 
 
-def _get_bool(cfg: dict, key: str, default: bool) -> bool:
-    if key not in cfg:
-        return default
-    value = cfg[key].lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"config key {key!r} must be true or false")
+def _online_kind(cfg: dict, default: str) -> str:
+    """The `strategy` key, which must name a strategy that draws its own events."""
+    kind = cfg.get("strategy", default)
+    if kind not in STRATEGY_KINDS:
+        raise ConfigError(f"unknown strategy {kind!r}; expected one of {STRATEGY_KINDS}")
+    if kind == "scripted":
+        raise ConfigError("strategy 'scripted' needs a 'trace' key (run and verify only)")
+    return kind
 
 
 def _strategy_from(cfg: dict, seed: int) -> StrategySpec:
-    kind = cfg.get("strategy", "mixed")
-    if kind not in STRATEGY_KINDS:
-        raise ConfigError(f"unknown strategy {kind!r}; expected one of {STRATEGY_KINDS}")
     return StrategySpec(
-        kind=kind,
+        kind=_online_kind(cfg, "mixed"),
         p_delete=_get_float(cfg, "p_delete", 0.7),
         insert_degree=_get_int(cfg, "insert_degree", 2),
         seed=seed,
@@ -179,7 +175,6 @@ def _run_config(cfg: dict, seed: int) -> RunConfig:
         seed=seed,
         exact_apsp_cap=_get_int(cfg, "exact_apsp_cap", 256),
         stretch_samples=_get_int(cfg, "stretch_samples", 1000),
-        dedup_slots=_get_bool(cfg, "dedup_slots", False),
     )
 
 
@@ -263,7 +258,7 @@ def cmd_bench(cfg: dict, out: Path, seed: int, quiet: bool, trials_override: int
     trials = trials_override if trials_override is not None else _get_int(cfg, "trials", 3)
     family = cfg.get("family", "random-tree")
     p = _get_float(cfg, "p", 0.15)
-    kind = cfg.get("strategy", "clustered")
+    kind = _online_kind(cfg, "clustered")
     rows = []
     touched_by_healer: dict[str, list[tuple[int, float]]] = {h: [] for h in healers}
     for n in n_list:

@@ -52,7 +52,6 @@ class RunConfig:
     seed: int = 0
     exact_apsp_cap: int = 256
     stretch_samples: int = 1000
-    dedup_slots: bool = False
 
 
 class ShadowOracle:
@@ -108,7 +107,7 @@ class RunState:
 
 def start(config: RunConfig) -> RunState:
     """Preprocessing: build healer state and the shadow graph, snapshot G0."""
-    healer = make_healer(config.healer, dedup_slots=config.dedup_slots)
+    healer = make_healer(config.healer)
     # The healer name is known and the graph well formed, so a ValueError
     # from here on is the library's own.
     try:

@@ -53,6 +53,8 @@ def connected_erdos_renyi(
 
 
 def make_family(name: str, n: int, p: float, rng: random.Random) -> Graph:
+    if n < 1:
+        raise ValueError(f"graph family size n must be at least 1, got {n}")
     if name == "path":
         return path_graph(n)
     if name == "star":

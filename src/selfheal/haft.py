@@ -15,12 +15,12 @@ The shape is what makes repair cheap:
   under one fresh internal node (a carry) and everything else is untouched,
   so only the spine and the carried trees cost anything.
 
-Simulator assignment maps every internal node to a leaf slot inside its own
-subtree: the leftmost eligible leaf of its right subtree (falling back to
-the leftmost eligible leaf of the whole subtree when the right half has no
-eligible slot). This rule is injective, so a leaf slot simulates at most one
-internal node, which caps the de-simulated degree gain per slot at 4 real
-edges (2 when the simulated internal sits at the bottom level).
+Simulator assignment maps every internal node to the leftmost leaf of its
+right subtree. Each leaf except the haft's leftmost therefore serves exactly
+one internal node (the nearest ancestor whose right subtree it begins), and
+the leftmost serves none. The map is injective, which caps the de-simulated
+degree gain per slot at 4 real edges (2 when the simulated internal sits at
+the bottom level).
 
 All structures here are immutable values; merging shares subtrees freely.
 """
@@ -28,9 +28,9 @@ All structures here are immutable values; merging shares subtrees freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
-from .virtual_graph import VidSource, VNode, virt
+from .virtual_graph import VidSource, VNode, real, virt
 
 
 class HaftError(ValueError):
@@ -49,20 +49,19 @@ class UnassignableError(HaftError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class LeafSlot:
-    """One leaf of a reconstruction tree.
+class LeafSlot(NamedTuple):
+    """One leaf of a reconstruction tree: an orphan's edge to the deleted node.
 
-    endpoint   orphaned neighbor occupying the slot (real or virtual node)
+    processor  the orphaned real neighbor occupying the slot; the leaf stands
+               for its real node and may simulate one internal node
     origin     the consumed edge this slot descends from, as a sorted id pair;
                unique across all live slots of all trees
-    processor  the processor answering for this slot: the endpoint itself when
-               real, its simulator when virtual; None marks an ineligible slot
+
+    Slots order by (processor, origin).
     """
 
-    processor: int | None
+    processor: int
     origin: tuple[int, int]
-    endpoint: VNode
 
 
 @dataclass(frozen=True)
@@ -212,17 +211,14 @@ def _check_origins(slots: list[LeafSlot]) -> None:
 
 
 def assign_simulators(h: Haft) -> dict[int, LeafSlot]:
-    """Assign each internal vid the leftmost eligible leaf of its right
-    subtree (whole-subtree fallback). Injective and subtree-local."""
+    """Assign each internal vid the leftmost leaf of its right subtree.
+    Injective and subtree-local."""
     root = h.root()
     assignment: dict[int, LeafSlot] = {}
     stack = [root] if isinstance(root, Internal) else []
     while stack:
         node = stack.pop()
-        slot = _first_eligible(node.right) or _first_eligible(node.left)
-        if slot is None:
-            raise UnassignableError(f"no eligible slot in subtree of vid {node.vid}")
-        assignment[node.vid] = slot
+        assignment[node.vid] = _leftmost(node.right)
         stack += [c for c in (node.right, node.left) if isinstance(c, Internal)]
     taken: set[LeafSlot] = set()
     for vid in sorted(assignment):
@@ -233,16 +229,16 @@ def assign_simulators(h: Haft) -> dict[int, LeafSlot]:
     return assignment
 
 
-def _first_eligible(node: HaftNode) -> LeafSlot | None:
-    if isinstance(node, Leaf):
-        return node.slot if node.slot.processor is not None else None
-    return _first_eligible(node.left) or _first_eligible(node.right)
+def _leftmost(node: HaftNode) -> LeafSlot:
+    while isinstance(node, Internal):
+        node = node.left
+    return node.slot
 
 
 def vnode_of(node: HaftNode) -> VNode:
     """The virtual-graph node a haft node stands for."""
     if isinstance(node, Leaf):
-        return node.slot.endpoint
+        return real(node.slot.processor)
     return virt(node.vid)
 
 
@@ -265,10 +261,7 @@ def to_virtual_edges(
             edges.append((virt(parent.vid), vnode_of(node)))
         if isinstance(node, Leaf):
             continue
-        slot = assignment[node.vid]
-        if slot.processor is None:
-            raise UnassignableError(f"vid {node.vid} assigned an ineligible slot")
-        decls.append((node.vid, slot.processor))
+        decls.append((node.vid, assignment[node.vid].processor))
         stack += [(node.right, node), (node.left, node)]
     return decls, edges
 

@@ -89,17 +89,15 @@ class HealerReport:
     max_hops: int = 0
 
 
-def make_healer(name: str, dedup_slots: bool = False) -> "Healer":
+def make_healer(name: str) -> "Healer":
     if name == "null":
         return NullHealer()
     if name == "star":
         return StarHealer()
     if name == "ring":
         return RingHealer()
-    if name == "rebuild":
-        return HaftHealer(mode="rebuild", dedup_slots=dedup_slots)
-    if name == "haft":
-        return HaftHealer(mode="haft", dedup_slots=dedup_slots)
+    if name in ("rebuild", "haft"):
+        return HaftHealer(name)
     raise HealerError(f"unknown healer {name!r}; expected one of {HEALER_NAMES}")
 
 
@@ -228,34 +226,22 @@ class RingHealer(Healer):
         return 0
 
 
-@dataclass
-class HaftRecord:
-    haft: Haft
-    assignment: dict[int, LeafSlot]
-
-
-def _slot_key(slot: LeafSlot) -> tuple[int, tuple[int, int]]:
-    return (slot.processor if slot.processor is not None else -1, slot.origin)
-
-
 class HaftHealer(Healer):
     """Reconstruction-tree healer over a virtual graph.
 
-    mode "haft" merges surviving complete subtrees by binary addition;
-    mode "rebuild" rebuilds the whole affected region from its slots.
-    With dedup_slots, the new slots of one deletion collapse to one per
-    orphan processor (smallest origin kept); the default keeps one slot
-    per consumed edge.
+    Its state is the virtual graph plus the shape of every live haft
+    (`hafts`, by haft id) and a processor -> haft ids index; simulators live
+    only in `vg.sim`. Each deletion adds one slot per former real neighbor.
+    name "haft" merges surviving complete subtrees by binary addition;
+    name "rebuild" rebuilds the whole affected region from its slots.
     """
 
-    def __init__(self, mode: str = "haft", dedup_slots: bool = False):
-        if mode not in ("haft", "rebuild"):
-            raise HealerError(f"unknown mode {mode!r}")
+    def __init__(self, name: str):
+        if name not in ("haft", "rebuild"):
+            raise HealerError(f"unknown haft healer {name!r}")
         super().__init__()
-        self.name = mode
-        self.mode = mode
-        self.dedup_slots = dedup_slots
-        self.hafts: dict[int, HaftRecord] = {}
+        self.name = name
+        self.hafts: dict[int, Haft] = {}
         self.index: dict[int, set[int]] = {}
         self._next_haft_id = 0
 
@@ -273,34 +259,24 @@ class HaftHealer(Healer):
         the slots of v's real neighbors. Returns the virtual nodes created."""
         pieces: list[HaftNode] = []
         for hid in sorted(self.index.get(v, ())):
-            rec = self._unregister(hid)
-            tree_pieces, dissolved = split_out(rec.haft, v)
+            tree_pieces, dissolved = split_out(self._unregister(hid), v)
             pieces.extend(tree_pieces)
             for vid in dissolved:
                 if vid in self.vg.virtuals:
                     self.vg.remove_virtual(vid)
 
-        new_slots = [
-            LeafSlot(processor=w, origin=(min(v, w), max(v, w)), endpoint=real(w))
-            for w in direct
-        ]
-        if self.dedup_slots:
-            by_proc: dict[int, LeafSlot] = {}
-            for slot in sorted(new_slots, key=_slot_key):
-                by_proc.setdefault(slot.processor, slot)
-            new_slots = list(by_proc.values())
+        # `direct` ascends, so the new slots are already in slot order.
+        new_slots = [LeafSlot(w, (min(v, w), max(v, w))) for w in direct]
 
-        if self.mode == "rebuild":
+        if self.name == "rebuild":
             survivors = [s for piece in pieces for s in leaves(piece)]
             for vid in {x for piece in pieces for x in node_vids(piece)}:
                 if vid in self.vg.virtuals:
                     self.vg.remove_virtual(vid)
-            items: list[HaftNode] = [
-                Leaf(s) for s in sorted(survivors + new_slots, key=_slot_key)
-            ]
+            items: list[HaftNode] = [Leaf(s) for s in sorted(survivors + new_slots)]
         else:
             items = sorted(pieces, key=_piece_key)
-            items += [Leaf(s) for s in sorted(new_slots, key=_slot_key)]
+            items += [Leaf(s) for s in new_slots]
 
         return self._install(items)
 
@@ -339,42 +315,40 @@ class HaftHealer(Healer):
                     )
             if parent is not None:
                 self.vg.add_edge(virt(parent.vid), vnode_of(node))
-        self._register(new_haft, assignment)
+        self._register(new_haft)
         return created
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def _register(self, haft: Haft, assignment: dict[int, LeafSlot]) -> int:
+    def _register(self, haft: Haft) -> None:
         hid = self._next_haft_id
         self._next_haft_id += 1
-        self.hafts[hid] = HaftRecord(haft, assignment)
+        self.hafts[hid] = haft
         for slot in haft_slots(haft):
             self.index.setdefault(slot.processor, set()).add(hid)
-        return hid
 
-    def _unregister(self, hid: int) -> HaftRecord:
-        rec = self.hafts.pop(hid)
-        for slot in haft_slots(rec.haft):
+    def _unregister(self, hid: int) -> Haft:
+        haft = self.hafts.pop(hid)
+        for slot in haft_slots(haft):
             bucket = self.index.get(slot.processor)
             if bucket is not None:
                 bucket.discard(hid)
                 if not bucket:
                     del self.index[slot.processor]
-        return rec
+        return haft
 
     def audit(self) -> list[str]:
         """State consistency: virtual and healed graph invariants, haft
-        shapes, assignment validity, index agreement."""
+        shapes, each haft's wiring and simulators (recomputed from its shape)
+        against the virtual graph, index agreement."""
         problems = super().audit()
         seen_vids: set[int] = set()
         seen_origins: set[tuple[int, int]] = set()
         for hid in sorted(self.hafts):
-            rec = self.hafts[hid]
-            for issue in validate_haft(rec.haft):
+            haft = self.hafts[hid]
+            for issue in validate_haft(haft):
                 problems.append(f"haft {hid}: {issue}")
-            if assign_simulators(rec.haft) != rec.assignment:
-                problems.append(f"haft {hid}: stale-assignment")
-            decls, vedges = to_virtual_edges(rec.haft, rec.assignment)
+            decls, vedges = to_virtual_edges(haft, assign_simulators(haft))
             for vid, proc in decls:
                 if vid in seen_vids:
                     problems.append(f"haft {hid}: vid {vid} in two hafts")
@@ -386,7 +360,7 @@ class HaftHealer(Healer):
             for a, b in vedges:
                 if not (self.vg.has_node(a) and b in self.vg.neighbors(a)):
                     problems.append(f"haft {hid}: edge {a}-{b} missing from virtual graph")
-            for slot in haft_slots(rec.haft):
+            for slot in haft_slots(haft):
                 if slot.origin in seen_origins:
                     problems.append(f"haft {hid}: origin {slot.origin} in two slots")
                 seen_origins.add(slot.origin)
@@ -399,11 +373,11 @@ class HaftHealer(Healer):
             for hid in hids:
                 if hid not in self.hafts:
                     problems.append(f"index: processor {proc} -> dead haft {hid}")
-                elif all(s.processor != proc for s in haft_slots(self.hafts[hid].haft)):
+                elif all(s.processor != proc for s in haft_slots(self.hafts[hid])):
                     problems.append(f"index: processor {proc} not in haft {hid}")
         return problems
 
 
-def _piece_key(node: HaftNode) -> tuple[int, tuple[int, tuple[int, int]]]:
-    return (-leaf_count(node), min(_slot_key(s) for s in leaves(node)))
+def _piece_key(node: HaftNode) -> tuple[int, LeafSlot]:
+    return (-leaf_count(node), min(leaves(node)))
 

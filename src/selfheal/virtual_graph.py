@@ -33,14 +33,17 @@ processor cascades to everything it simulates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph import DuplicateNodeError, Graph, GraphError, UnknownNodeError
 
 
-@dataclass(frozen=True, order=True)
-class VNode:
-    """Node id in a virtual graph: kind 'r' wraps a processor id, 'v' a vid."""
+class VNode(NamedTuple):
+    """Node id in a virtual graph: kind 'r' wraps a processor id, 'v' a vid.
+
+    Nodes order, compare and hash as the tuple (kind, id), so every real
+    node sorts before every virtual one; repr and str are "r3" / "v12".
+    """
 
     kind: str
     id: int
@@ -172,40 +175,29 @@ class VirtualGraph:
 
     # -- removal ----------------------------------------------------------
 
-    def remove_processor(self, processor: int) -> dict[VNode, set[VNode]]:
-        """Remove a processor, cascading to every virtual node it simulates.
-
-        Returns the orphan report: each removed VNode mapped to the full set
-        of its former neighbors (co-removed neighbors included); callers
-        filter for survivors.
-        """
+    def remove_processor(self, processor: int) -> None:
+        """Remove a processor, cascading to every virtual node it simulates,
+        and all their edges; the image loses the processor and every image
+        edge no surviving virtual edge maps onto."""
         if processor not in self.reals:
             raise UnknownNodeError(f"real node {processor} not present")
-        doomed = [real(processor)]
-        doomed += [virt(vid) for vid in sorted(self._hosted.pop(processor, ()))]
-        report: dict[VNode, set[VNode]] = {}
-        for node in doomed:
-            report[node] = set(self._adj[node])
-        for node in doomed:
-            self._detach(node)
+        hosted = sorted(self._hosted.pop(processor, ()))
+        self._detach(real(processor))
+        for vid in hosted:
+            self._detach(virt(vid))
         self.reals.discard(processor)
         self.image.remove_node(processor)
-        for node in doomed:
-            if node.kind == "v":
-                self.virtuals.discard(node.id)
-                self.sim.pop(node.id, None)
-        return report
+        for vid in hosted:
+            self.virtuals.discard(vid)
+            self.sim.pop(vid, None)
 
-    def remove_virtual(self, vid: int) -> set[VNode]:
-        """Dissolve one virtual node; returns its former neighbors."""
+    def remove_virtual(self, vid: int) -> None:
+        """Dissolve one virtual node and its edges."""
         if vid not in self.virtuals:
             raise UnknownNodeError(f"virtual node {vid} not present")
-        node = virt(vid)
-        former = set(self._adj[node])
-        self._detach(node)
+        self._detach(virt(vid))
         self.virtuals.discard(vid)
         self._hosted[self.sim.pop(vid)].discard(vid)
-        return former
 
     def _detach(self, node: VNode) -> None:
         for nbr in self._adj.pop(node):

@@ -192,7 +192,7 @@ def test_criterion_5_homomorphism_observations(capsys):
 
 def _slots(procs, base=0):
     return [
-        LeafSlot(processor=p, origin=(base, 10 * base + i), endpoint=real(p))
+        LeafSlot(processor=p, origin=(base, 10 * base + i))
         for i, p in enumerate(procs)
     ]
 

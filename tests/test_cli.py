@@ -335,6 +335,36 @@ class TestBench:
         assert "--healer" in capsys.readouterr().err
 
 
+BENCH_POINT = "n_list = 8\nhealers = haft\ntrials = 1\nfamily = path\nT = 2\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("gen", "family = path\nn = 4\nT = 2\nstrategy = scripted\n", "'trace' key"),
+        ("run", "family = path\nn = 4\nT = 2\nstrategy = scripted\n", "'trace' key"),
+        ("verify", "family = path\nn = 4\nT = 2\nstrategy = scripted\n", "'trace' key"),
+        ("bench", BENCH_POINT + "strategy = scripted\n", "'trace' key"),
+        ("gen", "family = path\nn = 0\nT = 2\n", "at least 1, got 0"),
+        ("run", "family = star\nn = 0\nT = 2\n", "at least 1, got 0"),
+        ("verify", "family = random-tree\nn = -3\nT = 2\n", "at least 1, got -3"),
+        ("bench", BENCH_POINT.replace("n_list = 8", "n_list = 8,0"), "at least 1, got 0"),
+    ],
+    ids=[
+        "gen-scripted", "run-scripted", "verify-scripted", "bench-scripted",
+        "gen-n0", "run-n0", "verify-n-negative", "bench-n0",
+    ],
+)
+def test_config_that_would_run_empty_exits_2(tmp_path, capsys, command, text, message):
+    # Both used to exit 0 with an empty run whose status is "exhausted".
+    cfg = write(tmp_path / "c.cfg", text)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
 class TestSeeds:
     def test_env_seed_used(self, tmp_path, monkeypatch):
         cfg = write(tmp_path / "g.cfg", "family = path\nn = 4\nT = 0\n")

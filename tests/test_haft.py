@@ -14,7 +14,6 @@ from selfheal.haft import (
     Leaf,
     LeafSlot,
     OriginOverlapError,
-    UnassignableError,
     assign_simulators,
     build_haft,
     ceil_log2,
@@ -29,17 +28,15 @@ from selfheal.haft import (
     to_virtual_edges,
     validate_haft,
 )
-from selfheal.virtual_graph import VidSource, VirtualGraph, real
+from selfheal.virtual_graph import VidSource, VirtualGraph
+
 
 def make_slots(procs, origin_base=1000):
-    return [
-        LeafSlot(processor=p, origin=(p, origin_base + i), endpoint=real(p))
-        for i, p in enumerate(procs)
-    ]
+    return [LeafSlot(processor=p, origin=(p, origin_base + i)) for i, p in enumerate(procs)]
 
 
 def _materialize(h, assignment):
-    """De-simulated image of a lone haft over real-endpoint slots."""
+    """De-simulated image of a lone haft."""
     vg = VirtualGraph(vids=VidSource(start=max(haft_vids(h), default=0) + 1))
     for slot in haft_slots(h):
         if slot.processor not in vg.reals:
@@ -82,7 +79,7 @@ class TestBuild:
             build_haft([], VidSource())
 
     def test_duplicate_origin_rejected(self):
-        slot = LeafSlot(processor=1, origin=(0, 1), endpoint=real(1))
+        slot = LeafSlot(processor=1, origin=(0, 1))
         with pytest.raises(OriginOverlapError):
             build_haft([slot, slot], VidSource())
 
@@ -144,13 +141,26 @@ class TestAssignment:
         assignment = assign_simulators(h)
         assert [s.processor for s in assignment.values()] == [20]
 
-    def test_four_leaves_injective(self):
-        h = build_haft(make_slots([1, 2, 3, 4]), VidSource())
+    @pytest.mark.parametrize("merged", [False, True], ids=["built", "merged"])
+    @pytest.mark.parametrize("L", list(range(1, 65)))
+    def test_leftmost_of_right_subtree_and_injective(self, L, merged):
+        vids = VidSource()
+        la = (L + 2) // 3 if merged else L
+        h = build_haft(make_slots(range(la)), vids)
+        if la < L:  # merging carries, and the trees that do not carry keep their vids
+            h = merge_hafts(h, build_haft(make_slots(range(100, 100 + L - la)), vids), vids)
+        assert h.leaf_count == L
         assignment = assign_simulators(h)
-        assert len(assignment) == 3
-        assigned = {s.processor for s in assignment.values()}
-        assert len(assigned) == 3
-        assert 1 not in assigned  # the leftmost leaf simulates nothing
+        assert len(assignment) == L - 1
+        stack = [h.root()]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Leaf):
+                continue
+            assert assignment[node.vid] == leaves(node.right)[0]
+            stack += [node.left, node.right]
+        # Injective: every leaf but the leftmost simulates exactly one node.
+        assert sorted(assignment.values()) == sorted(haft_slots(h)[1:])
 
     def test_single_leaf_empty(self):
         h = build_haft(make_slots([1]), VidSource())
@@ -168,37 +178,6 @@ class TestAssignment:
             check(node.right)
 
         check(h.root())
-
-    def test_virtual_endpoint_uses_resolved_processor(self):
-        from selfheal.virtual_graph import virt
-
-        slots = [
-            LeafSlot(processor=5, origin=(0, 1), endpoint=virt(77)),
-            LeafSlot(processor=6, origin=(0, 2), endpoint=real(6)),
-        ]
-        h = build_haft(slots, VidSource(start=100))
-        assignment = assign_simulators(h)
-        decls, edges = to_virtual_edges(h, assignment)
-        assert decls == [(100, 6)]
-        assert (virt(100), virt(77)) in edges
-
-    def test_ineligible_right_subtree_falls_back_left(self):
-        slots = [
-            LeafSlot(processor=1, origin=(0, 1), endpoint=real(1)),
-            LeafSlot(processor=None, origin=(0, 2), endpoint=real(2)),
-        ]
-        h = build_haft(slots, VidSource())
-        assignment = assign_simulators(h)
-        assert [s.processor for s in assignment.values()] == [1]
-
-    def test_unassignable_without_eligible_slot(self):
-        slots = [
-            LeafSlot(processor=None, origin=(0, 1), endpoint=real(1)),
-            LeafSlot(processor=None, origin=(0, 2), endpoint=real(2)),
-        ]
-        h = build_haft(slots, VidSource())
-        with pytest.raises(UnassignableError):
-            assign_simulators(h)
 
 
 class TestVirtualEdges:

@@ -132,8 +132,8 @@ class TestDeleteHaft:
         h.preprocess(g)
         report = h.on_delete(0)
         assert len(h.hafts) == 1
-        rec = next(iter(h.hafts.values()))
-        assert rec.haft.leaf_count == 5
+        (haft,) = h.hafts.values()
+        assert haft.leaf_count == 5
         assert h.virtual_node_count() == 4
         assert report.virtual_nodes_created == 4
         assert h.live_graph().is_connected()
@@ -176,27 +176,20 @@ class TestDeleteHaft:
         h = make_healer("haft")
         h.preprocess(star_graph(9))
         h.on_delete(0)
-        (rec,) = h.hafts.values()
-        kept = rec.haft.trees[0].right  # survives the deletion of leaf 1
+        (haft,) = h.hafts.values()
+        kept = haft.trees[0].right  # survives the deletion of leaf 1
         h.vg.sim[kept.vid] = 8 if h.vg.sim[kept.vid] != 8 else 7  # corrupt
         with pytest.raises(HealerError, match="changed simulator"):
             h.on_delete(1)
 
-    def test_dedup_slots_collapses_parallel_claims(self):
-        h = make_healer("haft", dedup_slots=True)
+    def test_one_slot_per_orphan(self):
+        from selfheal.haft import LeafSlot, haft_slots
+
+        h = make_healer("haft")
         h.preprocess(star_graph(6))
         h.on_delete(0)
-        slots = [
-            s for rec in h.hafts.values() for s in _record_slots(rec)
-        ]
-        procs = [s.processor for s in slots]
-        assert len(procs) == len(set(procs))
-
-
-def _record_slots(rec):
-    from selfheal.haft import haft_slots
-
-    return haft_slots(rec.haft)
+        (haft,) = h.hafts.values()
+        assert haft_slots(haft) == [LeafSlot(w, (0, w)) for w in range(1, 6)]
 
 
 class TestRebuild:

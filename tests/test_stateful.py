@@ -25,10 +25,10 @@ from conftest import oracle_image, random_graph
 class HealerMachine(RuleBasedStateMachine):
     mode = "haft"
 
-    @initialize(seed=st.integers(0, 10**9), dedup=st.booleans())
-    def start(self, seed, dedup):
+    @initialize(seed=st.integers(0, 10**9))
+    def start(self, seed):
         self.rng = random.Random(seed)
-        self.healer = make_healer(self.mode, dedup_slots=dedup)
+        self.healer = make_healer(self.mode)
         initial = random_graph(self.rng, max_nodes=16, p=0.3)
         self.healer.preprocess(initial)
         self.next_id = max(initial.nodes) + 1

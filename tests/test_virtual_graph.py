@@ -9,9 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfheal.graph import DuplicateNodeError, UnknownNodeError
-from selfheal.virtual_graph import VirtualGraph, real, virt
+from selfheal.virtual_graph import VirtualGraph, VNode, real, virt
 
 from conftest import oracle_bfs, oracle_image, random_virtual_graph, vg_adj
+
+
+class TestVNode:
+    def test_repr_and_str(self):
+        assert repr(real(3)) == str(real(3)) == "r3"
+        assert repr(virt(12)) == str(virt(12)) == "v12"
+        assert f"{virt(0)}-{real(7)}" == "v0-r7"
+
+    def test_reals_sort_before_virtuals(self):
+        nodes = [virt(0), real(10**6), virt(5), real(0), real(2)]
+        assert sorted(nodes) == [real(0), real(2), real(10**6), virt(0), virt(5)]
+        assert max(real(p) for p in range(50)) < min(virt(v) for v in range(50))
+
+    def test_equal_nodes_hash_equal(self):
+        a, b = VNode("v", 4), virt(4)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b, real(4)}) == 2
+        assert real(4) != virt(4)
 
 
 class TestAddNodes:
@@ -62,23 +81,27 @@ class TestAddNodes:
 class TestRemoveProcessor:
     def test_cascade_with_orphan_report(self):
         # reals {1, 2}, virtual h simulated by 1, edge (h, 2); removing 1
-        # removes h too and reports h's orphaned neighbor 2.
+        # removes h and its edge too, leaving h's orphaned neighbor 2 with
+        # no edges. The graph itself is the report: nothing is returned.
         vg = VirtualGraph()
         vg.add_real_node(1)
         vg.add_real_node(2)
         h = vg.add_virtual_node(1)
         vg.add_edge(virt(h), real(2))
-        report = vg.remove_processor(1)
+        assert vg.remove_processor(1) is None
         assert vg.reals == {2}
         assert vg.virtuals == set()
-        assert report == {real(1): set(), virt(h): {real(2)}}
+        assert vg.sim == {}
+        assert vg.neighbors(real(2)) == set()
+        assert vg.image.nodes == {2}
+        assert set(vg.image.edges()) == set()
 
     def test_last_node(self):
         vg = VirtualGraph()
         vg.add_real_node(1)
-        report = vg.remove_processor(1)
+        vg.remove_processor(1)
         assert vg.reals == set()
-        assert report == {real(1): set()}
+        assert vg.image.nodes == set()
 
     def test_unknown(self):
         vg = VirtualGraph()
@@ -148,10 +171,15 @@ class TestMaintainedImage:
         a, b = vg.add_virtual_node(1), vg.add_virtual_node(2)
         vg.add_edge(virt(a), virt(b))
         vg.add_edge(virt(a), real(3))
-        report = vg.remove_processor(1)
-        assert set(report) == {real(1), virt(a)}
+        vg.remove_processor(1)
+        assert vg.reals == {2, 3}
         assert vg.virtuals == {b}
+        assert vg.sim == {b: 2}
+        assert not vg.has_node(virt(a))
+        assert vg.neighbors(virt(b)) == set()
+        assert vg.neighbors(real(3)) == set()
         assert vg.image == oracle_image(vg)
+        assert set(vg.image.edges()) == set()
 
 
 class TestJournal:
