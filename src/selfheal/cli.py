@@ -111,7 +111,10 @@ def _initial_graph(cfg: dict, seed: int) -> Graph:
         path = cfg.get("graph")
         if not path:
             raise ConfigError("family from-file needs a 'graph' key")
-        return load_edge_list(path)
+        graph = load_edge_list(path)
+        if graph.node_count == 0:
+            raise ConfigError(f"edge list {path} has no nodes")
+        return graph
     if family not in FAMILY_NAMES:
         raise ConfigError(
             f"unknown family {family!r}; expected one of {FAMILY_NAMES + ('from-file',)}"

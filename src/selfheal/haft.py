@@ -22,12 +22,20 @@ the leftmost serves none. The map is injective, which caps the de-simulated
 degree gain per slot at 4 real edges (2 when the simulated internal sits at
 the bottom level).
 
+Every internal node caches its subtree's leaf count, leftmost slot and
+smallest slot, set from its two children when it is built, so a subtree's
+size, the simulator of a new node and a piece's sort key cost O(1).
+`split_marked` splits a haft along the paths above its dead slots only. The
+whole-haft walks (`leaves`, `haft_slots`, `node_vids`, `split_out`,
+`assign_simulators`, `to_virtual_edges`) are the oracles that audits and
+tests check the fast paths against.
+
 All structures here are immutable values; merging shares subtrees freely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Union
 
 from .virtual_graph import VidSource, VNode, real, virt
@@ -68,12 +76,36 @@ class LeafSlot(NamedTuple):
 class Leaf:
     slot: LeafSlot
 
+    # The subtree facts an `Internal` caches, for a one-leaf subtree.
+    size = 1
+
+    @property
+    def first(self) -> LeafSlot:
+        return self.slot
+
+    @property
+    def low(self) -> LeafSlot:
+        return self.slot
+
 
 @dataclass(frozen=True)
 class Internal:
+    """An internal node. `size` (leaf count), `first` (leftmost slot) and
+    `low` (smallest slot) of the subtree are cached from the two children at
+    construction, O(1) per node; equality and hashing ignore them."""
+
     vid: int
     left: "HaftNode"
     right: "HaftNode"
+    size: int = field(init=False, compare=False, repr=False)
+    first: LeafSlot = field(init=False, compare=False, repr=False)
+    low: LeafSlot = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        left, right = self.left, self.right
+        object.__setattr__(self, "size", left.size + right.size)
+        object.__setattr__(self, "first", left.first)
+        object.__setattr__(self, "low", min(left.low, right.low))
 
 
 HaftNode = Union[Leaf, Internal]
@@ -105,9 +137,7 @@ class Haft:
 
 
 def leaf_count(node: HaftNode) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    return leaf_count(node.left) + leaf_count(node.right)
+    return node.size
 
 
 def leaves(node: HaftNode) -> list[LeafSlot]:
@@ -218,7 +248,7 @@ def assign_simulators(h: Haft) -> dict[int, LeafSlot]:
     stack = [root] if isinstance(root, Internal) else []
     while stack:
         node = stack.pop()
-        assignment[node.vid] = _leftmost(node.right)
+        assignment[node.vid] = node.right.first
         stack += [c for c in (node.right, node.left) if isinstance(c, Internal)]
     taken: set[LeafSlot] = set()
     for vid in sorted(assignment):
@@ -227,12 +257,6 @@ def assign_simulators(h: Haft) -> dict[int, LeafSlot]:
             raise UnassignableError(f"slot {slot.origin} would simulate two internals")
         taken.add(slot)
     return assignment
-
-
-def _leftmost(node: HaftNode) -> LeafSlot:
-    while isinstance(node, Internal):
-        node = node.left
-    return node.slot
 
 
 def vnode_of(node: HaftNode) -> VNode:
@@ -301,6 +325,43 @@ def _split(
     return left_pieces + right_pieces, True
 
 
+def split_marked(
+    h: Haft, marked: set[int], dead_processor: int
+) -> tuple[list[HaftNode], list[int]]:
+    """`split_out` that walks only the marked paths.
+
+    `marked` holds the vids on the paths from every dead slot of `h` up to
+    its tree root (vids of other hafts may be in it too). A tree or subtree
+    whose root is unmarked holds no dead slot and is one piece as it
+    stands, so the work is proportional to the marked vids plus the pieces.
+    Returns what `split_out(h, dead_processor)` returns, in the same order.
+    """
+    pieces: list[HaftNode] = []
+    dissolved: list[int] = []
+    for tree in h.trees:
+        _split_marked(tree, marked, dead_processor, pieces, dissolved)
+    dissolved.extend(h.spine)
+    return pieces, dissolved
+
+
+def _split_marked(
+    node: HaftNode,
+    marked: set[int],
+    dead_processor: int,
+    pieces: list[HaftNode],
+    dissolved: list[int],
+) -> None:
+    if isinstance(node, Leaf):
+        if node.slot.processor != dead_processor:
+            pieces.append(node)
+    elif node.vid in marked:
+        _split_marked(node.left, marked, dead_processor, pieces, dissolved)
+        _split_marked(node.right, marked, dead_processor, pieces, dissolved)
+        dissolved.append(node.vid)
+    else:
+        pieces.append(node)
+
+
 # -- validation ---------------------------------------------------------------
 
 
@@ -315,9 +376,28 @@ def _complete_size(node: HaftNode) -> int | None:
     return ls + rs
 
 
+def _recount(node: HaftNode, stale: list[int]) -> tuple[int, LeafSlot, LeafSlot]:
+    """(size, first, low) of a subtree recounted from its leaves; appends to
+    `stale` the vid of every internal node whose cached facts differ."""
+    if isinstance(node, Leaf):
+        return 1, node.slot, node.slot
+    left_size, first, left_low = _recount(node.left, stale)
+    right_size, _, right_low = _recount(node.right, stale)
+    facts = (left_size + right_size, first, min(left_low, right_low))
+    if (node.size, node.first, node.low) != facts:
+        stale.append(node.vid)
+    return facts
+
+
 def validate_haft(h: Haft) -> list[str]:
-    """Shape audit; empty list means every haft invariant holds."""
+    """Shape audit, cached subtree facts included; empty list means every
+    haft invariant holds."""
     problems: list[str] = []
+    stale: list[int] = []
+    for tree in h.trees:
+        _recount(tree, stale)
+    if stale:
+        problems.append(f"stale-cached-facts: vids {sorted(stale)}")
     sizes = []
     for i, tree in enumerate(h.trees):
         size = _complete_size(tree)

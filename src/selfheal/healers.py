@@ -16,11 +16,13 @@ wants to keep it calls `.copy()`.
 * ring     - wires the orphans into a cycle by ascending id.
 * rebuild  - reconstruction trees rebuilt from scratch: every tree the
              deleted node touched is dissolved and one fresh haft is built
-             over all surviving slots; messages scale with the whole region.
+             over all surviving slots; messages and host time scale with
+             the whole region.
 * haft     - the flagship: surviving complete subtrees are preserved and
              merged by binary addition, so only the spine, the carries and
              the reassigned simulators are touched, and edges of dissolved
-             internal nodes are dropped.
+             internal nodes are dropped. Parent maps and cached subtree
+             facts keep the host work to O(changed * log n) as well.
 
 The three baselines mint no virtual nodes: each real edge they add is one
 virtual edge, so their virtual graph is their healed graph.
@@ -32,7 +34,9 @@ and no election is needed. Message counts are the audited metric: per
 deletion, the notified live neighbors, plus two messages per virtual-graph
 edge change, plus one per new simulator assignment. Rounds follow the
 synchronous convention 1 + ceil(log2 |touched|) for the structural healers
-and 1 for the baselines.
+and 1 for the baselines. max_hops comes from a breadth-first search over the
+pre-deletion graph, rebuilt from the image and the repair journal, that
+stops once every touched node has its distance.
 
 A healer instance owns its state exclusively; distinct instances share
 nothing and may run in parallel.
@@ -53,15 +57,15 @@ from .haft import (
     assign_simulators,
     ceil_log2,
     haft_slots,
-    leaf_count,
     leaves,
     node_vids,
-    split_out,
+    split_marked,
+    split_out,  # noqa: F401  (unused here; the benchmark's tracer wraps this name)
     to_virtual_edges,
     validate_haft,
     vnode_of,
 )
-from .virtual_graph import VirtualGraph, real, virt
+from .virtual_graph import RepairJournal, VirtualGraph, real, virt
 
 HEALER_NAMES = ("null", "star", "ring", "rebuild", "haft")
 
@@ -142,7 +146,6 @@ class Healer:
     def on_delete(self, v: int) -> HealerReport:
         if v not in self.vg.reals:
             raise UnknownNodeError(f"processor {v} is not live")
-        hops = self.vg.image.bfs_distances(v)
         notified = self.vg.image.neighbors(v)
         direct = sorted(w.id for w in self.vg.neighbors(real(v)) if w.kind == "r")
 
@@ -172,8 +175,54 @@ class Healer:
             messages=len(notified) + 2 * v_changes + created_virtuals,
             rounds=self._rounds(len(touched)) if touched else 0,
             touched=touched,
-            max_hops=max((hops[p] for p in touched if p in hops), default=0),
+            max_hops=self._max_hops(v, notified, journal, touched),
         )
+
+    def _max_hops(
+        self, v: int, notified: set[int], journal: RepairJournal, touched: set[int]
+    ) -> int:
+        """The farthest touched node from v in the pre-deletion live graph,
+        by a BFS from v that stops once every touched node has a distance.
+
+        The removal of v drops only edges at v, so the pre-deletion graph is
+        the image without the repair's added edges, with its dropped edges,
+        and with v joined to `notified`. Only v and the endpoints of a repair
+        edge see a different neighbourhood; every other node reads the
+        image's.
+        """
+        adj = self.vg.image._adj
+        changed: dict[int, set[int]] = {v: notified}
+        for edges, restore in ((journal.real_added, False), (journal.real_dropped, True)):
+            for a, b in edges:
+                for x, y in ((a, b), (b, a)):
+                    if x not in changed:
+                        changed[x] = set(adj[x])
+                    if restore:
+                        changed[x].add(y)
+                    else:
+                        changed[x].discard(y)
+        # BFS labels in nondecreasing distance, so the touched node labelled
+        # last is the farthest; an unreachable one is left out.
+        unseen = len(touched)
+        farthest = hops = 0
+        seen = {v}
+        frontier = [v]
+        while frontier and unseen:
+            hops += 1
+            reached = []
+            for u in frontier:
+                nbrs = changed.get(u)
+                for w in adj[u] if nbrs is None else nbrs:
+                    if w not in seen:
+                        seen.add(w)
+                        reached.append(w)
+                        if w in touched:
+                            farthest = hops
+                            unseen -= 1
+                            if not unseen:
+                                return farthest
+            frontier = reached
+        return farthest
 
     def _repair(self, v: int, direct: list[int]) -> int:
         """Rewire the survivors after v's removal; `direct` lists v's former
@@ -230,10 +279,21 @@ class HaftHealer(Healer):
     """Reconstruction-tree healer over a virtual graph.
 
     Its state is the virtual graph plus the shape of every live haft
-    (`hafts`, by haft id) and a processor -> haft ids index; simulators live
-    only in `vg.sim`. Each deletion adds one slot per former real neighbor.
-    name "haft" merges surviving complete subtrees by binary addition;
-    name "rebuild" rebuilds the whole affected region from its slots.
+    (`hafts`, by haft id); simulators live only in `vg.sim`. Each deletion
+    adds one slot per former real neighbor. Three maps find the part of a
+    haft a deletion touches without walking the haft:
+
+    * `slot_origins`: processor -> origins of its live slots;
+    * `parent`: child -> parent vid inside the complete trees, keyed by
+      origin for a leaf and by vid for an internal node (spine nodes are
+      nobody's parent here);
+    * `tree_haft`: key of each complete tree's root -> its haft id.
+
+    name "haft" merges surviving complete subtrees by binary addition. Its
+    deletion walks up from the dead slots, splits only the marked paths
+    and wires only the new carries and spine nodes, so it costs
+    O(changed * log n). name "rebuild" rebuilds the whole affected region
+    from its slots, which costs time in proportion to that region.
     """
 
     def __init__(self, name: str):
@@ -242,12 +302,16 @@ class HaftHealer(Healer):
         super().__init__()
         self.name = name
         self.hafts: dict[int, Haft] = {}
-        self.index: dict[int, set[int]] = {}
+        self.slot_origins: dict[int, set[tuple[int, int]]] = {}
+        self.parent: dict[int | tuple[int, int], int] = {}
+        self.tree_haft: dict[int | tuple[int, int], int] = {}
         self._next_haft_id = 0
 
     def preprocess(self, initial: Graph) -> HealerReport:
         self.hafts.clear()
-        self.index.clear()
+        self.slot_origins.clear()
+        self.parent.clear()
+        self.tree_haft.clear()
         self._next_haft_id = 0
         return super().preprocess(initial)
 
@@ -257,13 +321,32 @@ class HaftHealer(Healer):
     def _repair(self, v: int, direct: list[int]) -> int:
         """Split the hafts that lost v, then rebuild over their pieces and
         the slots of v's real neighbors. Returns the virtual nodes created."""
+        # Mark every vid above a dead slot; a path that meets a marked vid
+        # has already been walked up to its tree root.
+        dead = self.slot_origins.pop(v, set())
+        marked: set[int] = set()
+        hids: set[int] = set()
+        for origin in dead:
+            key: int | tuple[int, int] = origin
+            while (up := self.parent.get(key)) is not None and up not in marked:
+                marked.add(up)
+                key = up
+            if up is None:
+                hids.add(self.tree_haft[key])
+
         pieces: list[HaftNode] = []
-        for hid in sorted(self.index.get(v, ())):
-            tree_pieces, dissolved = split_out(self._unregister(hid), v)
+        for hid in sorted(hids):
+            haft = self.hafts.pop(hid)
+            for tree in haft.trees:
+                del self.tree_haft[_key(tree)]
+            tree_pieces, dissolved = split_marked(haft, marked, v)
             pieces.extend(tree_pieces)
             for vid in dissolved:
                 if vid in self.vg.virtuals:
                     self.vg.remove_virtual(vid)
+        # Dissolved nodes, dead leaves and the pieces' roots lose their parents.
+        for key in (*marked, *dead, *(_key(piece) for piece in pieces)):
+            self.parent.pop(key, None)
 
         # `direct` ascends, so the new slots are already in slot order.
         new_slots = [LeafSlot(w, (min(v, w), max(v, w))) for w in direct]
@@ -273,6 +356,9 @@ class HaftHealer(Healer):
             for vid in {x for piece in pieces for x in node_vids(piece)}:
                 if vid in self.vg.virtuals:
                     self.vg.remove_virtual(vid)
+                self.parent.pop(vid, None)
+            for s in survivors:
+                self.parent.pop(s.origin, None)
             items: list[HaftNode] = [Leaf(s) for s in sorted(survivors + new_slots)]
         else:
             items = sorted(pieces, key=_piece_key)
@@ -282,32 +368,47 @@ class HaftHealer(Healer):
 
     def _install(self, items: list[HaftNode]) -> int:
         """Assemble the replacement structure and wire it into the virtual
-        graph. Only the new internal nodes (carries and spine) are declared
-        and linked to their children; preserved subtrees are already wired.
-        Returns the number of virtual nodes created."""
-        total = sum(leaf_count(it) for it in items)
-        if total == 0:
-            return 0
-        if total == 1:
-            return 0  # lone claimant: nothing left to connect
-        if total == 2 and len(items) == 2:
-            # Two separate single slots: direct real edge, no virtual nodes.
-            procs = sorted({s.processor for it in items for s in leaves(it)})
+        graph. Only the new internal nodes (carries and spine) are declared,
+        linked to their children and entered in the maps; preserved
+        subtrees are already wired. Returns the number of virtual nodes
+        created."""
+        total = sum(it.size for it in items)
+        if total <= 2 and len(items) == total:
+            # A lone claimant keeps no structure, and two separate single
+            # slots get a direct real edge; neither is a haft any more.
+            for it in items:
+                origins = self.slot_origins.get(it.slot.processor)
+                if origins is not None:
+                    origins.discard(it.slot.origin)
+                    if not origins:
+                        del self.slot_origins[it.slot.processor]
+            procs = sorted({it.slot.processor for it in items})
             if len(procs) == 2:
                 self.vg.add_edge(real(procs[0]), real(procs[1]))
             return 0
         new_haft = _assemble(items, self.vg.vids)
-        assignment = assign_simulators(new_haft)
+        hid = self._next_haft_id
+        self._next_haft_id += 1
+        self.hafts[hid] = new_haft
+        for tree in new_haft.trees:
+            self.tree_haft[_key(tree)] = hid
+        spine = set(new_haft.spine)
         created = 0
         stack: list[tuple[HaftNode, Internal | None]] = [(new_haft.root(), None)]
         while stack:
             node, parent = stack.pop()
-            if isinstance(node, Internal):
-                proc = assignment[node.vid].processor
+            if isinstance(node, Leaf):
+                slot = node.slot
+                self.slot_origins.setdefault(slot.processor, set()).add(slot.origin)
+            else:
+                proc = node.right.first.processor
                 if node.vid not in self.vg.virtuals:  # a carry or spine node
                     self.vg.declare_virtual(node.vid, proc)
                     created += 1
                     stack += [(node.right, node), (node.left, node)]
+                    if node.vid not in spine:
+                        self.parent[_key(node.left)] = node.vid
+                        self.parent[_key(node.right)] = node.vid
                 elif self.vg.sim[node.vid] != proc:  # a preserved subtree's root
                     raise HealerError(
                         f"preserved vid {node.vid} changed simulator "
@@ -315,35 +416,19 @@ class HaftHealer(Healer):
                     )
             if parent is not None:
                 self.vg.add_edge(virt(parent.vid), vnode_of(node))
-        self._register(new_haft)
         return created
-
-    # -- bookkeeping -----------------------------------------------------------
-
-    def _register(self, haft: Haft) -> None:
-        hid = self._next_haft_id
-        self._next_haft_id += 1
-        self.hafts[hid] = haft
-        for slot in haft_slots(haft):
-            self.index.setdefault(slot.processor, set()).add(hid)
-
-    def _unregister(self, hid: int) -> Haft:
-        haft = self.hafts.pop(hid)
-        for slot in haft_slots(haft):
-            bucket = self.index.get(slot.processor)
-            if bucket is not None:
-                bucket.discard(hid)
-                if not bucket:
-                    del self.index[slot.processor]
-        return haft
 
     def audit(self) -> list[str]:
         """State consistency: virtual and healed graph invariants, haft
-        shapes, each haft's wiring and simulators (recomputed from its shape)
-        against the virtual graph, index agreement."""
+        shapes and cached subtree facts, each haft's wiring and simulators
+        (recomputed from its shape) against the virtual graph, and the three
+        maps against the same maps recomputed from the shapes."""
         problems = super().audit()
         seen_vids: set[int] = set()
         seen_origins: set[tuple[int, int]] = set()
+        slot_origins: dict[int, set[tuple[int, int]]] = {}
+        parent: dict[int | tuple[int, int], int] = {}
+        tree_haft: dict[int | tuple[int, int], int] = {}
         for hid in sorted(self.hafts):
             haft = self.hafts[hid]
             for issue in validate_haft(haft):
@@ -364,20 +449,36 @@ class HaftHealer(Healer):
                 if slot.origin in seen_origins:
                     problems.append(f"haft {hid}: origin {slot.origin} in two slots")
                 seen_origins.add(slot.origin)
-                if hid not in self.index.get(slot.processor, set()):
-                    problems.append(f"haft {hid}: index misses processor {slot.processor}")
+                slot_origins.setdefault(slot.processor, set()).add(slot.origin)
+            for tree in haft.trees:
+                tree_haft[_key(tree)] = hid
+                stack = [tree]
+                while stack:
+                    node = stack.pop()
+                    if isinstance(node, Internal):
+                        for child in (node.left, node.right):
+                            parent[_key(child)] = node.vid
+                            stack.append(child)
         if seen_vids != self.vg.virtuals:
             stray = sorted(self.vg.virtuals - seen_vids)
             problems.append(f"virtual nodes outside any haft: {stray}")
-        for proc, hids in self.index.items():
-            for hid in hids:
-                if hid not in self.hafts:
-                    problems.append(f"index: processor {proc} -> dead haft {hid}")
-                elif all(s.processor != proc for s in haft_slots(self.hafts[hid])):
-                    problems.append(f"index: processor {proc} not in haft {hid}")
+        for name, live, expected in (
+            ("slot_origins", self.slot_origins, slot_origins),
+            ("parent", self.parent, parent),
+            ("tree_haft", self.tree_haft, tree_haft),
+        ):
+            for key in sorted(live.keys() | expected.keys(), key=repr):
+                if live.get(key) != expected.get(key):
+                    problems.append(
+                        f"{name}[{key}]: {live.get(key)!r}, expected {expected.get(key)!r}"
+                    )
         return problems
 
 
-def _piece_key(node: HaftNode) -> tuple[int, LeafSlot]:
-    return (-leaf_count(node), min(leaves(node)))
+def _key(node: HaftNode) -> int | tuple[int, int]:
+    """A node's key in the healer's maps: its vid, or a leaf's origin."""
+    return node.vid if isinstance(node, Internal) else node.slot.origin
 
+
+def _piece_key(node: HaftNode) -> tuple[int, LeafSlot]:
+    return (-node.size, node.low)

@@ -349,15 +349,20 @@ BENCH_POINT = "n_list = 8\nhealers = haft\ntrials = 1\nfamily = path\nT = 2\n"
         ("run", "family = star\nn = 0\nT = 2\n", "at least 1, got 0"),
         ("verify", "family = random-tree\nn = -3\nT = 2\n", "at least 1, got -3"),
         ("bench", BENCH_POINT.replace("n_list = 8", "n_list = 8,0"), "at least 1, got 0"),
+        ("gen", "family = from-file\ngraph = {dir}/empty.edges\nT = 2\n", "has no nodes"),
+        ("run", "family = from-file\ngraph = {dir}/empty.edges\nT = 2\n", "has no nodes"),
+        ("verify", "graph = {dir}/empty.edges\nT = 2\n", "has no nodes"),
     ],
     ids=[
         "gen-scripted", "run-scripted", "verify-scripted", "bench-scripted",
         "gen-n0", "run-n0", "verify-n-negative", "bench-n0",
+        "gen-empty-edge-list", "run-empty-edge-list", "verify-empty-edge-list",
     ],
 )
 def test_config_that_would_run_empty_exits_2(tmp_path, capsys, command, text, message):
-    # Both used to exit 0 with an empty run whose status is "exhausted".
-    cfg = write(tmp_path / "c.cfg", text)
+    # All used to exit 0 with an empty run whose status is "exhausted".
+    write(tmp_path / "empty.edges", "# comments only\n\n")
+    cfg = write(tmp_path / "c.cfg", text.replace("{dir}", str(tmp_path)))
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err

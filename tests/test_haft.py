@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from selfheal.haft import (
     EmptySlotsError,
+    Internal,
     Leaf,
     LeafSlot,
     OriginOverlapError,
+    _assemble,
     assign_simulators,
     build_haft,
     ceil_log2,
@@ -24,6 +26,7 @@ from selfheal.haft import (
     leaves,
     merge_hafts,
     node_vids,
+    split_marked,
     split_out,
     to_virtual_edges,
     validate_haft,
@@ -236,6 +239,7 @@ def test_helpers_leave_no_cyclic_garbage():
         assignment = assign_simulators(h)
         to_virtual_edges(h, assignment)
         split_out(h, 5)
+        split_marked(h, set(node_vids(h.trees[0])), 5)
         leaf_depths(h)
         validate_haft(h)
         del assignment
@@ -309,3 +313,57 @@ def test_merge_is_binary_addition_and_preserves_slots(seed):
     merged = sorted((s.processor, s.origin) for s in haft_slots(m))
     original = sorted((s.processor, s.origin) for s in haft_slots(a) + haft_slots(b))
     assert merged == original
+
+
+def _internals(h):
+    out = []
+    stack = list(h.trees)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Internal):
+            out.append(node)
+            stack += [node.left, node.right]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_path_only_split_and_cached_facts_match_their_oracles(seed):
+    # Hafts from builds and merges, split around a dead processor and
+    # reassembled from their pieces and fresh slots, as the healer does.
+    rng = random.Random(seed)
+    vids = VidSource()
+    base = 0
+
+    def fresh(count):
+        nonlocal base
+        base += 1000
+        return make_slots([rng.randrange(8) for _ in range(count)], origin_base=base)
+
+    h = build_haft(fresh(rng.randint(1, 24)), vids)
+    for _ in range(rng.randint(0, 2)):
+        h = merge_hafts(h, build_haft(fresh(rng.randint(1, 24)), vids), vids)
+    for _ in range(3):
+        nodes = _internals(h)
+        for node in nodes:
+            slots = leaves(node)
+            leftmost = node
+            while isinstance(leftmost, Internal):
+                leftmost = leftmost.left
+            assert node.size == leaf_count(node) == len(slots)
+            assert node.first == leftmost.slot == slots[0]
+            assert node.low == min(slots)
+
+        dead = rng.randrange(8)
+        marked = {x.vid for x in nodes if any(s.processor == dead for s in leaves(x))}
+        # vids of other hafts may be marked too
+        pieces, dissolved = split_marked(h, marked | {vids.next_vid + 7}, dead)
+        want_pieces, want_dissolved = split_out(h, dead)
+        assert [id(p) for p in pieces] == [id(p) for p in want_pieces]
+        assert dissolved == want_dissolved
+
+        items = pieces + [Leaf(s) for s in fresh(rng.randint(0, 6))]
+        if not items:
+            break
+        h = _assemble(items, vids)
+        assert validate_haft(h) == []

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from selfheal import engine, healers
 from selfheal.adversary import StrategySpec, next_event, new_state
 from selfheal.families import connected_erdos_renyi, path_graph, random_tree, star_graph
 from selfheal.graph import Graph, UnknownNodeError
@@ -283,3 +284,30 @@ def test_haft_locality_bound_under_churn():
                 continue
             bound = 2 * ceil_log2(shadow.node_count) + 2
             assert report.max_hops <= bound
+
+
+def test_haft_deletion_never_walks_a_whole_haft(monkeypatch):
+    # The whole-haft walks are oracles for the audit and the tests; a haft
+    # run heals from the maps and the cached subtree facts alone. (rebuild
+    # walks its region by design.)
+    def config():
+        return engine.RunConfig(
+            initial=random_tree(256, random.Random("locality")),
+            healer="haft",
+            strategy=StrategySpec(kind="clustered", seed=3),
+            t_max=64,
+            seed=3,
+            exact_apsp_cap=0,
+            stretch_samples=0,
+        )
+
+    expected = engine.run(config()).records
+
+    def whole_haft_walk(*args, **kwargs):
+        raise AssertionError("a whole-haft walk ran on the deletion path")
+
+    for name in ("leaves", "haft_slots", "node_vids", "split_out", "assign_simulators"):
+        monkeypatch.setattr(healers, name, whole_haft_walk)
+    state = engine.run(config())
+    assert state.records == expected
+    assert len(state.healer.hafts) > 0

@@ -3,8 +3,8 @@
 A Hypothesis state machine drives each of the five healers through random
 inserts and deletes. After every step the maintained live graph must equal
 the image recomputed from scratch, the healer's audit must be clean, and
-the report's edge changes, message count and touched set must equal a
-recount from before/after snapshots of the real and virtual graphs.
+the report's edge changes, message count, touched set and max_hops must
+equal a recount from before/after snapshots of the real and virtual graphs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 from selfheal.healers import make_healer
 from selfheal.virtual_graph import real, virt
 
-from conftest import oracle_image, random_graph
+from conftest import adj_of, oracle_bfs, oracle_image, random_graph
 
 
 class HealerMachine(RuleBasedStateMachine):
@@ -57,6 +57,7 @@ class HealerMachine(RuleBasedStateMachine):
         live = sorted(vg.reals)
         v = live[pick % len(live)]
         before_image = oracle_image(vg)
+        hops = oracle_bfs(adj_of(before_image), v)
         notified = before_image.neighbors(v)
         before_real = {e for e in before_image.edges() if v not in e}
         doomed = {real(v)} | {virt(x) for x in vg.virtuals if vg.sim[x] == v}
@@ -87,6 +88,7 @@ class HealerMachine(RuleBasedStateMachine):
         for a, b in v_dropped:
             touched.update((proc(a, before_sim), proc(b, before_sim)))
         assert report.touched == touched
+        assert report.max_hops == max((hops[p] for p in touched if p in hops), default=0)
         if self.mode in ("haft", "rebuild"):
             assert report.rounds == (1 + math.ceil(math.log2(len(touched))) if touched else 0)
         else:
