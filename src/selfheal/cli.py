@@ -77,6 +77,14 @@ def _get_int(cfg: dict, key: str, default: int | None = None) -> int:
         raise ConfigError(f"config key {key!r} must be an integer") from None
 
 
+def _get_count(cfg: dict, key: str, default: int | None = None) -> int:
+    """An integer key that must not be negative (a length, a cap, a count)."""
+    value = _get_int(cfg, key, default)
+    if value < 0:
+        raise ConfigError(f"config key {key!r} must be >= 0, got {value}")
+    return value
+
+
 def _get_float(cfg: dict, key: str, default: float) -> float:
     if key not in cfg:
         return default
@@ -166,18 +174,18 @@ def _run_config(cfg: dict, seed: int) -> RunConfig:
     if "trace" in cfg:
         events = tuple(read_trace(cfg["trace"]))
         strategy = StrategySpec(kind="scripted", events=events, seed=seed)
-        t_max = _get_int(cfg, "T", len(events))
+        t_max = _get_count(cfg, "T", len(events))
     else:
         strategy = _strategy_from(cfg, seed)
-        t_max = _get_int(cfg, "T")
+        t_max = _get_count(cfg, "T")
     return RunConfig(
         initial=initial,
         healer=healer,
         strategy=strategy,
         t_max=t_max,
         seed=seed,
-        exact_apsp_cap=_get_int(cfg, "exact_apsp_cap", 256),
-        stretch_samples=_get_int(cfg, "stretch_samples", 1000),
+        exact_apsp_cap=_get_count(cfg, "exact_apsp_cap", 256),
+        stretch_samples=_get_count(cfg, "stretch_samples", 1000),
     )
 
 
@@ -258,14 +266,16 @@ def cmd_bench(cfg: dict, out: Path, seed: int, quiet: bool, trials_override: int
     """Sweep (n, healer) points; write a scaling table and log-log slopes."""
     n_list = _int_list(cfg.get("n_list", "64,128,256"))
     healers = _name_list(cfg.get("healers", "haft,rebuild"), HEALER_NAMES)
-    trials = trials_override if trials_override is not None else _get_int(cfg, "trials", 3)
+    if trials_override is not None and trials_override < 0:
+        raise ConfigError(f"--trials must be >= 0, got {trials_override}")
+    trials = trials_override if trials_override is not None else _get_count(cfg, "trials", 3)
     family = cfg.get("family", "random-tree")
     p = _get_float(cfg, "p", 0.15)
     kind = _online_kind(cfg, "clustered")
     rows = []
     touched_by_healer: dict[str, list[tuple[int, float]]] = {h: [] for h in healers}
     for n in n_list:
-        t_max = _get_int(cfg, "T", n // 2)
+        t_max = _get_count(cfg, "T", n // 2)
         for healer in healers:
             messages: list[int] = []
             rounds: list[int] = []

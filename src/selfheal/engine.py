@@ -5,7 +5,9 @@ measures the healed graph against the shadow graph G'. The shadow graph
 contains every node ever created, with original plus insertion edges only,
 never healing edges; deletions mark nodes instead of removing them, so
 shadow distances keep flowing through deleted nodes. Live processors are
-the shadow nodes minus the deleted set.
+the shadow nodes minus the deleted set. Exact shadow distances are built
+once, when a measurement first needs them, and then updated in O(n^2) per
+insert (`ShadowOracle`).
 
 Runs are deterministic: one master seed drives the adversary and the stretch
 sampler, and all iteration orders are sorted. Running the same config twice
@@ -23,7 +25,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -55,24 +57,55 @@ class RunConfig:
 
 
 class ShadowOracle:
-    """Cached exact distances over the shadow graph (deleted nodes included).
+    """Exact distances over the shadow graph (deleted nodes included).
 
-    The shadow graph only grows on insertions, so the matrix is recomputed
-    lazily after each insert and shared across the deletions in between.
+    The matrix is built lazily: the first `matrix()` call runs the full
+    `all_pairs_distances`, so a run that never measures stretch never pays
+    for it. After that the shadow graph only grows, one node per insert, so
+    `insert` updates the matrix in place of a rebuild (Ausiello et al.,
+    "Incremental algorithms for minimal length paths", 1991): the new
+    node's row is one more than the nearest neighbour's row, and every
+    pair then relaxes through the new node. Both steps are O(n^2); values
+    stay exact integers in float64. The new node takes the next row and
+    column whatever its id, so the matrix is read through `index` only.
+    Deletions only mark nodes and change nothing here.
     """
 
     def __init__(self, shadow: Graph):
         self._shadow = shadow
         self._dist: np.ndarray | None = None
         self._index: dict[int, int] = {}
+        self._diameter: object = None
 
-    def invalidate(self) -> None:
-        self._dist = None
+    def insert(self, v: int, neighbors: Iterable[int]) -> None:
+        """Add shadow node v, joined to `neighbors` (already in the matrix)."""
+        self._diameter = None
+        if self._dist is None:
+            return
+        dist, n = self._dist, len(self._index)
+        row = 1.0 + dist[[self._index[w] for w in neighbors]].min(axis=0)
+        grown = np.empty((n + 1, n + 1))
+        through_v = grown[:n, :n]
+        np.add.outer(row, row, out=through_v)
+        np.minimum(through_v, dist, out=through_v)
+        grown[n, :n] = row
+        grown[:n, n] = row
+        grown[n, n] = 0.0
+        self._dist = grown
+        self._index[v] = n
 
     def matrix(self) -> tuple[np.ndarray, dict[int, int]]:
+        """The distance matrix and its node -> row index: read-only, valid
+        until the next insert (which grows the index in place)."""
         if self._dist is None:
             self._dist, self._index = all_pairs_distances(self._shadow)
         return self._dist, self._index
+
+    def diameter(self) -> object:
+        """`metrics.diameter_from` of the matrix, kept until the next insert."""
+        if self._diameter is None:
+            self._diameter = metrics.diameter_from(self.matrix()[0])
+        return self._diameter
 
     def distance(self, u: int, v: int) -> float:
         dist, index = self.matrix()
@@ -142,7 +175,7 @@ def step(state: RunState, event: Event) -> RunState:
             for w in event.neighbors:
                 state.shadow.add_edge(event.node, w)
             if state.oracle is not None:
-                state.oracle.invalidate()
+                state.oracle.insert(event.node, event.neighbors)
             report = state.healer.on_insert(event.node, set(event.neighbors))
         else:
             state.deleted.add(event.node)
@@ -218,7 +251,7 @@ def _measure(state: RunState, op: str, node: int, report) -> MetricsRecord:
             samples=config.stretch_samples,
             rng=stretch_rng,
         )
-        diameter_shadow = metrics.diameter_from(shadow_dist)
+        diameter_shadow = state.oracle.diameter()
     state.timers["metrics"] = state.timers.get("metrics", 0.0) + (time.perf_counter() - t0)
 
     return MetricsRecord(

@@ -326,6 +326,13 @@ class TestBench:
         line = (out / "bench.csv").read_text().splitlines()[1]
         assert line.split(",")[2] == "1"
 
+    def test_negative_trials_flag_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path / "b.cfg", BENCH_POINT)
+        out = tmp_path / "b"
+        assert main(["bench", "--config", cfg, "--out", str(out), "--trials", "-4"]) == 2
+        assert "--trials must be >= 0, got -4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_healer_flag_rejected(self, tmp_path, capsys):
         # bench sweeps the `healers` key; a --healer flag would be ignored
         cfg = write(tmp_path / "b.cfg", "n_list = 12\nhealers = haft\ntrials = 1\n")
@@ -352,15 +359,26 @@ BENCH_POINT = "n_list = 8\nhealers = haft\ntrials = 1\nfamily = path\nT = 2\n"
         ("gen", "family = from-file\ngraph = {dir}/empty.edges\nT = 2\n", "has no nodes"),
         ("run", "family = from-file\ngraph = {dir}/empty.edges\nT = 2\n", "has no nodes"),
         ("verify", "graph = {dir}/empty.edges\nT = 2\n", "has no nodes"),
+        ("run", "family = path\nn = 4\nT = -3\n", "'T' must be >= 0, got -3"),
+        ("gen", "family = path\nn = 4\nT = -1\n", "'T' must be >= 0, got -1"),
+        ("bench", BENCH_POINT.replace("T = 2", "T = -2"), "'T' must be >= 0, got -2"),
+        ("bench", BENCH_POINT.replace("trials = 1", "trials = -1"), "'trials' must be >= 0"),
+        ("run", "family = path\nn = 4\nT = 2\nexact_apsp_cap = -1\n",
+         "'exact_apsp_cap' must be >= 0, got -1"),
+        ("verify", "family = path\nn = 4\nT = 2\nstretch_samples = -5\n",
+         "'stretch_samples' must be >= 0, got -5"),
     ],
     ids=[
         "gen-scripted", "run-scripted", "verify-scripted", "bench-scripted",
         "gen-n0", "run-n0", "verify-n-negative", "bench-n0",
         "gen-empty-edge-list", "run-empty-edge-list", "verify-empty-edge-list",
+        "run-T-negative", "gen-T-negative", "bench-T-negative", "bench-trials-negative",
+        "run-exact-apsp-cap-negative", "verify-stretch-samples-negative",
     ],
 )
 def test_config_that_would_run_empty_exits_2(tmp_path, capsys, command, text, message):
-    # All used to exit 0 with an empty run whose status is "exhausted".
+    # All used to exit 0: with an empty run whose status is "exhausted", or
+    # (the last two) with a negative cap or sample count taken as given.
     write(tmp_path / "empty.edges", "# comments only\n\n")
     cfg = write(tmp_path / "c.cfg", text.replace("{dir}", str(tmp_path)))
     out = tmp_path / "o"

@@ -4,12 +4,23 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from selfheal import engine
 from selfheal.adversary import Event, StrategySpec, next_event
-from selfheal.engine import InvalidEventError, RunConfig, run, shadow_distance, start, step
-from selfheal.families import path_graph, random_tree
+from selfheal.engine import (
+    InvalidEventError,
+    RunConfig,
+    ShadowOracle,
+    run,
+    shadow_distance,
+    start,
+    step,
+)
+from selfheal.families import erdos_renyi, path_graph, random_tree
 from selfheal.graph import Graph, UnknownNodeError
+from selfheal.metrics import all_pairs_distances, diameter_from
 
 from conftest import INF
 
@@ -177,3 +188,122 @@ class TestInvariants:
         )
         state = run(cfg)
         assert state.live_count == state.live_graph().node_count
+
+
+# -- the incremental shadow oracle against a fresh all-pairs build ----------
+
+
+def assert_oracle_matches(oracle: ShadowOracle, shadow: Graph) -> None:
+    """Every (u, v) entry and the diameter, each side read through its index."""
+    dist, index = oracle.matrix()
+    fresh, fresh_index = all_pairs_distances(shadow)
+    assert set(index) == set(fresh_index) == set(shadow.nodes)
+    assert dist.shape == fresh.shape
+    nodes = sorted(index)
+    rows = [index[v] for v in nodes]
+    fresh_rows = [fresh_index[v] for v in nodes]
+    np.testing.assert_array_equal(dist[np.ix_(rows, rows)], fresh[np.ix_(fresh_rows, fresh_rows)])
+    assert oracle.diameter() == diameter_from(fresh)
+
+
+@pytest.fixture
+def apsp_builds(monkeypatch):
+    """Count the full all-pairs builds the engine makes."""
+    calls = []
+
+    def counted(g):
+        calls.append(g.node_count)
+        return all_pairs_distances(g)
+
+    monkeypatch.setattr(engine, "all_pairs_distances", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_incremental_oracle_matches_fresh_apsp(seed, apsp_builds):
+    rng = random.Random(seed)
+    # Sparse ER graphs start disconnected, so INF entries get bridged too.
+    if seed % 2:
+        shadow = erdos_renyi(12, 0.1, rng)
+    else:
+        shadow = random_tree(12, rng)
+    oracle = ShadowOracle(shadow)
+    assert_oracle_matches(oracle, shadow)
+    used = set(shadow.nodes)
+    for _ in range(20):
+        # Fresh ids both below and above the current maximum: picks past
+        # max + 1 leave gaps that later picks fill.
+        v = rng.choice([x for x in range(max(used) + 6) if x not in used])
+        used.add(v)
+        neighbors = rng.sample(sorted(shadow.nodes), rng.randint(1, min(3, shadow.node_count)))
+        shadow.add_node(v)
+        for w in neighbors:
+            shadow.add_edge(v, w)
+        oracle.insert(v, neighbors)
+        assert_oracle_matches(oracle, shadow)
+    assert apsp_builds == [12]
+
+
+def test_oracle_is_lazy_until_the_first_read(apsp_builds):
+    shadow = path_graph(4)
+    oracle = ShadowOracle(shadow)
+    for v, w in ((10, 3), (7, 10)):
+        shadow.add_node(v)
+        shadow.add_edge(v, w)
+        oracle.insert(v, [w])
+    assert apsp_builds == []
+    assert oracle.distance(0, 7) == 5
+    assert oracle.diameter() == 5
+    assert apsp_builds == [6]
+
+
+def mixed_config(**kw) -> RunConfig:
+    return RunConfig(
+        initial=random_tree(24, random.Random(4)),
+        strategy=StrategySpec(kind="mixed", p_delete=0.5, seed=6),
+        t_max=60,
+        seed=6,
+        **kw,
+    )
+
+
+def test_oracle_matches_fresh_apsp_after_every_engine_step(apsp_builds):
+    inserts = []
+
+    def check(state):
+        inserts.append(state.events[-1].op == "insert")
+        assert_oracle_matches(state.oracle, state.shadow)
+
+    state = run(mixed_config(), on_step=check)
+    assert state.status == "ok" and sum(inserts) >= 10
+    assert apsp_builds == [24]
+
+
+def test_oracle_first_built_when_live_count_crosses_the_cap(apsp_builds):
+    # Stretch is measured only once at most 16 nodes are live, so the matrix
+    # is first built mid-run, over a shadow graph that earlier inserts grew.
+    built_at = []
+
+    def check(state):
+        if apsp_builds and not built_at:
+            built_at.append(state.t)
+        if apsp_builds:
+            assert_oracle_matches(state.oracle, state.shadow)
+
+    config = mixed_config(exact_apsp_cap=16, stretch_samples=0)
+    config.strategy = StrategySpec(kind="mixed", p_delete=0.7, seed=6)
+    state = run(config, on_step=check)
+    (t_built,) = built_at
+    ops = [e.op for e in state.events]
+    assert "insert" in ops[: t_built - 1] and "insert" in ops[t_built:]
+    assert len(apsp_builds) == 1 and apsp_builds[0] > 24
+    modes = [r.stretch_mode for r in state.records]
+    assert modes[: t_built - 1] == ["skipped"] * (t_built - 1)
+    assert modes[t_built - 1] == "exact"
+
+
+def test_stretch_off_run_never_builds_the_oracle(apsp_builds):
+    state = run(mixed_config(exact_apsp_cap=0, stretch_samples=0))
+    assert state.status == "ok" and any(e.op == "insert" for e in state.events)
+    assert apsp_builds == []
+    assert all(r.diameter_shadow is None for r in state.records)

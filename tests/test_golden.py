@@ -5,8 +5,9 @@ A small fixed corpus of runs (healers `haft` and `rebuild`; adversaries
 executed through the CLI, and the sha256 of each output file is compared
 with the digests in `tests/golden/digests.json`. Two negative-control runs
 (`star`, `null`) pin a `summary.json` with non-empty `violations`, one
-`ring` run pins the third baseline under inserts and deletions, and one
-`gen` case pins the generated edge list, trace and manifest. `summary.json`
+`ring` run pins the third baseline under inserts and deletions, one
+scripted run inserts ids out of order, and one `gen` case pins the
+generated edge list, trace and manifest. `summary.json`
 and `manifest.json` are hashed without `rng.python`, which embeds the
 interpreter version.
 
@@ -81,6 +82,29 @@ CASES["haft-articulation-er"] = (
     FAMILIES["er"] + "healer = haft\nstrategy = articulation\n"
     "T = 30\nexact_apsp_cap = 256\n",
 )
+# A scripted trace whose inserted ids are not monotone (1000, then 500,
+# then 40): the shadow graph grows by ids below its current maximum. The
+# inserts lengthen the shadow diameter (1000 hangs off an end of it) and
+# then shorten it (500 and 700 join far nodes).
+# `run_case` writes the trace next to the config.
+TRACES = {
+    "haft-scripted-tree": (
+        '{"t": 1, "op": "insert", "node": 1000, "neighbors": [31]}\n'
+        '{"t": 2, "op": "delete", "node": 5}\n'
+        '{"t": 3, "op": "insert", "node": 500, "neighbors": [8, 1000]}\n'
+        '{"t": 4, "op": "delete", "node": 1000}\n'
+        '{"t": 5, "op": "insert", "node": 40, "neighbors": [500]}\n'
+        '{"t": 6, "op": "delete", "node": 0}\n'
+        '{"t": 7, "op": "insert", "node": 700, "neighbors": [26, 32, 40]}\n'
+        '{"t": 8, "op": "delete", "node": 12}\n'
+        '{"t": 9, "op": "insert", "node": 41, "neighbors": [2, 39]}\n'
+        '{"t": 10, "op": "delete", "node": 500}\n'
+    ),
+}
+CASES["haft-scripted-tree"] = (
+    "run",
+    FAMILIES["tree"] + "healer = haft\ntrace = {trace}\nexact_apsp_cap = 256\n",
+)
 # `gen` without `T` (default 32); its `trace` key is ignored.
 CASES["gen-mixed-tree"] = (
     "gen",
@@ -100,6 +124,10 @@ def _digest(path: Path) -> str:
 
 def run_case(name: str, workdir: Path) -> dict[str, str]:
     command, text = CASES[name]
+    if name in TRACES:
+        trace = workdir / f"{name}.jsonl"
+        trace.write_text(TRACES[name], encoding="utf-8")
+        text = text.replace("{trace}", str(trace))
     cfg = workdir / f"{name}.cfg"
     cfg.write_text(text, encoding="utf-8")
     out = workdir / name
