@@ -38,7 +38,7 @@ from .engine import InternalError, RunConfig, RunState, run
 from .families import FAMILY_NAMES, make_family
 from .graph import Graph, dump_edge_list, load_edge_list
 from .healers import HEALER_NAMES
-from .metrics import parse_csv, records_to_csv, summarize
+from .metrics import degree_ratio_max, parse_csv, records_to_csv, summarize
 
 
 class ConfigError(ValueError):
@@ -223,16 +223,28 @@ def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     """Replay a run and check every invariant level.
 
     Virtual level: the healer's state audit (virtual-graph invariants, haft
-    shape, simulator assignment) after every step. Real level: the hard
-    bounds that `summary.json` counts, namely connectivity, the 4x degree
-    bound and the 2*ceil(log2 n') stretch bound (exact or sampled; a sampled
-    maximum never exceeds the true one). The virtual checks implying the
-    real ones is the point; both are exercised.
+    shape, simulator assignment) after every step. Measurement level: the
+    step's connectivity and degree ratio, recomputed by full scans. Real
+    level: the hard bounds that `summary.json` counts, namely connectivity,
+    the 4x degree bound and the 2*ceil(log2 n') stretch bound (exact or
+    sampled; a sampled maximum never exceeds the true one). The virtual
+    checks implying the real ones is the point; both are exercised.
     """
     violations: list[str] = []
 
     def audit(state: RunState) -> None:
         violations.extend(f"t={state.t} state-audit: {issue}" for issue in state.healer.audit())
+        # The engine's per-event connectivity and degree ratio, against the
+        # full scans.
+        record, live = state.records[-1], state.live_graph()
+        try:
+            full = (live.is_connected(), degree_ratio_max(live, state.shadow, state.deleted)[0])
+        except ValueError as exc:
+            raise InternalError(str(exc)) from exc
+        fast = (record.connected, record.max_degree_ratio)
+        for name, got, want in zip(("connected", "max_degree_ratio"), fast, full):
+            if got != want:
+                violations.append(f"t={state.t} measure-audit: {name} {got}, full scan {want}")
 
     state = run(_run_config(cfg, seed), on_step=audit)
     violations.extend(summarize(state.records).violations)

@@ -7,7 +7,10 @@ never healing edges; deletions mark nodes instead of removing them, so
 shadow distances keep flowing through deleted nodes. Live processors are
 the shadow nodes minus the deleted set. Exact shadow distances are built
 once, when a measurement first needs them, and then updated in O(n^2) per
-insert (`ShadowOracle`).
+insert (`ShadowOracle`). Connectivity and the maximum degree ratio are
+updated per event from the nodes the event touched (`LiveMeasure`); only
+the t = 0 measurement, and a step after a disconnected one, scan the
+whole live graph for connectivity.
 
 Runs are deterministic: one master seed drives the adversary and the stretch
 sampler, and all iteration orders are sorted. Running the same config twice
@@ -24,7 +27,9 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
@@ -33,7 +38,7 @@ from . import metrics
 from .adversary import AdversaryState, Event, StrategySpec, new_state, next_event, validate_event
 from .graph import Graph, UnknownNodeError
 from .healers import Healer, make_healer
-from .metrics import MetricsRecord, StretchResult, all_pairs_distances
+from .metrics import MetricsRecord, StretchResult, ZeroShadowDegreeError, all_pairs_distances
 
 
 class InvalidEventError(ValueError):
@@ -112,6 +117,132 @@ class ShadowOracle:
         return float(dist[index[u], index[v]])
 
 
+class LiveMeasure:
+    """Connectivity and the maximum degree ratio of the live graph, kept
+    from one event to the next by looking only at the event's touched set.
+
+    `HealerReport.touched` holds v's former live neighbours and every
+    endpoint of a real edge the repair added or dropped, or an inserted
+    node and its neighbours: every node whose live or shadow degree the
+    event changed. `Graph.is_connected` and `metrics.degree_ratio_max` stay
+    the oracles; at `init` the first runs in full.
+
+    Connectivity: an insert attaches to at least one live node, so it keeps
+    a connected graph connected. After a deletion from a connected graph,
+    every live node still reaches a live touched node (its old path to v
+    breaks first at a removed edge, next to one), so the graph is connected
+    iff those nodes share one component. A search from one of them stops
+    once it has seen them all. After a disconnected step the full BFS
+    decides.
+
+    Degree ratio: each live node's (live degree, shadow degree) pair and a
+    count of nodes per distinct pair. The maximum is taken over the
+    distinct pairs by integer cross-multiplication, from 1 as in
+    `degree_ratio_max`; a Fraction is built only when the maximum changes.
+    """
+
+    def __init__(self, shadow: Graph, deleted: set[int]):
+        self._shadow = shadow
+        self._deleted = deleted
+        self._connected = True
+        self._pair: dict[int, tuple[int, int]] = {}
+        self._count: dict[tuple[int, int], int] = {}
+        self._best, self._ratio = (1, 1), Fraction(1)
+
+    def connected(self, live: Graph, op: str, touched: Iterable[int]) -> bool:
+        """Whether the live graph is connected after the event `op`."""
+        if op == "init" or not self._connected:
+            self._connected = live.is_connected()
+        elif op == "delete":
+            adj = live._adj
+            self._connected = _one_component(adj, {w for w in touched if w in adj})
+        return self._connected
+
+    def refresh(self, live: Graph, op: str, node: int, touched: Iterable[int]) -> Fraction:
+        """Re-read the degree pairs of `touched` (every live node at `init`),
+        drop a deleted `node`, and return the maximum degree ratio."""
+        live_adj, shadow_adj = live._adj, self._shadow._adj
+        if op == "init":
+            self._recount(live_adj, shadow_adj)
+            touched = ()
+        elif op == "delete":
+            touched = [*touched, node]
+        pairs, count, deleted = self._pair, self._count, self._deleted
+        for v in touched:
+            nbrs = live_adj.get(v)
+            if nbrs is None:
+                old = pairs.pop(v, None)
+            else:
+                if v in deleted:
+                    raise ZeroShadowDegreeError(f"node {v} is both live and deleted")
+                shadow_nbrs = shadow_adj.get(v)
+                if shadow_nbrs is None:
+                    raise UnknownNodeError(f"node {v} not in graph")
+                if nbrs and not shadow_nbrs:
+                    raise ZeroShadowDegreeError(f"live node {v} has shadow degree 0")
+                pair = (len(nbrs), len(shadow_nbrs))
+                old = pairs.get(v)
+                if old == pair:
+                    continue
+                pairs[v] = pair
+                count[pair] = count.get(pair, 0) + 1
+            if old is not None:
+                left = count[old] - 1
+                if left:
+                    count[old] = left
+                else:
+                    del count[old]
+        # A (0, 0) pair, an isolated node without shadow edges, never wins.
+        best = (1, 1)
+        for n, d in count:
+            if n * best[1] > best[0] * d:
+                best = (n, d)
+        if best != self._best:
+            self._best, self._ratio = best, Fraction(*best)
+        return self._ratio
+
+    def _recount(self, live_adj: dict[int, set[int]], shadow_adj: dict[int, set[int]]) -> None:
+        """Every live node's pair at once, with the checks `refresh` makes."""
+        both = [v for v in self._deleted if v in live_adj]
+        if both:
+            raise ZeroShadowDegreeError(f"node {min(both)} is both live and deleted")
+        unknown = live_adj.keys() - shadow_adj.keys()
+        if unknown:
+            raise UnknownNodeError(f"node {min(unknown)} not in graph")
+        pairs = {v: (len(nbrs), len(shadow_adj[v])) for v, nbrs in live_adj.items()}
+        # A plain dict: indexing a dict subclass is slower on the refresh path.
+        self._pair, self._count = pairs, dict(Counter(pairs.values()))
+        if any(n and not d for n, d in self._count):
+            v = min(v for v, (n, d) in pairs.items() if n and not d)
+            raise ZeroShadowDegreeError(f"live node {v} has shadow degree 0")
+
+
+def _one_component(adj: dict[int, set[int]], nodes: set[int]) -> bool:
+    """Whether `nodes` (emptied on the way) lie in one component of `adj`.
+
+    A graph search from one of them that expands the others first, so it
+    stops after reading little more than their neighbourhoods when they
+    are joined among themselves, and stops as soon as it has seen them all.
+    """
+    if len(nodes) <= 1:
+        return True
+    start = nodes.pop()
+    seen = {start}
+    near, far = [start], []
+    while near or far:
+        for w in adj[near.pop() if near else far.pop()]:
+            if w not in seen:
+                seen.add(w)
+                if w in nodes:
+                    nodes.remove(w)
+                    if not nodes:
+                        return True
+                    near.append(w)
+                else:
+                    far.append(w)
+    return False
+
+
 @dataclass
 class RunState:
     config: RunConfig
@@ -127,6 +258,7 @@ class RunState:
     initial_record: MetricsRecord | None = None
     setup_messages: int = 0
     oracle: ShadowOracle | None = None
+    measure: LiveMeasure | None = None
     timers: dict[str, float] = field(default_factory=dict)
 
     def live_graph(self) -> Graph:
@@ -153,9 +285,11 @@ def start(config: RunConfig) -> RunState:
             setup_messages=setup.messages,
         )
         state.oracle = ShadowOracle(state.shadow)
-        if not config.initial.is_connected():
-            state.warnings.append("initial graph is not connected")
+        state.measure = LiveMeasure(state.shadow, state.deleted)
         state.initial_record = _measure(state, op="init", node=-1, report=setup)
+        # The live graph at t = 0 is the initial graph.
+        if not state.initial_record.connected:
+            state.warnings.append("initial graph is not connected")
     except ValueError as exc:
         raise InternalError(str(exc)) from exc
     return state
@@ -227,17 +361,21 @@ def shadow_distance(state: RunState, u: int, v: int) -> float:
 def _measure(state: RunState, op: str, node: int, report) -> MetricsRecord:
     config = state.config
     live = state.live_graph()
+    assert state.oracle is not None and state.measure is not None
 
     t0 = time.perf_counter()
-    connected = live.is_connected()
+    connected = state.measure.connected(live, op, report.touched)
     state.timers["connectivity"] = state.timers.get("connectivity", 0.0) + (
         time.perf_counter() - t0
     )
 
     t0 = time.perf_counter()
-    ratio, _ = metrics.degree_ratio_max(live, state.shadow, state.deleted)
-    assert state.oracle is not None
-    if live.node_count > config.exact_apsp_cap and config.stretch_samples <= 0:
+    ratio = state.measure.refresh(live, op, node, report.touched)
+    # Stretch off (no cap, no samples) skips every step, the empty and
+    # one-node graphs included.
+    if config.stretch_samples <= 0 and (
+        config.exact_apsp_cap <= 0 or live.node_count > config.exact_apsp_cap
+    ):
         result = StretchResult(None, "skipped", None)
         diameter_shadow = None
     else:

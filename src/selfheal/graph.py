@@ -5,7 +5,9 @@ Graphs are plain dict-of-sets adjacency structures; node ids are non-negative
 integers that are never reused within a run, even after deletion.
 
 Distances and connectivity are computed by breadth-first traversal per
-query; no dynamic-connectivity structure is maintained. Cut vertices come
+query; no dynamic-connectivity structure is kept here. The engine follows
+the live graph's connectivity from event to event (`engine.LiveMeasure`)
+and keeps `is_connected` as its oracle. Cut vertices come
 from one iterative Tarjan low-link depth-first search, linear in nodes plus
 edges. The healed graph itself is maintained edge by edge by
 `virtual_graph.VirtualGraph`.

@@ -78,8 +78,11 @@ class HealerError(ValueError):
 class HealerReport:
     """Per-event cost and change accounting.
 
-    touched covers every endpoint of every added or dropped real edge, and
-    messages is always at least |edges_added| + |edges_dropped|.
+    touched covers every endpoint of every added or dropped real edge, plus
+    the deleted node's former live neighbours (on insert: the new node and
+    its neighbours), so it holds every node whose live or shadow degree the
+    event changed. messages is always at least |edges_added| +
+    |edges_dropped|.
     max_hops is the farthest touched node from the deleted node, measured in
     the pre-deletion live graph.
     """

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from selfheal import metrics
+from selfheal import cli
 from selfheal.adversary import read_trace
 from selfheal.cli import loglog_slope, main, parse_config
+from selfheal.engine import LiveMeasure
 from selfheal.graph import UnknownNodeError
 from selfheal.healers import HaftHealer, HealerError
 from selfheal.metrics import ZeroShadowDegreeError
@@ -141,7 +143,8 @@ class TestRun:
     # A check that fails after the engine validated its input is a library
     # bug, whatever ValueError subclass it raises: UnknownNodeError is a
     # GraphError, like a malformed edge list, yet it exits 3 here. That holds
-    # before the first event too, in preprocessing and the t=0 measurement.
+    # before the first event too, in preprocessing and the t=0 measurement,
+    # and in verify's full-scan audit of the measurement.
     @pytest.mark.parametrize(
         "command, target, error",
         [
@@ -151,8 +154,9 @@ class TestRun:
             ("verify", (HaftHealer, "on_delete"), UnknownNodeError),
             ("run", (HaftHealer, "preprocess"), UnknownNodeError),
             ("verify", (HaftHealer, "preprocess"), UnknownNodeError),
-            ("run", (metrics, "degree_ratio_max"), ZeroShadowDegreeError),
-            ("verify", (metrics, "degree_ratio_max"), ZeroShadowDegreeError),
+            ("run", (LiveMeasure, "refresh"), ZeroShadowDegreeError),
+            ("verify", (LiveMeasure, "refresh"), ZeroShadowDegreeError),
+            ("verify", (cli, "degree_ratio_max"), ZeroShadowDegreeError),
         ],
         ids=[
             "run",
@@ -163,6 +167,7 @@ class TestRun:
             "verify-preprocess",
             "run-measure",
             "verify-measure",
+            "verify-measure-audit",
         ],
     )
     def test_internal_breach_exits_3(
@@ -239,6 +244,17 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet"]) == 1
         report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
         assert any("degree" in v for v in report["violations"])
+
+    @pytest.mark.parametrize(
+        "method, wrong",
+        [("connected", lambda *args: False), ("refresh", lambda *args: Fraction(1, 2))],
+    )
+    def test_wrong_fast_measure_exits_one(self, triangle_run, monkeypatch, method, wrong):
+        monkeypatch.setattr(LiveMeasure, method, wrong)
+        cfg, tmp_path = triangle_run
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet"]) == 1
+        report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+        assert any("measure-audit" in v for v in report["violations"])
 
     def test_corrupt_csv_exits_two(self, triangle_run):
         cfg, tmp_path = triangle_run

@@ -1,4 +1,5 @@
-"""Engine loop: shadow maintenance, replay equivalence, determinism."""
+"""Engine loop: shadow maintenance, replay equivalence, determinism, and the
+per-event measurement against its full-scan oracles."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from selfheal import engine
 from selfheal.adversary import Event, StrategySpec, next_event
 from selfheal.engine import (
     InvalidEventError,
+    LiveMeasure,
     RunConfig,
     ShadowOracle,
     run,
@@ -20,7 +22,13 @@ from selfheal.engine import (
 )
 from selfheal.families import erdos_renyi, path_graph, random_tree
 from selfheal.graph import Graph, UnknownNodeError
-from selfheal.metrics import all_pairs_distances, diameter_from
+from selfheal.healers import HEALER_NAMES
+from selfheal.metrics import (
+    ZeroShadowDegreeError,
+    all_pairs_distances,
+    degree_ratio_max,
+    diameter_from,
+)
 
 from conftest import INF
 
@@ -307,3 +315,118 @@ def test_stretch_off_run_never_builds_the_oracle(apsp_builds):
     assert state.status == "ok" and any(e.op == "insert" for e in state.events)
     assert apsp_builds == []
     assert all(r.diameter_shadow is None for r in state.records)
+
+
+def test_stretch_off_skips_the_annihilating_step(apsp_builds):
+    # The last deletion leaves no live node; stretch off still skips it.
+    config = RunConfig(
+        initial=path_graph(3),
+        strategy=StrategySpec(kind="max-degree"),
+        t_max=50,
+        exact_apsp_cap=0,
+        stretch_samples=0,
+    )
+    state = run(config)
+    assert state.status == "annihilated" and len(state.records) == 3
+    for record in [state.initial_record, *state.records]:
+        assert record.stretch_mode == "skipped" and record.diameter_shadow is None
+    assert apsp_builds == []
+
+
+# -- per-event connectivity and degree ratio ------------------------------------
+
+
+def assert_measure_matches_full_scans(state) -> None:
+    live = state.live_graph()
+    record = state.records[-1] if state.records else state.initial_record
+    assert record.connected == live.is_connected()
+    assert record.max_degree_ratio == degree_ratio_max(live, state.shadow, state.deleted)[0]
+
+
+@pytest.mark.parametrize("family", ["tree", "er"])
+@pytest.mark.parametrize("kind", ["clustered", "mixed", "random", "articulation"])
+@pytest.mark.parametrize("healer", HEALER_NAMES)
+def test_live_measure_matches_full_scans(healer, kind, family):
+    # Sparse ER graphs start disconnected, so the fallback scan runs too.
+    for seed in range(3):
+        rng = random.Random(seed)
+        initial = random_tree(30, rng) if family == "tree" else erdos_renyi(30, 0.1, rng)
+        config = RunConfig(
+            initial=initial,
+            healer=healer,
+            strategy=StrategySpec(kind=kind, p_delete=0.6, seed=seed),
+            t_max=40,
+            seed=seed,
+            exact_apsp_cap=0,
+            stretch_samples=0,
+        )
+        state = start(config)
+        assert_measure_matches_full_scans(state)
+        for _ in range(config.t_max):
+            event = engine._next(state)
+            if event is None or state.live_count == 0:
+                break
+            step(state, event)
+            assert_measure_matches_full_scans(state)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_live_measure_follows_null_runs_apart_and_together(seed):
+    # The null healer leaves every hole open, so deletions split the tree and
+    # inserts, which join up to three live nodes, can join pieces again.
+    seen = []
+
+    def check(state):
+        assert_measure_matches_full_scans(state)
+        seen.append(state.records[-1].connected)
+
+    config = RunConfig(
+        initial=random_tree(24, random.Random(seed)),
+        healer="null",
+        strategy=StrategySpec(kind="mixed", p_delete=0.5, insert_degree=3, seed=seed),
+        t_max=60,
+        seed=seed,
+        exact_apsp_cap=0,
+        stretch_samples=0,
+    )
+    run(config, on_step=check)
+    assert any(a is False and b is True for a, b in zip(seen, seen[1:]))
+
+
+@pytest.mark.parametrize("op", ["init", "insert"])
+@pytest.mark.parametrize(
+    "breach, error, message",
+    [
+        ("deleted", ZeroShadowDegreeError, "node 1 is both live and deleted"),
+        ("no-shadow-edge", ZeroShadowDegreeError, "live node 3 has shadow degree 0"),
+        ("unknown", UnknownNodeError, "node 3 not in graph"),
+    ],
+)
+def test_live_measure_raises_for_a_broken_refreshed_node(op, breach, error, message):
+    # Live: the path 0-1-2 plus node 3 hanging off 2. The shadow graph
+    # lacks that edge (or node 3), or node 1 is marked deleted.
+    live = Graph(nodes=[0, 1, 2, 3], edges=[(0, 1), (1, 2), (2, 3)])
+    shadow = Graph(nodes=[0, 1, 2, 3], edges=[(0, 1), (1, 2), (2, 3)])
+    deleted: set[int] = set()
+    measure = LiveMeasure(shadow, deleted)
+    if op == "insert":
+        assert measure.refresh(live, "init", -1, ()) == 1
+    if breach == "deleted":
+        deleted.add(1)
+    elif breach == "no-shadow-edge":
+        shadow.remove_node(3)
+        shadow.add_node(3)
+    else:
+        shadow.remove_node(3)
+    with pytest.raises(error, match=message):
+        measure.refresh(live, op, 3, {1, 3})
+
+
+def test_live_measure_init_reads_every_node():
+    # The t = 0 measurement of a live graph that differs from its shadow:
+    # node 1 has live degree 3 and shadow degree 1.
+    live = Graph(nodes=[0, 1, 2, 3], edges=[(0, 1), (1, 2), (1, 3)])
+    shadow = Graph(nodes=[0, 1, 2, 3], edges=[(0, 1), (0, 2), (0, 3)])
+    measure = LiveMeasure(shadow, set())
+    assert measure.connected(live, "init", ())
+    assert measure.refresh(live, "init", -1, ()) == 3 == degree_ratio_max(live, shadow)[0]

@@ -6,7 +6,8 @@ executed through the CLI, and the sha256 of each output file is compared
 with the digests in `tests/golden/digests.json`. Two negative-control runs
 (`star`, `null`) pin a `summary.json` with non-empty `violations`, one
 `ring` run pins the third baseline under inserts and deletions, one
-scripted run inserts ids out of order, and one `gen` case pins the
+scripted run inserts ids out of order, one `haft` run has stretch off
+(every record `skipped`), and one `gen` case pins the
 generated edge list, trace and manifest. `summary.json`
 and `manifest.json` are hashed without `rng.python`, which embeds the
 interpreter version.
@@ -54,6 +55,13 @@ CASES["haft-clustered-bigtree"] = (
     "run",
     "family = random-tree\nn = 96\nhealer = haft\nstrategy = clustered\n"
     "T = 64\nexact_apsp_cap = 256\n",
+)
+# Stretch off, as in `bench` and the benchmark's heal-bound workloads: no
+# shadow APSP, every record `skipped`.
+CASES["haft-clustered-nostretch"] = (
+    "run",
+    "family = random-tree\nn = 96\nhealer = haft\nstrategy = clustered\n"
+    "T = 64\nexact_apsp_cap = 0\nstretch_samples = 0\n",
 )
 # Negative controls: the star healer breaks the 4x degree bound, and the null
 # healer disconnects the tree (infinite stretch), so `violations` is filled.

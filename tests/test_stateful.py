@@ -5,6 +5,8 @@ inserts and deletes. After every step the maintained live graph must equal
 the image recomputed from scratch, the healer's audit must be clean, and
 the report's edge changes, message count, touched set and max_hops must
 equal a recount from before/after snapshots of the real and virtual graphs.
+An `engine.LiveMeasure` fed each report must agree with the full
+connectivity and degree-ratio scans.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
+from selfheal.engine import LiveMeasure
 from selfheal.healers import make_healer
+from selfheal.metrics import degree_ratio_max
 from selfheal.virtual_graph import real, virt
 
 from conftest import adj_of, oracle_bfs, oracle_image, random_graph
@@ -32,6 +36,14 @@ class HealerMachine(RuleBasedStateMachine):
         initial = random_graph(self.rng, max_nodes=16, p=0.3)
         self.healer.preprocess(initial)
         self.next_id = max(initial.nodes) + 1
+        self.shadow, self.deleted = initial.copy(), set()
+        self.measure = LiveMeasure(self.shadow, self.deleted)
+        self.measured("init", -1, ())
+
+    def measured(self, op, node, touched):
+        live = self.healer.live_graph()
+        self.connected = self.measure.connected(live, op, touched)
+        self.ratio = self.measure.refresh(live, op, node, touched)
 
     @property
     def vg(self):
@@ -43,7 +55,11 @@ class HealerMachine(RuleBasedStateMachine):
         neighbors = set(self.rng.sample(live, min(degree, len(live))))
         v, self.next_id = self.next_id, self.next_id + 1
         before = set(oracle_image(self.vg).edges())
+        self.shadow.add_node(v)
+        for w in neighbors:
+            self.shadow.add_edge(v, w)
         report = self.healer.on_insert(v, neighbors)
+        self.measured("insert", v, report.touched)
         after = set(oracle_image(self.vg).edges())
         assert after - before == {(min(v, w), max(v, w)) for w in neighbors}
         assert before <= after
@@ -65,7 +81,9 @@ class HealerMachine(RuleBasedStateMachine):
         before_sim = dict(vg.sim)
         before_virtuals = set(vg.virtuals)
 
+        self.deleted.add(v)
         report = self.healer.on_delete(v)
+        self.measured("delete", v, report.touched)
 
         after_real = set(oracle_image(vg).edges())
         after_virtual = vg.edge_set()
@@ -100,6 +118,13 @@ class HealerMachine(RuleBasedStateMachine):
         if hasattr(self, "healer"):
             assert self.vg.image == oracle_image(self.vg)
             assert self.healer.live_graph() is self.vg.image
+
+    @invariant()
+    def measure_matches_full_scans(self):
+        if hasattr(self, "healer"):
+            live = self.healer.live_graph()
+            assert self.connected == live.is_connected()
+            assert self.ratio == degree_ratio_max(live, self.shadow, self.deleted)[0]
 
     @invariant()
     def audit_clean(self):
