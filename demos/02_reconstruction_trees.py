@@ -9,7 +9,7 @@ Run:  python demos/02_reconstruction_trees.py
 """
 
 from selfheal import LeafSlot, VidSource, build_haft, merge_hafts
-from selfheal.haft import haft_slots, leaf_count, leaf_depths
+from selfheal.haft import haft_slots, leaf_depths
 
 
 def slots(procs, base):
@@ -19,7 +19,7 @@ def slots(procs, base):
 print("shape of a haft over L leaves (tree sizes = binary representation):")
 for L in (1, 2, 3, 5, 6, 11, 13):
     h = build_haft(slots(range(L), base=L), VidSource())
-    sizes = [leaf_count(t) for t in h.trees]
+    sizes = [t.size for t in h.trees]
     depths = leaf_depths(h)
     print(f"  L={L:>2} -> trees {sizes}, leaf depths {depths}")
 
@@ -29,9 +29,9 @@ for la, lb in ((3, 1), (5, 6), (13, 11)):
     a = build_haft(slots(range(la), base=1), vids)
     b = build_haft(slots(range(lb), base=2), vids)
     m = merge_hafts(a, b, vids)
-    sa = [leaf_count(t) for t in a.trees]
-    sb = [leaf_count(t) for t in b.trees]
-    sm = [leaf_count(t) for t in m.trees]
+    sa = [t.size for t in a.trees]
+    sb = [t.size for t in b.trees]
+    sm = [t.size for t in m.trees]
     print(f"  {sa} + {sb} = {sm}   ({la} + {lb} = {la + lb})")
 
 print("\nonly the spine and the carried trees are rebuilt when merging;")

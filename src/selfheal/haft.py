@@ -22,13 +22,16 @@ the leftmost serves none. The map is injective, which caps the de-simulated
 degree gain per slot at 4 real edges (2 when the simulated internal sits at
 the bottom level).
 
-Every internal node caches its subtree's leaf count, leftmost slot and
-smallest slot, set from its two children when it is built, so a subtree's
-size, the simulator of a new node and a piece's sort key cost O(1).
-`split_marked` splits a haft along the paths above its dead slots only. The
-whole-haft walks (`leaves`, `haft_slots`, `node_vids`, `split_out`,
-`assign_simulators`, `to_virtual_edges`) are the oracles that audits and
-tests check the fast paths against.
+A leaf node is its `LeafSlot`; an internal node is an `Internal`. Every
+internal node caches its subtree's leaf count, leftmost slot and smallest
+slot, set from its two children when it is built (a slot answers the same
+three questions about itself), so a subtree's size, the simulator of a new
+node and a piece's sort key cost O(1). `split_marked` splits a haft along
+the paths above its dead slots only. The whole-haft queries (`leaves`,
+`haft_slots`, `node_vids`, `haft_vids`, `leaf_depths`, `assign_simulators`,
+`to_virtual_edges`) all ride on one preorder walk, `walk`; they, `split_out`
+and `validate_haft` are the oracles that audits and tests check the fast
+paths against.
 
 All structures here are immutable values; merging shares subtrees freely.
 """
@@ -36,7 +39,7 @@ All structures here are immutable values; merging shares subtrees freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .virtual_graph import VidSource, VNode, real, virt
 
@@ -65,27 +68,23 @@ class LeafSlot(NamedTuple):
     origin     the consumed edge this slot descends from, as a sorted id pair;
                unique across all live slots of all trees
 
-    Slots order by (processor, origin).
+    Slots order by (processor, origin). A slot is also the leaf node of its
+    tree, so it carries the subtree facts an `Internal` caches: one leaf,
+    which is both the leftmost and the smallest.
     """
 
     processor: int
     origin: tuple[int, int]
 
-
-@dataclass(frozen=True)
-class Leaf:
-    slot: LeafSlot
-
-    # The subtree facts an `Internal` caches, for a one-leaf subtree.
     size = 1
 
     @property
     def first(self) -> LeafSlot:
-        return self.slot
+        return self
 
     @property
     def low(self) -> LeafSlot:
-        return self.slot
+        return self
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class Internal:
         object.__setattr__(self, "low", min(left.low, right.low))
 
 
-HaftNode = Union[Leaf, Internal]
+HaftNode = Union[LeafSlot, Internal]
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class Haft:
 
     @property
     def leaf_count(self) -> int:
-        return sum(leaf_count(t) for t in self.trees)
+        return sum(t.size for t in self.trees)
 
     def root(self) -> HaftNode | None:
         """The whole haft as one tree, materializing the spine."""
@@ -136,52 +135,40 @@ class Haft:
 # -- structure queries ------------------------------------------------------
 
 
-def leaf_count(node: HaftNode) -> int:
-    return node.size
+def walk(node: HaftNode | None) -> Iterator[tuple[HaftNode, Internal | None, int]]:
+    """Every node of a subtree in preorder, left before right, as (node,
+    parent, depth); the start node has parent None and depth 0. None is the
+    empty tree."""
+    stack: list[tuple[HaftNode, Internal | None, int]] = [] if node is None else [(node, None, 0)]
+    while stack:
+        node, parent, depth = stack.pop()
+        yield node, parent, depth
+        if isinstance(node, Internal):
+            stack.append((node.right, node, depth + 1))
+            stack.append((node.left, node, depth + 1))
 
 
 def leaves(node: HaftNode) -> list[LeafSlot]:
     """Leaf slots in left-to-right order."""
-    if isinstance(node, Leaf):
-        return [node.slot]
-    return leaves(node.left) + leaves(node.right)
+    return [x for x, _, _ in walk(node) if not isinstance(x, Internal)]
 
 
 def haft_slots(h: Haft) -> list[LeafSlot]:
-    out: list[LeafSlot] = []
-    for t in h.trees:
-        out.extend(leaves(t))
-    return out
+    return [s for t in h.trees for s in leaves(t)]
 
 
 def node_vids(node: HaftNode) -> list[int]:
-    if isinstance(node, Leaf):
-        return []
-    return [node.vid] + node_vids(node.left) + node_vids(node.right)
+    """Internal vids in preorder."""
+    return [x.vid for x, _, _ in walk(node) if isinstance(x, Internal)]
 
 
 def haft_vids(h: Haft) -> set[int]:
-    out = set(h.spine)
-    for t in h.trees:
-        out.update(node_vids(t))
-    return out
+    return set(h.spine).union(*(node_vids(t) for t in h.trees))
 
 
 def leaf_depths(h: Haft) -> list[int]:
     """Depth of every leaf below the haft root, left to right."""
-    root = h.root()
-    if root is None:
-        return []
-    out: list[int] = []
-    stack: list[tuple[HaftNode, int]] = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(depth)
-        else:
-            stack.append((node.right, depth + 1))
-            stack.append((node.left, depth + 1))
-    return out
+    return [d for x, _, d in walk(h.root()) if not isinstance(x, Internal)]
 
 
 def ceil_log2(x: int) -> int:
@@ -199,7 +186,7 @@ def _assemble(items: list[HaftNode], vids: VidSource) -> Haft:
     with carries appended. Spine vids are minted last, left to right."""
     queues: dict[int, list[HaftNode]] = {}
     for item in items:
-        queues.setdefault(leaf_count(item), []).append(item)
+        queues.setdefault(item.size, []).append(item)
     result: list[HaftNode] = []
     while queues:
         size = min(queues)
@@ -220,7 +207,7 @@ def build_haft(slots: Iterable[LeafSlot], vids: VidSource) -> Haft:
     if not slot_list:
         raise EmptySlotsError("cannot build a haft over zero slots")
     _check_origins(slot_list)
-    return _assemble([Leaf(s) for s in slot_list], vids)
+    return _assemble(slot_list, vids)
 
 
 def merge_hafts(a: Haft, b: Haft, vids: VidSource) -> Haft:
@@ -243,13 +230,7 @@ def _check_origins(slots: list[LeafSlot]) -> None:
 def assign_simulators(h: Haft) -> dict[int, LeafSlot]:
     """Assign each internal vid the leftmost leaf of its right subtree.
     Injective and subtree-local."""
-    root = h.root()
-    assignment: dict[int, LeafSlot] = {}
-    stack = [root] if isinstance(root, Internal) else []
-    while stack:
-        node = stack.pop()
-        assignment[node.vid] = node.right.first
-        stack += [c for c in (node.right, node.left) if isinstance(c, Internal)]
+    assignment = {x.vid: x.right.first for x, _, _ in walk(h.root()) if isinstance(x, Internal)}
     taken: set[LeafSlot] = set()
     for vid in sorted(assignment):
         slot = assignment[vid]
@@ -261,9 +242,9 @@ def assign_simulators(h: Haft) -> dict[int, LeafSlot]:
 
 def vnode_of(node: HaftNode) -> VNode:
     """The virtual-graph node a haft node stands for."""
-    if isinstance(node, Leaf):
-        return real(node.slot.processor)
-    return virt(node.vid)
+    if isinstance(node, Internal):
+        return virt(node.vid)
+    return real(node.processor)
 
 
 def to_virtual_edges(
@@ -274,19 +255,14 @@ def to_virtual_edges(
     Returns (declarations, edges): one (vid, simulator processor) per internal
     node and one VNode pair per parent-child tree edge.
     """
-    root = h.root()
     decls: list[tuple[int, int]] = []
     edges: list[tuple[VNode, VNode]] = []
     # Preorder: each node is declared just after the edge from its parent.
-    stack: list[tuple[HaftNode, Internal | None]] = [] if root is None else [(root, None)]
-    while stack:
-        node, parent = stack.pop()
+    for node, parent, _ in walk(h.root()):
         if parent is not None:
             edges.append((virt(parent.vid), vnode_of(node)))
-        if isinstance(node, Leaf):
-            continue
-        decls.append((node.vid, assignment[node.vid].processor))
-        stack += [(node.right, node), (node.left, node)]
+        if isinstance(node, Internal):
+            decls.append((node.vid, assignment[node.vid].processor))
     return decls, edges
 
 
@@ -314,8 +290,8 @@ def _split(
 ) -> tuple[list[HaftNode], bool]:
     """Pieces of one subtree and whether it held a dead slot; appends the
     vids it dissolves (children before parents) to `dissolved`."""
-    if isinstance(node, Leaf):
-        dead = node.slot.processor == dead_processor
+    if not isinstance(node, Internal):
+        dead = node.processor == dead_processor
         return ([] if dead else [node]), dead
     left_pieces, left_dead = _split(node.left, dead_processor, dissolved)
     right_pieces, right_dead = _split(node.right, dead_processor, dissolved)
@@ -351,8 +327,8 @@ def _split_marked(
     pieces: list[HaftNode],
     dissolved: list[int],
 ) -> None:
-    if isinstance(node, Leaf):
-        if node.slot.processor != dead_processor:
+    if not isinstance(node, Internal):
+        if node.processor != dead_processor:
             pieces.append(node)
     elif node.vid in marked:
         _split_marked(node.left, marked, dead_processor, pieces, dissolved)
@@ -365,28 +341,19 @@ def _split_marked(
 # -- validation ---------------------------------------------------------------
 
 
-def _complete_size(node: HaftNode) -> int | None:
-    """Leaf count if the subtree is a complete binary tree, else None."""
-    if isinstance(node, Leaf):
-        return 1
-    ls = _complete_size(node.left)
-    rs = _complete_size(node.right)
-    if ls is None or rs is None or ls != rs:
-        return None
-    return ls + rs
-
-
-def _recount(node: HaftNode, stale: list[int]) -> tuple[int, LeafSlot, LeafSlot]:
-    """(size, first, low) of a subtree recounted from its leaves; appends to
-    `stale` the vid of every internal node whose cached facts differ."""
-    if isinstance(node, Leaf):
-        return 1, node.slot, node.slot
-    left_size, first, left_low = _recount(node.left, stale)
-    right_size, _, right_low = _recount(node.right, stale)
+def _recount(node: HaftNode, stale: list[int]) -> tuple[int, LeafSlot, LeafSlot, bool]:
+    """(size, first, low, complete) of a subtree recounted from its leaves,
+    where complete means no internal node's children differ in leaf count;
+    appends to `stale` the vid of every internal node whose cached facts
+    differ."""
+    if not isinstance(node, Internal):
+        return 1, node, node, True
+    left_size, first, left_low, left_complete = _recount(node.left, stale)
+    right_size, _, right_low, right_complete = _recount(node.right, stale)
     facts = (left_size + right_size, first, min(left_low, right_low))
     if (node.size, node.first, node.low) != facts:
         stale.append(node.vid)
-    return facts
+    return (*facts, left_complete and right_complete and left_size == right_size)
 
 
 def validate_haft(h: Haft) -> list[str]:
@@ -394,16 +361,14 @@ def validate_haft(h: Haft) -> list[str]:
     haft invariant holds."""
     problems: list[str] = []
     stale: list[int] = []
-    for tree in h.trees:
-        _recount(tree, stale)
+    counts = [_recount(tree, stale) for tree in h.trees]
     if stale:
         problems.append(f"stale-cached-facts: vids {sorted(stale)}")
     sizes = []
-    for i, tree in enumerate(h.trees):
-        size = _complete_size(tree)
-        if size is None:
+    for i, (tree, (size, _, _, complete)) in enumerate(zip(h.trees, counts)):
+        if not complete:
             problems.append(f"tree-not-complete: index {i}")
-            size = leaf_count(tree)
+            size = tree.size
         sizes.append(size)
     for s in sizes:
         if s & (s - 1):
@@ -412,9 +377,7 @@ def validate_haft(h: Haft) -> list[str]:
         problems.append(f"sizes-not-strictly-decreasing: {sizes}")
     if len(h.spine) != max(0, len(h.trees) - 1):
         problems.append(f"spine-length: {len(h.spine)} for {len(h.trees)} trees")
-    vids = list(h.spine)
-    for tree in h.trees:
-        vids.extend(node_vids(tree))
+    vids = list(h.spine) + [v for tree in h.trees for v in node_vids(tree)]
     if len(vids) != len(set(vids)):
         problems.append("duplicate-vids")
     total = sum(sizes)

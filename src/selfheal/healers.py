@@ -51,19 +51,17 @@ from .haft import (
     Haft,
     HaftNode,
     Internal,
-    Leaf,
     LeafSlot,
     _assemble,
     assign_simulators,
     ceil_log2,
     haft_slots,
-    leaves,
-    node_vids,
     split_marked,
     split_out,  # noqa: F401  (unused here; the benchmark's tracer wraps this name)
     to_virtual_edges,
     validate_haft,
     vnode_of,
+    walk,
 )
 from .virtual_graph import RepairJournal, VirtualGraph, real, virt
 
@@ -288,15 +286,17 @@ class HaftHealer(Healer):
 
     * `slot_origins`: processor -> origins of its live slots;
     * `parent`: child -> parent vid inside the complete trees, keyed by
-      origin for a leaf and by vid for an internal node (spine nodes are
-      nobody's parent here);
+      origin for a leaf (a `LeafSlot`) and by vid for an internal node
+      (spine nodes are nobody's parent here);
     * `tree_haft`: key of each complete tree's root -> its haft id.
 
     name "haft" merges surviving complete subtrees by binary addition. Its
     deletion walks up from the dead slots, splits only the marked paths
     and wires only the new carries and spine nodes, so it costs
-    O(changed * log n). name "rebuild" rebuilds the whole affected region
-    from its slots, which costs time in proportion to that region.
+    O(changed * log n). name "rebuild" also dissolves every piece, in one
+    `walk` each, and rebuilds the whole affected region from its slots,
+    which costs time in proportion to that region. `audit` recomputes the
+    maps from whole-haft walks.
     """
 
     def __init__(self, name: str):
@@ -355,17 +355,20 @@ class HaftHealer(Healer):
         new_slots = [LeafSlot(w, (min(v, w), max(v, w))) for w in direct]
 
         if self.name == "rebuild":
-            survivors = [s for piece in pieces for s in leaves(piece)]
-            for vid in {x for piece in pieces for x in node_vids(piece)}:
-                if vid in self.vg.virtuals:
-                    self.vg.remove_virtual(vid)
-                self.parent.pop(vid, None)
-            for s in survivors:
-                self.parent.pop(s.origin, None)
-            items: list[HaftNode] = [Leaf(s) for s in sorted(survivors + new_slots)]
+            # Dissolve the pieces too. A piece holds no dead slot, so every
+            # vid in it is live.
+            survivors: list[LeafSlot] = []
+            for piece in pieces:
+                for node, _, _ in walk(piece):
+                    self.parent.pop(_key(node), None)
+                    if isinstance(node, Internal):
+                        self.vg.remove_virtual(node.vid)
+                    else:
+                        survivors.append(node)
+            items: list[HaftNode] = sorted(survivors + new_slots)
         else:
             items = sorted(pieces, key=_piece_key)
-            items += [Leaf(s) for s in new_slots]
+            items += new_slots
 
         return self._install(items)
 
@@ -379,13 +382,13 @@ class HaftHealer(Healer):
         if total <= 2 and len(items) == total:
             # A lone claimant keeps no structure, and two separate single
             # slots get a direct real edge; neither is a haft any more.
-            for it in items:
-                origins = self.slot_origins.get(it.slot.processor)
+            for slot in items:
+                origins = self.slot_origins.get(slot.processor)
                 if origins is not None:
-                    origins.discard(it.slot.origin)
+                    origins.discard(slot.origin)
                     if not origins:
-                        del self.slot_origins[it.slot.processor]
-            procs = sorted({it.slot.processor for it in items})
+                        del self.slot_origins[slot.processor]
+            procs = sorted({slot.processor for slot in items})
             if len(procs) == 2:
                 self.vg.add_edge(real(procs[0]), real(procs[1]))
             return 0
@@ -400,9 +403,8 @@ class HaftHealer(Healer):
         stack: list[tuple[HaftNode, Internal | None]] = [(new_haft.root(), None)]
         while stack:
             node, parent = stack.pop()
-            if isinstance(node, Leaf):
-                slot = node.slot
-                self.slot_origins.setdefault(slot.processor, set()).add(slot.origin)
+            if not isinstance(node, Internal):
+                self.slot_origins.setdefault(node.processor, set()).add(node.origin)
             else:
                 proc = node.right.first.processor
                 if node.vid not in self.vg.virtuals:  # a carry or spine node
@@ -455,13 +457,7 @@ class HaftHealer(Healer):
                 slot_origins.setdefault(slot.processor, set()).add(slot.origin)
             for tree in haft.trees:
                 tree_haft[_key(tree)] = hid
-                stack = [tree]
-                while stack:
-                    node = stack.pop()
-                    if isinstance(node, Internal):
-                        for child in (node.left, node.right):
-                            parent[_key(child)] = node.vid
-                            stack.append(child)
+                parent.update((_key(x), up.vid) for x, up, _ in walk(tree) if up is not None)
         if seen_vids != self.vg.virtuals:
             stray = sorted(self.vg.virtuals - seen_vids)
             problems.append(f"virtual nodes outside any haft: {stray}")
@@ -480,7 +476,7 @@ class HaftHealer(Healer):
 
 def _key(node: HaftNode) -> int | tuple[int, int]:
     """A node's key in the healer's maps: its vid, or a leaf's origin."""
-    return node.vid if isinstance(node, Internal) else node.slot.origin
+    return node.vid if isinstance(node, Internal) else node.origin
 
 
 def _piece_key(node: HaftNode) -> tuple[int, LeafSlot]:

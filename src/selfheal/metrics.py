@@ -332,9 +332,12 @@ def summarize(records: list[MetricsRecord]) -> Summary:
 
 
 def format_number(x) -> str:
-    """Stable text for ratios and hop counts: '.' decimals, 'inf', 'na'."""
+    """Stable text for ratios, hop counts and flags: '.' decimals, 'inf',
+    'na', 'true'/'false'."""
     if x is None:
         return "na"
+    if isinstance(x, bool):
+        return "true" if x else "false"
     if x is INF or x == math.inf:
         return "inf"
     if isinstance(x, Fraction):
@@ -345,25 +348,7 @@ def format_number(x) -> str:
 
 
 def record_to_row(r: MetricsRecord) -> str:
-    return ",".join(
-        [
-            str(r.t),
-            r.op,
-            str(r.node),
-            "true" if r.connected else "false",
-            format_number(r.max_degree_ratio),
-            format_number(r.max_stretch),
-            r.stretch_mode,
-            format_number(r.diameter_live),
-            format_number(r.diameter_shadow),
-            str(r.messages),
-            str(r.rounds),
-            str(r.max_hops),
-            str(r.edges_added),
-            str(r.edges_dropped),
-            str(r.virtual_count),
-        ]
-    )
+    return ",".join(format_number(getattr(r, c)) for c in CSV_COLUMNS)
 
 
 def records_to_csv(records: list[MetricsRecord]) -> str:

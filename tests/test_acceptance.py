@@ -27,8 +27,8 @@ from selfheal.cli import loglog_slope, main
 from selfheal.engine import RunConfig, run
 from selfheal.families import connected_erdos_renyi, path_graph, random_tree, star_graph
 from selfheal.graph import INF, Graph, dump_edge_list
-from selfheal.haft import build_haft, ceil_log2, haft_slots, leaf_count, leaf_depths, merge_hafts
-from selfheal.haft import LeafSlot, assign_simulators, leaves, validate_haft, Leaf
+from selfheal.haft import build_haft, ceil_log2, haft_slots, leaf_depths, merge_hafts
+from selfheal.haft import Internal, LeafSlot, assign_simulators, leaves, validate_haft
 from selfheal.virtual_graph import VidSource, real, virt
 from selfheal.adversary import write_trace
 
@@ -216,7 +216,7 @@ def test_criterion_6_haft_structure(capsys):
             m = merge_hafts(a, b, vids)
             total = la + lb
             expected = [1 << i for i in range(total.bit_length()) if total >> i & 1]
-            assert sorted(leaf_count(t) for t in m.trees) == expected
+            assert sorted(t.size for t in m.trees) == expected
     # 10^4 random merges preserve the leaf-slot multiset
     rng = random.Random("merges")
     for _ in range(10_000):
@@ -238,7 +238,7 @@ def test_criterion_6_haft_structure(capsys):
 
 def _assert_subtree_local(h, assignment):
     def walk(node):
-        if isinstance(node, Leaf):
+        if not isinstance(node, Internal):
             return
         assert assignment[node.vid] in leaves(node)
         walk(node.left)

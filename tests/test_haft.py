@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from selfheal.haft import (
     EmptySlotsError,
+    Haft,
     Internal,
-    Leaf,
     LeafSlot,
     OriginOverlapError,
     _assemble,
@@ -21,7 +21,6 @@ from selfheal.haft import (
     ceil_log2,
     haft_slots,
     haft_vids,
-    leaf_count,
     leaf_depths,
     leaves,
     merge_hafts,
@@ -61,13 +60,13 @@ class TestBuild:
 
     def test_power_of_two(self):
         h = build_haft(make_slots([1, 2, 3, 4]), VidSource())
-        assert [leaf_count(t) for t in h.trees] == [4]
+        assert [t.size for t in h.trees] == [4]
         assert len(haft_vids(h)) == 3
         assert leaf_depths(h) == [2, 2, 2, 2]
 
     def test_five_slots(self):
         h = build_haft(make_slots([1, 2, 3, 4, 5]), VidSource())
-        assert [leaf_count(t) for t in h.trees] == [4, 1]
+        assert [t.size for t in h.trees] == [4, 1]
         assert leaf_depths(h) == [3, 3, 3, 3, 1]
         assert max(leaf_depths(h)) == ceil_log2(5)
         assert validate_haft(h) == []
@@ -98,7 +97,7 @@ class TestMerge:
         a = build_haft(make_slots([1, 2, 3]), vids)
         b = build_haft(make_slots([4], origin_base=2000), vids)
         m = merge_hafts(a, b, vids)
-        assert [leaf_count(t) for t in m.trees] == [4]
+        assert [t.size for t in m.trees] == [4]
         assert validate_haft(m) == []
 
     def test_one_plus_one(self):
@@ -106,7 +105,7 @@ class TestMerge:
         a = build_haft(make_slots([1]), vids)
         b = build_haft(make_slots([2], origin_base=2000), vids)
         m = merge_hafts(a, b, vids)
-        assert [leaf_count(t) for t in m.trees] == [2]
+        assert [t.size for t in m.trees] == [2]
         assert leaf_depths(m) == [1, 1]
 
     def test_four_plus_two_no_carry(self):
@@ -114,7 +113,7 @@ class TestMerge:
         a = build_haft(make_slots([1, 2, 3, 4]), vids)
         b = build_haft(make_slots([5, 6], origin_base=2000), vids)
         m = merge_hafts(a, b, vids)
-        assert [leaf_count(t) for t in m.trees] == [4, 2]
+        assert [t.size for t in m.trees] == [4, 2]
         assert len(m.spine) == 1
         # untouched complete trees keep their internal vids
         assert set(node_vids(a.trees[0])) <= haft_vids(m)
@@ -158,7 +157,7 @@ class TestAssignment:
         stack = [h.root()]
         while stack:
             node = stack.pop()
-            if isinstance(node, Leaf):
+            if not isinstance(node, Internal):
                 continue
             assert assignment[node.vid] == leaves(node.right)[0]
             stack += [node.left, node.right]
@@ -174,7 +173,7 @@ class TestAssignment:
         assignment = assign_simulators(h)
 
         def check(node):
-            if isinstance(node, Leaf):
+            if not isinstance(node, Internal):
                 return
             assert assignment[node.vid] in leaves(node)
             check(node.left)
@@ -208,7 +207,7 @@ class TestSplitOut:
         vids = VidSource()
         h = build_haft(make_slots([1, 2, 3, 4, 5]), vids)
         pieces, dissolved = split_out(h, 5)
-        assert sum(leaf_count(p) for p in pieces) == 4
+        assert sum(p.size for p in pieces) == 4
         assert set(node_vids(h.trees[0])) == {
             v for p in pieces for v in node_vids(p)
         }
@@ -218,14 +217,104 @@ class TestSplitOut:
         vids = VidSource()
         h = build_haft(make_slots([1, 2, 3, 4]), vids)
         pieces, dissolved = split_out(h, 2)
-        assert sorted(leaf_count(p) for p in pieces) == [1, 2]
+        assert sorted(p.size for p in pieces) == [1, 2]
         assert len(dissolved) == 2  # the leaf's parent and the root
 
     def test_unaffected_tree_is_one_piece(self):
         vids = VidSource()
         h = build_haft(make_slots([1, 2, 3, 4, 5, 6]), vids)  # trees [4, 2]
         pieces, _ = split_out(h, 5)
-        assert sorted(leaf_count(p) for p in pieces) == [1, 4]
+        assert sorted(p.size for p in pieces) == [1, 4]
+
+
+def _leaf(i, origin=None):
+    return LeafSlot(i, origin or (0, i))
+
+
+def _stale_inner_size():
+    h = build_haft(make_slots([1, 2, 3, 4]), VidSource())
+    object.__setattr__(h.trees[0].left, "size", 5)
+    return h, [f"stale-cached-facts: vids [{h.trees[0].left.vid}]"]
+
+
+def _stale_root_low():
+    h = build_haft(make_slots([1, 2, 3, 4]), VidSource())
+    object.__setattr__(h.trees[0], "low", LeafSlot(9, (9, 9)))
+    return h, [f"stale-cached-facts: vids [{h.trees[0].vid}]"]
+
+
+def _lopsided_four():
+    # Children of the root hold 3 and 1 leaves: 4 in all, yet not complete.
+    tree = Internal(10, Internal(11, Internal(12, _leaf(1), _leaf(2)), _leaf(3)), _leaf(4))
+    return Haft(trees=(tree,), spine=()), ["tree-not-complete: index 0"]
+
+
+def _lopsided_subtree():
+    # The root's children hold 4 leaves each, but its left child is lopsided.
+    lopsided = _lopsided_four()[0].trees[0]
+    complete = build_haft(make_slots([5, 6, 7, 8]), VidSource(start=20)).trees[0]
+    return Haft(trees=(Internal(30, lopsided, complete),), spine=()), [
+        "tree-not-complete: index 0"
+    ]
+
+
+def _three_leaf_tree():
+    tree = Internal(10, Internal(11, _leaf(1), _leaf(2)), _leaf(3))
+    return Haft(trees=(tree,), spine=()), [
+        "tree-not-complete: index 0",
+        "size-not-power-of-two: 3",
+    ]
+
+
+def _equal_sizes():
+    h = Haft(trees=(_leaf(1), _leaf(2)), spine=(10,))
+    return h, ["sizes-not-strictly-decreasing: [1, 1]"]
+
+
+def _long_spine():
+    h = Haft(trees=(Internal(10, _leaf(1), _leaf(2)), _leaf(3)), spine=(11, 12))
+    return h, ["spine-length: 2 for 2 trees"]
+
+
+def _spine_reuses_a_vid():
+    h = Haft(trees=(Internal(10, _leaf(1), _leaf(2)), _leaf(3)), spine=(10,))
+    return h, ["duplicate-vids"]
+
+
+def _caterpillar():
+    tree = _leaf(1)
+    for i in range(2, 9):
+        tree = Internal(100 + i, tree, _leaf(i))
+    return Haft(trees=(tree,), spine=()), [
+        "tree-not-complete: index 0",
+        "depth-bound: max 7 > 4",
+    ]
+
+
+def _shared_origin():
+    tree = Internal(10, _leaf(1, (0, 1)), _leaf(2, (0, 1)))
+    return Haft(trees=(tree,), spine=()), ["duplicate-origins"]
+
+
+@pytest.mark.parametrize(
+    "malformed",
+    [
+        _stale_inner_size,
+        _stale_root_low,
+        _lopsided_four,
+        _lopsided_subtree,
+        _three_leaf_tree,
+        _equal_sizes,
+        _long_spine,
+        _spine_reuses_a_vid,
+        _caterpillar,
+        _shared_origin,
+    ],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_validate_haft_reports_each_malformation(malformed):
+    h, expected = malformed()
+    assert validate_haft(h) == expected
 
 
 def test_helpers_leave_no_cyclic_garbage():
@@ -273,9 +362,9 @@ def test_degree_consequence_exhaustive(L):
     bottom_sims = set()
 
     def walk(node):
-        if isinstance(node, Leaf):
+        if not isinstance(node, Internal):
             return
-        if isinstance(node.left, Leaf) and isinstance(node.right, Leaf):
+        if not isinstance(node.left, Internal) and not isinstance(node.right, Internal):
             bottom_sims.add(assignment[node.vid].processor)
         walk(node.left)
         walk(node.right)
@@ -309,7 +398,7 @@ def test_merge_is_binary_addition_and_preserves_slots(seed):
     assert validate_haft(m) == []
     total = la + lb
     expected_sizes = [1 << i for i in range(total.bit_length()) if total >> i & 1]
-    assert sorted(leaf_count(t) for t in m.trees) == expected_sizes
+    assert sorted(t.size for t in m.trees) == expected_sizes
     merged = sorted((s.processor, s.origin) for s in haft_slots(m))
     original = sorted((s.processor, s.origin) for s in haft_slots(a) + haft_slots(b))
     assert merged == original
@@ -350,8 +439,8 @@ def test_path_only_split_and_cached_facts_match_their_oracles(seed):
             leftmost = node
             while isinstance(leftmost, Internal):
                 leftmost = leftmost.left
-            assert node.size == leaf_count(node) == len(slots)
-            assert node.first == leftmost.slot == slots[0]
+            assert node.size == len(slots)
+            assert node.first == leftmost == slots[0]
             assert node.low == min(slots)
 
         dead = rng.randrange(8)
@@ -362,7 +451,7 @@ def test_path_only_split_and_cached_facts_match_their_oracles(seed):
         assert [id(p) for p in pieces] == [id(p) for p in want_pieces]
         assert dissolved == want_dissolved
 
-        items = pieces + [Leaf(s) for s in fresh(rng.randint(0, 6))]
+        items = pieces + fresh(rng.randint(0, 6))
         if not items:
             break
         h = _assemble(items, vids)

@@ -11,6 +11,7 @@ from selfheal.adversary import StrategySpec, next_event, new_state
 from selfheal.families import connected_erdos_renyi, path_graph, random_tree, star_graph
 from selfheal.graph import Graph, UnknownNodeError
 from selfheal.healers import HealerError, make_healer
+from selfheal.virtual_graph import virt
 
 def triangle() -> Graph:
     return Graph(nodes=[0, 1, 2], edges=[(0, 1), (1, 2), (0, 2)])
@@ -216,6 +217,74 @@ class TestRebuild:
         assert h.audit() == []
 
 
+def _healed_haft():
+    # Trees of 4, 2 and 1 leaves under a two-node spine: the hub's deletion
+    # builds one tree of 8, and the deletion of leaf 1 splits and remerges it.
+    h = make_healer("haft")
+    h.preprocess(star_graph(9))
+    h.on_delete(0)
+    h.on_delete(1)
+    (hid,) = h.hafts
+    assert [t.size for t in h.hafts[hid].trees] == [4, 2, 1]
+    assert h.audit() == []
+    return h, hid
+
+
+def _corrupt_parent(h, hid):
+    key = h.hafts[hid].trees[0].left.vid
+    h.parent[key] = -1
+    return f"parent[{key}]: -1, expected {h.hafts[hid].trees[0].vid}"
+
+
+def _corrupt_slot_origins(h, hid):
+    h.slot_origins[2].add((98, 99))
+    return "slot_origins[2]: "
+
+
+def _corrupt_tree_haft(h, hid):
+    key = h.hafts[hid].trees[1].vid
+    h.tree_haft[key] = hid + 7
+    return f"tree_haft[{key}]: {hid + 7}, expected {hid}"
+
+
+def _corrupt_virtual_edge(h, hid):
+    root = h.hafts[hid].trees[0]
+    a, b = virt(root.vid), virt(root.left.vid)
+    h.vg._adj[a].discard(b)
+    h.vg._adj[b].discard(a)
+    return f"haft {hid}: edge {a}-{b} missing from virtual graph"
+
+
+def _corrupt_simulator(h, hid):
+    vid = h.hafts[hid].trees[0].vid
+    h.vg.sim[vid] = 8 if h.vg.sim[vid] != 8 else 7
+    return f"haft {hid}: vid {vid} simulator mismatch"
+
+
+def _stray_virtual(h, hid):
+    vid = h.vg.add_virtual_node(2)
+    return f"virtual nodes outside any haft: [{vid}]"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _corrupt_parent,
+        _corrupt_slot_origins,
+        _corrupt_tree_haft,
+        _corrupt_virtual_edge,
+        _corrupt_simulator,
+        _stray_virtual,
+    ],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_haft_audit_names_each_corrupted_fact(corrupt):
+    h, hid = _healed_haft()
+    expected = corrupt(h, hid)
+    problems = h.audit()
+    assert any(p.startswith(expected) for p in problems), problems
+
+
 def scripted_churn(healer_name: str, seed: int, n0: int = 24, steps: int = 60):
     """Drive a healer directly with a mixed adversary; return reports."""
     rng = random.Random(f"churn:{seed}")
@@ -306,7 +375,7 @@ def test_haft_deletion_never_walks_a_whole_haft(monkeypatch):
     def whole_haft_walk(*args, **kwargs):
         raise AssertionError("a whole-haft walk ran on the deletion path")
 
-    for name in ("leaves", "haft_slots", "node_vids", "split_out", "assign_simulators"):
+    for name in ("walk", "haft_slots", "split_out", "assign_simulators"):
         monkeypatch.setattr(healers, name, whole_haft_walk)
     state = engine.run(config())
     assert state.records == expected

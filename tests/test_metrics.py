@@ -320,3 +320,5 @@ class TestCsv:
         assert format_number(INF) == "inf"
         assert format_number(None) == "na"
         assert format_number(7) == "7"
+        assert format_number(True) == "true"
+        assert format_number(False) == "false"
