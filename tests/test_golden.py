@@ -7,10 +7,10 @@ with the digests in `tests/golden/digests.json`. Two negative-control runs
 (`star`, `null`) pin a `summary.json` with non-empty `violations`, one
 `ring` run pins the third baseline under inserts and deletions, one
 scripted run inserts ids out of order, one `haft` run has stretch off
-(every record `skipped`), and one `gen` case pins the
-generated edge list, trace and manifest. `summary.json`
-and `manifest.json` are hashed without `rng.python`, which embeds the
-interpreter version.
+(every record `skipped`), one `haft` run crosses the exact-stretch cap both
+ways, and one `gen` case pins the generated edge list, trace and manifest.
+`summary.json` and `manifest.json` are hashed without `rng.python`, which
+embeds the interpreter version.
 
 Regenerate the digests (only when an output change is intended) with:
 
@@ -62,6 +62,14 @@ CASES["haft-clustered-nostretch"] = (
     "run",
     "family = random-tree\nn = 96\nhealer = haft\nstrategy = clustered\n"
     "T = 64\nexact_apsp_cap = 0\nstretch_samples = 0\n",
+)
+# Exact stretch under churn with the live count crossing `exact_apsp_cap`
+# both ways (40 nodes, cap 38): steps switch between exact and sampled
+# stretch, so the maintained live distances are dropped and rebuilt.
+CASES["haft-mixed-capcross"] = (
+    "run",
+    FAMILIES["tree"] + "healer = haft\nstrategy = mixed\np_delete = 0.5\nT = 40\n"
+    "exact_apsp_cap = 38\nstretch_samples = 100\n",
 )
 # Negative controls: the star healer breaks the 4x degree bound, and the null
 # healer disconnects the tree (infinite stretch), so `violations` is filled.
