@@ -38,7 +38,7 @@ from .engine import InternalError, RunConfig, RunState, run
 from .families import FAMILY_NAMES, make_family
 from .graph import Graph, dump_edge_list, load_edge_list
 from .healers import HEALER_NAMES
-from .metrics import degree_ratio_max, parse_csv, records_to_csv, summarize
+from .metrics import degree_ratio_max, parse_csv, records_to_csv, stretch_max, summarize
 
 
 class ConfigError(ValueError):
@@ -224,7 +224,9 @@ def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 
     Virtual level: the healer's state audit (virtual-graph invariants, haft
     shape, simulator assignment) after every step. Measurement level: the
-    step's connectivity and degree ratio, recomputed by full scans. Real
+    step's connectivity and degree ratio, recomputed by full scans, and on
+    a step with exact stretch its maximum stretch and live diameter,
+    recomputed from a fresh all-pairs build of the live graph. Real
     level: the hard bounds that `summary.json` counts, namely connectivity,
     the 4x degree bound and the 2*ceil(log2 n') stretch bound (exact or
     sampled; a sampled maximum never exceeds the true one). The virtual
@@ -235,14 +237,24 @@ def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     def audit(state: RunState) -> None:
         violations.extend(f"t={state.t} state-audit: {issue}" for issue in state.healer.audit())
         # The engine's per-event connectivity and degree ratio, against the
-        # full scans.
+        # full scans, and its stretch over the maintained live distances
+        # against a fresh build.
         record, live = state.records[-1], state.live_graph()
+        names = ["connected", "max_degree_ratio"]
+        fast = [record.connected, record.max_degree_ratio]
         try:
-            full = (live.is_connected(), degree_ratio_max(live, state.shadow, state.deleted)[0])
+            full = [live.is_connected(), degree_ratio_max(live, state.shadow, state.deleted)[0]]
+            if record.stretch_mode == "exact":
+                shadow_dist, shadow_index = state.oracle.matrix()
+                fresh = stretch_max(
+                    live, shadow_dist, shadow_index, exact_cap=state.config.exact_apsp_cap
+                )
+                names += ["max_stretch", "diameter_live"]
+                fast += [record.max_stretch, record.diameter_live]
+                full += [fresh.max_stretch, fresh.diameter_live]
         except ValueError as exc:
             raise InternalError(str(exc)) from exc
-        fast = (record.connected, record.max_degree_ratio)
-        for name, got, want in zip(("connected", "max_degree_ratio"), fast, full):
+        for name, got, want in zip(names, fast, full):
             if got != want:
                 violations.append(f"t={state.t} measure-audit: {name} {got}, full scan {want}")
 

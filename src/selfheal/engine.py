@@ -5,12 +5,20 @@ measures the healed graph against the shadow graph G'. The shadow graph
 contains every node ever created, with original plus insertion edges only,
 never healing edges; deletions mark nodes instead of removing them, so
 shadow distances keep flowing through deleted nodes. Live processors are
-the shadow nodes minus the deleted set. Exact shadow distances are built
-once, when a measurement first needs them, and then updated in O(n^2) per
-insert (`ShadowOracle`). Connectivity and the maximum degree ratio are
-updated per event from the nodes the event touched (`LiveMeasure`); only
-the t = 0 measurement, and a step after a disconnected one, scan the
-whole live graph for connectivity.
+the shadow nodes minus the deleted set.
+
+Exact distances are maintained, not recomputed (`DistanceOracle`). The
+shadow matrix is built when a measurement first needs it and then updated
+per insert. The live matrix exists only while exact stretch is on and
+1 < live count <= `exact_apsp_cap`: it is built on the first such step,
+fed each event's node, neighbours and the repair's added and dropped
+edges, dropped on a step with sampled or skipped stretch, and built afresh
+when the live count comes back under the cap. A deletion recomputes only
+the pairs whose distance can change, or rebuilds the matrix when they are
+many. Runs with stretch off never build either matrix. Connectivity and
+the maximum degree ratio are updated per event from the nodes the event
+touched (`LiveMeasure`); only the t = 0 measurement, and a step after a
+disconnected one, scan the whole live graph for connectivity.
 
 Runs are deterministic: one master seed drives the adversary and the stretch
 sampler, and all iteration orders are sorted. Running the same config twice
@@ -25,6 +33,7 @@ instances that share nothing.
 
 from __future__ import annotations
 
+import bisect
 import random
 import time
 from collections import Counter
@@ -61,53 +70,220 @@ class RunConfig:
     stretch_samples: int = 1000
 
 
-class ShadowOracle:
-    """Exact distances over the shadow graph (deleted nodes included).
+# A deletion whose candidate pairs exceed 1/REBUILD_SHARE of the matrix
+# rebuilds it instead of recomputing them. Recomputing stays the faster of
+# the two up to about 1/16 of the matrix, but the `churn-stretch` benchmark
+# bounds peak memory, which grows with the events a run gets through and
+# with the heap that large candidate sets fragment, so only small ones are
+# recomputed.
+REBUILD_SHARE = 256
 
-    The matrix is built lazily: the first `matrix()` call runs the full
-    `all_pairs_distances`, so a run that never measures stretch never pays
-    for it. After that the shadow graph only grows, one node per insert, so
-    `insert` updates the matrix in place of a rebuild (Ausiello et al.,
-    "Incremental algorithms for minimal length paths", 1991): the new
-    node's row is one more than the nearest neighbour's row, and every
-    pair then relaxes through the new node. Both steps are O(n^2); values
-    stay exact integers in float64. The new node takes the next row and
-    column whatever its id, so the matrix is read through `index` only.
-    Deletions only mark nodes and change nothing here.
+
+class DistanceOracle:
+    """Exact hop distances over a graph that changes one event at a time.
+
+    The matrix is built lazily: the first `matrix()` call runs the full APSP
+    (`build`, by default `all_pairs_distances`), so a run that never reads
+    it never pays for it; until then every update is a no-op. After that it
+    is maintained in place, in one float32 capacity buffer that grows by a
+    quarter when full (entries are hop counts < 2^24, so float32 is exact).
+    Rows stay in ascending node order, as `all_pairs_distances` builds them:
+    a node joins at its place and a removed one closes its gap. Three
+    updates:
+
+    * `insert(v, neighbors)` (Ausiello et al., "Incremental algorithms for
+      minimal length paths", 1991): v's row is one more than the nearest
+      neighbour's row, and every pair then relaxes through v, that is
+      through each pair of v's neighbours at length 2.
+    * `add_edge(a, b)`: D = min(D, D[:, a] + 1 + D[b, :]) both ways. Only
+      rows nearer a than b can gain and only columns nearer b than a, so
+      the update touches that block.
+    * `remove(v, added, dropped)`: the added edges first, then the
+      decremental rule (Ramalingam & Reps, J. Algorithms 1996; Demetrescu &
+      Italiano, J. ACM 2004): only pairs whose distance equals a path through
+      v or a dropped edge can change. Those candidates are recomputed from
+      their neighbours' entries (`_recompute`); past 1/REBUILD_SHARE of the
+      matrix, the matrix is rebuilt instead.
+
+    The shadow graph only grows, so its oracle uses `insert` alone.
     """
 
-    def __init__(self, shadow: Graph):
-        self._shadow = shadow
-        self._dist: np.ndarray | None = None
+    def __init__(self, graph: Graph, build: Callable | None = None):
+        self._graph = graph
+        self._build = build
+        self._buf: np.ndarray | None = None
+        self._nodes: list[int] = []  # ascending; row i holds _nodes[i]
         self._index: dict[int, int] = {}
         self._diameter: object = None
 
+    def _load(self) -> None:
+        dist, self._index = (self._build or all_pairs_distances)(self._graph)
+        self._nodes = sorted(self._index)
+        n = len(self._nodes)
+        if self._buf is None or self._buf.shape[0] < n:
+            self._buf = np.empty((n, n), dtype=np.float32)
+        self._buf[:n, :n] = dist
+
+    def _reindex(self, start: int) -> None:
+        index, nodes = self._index, self._nodes
+        for i in range(start, len(nodes)):
+            index[nodes[i]] = i
+
     def insert(self, v: int, neighbors: Iterable[int]) -> None:
-        """Add shadow node v, joined to `neighbors` (already in the matrix)."""
+        """Add node v, joined to `neighbors` (already in the matrix)."""
         self._diameter = None
-        if self._dist is None:
+        if self._buf is None:
             return
-        dist, n = self._dist, len(self._index)
-        row = 1.0 + dist[[self._index[w] for w in neighbors]].min(axis=0)
-        grown = np.empty((n + 1, n + 1))
-        through_v = grown[:n, :n]
-        np.add.outer(row, row, out=through_v)
-        np.minimum(through_v, dist, out=through_v)
-        grown[n, :n] = row
-        grown[:n, n] = row
-        grown[n, n] = 0.0
-        self._dist = grown
-        self._index[v] = n
+        n = len(self._nodes)
+        index = self._index
+        row = self._buf[[index[w] for w in neighbors], :n].min(axis=0)
+        row += 1.0
+        if n == self._buf.shape[0]:
+            cap = n + n // 4 + 1
+            grown = np.empty((cap, cap), dtype=np.float32)
+            grown[:n, :n] = self._buf[:n, :n]
+            self._buf = grown
+        buf = self._buf
+        p = bisect.bisect(self._nodes, v)
+        if p < n:
+            buf[p + 1 : n + 1, :n] = buf[p:n, :n]
+            buf[: n + 1, p + 1 : n + 1] = buf[: n + 1, p:n]
+        row = np.insert(row, p, 0.0)
+        buf[p, : n + 1] = row
+        buf[: n + 1, p] = row
+        self._nodes.insert(p, v)
+        self._reindex(p)
+        rows = [index[w] for w in neighbors]  # past p, one row further on
+        for k, a in enumerate(rows):
+            for b in rows[k + 1 :]:
+                self._relax(a, b, 2.0)
+
+    def add_edge(self, a: int, b: int) -> None:
+        """Add the edge (a, b) between two nodes in the matrix."""
+        self._diameter = None
+        if self._buf is not None:
+            self._relax(self._index[a], self._index[b], 1.0)
+
+    def _relax(self, a: int, b: int, length: float) -> None:
+        """Every pair through a path a-b of `length` hops, both ways."""
+        n = len(self._nodes)
+        dist = self._buf[:n, :n]
+        col_a, col_b = dist[:, a], dist[:, b]
+        near_a = np.flatnonzero(col_a + length < col_b)
+        near_b = np.flatnonzero(col_b + length < col_a)
+        if not (near_a.size and near_b.size):
+            return
+        through = np.add.outer(col_a[near_a], col_b[near_b])
+        through += length
+        np.minimum(through, dist[near_a][:, near_b], out=through)
+        dist[np.ix_(near_a, near_b)] = through
+        dist[np.ix_(near_b, near_a)] = through.T
+
+    def remove(
+        self, v: int, added: Iterable[tuple[int, int]], dropped: Iterable[tuple[int, int]]
+    ) -> None:
+        """Node v leaves, and the graph gains the edges `added` and loses
+        `dropped`; the graph passed in at construction is already in that
+        state."""
+        self._diameter = None
+        for a, b in added:
+            self.add_edge(a, b)
+        if self._buf is None:
+            return
+        # v's distances to the others, then v's row and column out.
+        i = self._index.pop(v)
+        n = len(self._nodes) - 1
+        buf = self._buf
+        col = np.delete(buf[: n + 1, i], i)
+        buf[i:n, : n + 1] = buf[i + 1 : n + 1, : n + 1]
+        buf[:n, i:n] = buf[:n, i + 1 : n + 1]
+        del self._nodes[i]
+        self._reindex(i)
+        dist = buf[:n, :n]
+        candidates = np.zeros((n, n), dtype=bool)
+        # Pairs with a shortest path through v: none unless v had two
+        # neighbours, and none from a row that did not reach v.
+        if np.count_nonzero(col == 1.0) > 1:
+            through = np.add.outer(col, col)
+            np.equal(through, dist, out=candidates)
+            far = np.flatnonzero(col == np.inf)
+            candidates[far, :] = False
+            candidates[:, far] = False
+        index = self._index
+        for a, b in dropped:
+            if np.count_nonzero(candidates) * REBUILD_SHARE > n * n:
+                break  # a rebuild either way
+            col_a, col_b = dist[:, index[a]], dist[:, index[b]]
+            near_a = np.flatnonzero((col_a + 1.0 == col_b) & (col_a < np.inf))
+            near_b = np.flatnonzero((col_b + 1.0 == col_a) & (col_b < np.inf))
+            if near_a.size and near_b.size:
+                hit = np.add.outer(col_a[near_a], col_b[near_b])
+                hit += 1.0
+                hit = hit == dist[near_a][:, near_b]
+                candidates[np.ix_(near_a, near_b)] |= hit
+                candidates[np.ix_(near_b, near_a)] |= hit.T
+        count = np.count_nonzero(candidates)
+        if count * REBUILD_SHARE > n * n:
+            self._load()
+        elif count:
+            self._recompute(*np.nonzero(candidates))
+
+    def _recompute(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        """New distances of the candidate pairs (xs, ys), xs ascending.
+
+        Every other entry is exact already, and a candidate's distance can
+        only grow. From INF, each pass sets every candidate (x, y) to 1 +
+        the smallest entry (w, y) over x's neighbours w (Bellman-Ford):
+        entries only fall, each stays an upper bound, and once a pass
+        changes nothing they are exact, INF for pairs now apart. The pass
+        gathers over the candidates' neighbour lists, laid end to end.
+        """
+        cap = self._buf.shape[0]
+        flat = self._buf.reshape(-1)
+        target = xs * cap + ys
+        flat[target] = np.inf
+        # Each distinct row's neighbour rows once (`nbrs`, row k's from
+        # `start[k]`), then one segment of the gather per candidate.
+        new_row = np.empty(xs.size, dtype=bool)
+        new_row[0] = True
+        np.not_equal(xs[1:], xs[:-1], out=new_row[1:])
+        adj, index, nodes = self._graph._adj, self._index, self._nodes
+        lists = [[index[w] for w in adj[nodes[x]]] for x in xs[new_row].tolist()]
+        degree = np.fromiter(map(len, lists), np.int64, len(lists))
+        nbrs = np.fromiter((w for ws in lists for w in ws), np.int64, int(degree.sum()))
+        first = np.cumsum(new_row) - 1
+        lengths = degree[first]
+        # A candidate row without neighbours keeps INF everywhere.
+        keep = lengths > 0
+        target, lengths = target[keep], lengths[keep]
+        seg = np.cumsum(lengths) - lengths
+        start = (np.cumsum(degree) - degree)[first[keep]]
+        gather = nbrs[np.arange(int(lengths.sum())) + np.repeat(start - seg, lengths)]
+        gather *= cap
+        gather += np.repeat(ys[keep], lengths)
+        values = np.empty(gather.size, dtype=np.float32)
+        m = np.empty(target.size, dtype=np.float32)
+        old = np.empty(target.size, dtype=np.float32)
+        changed = np.empty(target.size, dtype=bool)
+        while target.size:
+            np.take(flat, gather, out=values)
+            np.minimum.reduceat(values, seg, out=m)
+            m += 1.0
+            np.take(flat, target, out=old)
+            if not np.less(m, old, out=changed).any():
+                break
+            flat[target] = m
 
     def matrix(self) -> tuple[np.ndarray, dict[int, int]]:
-        """The distance matrix and its node -> row index: read-only, valid
-        until the next insert (which grows the index in place)."""
-        if self._dist is None:
-            self._dist, self._index = all_pairs_distances(self._shadow)
-        return self._dist, self._index
+        """The distance matrix, rows in ascending node order, and its node
+        -> row index: read-only, valid until the next update."""
+        if self._buf is None:
+            self._load()
+        n = len(self._nodes)
+        return self._buf[:n, :n], self._index
 
     def diameter(self) -> object:
-        """`metrics.diameter_from` of the matrix, kept until the next insert."""
+        """`metrics.diameter_from` of the matrix, kept until the next update."""
         if self._diameter is None:
             self._diameter = metrics.diameter_from(self.matrix()[0])
         return self._diameter
@@ -257,7 +433,8 @@ class RunState:
     adversary: AdversaryState | None = None
     initial_record: MetricsRecord | None = None
     setup_messages: int = 0
-    oracle: ShadowOracle | None = None
+    oracle: DistanceOracle | None = None
+    live_oracle: DistanceOracle | None = None
     measure: LiveMeasure | None = None
     timers: dict[str, float] = field(default_factory=dict)
 
@@ -284,7 +461,7 @@ def start(config: RunConfig) -> RunState:
             adversary=new_state(config.strategy, config.seed),
             setup_messages=setup.messages,
         )
-        state.oracle = ShadowOracle(state.shadow)
+        state.oracle = DistanceOracle(state.shadow)
         state.measure = LiveMeasure(state.shadow, state.deleted)
         state.initial_record = _measure(state, op="init", node=-1, report=setup)
         # The live graph at t = 0 is the initial graph.
@@ -317,7 +494,7 @@ def step(state: RunState, event: Event) -> RunState:
         state.timers["heal"] = state.timers.get("heal", 0.0) + (time.perf_counter() - t0)
         state.t += 1
         state.events.append(event)
-        state.records.append(_measure(state, op=event.op, node=event.node, report=report))
+        state.records.append(_measure(state, event.op, event.node, report, event.neighbors))
     except ValueError as exc:
         raise InternalError(str(exc)) from exc
     return state
@@ -358,7 +535,9 @@ def shadow_distance(state: RunState, u: int, v: int) -> float:
     return state.oracle.distance(u, v)
 
 
-def _measure(state: RunState, op: str, node: int, report) -> MetricsRecord:
+def _measure(
+    state: RunState, op: str, node: int, report, neighbors: Iterable[int] = ()
+) -> MetricsRecord:
     config = state.config
     live = state.live_graph()
     assert state.oracle is not None and state.measure is not None
@@ -371,6 +550,19 @@ def _measure(state: RunState, op: str, node: int, report) -> MetricsRecord:
 
     t0 = time.perf_counter()
     ratio = state.measure.refresh(live, op, node, report.touched)
+    # The live distances are kept only while every step measures exact
+    # stretch over them: built on the first such step, fed each event, and
+    # dropped on a step that measures none.
+    exact = 1 < live.node_count <= config.exact_apsp_cap
+    live_oracle = state.live_oracle
+    if not exact:
+        state.live_oracle = None
+    elif live_oracle is None:
+        state.live_oracle = DistanceOracle(live, metrics.all_pairs_distances)
+    elif op == "insert":
+        live_oracle.insert(node, neighbors)
+    elif op == "delete":
+        live_oracle.remove(node, report.edges_added, report.edges_dropped)
     # Stretch off (no cap, no samples) skips every step, the empty and
     # one-node graphs included.
     if config.stretch_samples <= 0 and (
@@ -380,7 +572,8 @@ def _measure(state: RunState, op: str, node: int, report) -> MetricsRecord:
         diameter_shadow = None
     else:
         shadow_dist, shadow_index = state.oracle.matrix()
-        stretch_rng = random.Random(f"{config.seed}:stretch:{state.t}")
+        # Only a sampled step draws pairs.
+        stretch_rng = None if exact else random.Random(f"{config.seed}:stretch:{state.t}")
         result = metrics.stretch_max(
             live,
             shadow_dist,
@@ -388,6 +581,7 @@ def _measure(state: RunState, op: str, node: int, report) -> MetricsRecord:
             exact_cap=config.exact_apsp_cap,
             samples=config.stretch_samples,
             rng=stretch_rng,
+            live_dist=state.live_oracle.matrix()[0] if exact else None,
         )
         diameter_shadow = state.oracle.diameter()
     state.timers["metrics"] = state.timers.get("metrics", 0.0) + (time.perf_counter() - t0)

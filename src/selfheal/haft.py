@@ -375,13 +375,15 @@ def validate_haft(h: Haft) -> list[str]:
             problems.append(f"size-not-power-of-two: {s}")
     if any(a <= b for a, b in zip(sizes, sizes[1:])):
         problems.append(f"sizes-not-strictly-decreasing: {sizes}")
-    if len(h.spine) != max(0, len(h.trees) - 1):
+    spine_fits = len(h.spine) == max(0, len(h.trees) - 1)
+    if not spine_fits:
         problems.append(f"spine-length: {len(h.spine)} for {len(h.trees)} trees")
     vids = list(h.spine) + [v for tree in h.trees for v in node_vids(tree)]
     if len(vids) != len(set(vids)):
         problems.append("duplicate-vids")
     total = sum(sizes)
-    if total:
+    # The depth bound reads the haft as one tree, which needs its spine.
+    if total and spine_fits:
         bound = ceil_log2(total) + len(h.trees)
         depths = leaf_depths(h)
         if depths and max(depths) > bound:

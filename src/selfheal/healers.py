@@ -438,7 +438,12 @@ class HaftHealer(Healer):
             haft = self.hafts[hid]
             for issue in validate_haft(haft):
                 problems.append(f"haft {hid}: {issue}")
-            decls, vedges = to_virtual_edges(haft, assign_simulators(haft))
+            # The wiring is read off the haft as one tree, and a spine too
+            # short to join the trees (reported above) cannot form it.
+            if len(haft.spine) < len(haft.trees) - 1:
+                decls, vedges = [], []
+            else:
+                decls, vedges = to_virtual_edges(haft, assign_simulators(haft))
             for vid, proc in decls:
                 if vid in seen_vids:
                     problems.append(f"haft {hid}: vid {vid} in two hafts")

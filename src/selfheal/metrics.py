@@ -8,13 +8,16 @@ through deleted nodes.
 Ratios are kept as exact integer Fractions until CSV formatting, so outputs
 are byte-stable across platforms.
 
-Exact all-pairs distances use a dense reachability iteration over a float32
-adjacency matrix (one BLAS matmul per distance level), which is what makes
-per-timestep exact stretch affordable over large trial corpora. The pure-BFS
-implementations in `graph` stay the independent oracle; the test suite
-cross-checks the two on every random graph it draws. Above the exact cap,
-stretch falls back to a seeded sample of live pairs, and the record notes
-which mode produced it.
+A full all-pairs build uses a dense reachability iteration over a float32
+adjacency matrix (one BLAS matmul per distance level). The engine runs it
+only to start or rebuild the distance matrices it maintains
+(`engine.DistanceOracle`) and hands the live one to `stretch_max`; called
+without it, `stretch_max` builds the live APSP itself, which keeps it the
+oracle for tests and `verify`. The pure-BFS implementations in `graph`
+stay the independent oracle of the build; the test suite cross-checks the
+two on every random graph it draws. Above the exact cap, stretch falls
+back to a seeded sample of live pairs, and the record notes which mode
+produced it.
 
 All functions are pure snapshots-in, values-out; records from finished runs
 can be crunched in parallel.
@@ -26,6 +29,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from statistics import median
 
 import numpy as np
@@ -58,7 +62,7 @@ class ZeroShadowDegreeError(ValueError):
     """A live node has shadow degree 0: an engine invariant was breached."""
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsRecord:
     t: int
     op: str
@@ -152,9 +156,8 @@ def diameter_from(dist: np.ndarray) -> object:
     """Max pairwise distance: 0 for <= 1 node, INF when disconnected."""
     if dist.size <= 1:
         return 0
-    if np.isinf(dist).any():
-        return INF
-    return int(dist.max())
+    top = dist.max()
+    return INF if top == np.inf else int(top)
 
 
 # -- stretch ---------------------------------------------------------------------
@@ -175,45 +178,62 @@ def stretch_max(
     exact_cap: int = 256,
     samples: int = 1000,
     rng: random.Random | None = None,
+    live_dist: np.ndarray | None = None,
 ) -> StretchResult:
     """max over live pairs of dist_live(u, v) / dist_shadow(u, v).
 
     Exact over all pairs while the live graph fits the cap, else over a
     seeded sample of pairs. INF when the live graph is disconnected; pairs
     never joined in the shadow graph contribute nothing. Returns 1 when
-    there are fewer than two live nodes.
+    there are fewer than two live nodes. `live_dist`, a live distance
+    matrix the caller maintains (rows in ascending node order, as
+    `all_pairs_distances` builds them), replaces that build in the exact
+    mode.
     """
     n = live.node_count
     if n <= 1:
         return StretchResult(Fraction(1), "exact", 0)
     if n <= exact_cap:
-        return _stretch_exact(live, shadow_dist, shadow_index)
+        return _stretch_exact(live, shadow_dist, shadow_index, live_dist)
     if samples <= 0:
         return StretchResult(None, "skipped", None)
     return _stretch_sampled(live, shadow_dist, shadow_index, samples, rng or random.Random(0))
 
 
 def _stretch_exact(
-    live: Graph, shadow_dist: np.ndarray, shadow_index: dict[int, int]
+    live: Graph,
+    shadow_dist: np.ndarray,
+    shadow_index: dict[int, int],
+    live_dist: np.ndarray | None = None,
 ) -> StretchResult:
-    live_dist, live_index = all_pairs_distances(live)
+    if live_dist is None:
+        live_dist = all_pairs_distances(live)[0]
     diameter_live = diameter_from(live_dist)
     if diameter_live is INF:
         return StretchResult(INF, "exact", INF)
     nodes = sorted(live.nodes)
-    rows = np.array([shadow_index[v] for v in nodes])
-    shadow_sub = shadow_dist[np.ix_(rows, rows)]
+    rows = np.fromiter(map(shadow_index.__getitem__, nodes), np.intp, len(nodes))
+    shadow_sub = shadow_dist[rows][:, rows]
+    # float64 ratios whatever the matrices store, so that argmax ties
+    # break one way.
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = live_dist / shadow_sub
-    # Off-diagonal finite-shadow pairs only; shadow-infinite pairs drop out.
-    ratio[~np.isfinite(ratio)] = 0.0
+        ratio = np.divide(live_dist, shadow_sub, dtype=np.float64)
+    # Off-diagonal pairs only (0/0 on the diagonal); a shadow-infinite pair
+    # gives 0 and drops out.
     np.fill_diagonal(ratio, 0.0)
     flat = int(ratio.argmax())
     i, j = divmod(flat, len(nodes))
     if ratio[i, j] == 0.0:
         return StretchResult(Fraction(1), "exact", diameter_live)
-    value = Fraction(int(live_dist[i, j]), int(shadow_sub[i, j]))
+    value = _ratio(int(live_dist[i, j]), int(shadow_sub[i, j]))
     return StretchResult(value, "exact", diameter_live, (nodes[i], nodes[j]))
+
+
+@lru_cache(maxsize=None)
+def _ratio(num: int, den: int) -> Fraction:
+    """`Fraction(num, den)`, one object per pair of hop counts (few distinct
+    ones), so that a run's records share their stretch values."""
+    return Fraction(num, den)
 
 
 def _stretch_sampled(
@@ -239,7 +259,7 @@ def _stretch_sampled(
         d_shadow = shadow_dist[shadow_index[u], shadow_index[v]]
         if not np.isfinite(d_shadow):
             continue
-        ratio = Fraction(d_live, int(d_shadow))
+        ratio = _ratio(d_live, int(d_shadow))
         if ratio > best:
             best, best_pair = ratio, (u, v)
     return StretchResult(best, "sampled", diameter_seen, best_pair)

@@ -115,6 +115,36 @@ def test_criterion_2_degree_factor(corpus, capsys):
     assert frac > 0.5  # the target holds for the overwhelming majority
 
 
+def test_degree_bound_witness_reaches_four():
+    # The 4x bound is tight and the 3x target is not met. A 24-node random
+    # tree under clustered deletions 1, 0, 7, 20, 2: at t = 5, node 9 (a
+    # tree leaf, shadow degree 1) has lost its only neighbour 0 and has
+    # live degree 4. Its slot keeps one image edge, to the simulator of its
+    # parent; the helper it simulates (the leftmost leaf of that helper's
+    # right subtree) adds three more, to the simulator of the helper's
+    # parent and to the images of the helper's two children.
+    config = RunConfig(
+        initial=random_tree(24, random.Random("0:family")),
+        healer="haft",
+        strategy=StrategySpec(kind="clustered", seed=0),
+        t_max=5,
+        exact_apsp_cap=0,
+        stretch_samples=0,
+    )
+    state = run(config)
+    assert [e.node for e in state.events] == [1, 0, 7, 20, 2]
+    live, vg = state.live_graph(), state.healer.vg
+    assert state.shadow.neighbors(9) == {0} and 0 in state.deleted
+    assert live.neighbors(9) == {4, 6, 13, 15}
+    assert state.records[-1].max_degree_ratio == Fraction(4)
+    helpers = [x for x in vg.virtuals if vg.sim[x] == 9]
+    assert len(helpers) == 1
+    (leaf_edge,) = vg.neighbors(real(9))
+    helper_edges = vg.neighbors(virt(helpers[0]))
+    assert len(helper_edges) == 3
+    assert {vg.sim[x.id] for x in helper_edges | {leaf_edge}} == live.neighbors(9)
+
+
 def test_criterion_3_stretch(corpus, capsys):
     records = [
         r

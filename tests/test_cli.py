@@ -10,7 +10,7 @@ import pytest
 from selfheal import cli
 from selfheal.adversary import read_trace
 from selfheal.cli import loglog_slope, main, parse_config
-from selfheal.engine import LiveMeasure
+from selfheal.engine import DistanceOracle, LiveMeasure
 from selfheal.graph import UnknownNodeError
 from selfheal.healers import HaftHealer, HealerError
 from selfheal.metrics import ZeroShadowDegreeError
@@ -228,6 +228,16 @@ class TestRun:
         assert summary["healer"] == "null"
 
 
+_remove = DistanceOracle.remove
+
+
+def _remove_leaving_a_stale_entry(self, v, added, dropped):
+    """A live-matrix removal that leaves one distance one hop too long."""
+    _remove(self, v, added, dropped)
+    dist = self.matrix()[0]
+    dist[0, -1] = dist[-1, 0] = dist[0, -1] + 1
+
+
 class TestVerify:
     def test_clean_haft_run_exits_zero(self, triangle_run):
         cfg, tmp_path = triangle_run
@@ -247,10 +257,16 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "method, wrong",
-        [("connected", lambda *args: False), ("refresh", lambda *args: Fraction(1, 2))],
+        [
+            ("connected", lambda *args: False),
+            ("refresh", lambda *args: Fraction(1, 2)),
+            ("remove", _remove_leaving_a_stale_entry),
+        ],
     )
     def test_wrong_fast_measure_exits_one(self, triangle_run, monkeypatch, method, wrong):
-        monkeypatch.setattr(LiveMeasure, method, wrong)
+        # `remove` is the live-distance update; the others are LiveMeasure's.
+        owner = DistanceOracle if method == "remove" else LiveMeasure
+        monkeypatch.setattr(owner, method, wrong)
         cfg, tmp_path = triangle_run
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet"]) == 1
         report = json.loads((tmp_path / "v" / "verify_report.json").read_text())

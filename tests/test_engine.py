@@ -11,10 +11,10 @@ import pytest
 from selfheal import engine
 from selfheal.adversary import Event, StrategySpec, next_event
 from selfheal.engine import (
+    DistanceOracle,
     InvalidEventError,
     LiveMeasure,
     RunConfig,
-    ShadowOracle,
     run,
     shadow_distance,
     start,
@@ -201,7 +201,7 @@ class TestInvariants:
 # -- the incremental shadow oracle against a fresh all-pairs build ----------
 
 
-def assert_oracle_matches(oracle: ShadowOracle, shadow: Graph) -> None:
+def assert_oracle_matches(oracle: DistanceOracle, shadow: Graph) -> None:
     """Every (u, v) entry and the diameter, each side read through its index."""
     dist, index = oracle.matrix()
     fresh, fresh_index = all_pairs_distances(shadow)
@@ -235,7 +235,7 @@ def test_incremental_oracle_matches_fresh_apsp(seed, apsp_builds):
         shadow = erdos_renyi(12, 0.1, rng)
     else:
         shadow = random_tree(12, rng)
-    oracle = ShadowOracle(shadow)
+    oracle = DistanceOracle(shadow)
     assert_oracle_matches(oracle, shadow)
     used = set(shadow.nodes)
     for _ in range(20):
@@ -254,7 +254,7 @@ def test_incremental_oracle_matches_fresh_apsp(seed, apsp_builds):
 
 def test_oracle_is_lazy_until_the_first_read(apsp_builds):
     shadow = path_graph(4)
-    oracle = ShadowOracle(shadow)
+    oracle = DistanceOracle(shadow)
     for v, w in ((10, 3), (7, 10)):
         shadow.add_node(v)
         shadow.add_edge(v, w)
@@ -331,6 +331,149 @@ def test_stretch_off_skips_the_annihilating_step(apsp_builds):
     for record in [state.initial_record, *state.records]:
         assert record.stretch_mode == "skipped" and record.diameter_shadow is None
     assert apsp_builds == []
+
+
+# -- the maintained live distances against a fresh all-pairs build --------------
+
+
+def assert_live_oracle_matches(state) -> None:
+    """The engine keeps live distances exactly on the steps that measure
+    exact stretch, and they match a fresh build entry by entry."""
+    live = state.live_graph()
+    exact = 1 < live.node_count <= state.config.exact_apsp_cap
+    assert (state.live_oracle is not None) == exact
+    if exact:
+        assert_oracle_matches(state.live_oracle, live)
+
+
+def live_config(healer, kind, initial, seed) -> RunConfig:
+    return RunConfig(
+        initial=initial,
+        healer=healer,
+        strategy=StrategySpec(kind=kind, p_delete=0.6, seed=seed),
+        t_max=40,
+        seed=seed,
+        exact_apsp_cap=256,
+        stretch_samples=0,
+    )
+
+
+@pytest.mark.parametrize("family", ["tree", "er"])
+@pytest.mark.parametrize("kind", ["mixed", "random"])
+@pytest.mark.parametrize("healer", HEALER_NAMES)
+def test_live_oracle_matches_fresh_apsp_after_every_step(healer, kind, family, apsp_builds):
+    # Sparse ER graphs start disconnected, so INF entries are kept too.
+    for seed in range(3):
+        rng = random.Random(seed)
+        initial = random_tree(30, rng) if family == "tree" else erdos_renyi(30, 0.1, rng)
+        state = run(live_config(healer, kind, initial, seed), on_step=assert_live_oracle_matches)
+        assert len(state.records) > 20
+    # Live builds do not go through the engine's (shadow) APSP.
+    assert apsp_builds == [30] * 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_live_oracle_follows_null_runs_apart_and_together(seed):
+    # Holes left open disconnect the live graph; inserts may join it again.
+    seen = []
+
+    def check(state):
+        assert_live_oracle_matches(state)
+        seen.append(state.records[-1].max_stretch)
+
+    config = live_config("null", "mixed", random_tree(24, random.Random(seed)), seed)
+    config.strategy = StrategySpec(kind="mixed", p_delete=0.5, insert_degree=3, seed=seed)
+    run(config, on_step=check)
+    assert INF in seen
+
+
+def test_live_oracle_dropped_at_one_live_node_and_rebuilt():
+    # On the path 0-1-2, two deletions leave one live node and drop the
+    # matrix; the next insert brings two back and a fresh build, which the
+    # later events then update.
+    events = [
+        Event(op="delete", node=0),
+        Event(op="delete", node=1),
+        Event(op="insert", node=3, neighbors=(2,)),
+        Event(op="insert", node=4, neighbors=(2, 3)),
+        Event(op="delete", node=2),
+        Event(op="insert", node=5, neighbors=(3, 4)),
+    ]
+    oracles = []
+    state = start(scripted(events, path_graph(3), exact_apsp_cap=8, stretch_samples=0))
+    for event in events:
+        step(state, event)
+        assert_live_oracle_matches(state)
+        oracles.append(state.live_oracle)
+    assert [x is None for x in oracles] == [False, True, False, False, False, False]
+    assert oracles[2] is oracles[5]
+    assert [r.stretch_mode for r in state.records] == ["exact"] * 6
+
+
+def test_live_oracle_crosses_the_cap_both_ways():
+    # 40 live nodes under a cap of 38: mixed churn moves the live count
+    # across it several times, and the matrix is dropped and rebuilt.
+    config = live_config("haft", "mixed", random_tree(40, random.Random(7)), 7)
+    config.exact_apsp_cap, config.stretch_samples, config.t_max = 38, 100, 60
+    config.strategy = StrategySpec(kind="mixed", p_delete=0.5, seed=7)
+    oracles = []
+
+    def check(state):
+        assert_live_oracle_matches(state)
+        oracles.append(state.live_oracle)
+
+    state = run(config, on_step=check)
+    modes = [r.stretch_mode for r in state.records]
+    assert "sampled" in modes and "exact" in modes
+    rebuilt = [b for a, b in zip(oracles, oracles[1:]) if a is None and b is not None]
+    dropped = [a for a, b in zip(oracles, oracles[1:]) if a is not None and b is None]
+    assert len(rebuilt) >= 2 and len(dropped) >= 2
+
+
+@pytest.mark.parametrize("share", [engine.REBUILD_SHARE, 0])
+@pytest.mark.parametrize("seed", range(8))
+def test_live_oracle_updates_match_fresh_apsp(seed, share, monkeypatch):
+    # Random inserts, edge additions and removals with added and dropped
+    # edges, straight on the class; share 0 never falls back to a rebuild,
+    # so every candidate set is recomputed.
+    monkeypatch.setattr(engine, "REBUILD_SHARE", share)
+    rng = random.Random(seed)
+    g = erdos_renyi(40, 0.06, rng) if seed % 2 else random_tree(40, rng)
+    oracle = DistanceOracle(g)
+    assert_oracle_matches(oracle, g)
+    used = set(g.nodes)
+    for _ in range(60):
+        nodes = sorted(g.nodes)
+        op = rng.choice(["insert", "add", "remove", "remove"]) if len(nodes) > 4 else "insert"
+        if op == "insert":
+            # Fresh ids below and above the current maximum, so that rows
+            # join in the middle of the matrix too.
+            v = rng.choice([x for x in range(max(used) + 6) if x not in used])
+            used.add(v)
+            nbrs = rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
+            g.add_node(v)
+            for w in nbrs:
+                g.add_edge(v, w)
+            oracle.insert(v, nbrs)
+        elif op == "add":
+            a, b = rng.sample(nodes, 2)
+            if not g.has_edge(a, b):
+                g.add_edge(a, b)
+                oracle.add_edge(a, b)
+        else:
+            v = rng.choice(nodes)
+            g.remove_node(v)
+            rest = sorted(g.nodes)
+            added = {tuple(sorted(rng.sample(rest, 2))) for _ in range(rng.randint(0, 2))}
+            added = {e for e in added if not g.has_edge(*e)}
+            existing = sorted(g.edges())
+            dropped = set(rng.sample(existing, min(len(existing), rng.randint(0, 2))))
+            for e in added:
+                g.add_edge(*e)
+            for e in dropped - added:
+                g.remove_edge(*e)
+            oracle.remove(v, added, dropped - added)
+        assert_oracle_matches(oracle, g)
 
 
 # -- per-event connectivity and degree ratio ------------------------------------

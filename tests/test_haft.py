@@ -276,6 +276,13 @@ def _long_spine():
     return h, ["spine-length: 2 for 2 trees"]
 
 
+def _short_spine():
+    # Too short to join the trees into one: the depth bound, which reads
+    # the haft as one tree, is skipped.
+    h = Haft(trees=(Internal(10, _leaf(1), _leaf(2)), _leaf(3)), spine=())
+    return h, ["spine-length: 0 for 2 trees"]
+
+
 def _spine_reuses_a_vid():
     h = Haft(trees=(Internal(10, _leaf(1), _leaf(2)), _leaf(3)), spine=(10,))
     return h, ["duplicate-vids"]
@@ -306,6 +313,7 @@ def _shared_origin():
         _three_leaf_tree,
         _equal_sizes,
         _long_spine,
+        _short_spine,
         _spine_reuses_a_vid,
         _caterpillar,
         _shared_origin,

@@ -10,6 +10,7 @@ from selfheal import engine, healers
 from selfheal.adversary import StrategySpec, next_event, new_state
 from selfheal.families import connected_erdos_renyi, path_graph, random_tree, star_graph
 from selfheal.graph import Graph, UnknownNodeError
+from selfheal.haft import Haft
 from selfheal.healers import HealerError, make_healer
 from selfheal.virtual_graph import virt
 
@@ -261,6 +262,12 @@ def _corrupt_simulator(h, hid):
     return f"haft {hid}: vid {vid} simulator mismatch"
 
 
+def _short_spine(h, hid):
+    haft = h.hafts[hid]
+    h.hafts[hid] = Haft(trees=haft.trees, spine=haft.spine[:-1])
+    return f"haft {hid}: spine-length: 1 for 3 trees"
+
+
 def _stray_virtual(h, hid):
     vid = h.vg.add_virtual_node(2)
     return f"virtual nodes outside any haft: [{vid}]"
@@ -274,6 +281,7 @@ def _stray_virtual(h, hid):
         _corrupt_tree_haft,
         _corrupt_virtual_edge,
         _corrupt_simulator,
+        _short_spine,
         _stray_virtual,
     ],
     ids=lambda f: f.__name__.lstrip("_"),

@@ -6,7 +6,8 @@ the image recomputed from scratch, the healer's audit must be clean, and
 the report's edge changes, message count, touched set and max_hops must
 equal a recount from before/after snapshots of the real and virtual graphs.
 An `engine.LiveMeasure` fed each report must agree with the full
-connectivity and degree-ratio scans.
+connectivity and degree-ratio scans, and an `engine.DistanceOracle` fed the
+same events must hold the live graph's all-pairs distances entry by entry.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from selfheal.engine import LiveMeasure
+from selfheal.engine import DistanceOracle, LiveMeasure
 from selfheal.healers import make_healer
-from selfheal.metrics import degree_ratio_max
+from selfheal.metrics import all_pairs_distances, degree_ratio_max
 from selfheal.virtual_graph import real, virt
 
 from conftest import adj_of, oracle_bfs, oracle_image, random_graph
@@ -39,6 +41,8 @@ class HealerMachine(RuleBasedStateMachine):
         self.shadow, self.deleted = initial.copy(), set()
         self.measure = LiveMeasure(self.shadow, self.deleted)
         self.measured("init", -1, ())
+        self.distances = DistanceOracle(self.healer.live_graph())
+        self.distances.matrix()
 
     def measured(self, op, node, touched):
         live = self.healer.live_graph()
@@ -60,6 +64,7 @@ class HealerMachine(RuleBasedStateMachine):
             self.shadow.add_edge(v, w)
         report = self.healer.on_insert(v, neighbors)
         self.measured("insert", v, report.touched)
+        self.distances.insert(v, neighbors)
         after = set(oracle_image(self.vg).edges())
         assert after - before == {(min(v, w), max(v, w)) for w in neighbors}
         assert before <= after
@@ -84,6 +89,7 @@ class HealerMachine(RuleBasedStateMachine):
         self.deleted.add(v)
         report = self.healer.on_delete(v)
         self.measured("delete", v, report.touched)
+        self.distances.remove(v, report.edges_added, report.edges_dropped)
 
         after_real = set(oracle_image(vg).edges())
         after_virtual = vg.edge_set()
@@ -125,6 +131,14 @@ class HealerMachine(RuleBasedStateMachine):
             live = self.healer.live_graph()
             assert self.connected == live.is_connected()
             assert self.ratio == degree_ratio_max(live, self.shadow, self.deleted)[0]
+
+    @invariant()
+    def live_distances_match_fresh_apsp(self):
+        if hasattr(self, "healer"):
+            dist, index = self.distances.matrix()
+            fresh, fresh_index = all_pairs_distances(self.healer.live_graph())
+            assert index == fresh_index
+            np.testing.assert_array_equal(dist, fresh)
 
     @invariant()
     def audit_clean(self):
