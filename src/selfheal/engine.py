@@ -71,11 +71,13 @@ class RunConfig:
 
 
 # A deletion whose candidate pairs exceed 1/REBUILD_SHARE of the matrix
-# rebuilds it instead of recomputing them. Recomputing stays the faster of
-# the two up to about 1/16 of the matrix, but the `churn-stretch` benchmark
-# bounds peak memory, which grows with the events a run gets through and
-# with the heap that large candidate sets fragment, so only small ones are
-# recomputed.
+# rebuilds it instead of recomputing them. On the `churn-stretch` deletions
+# (142 to 181 live nodes) recomputing stays the faster of the two up to
+# about 1/32 of the matrix: 0.67 ms against 0.86 ms for a rebuild between
+# 1/64 and 1/32, 0.95 ms against 0.89 ms between 1/32 and 1/16. But that
+# benchmark bounds peak memory, which grows with the events a run gets
+# through and with the heap that large candidate sets fragment, so only
+# small ones are recomputed; 64 and 1024 measure within noise of 256.
 REBUILD_SHARE = 256
 
 

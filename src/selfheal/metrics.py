@@ -8,16 +8,19 @@ through deleted nodes.
 Ratios are kept as exact integer Fractions until CSV formatting, so outputs
 are byte-stable across platforms.
 
-A full all-pairs build uses a dense reachability iteration over a float32
-adjacency matrix (one BLAS matmul per distance level). The engine runs it
-only to start or rebuild the distance matrices it maintains
-(`engine.DistanceOracle`) and hands the live one to `stretch_max`; called
-without it, `stretch_max` builds the live APSP itself, which keeps it the
-oracle for tests and `verify`. The pure-BFS implementations in `graph`
-stay the independent oracle of the build; the test suite cross-checks the
-two on every random graph it draws. Above the exact cap, stretch falls
-back to a seeded sample of live pairs, and the record notes which mode
-produced it.
+A full all-pairs build is a bit-parallel breadth-first search from every
+node at once: each row's reached set is packed 64 sources to a uint64
+word, and each distance level grows every row with one gather and one
+`bitwise_or.reduceat` over the nodes' closed neighbour lists, numpy only.
+The engine runs it only to start or rebuild the distance matrices it
+maintains (`engine.DistanceOracle`) and hands the live one to
+`stretch_max`; called without it, `stretch_max` builds the live APSP
+itself, which keeps it the oracle for tests and `verify`. The pure-BFS
+implementations in `graph` stay the independent oracle of the build; the
+test suite cross-checks the two entry by entry on random graphs whose
+sizes cross the 64-bit word boundaries, with isolated nodes, several
+components and scattered ids. Above the exact cap, stretch falls back to a
+seeded sample of live pairs, and the record notes which mode produced it.
 
 All functions are pure snapshots-in, values-out; records from finished runs
 can be crunched in parallel.
@@ -30,6 +33,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from statistics import median
 
 import numpy as np
@@ -121,34 +125,50 @@ def degree_ratio_max(
 
 
 def all_pairs_distances(g: Graph) -> tuple[np.ndarray, dict[int, int]]:
-    """Dense hop-count matrix (np.inf where disconnected) and node->row index.
+    """Dense float32 hop-count matrix (np.inf where disconnected) and
+    node -> row index, rows in ascending node order.
 
-    Level-by-level reachability: newly reached pairs at iteration d are at
-    distance d. float32 matmuls stay exact here (entries are counts < 2^24).
+    A breadth-first search from every node at once, 64 sources to a word:
+    row i holds the set of rows reached from i, packed into uint64 words.
+    Each level ORs together the sets of i's closed neighbourhood (i and its
+    neighbours), one gather over those lists laid end to end and one
+    `bitwise_or.reduceat`, until a level changes nothing. Before each
+    level, the pairs still apart gain 1 in the matrix, so an entry ends as
+    its hop count, and pairs never reached become INF. O(diam * m * n/64)
+    word operations; float32 is exact for hop counts < 2^24.
     """
     nodes = sorted(g.nodes)
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
-    dist = np.full((n, n), np.inf)
+    dist = np.zeros((n, n), dtype=np.float32)
     if n == 0:
         return dist, index
-    np.fill_diagonal(dist, 0.0)
-    adj = np.zeros((n, n), dtype=np.float32)
-    for v in nodes:
-        i = index[v]
-        for w in g.neighbors(v):
-            adj[i, index[w]] = 1.0
-    dist[adj > 0] = 1.0
-    reached = (adj + np.eye(n, dtype=np.float32)) > 0
-    d = 1
+    # Row i's closed neighbourhood at closed[starts[i]:], i first.
+    lists = list(map(g._adj.__getitem__, nodes))
+    size = np.fromiter(map(len, lists), np.intp, n) + 1
+    starts = np.cumsum(size) - size
+    rows = np.arange(n)
+    closed = np.empty(int(size.sum()), dtype=np.intp)
+    closed[starts] = rows
+    others = np.ones(closed.size, dtype=bool)
+    others[starts] = False
+    ids = np.fromiter(chain.from_iterable(lists), np.int64, closed.size - n)
+    closed[others] = np.searchsorted(np.array(nodes, dtype=np.int64), ids)
+    words = -(-n // 64)
+    # Bit j of row i, counted in little-endian bytes, is source j.
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[rows, rows >> 3] = (1 << (rows & 7)).astype(np.uint8)
+    reached = packed.view(np.uint64)
+    gathered = np.empty((closed.size, words), dtype=np.uint64)
     while True:
-        frontier = (reached.astype(np.float32) @ adj) > 0
-        new = frontier & ~reached
-        if not new.any():
+        dist += np.unpackbits(~packed, axis=1, count=n, bitorder="little")
+        np.take(reached, closed, axis=0, out=gathered)
+        grown = np.bitwise_or.reduceat(gathered, starts, axis=0)
+        if np.array_equal(grown, reached):
             break
-        d += 1
-        dist[new] = d
-        reached |= new
+        reached = grown
+        packed = reached.view(np.uint8)
+    dist[np.unpackbits(packed, axis=1, count=n, bitorder="little") == 0] = np.inf
     return dist, index
 
 

@@ -2,7 +2,8 @@
 
 The oracles here are written from scratch against plain adjacency dicts so
 they stay independent of the library code they check: breadth-first search
-with an explicit queue, Floyd-Warshall for all-pairs distances, cut
+with an explicit queue, all-pairs distances by Floyd-Warshall and by one
+such search per source, cut
 vertices by deleting each vertex and recounting components, the
 homomorphic image of a virtual graph recomputed from its adjacency and
 simulation map, and the degree ratio with one Fraction per node.
@@ -13,6 +14,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+
+import numpy as np
 
 from selfheal.graph import Graph, UnknownNodeError
 from selfheal.metrics import ZeroShadowDegreeError
@@ -54,6 +57,20 @@ def oracle_apsp_floyd(adj: dict) -> dict:
                 if alt < dist[(i, j)]:
                     dist[(i, j)] = alt
     return dist
+
+
+def oracle_apsp_bfs(adj: dict) -> tuple[np.ndarray, dict]:
+    """All-pairs hop counts by one `oracle_bfs` per source, laid out as
+    `metrics.all_pairs_distances` lays them out: a dense matrix with rows
+    and columns in ascending node order, INF where a pair is unreached,
+    and its node -> row index."""
+    nodes = sorted(adj)
+    index = {v: i for i, v in enumerate(nodes)}
+    dist = np.full((len(nodes), len(nodes)), INF)
+    for u in nodes:
+        for v, d in oracle_bfs(adj, u).items():
+            dist[index[u], index[v]] = d
+    return dist, index
 
 
 def oracle_articulation_points(adj: dict) -> list:

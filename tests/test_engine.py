@@ -30,7 +30,7 @@ from selfheal.metrics import (
     diameter_from,
 )
 
-from conftest import INF
+from conftest import INF, adj_of, oracle_apsp_bfs
 
 
 def triangle() -> Graph:
@@ -198,13 +198,15 @@ class TestInvariants:
         assert state.live_count == state.live_graph().node_count
 
 
-# -- the incremental shadow oracle against a fresh all-pairs build ----------
+# -- the incremental shadow oracle against a per-source BFS -----------------
 
 
 def assert_oracle_matches(oracle: DistanceOracle, shadow: Graph) -> None:
-    """Every (u, v) entry and the diameter, each side read through its index."""
+    """Every (u, v) entry and the diameter, each side read through its index,
+    against one breadth-first search per source: the matrix's own builds
+    and rebuilds run `all_pairs_distances`, so that is no oracle for it."""
     dist, index = oracle.matrix()
-    fresh, fresh_index = all_pairs_distances(shadow)
+    fresh, fresh_index = oracle_apsp_bfs(adj_of(shadow))
     assert set(index) == set(fresh_index) == set(shadow.nodes)
     assert dist.shape == fresh.shape
     nodes = sorted(index)
@@ -333,12 +335,12 @@ def test_stretch_off_skips_the_annihilating_step(apsp_builds):
     assert apsp_builds == []
 
 
-# -- the maintained live distances against a fresh all-pairs build --------------
+# -- the maintained live distances against a per-source BFS ---------------------
 
 
 def assert_live_oracle_matches(state) -> None:
     """The engine keeps live distances exactly on the steps that measure
-    exact stretch, and they match a fresh build entry by entry."""
+    exact stretch, and they match a per-source BFS entry by entry."""
     live = state.live_graph()
     exact = 1 < live.node_count <= state.config.exact_apsp_cap
     assert (state.live_oracle is not None) == exact

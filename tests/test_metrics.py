@@ -31,7 +31,13 @@ from hypothesis import strategies as st
 
 from selfheal.graph import UnknownNodeError
 
-from conftest import adj_of, oracle_apsp_floyd, oracle_degree_ratio_max, random_graph
+from conftest import (
+    adj_of,
+    oracle_apsp_bfs,
+    oracle_apsp_floyd,
+    oracle_degree_ratio_max,
+    random_graph,
+)
 
 
 class TestDegreeRatio:
@@ -131,6 +137,35 @@ def test_degree_ratio_matches_fraction_oracle(seed):
     assert got == _outcome(oracle_degree_ratio_max, live, shadow, deleted)
 
 
+def scattered_graph(rng: random.Random, n: int) -> Graph:
+    """n nodes with ids scattered over [0, 7n]: a tenth of them isolated,
+    the rest in up to four components, each a random tree plus a few
+    chords."""
+    ids = rng.sample(range(7 * n + 1), n)
+    g = Graph(nodes=ids)
+    joined = ids[n // 10 :]
+    cuts = sorted(rng.sample(range(1, len(joined)), min(3, max(len(joined) - 1, 0))))
+    bounds = [0, *cuts, len(joined)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = joined[lo:hi]
+        for k in range(1, len(part)):
+            g.add_edge(part[k], part[rng.randrange(k)])
+        for _ in range(len(part) // 4):
+            u, v = rng.sample(part, 2)
+            g.add_edge(u, v)
+    return g
+
+
+def assert_matches_per_source_bfs(g: Graph) -> np.ndarray:
+    """`all_pairs_distances` against one breadth-first search per source:
+    the ascending index, then every entry, INF where a pair is unreached."""
+    dist, index = all_pairs_distances(g)
+    want, want_index = oracle_apsp_bfs(adj_of(g))
+    assert index == want_index
+    np.testing.assert_array_equal(dist, want)
+    return dist
+
+
 class TestAllPairs:
     def test_matches_floyd_oracle(self):
         for seed in range(40):
@@ -145,6 +180,29 @@ class TestAllPairs:
                         assert np.isinf(got)
                     else:
                         assert got == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 127, 128, 129, 200])
+    def test_matches_per_source_bfs(self, n, seed):
+        # Sizes on both sides of each 64-bit word boundary.
+        g = scattered_graph(random.Random(seed), n)
+        dist = assert_matches_per_source_bfs(g)
+        if n >= 63:
+            assert np.isinf(dist).any()  # several components
+            assert any(g.degree(v) == 0 for v in g.nodes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**9), n=st.integers(0, 140))
+    def test_matches_per_source_bfs_on_random_graphs(self, seed, n):
+        assert_matches_per_source_bfs(scattered_graph(random.Random(seed), n))
+
+    def test_long_path_counts_past_255_levels(self):
+        # Diameter 299: a one-byte level counter would wrap.
+        g = Graph(nodes=[3 * v for v in range(300)])
+        for v in range(299):
+            g.add_edge(3 * v, 3 * v + 3)
+        dist = assert_matches_per_source_bfs(g)
+        assert diameter_from(dist) == 299
 
     def test_diameter_from(self):
         g = path_graph(4)
