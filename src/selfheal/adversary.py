@@ -9,6 +9,16 @@ all randomness flows through the explicit AdversaryState, which carries the
 seeded generator plus the last deletion (for the clustered strategy) and the
 scripted cursor. Ties break toward the smallest node id everywhere.
 
+An online strategy reads the live ids, the next fresh id and the node of
+maximum live degree from an `AdversaryIndex`. The engine keeps one in the
+state and refreshes it after every event from the event and the nodes it
+touched (`update`), so choosing an event costs O(log n) rather than a sort
+and a scan of every live node. A state without an index, as a direct
+caller passes, gets a throwaway one built from the graphs; both make the
+same choices with the same draws. The `articulation` strategy keeps no
+degree heap: it falls back to a scan of the live ids only when the graph
+has no cut vertex.
+
 The pinned generator is CPython's `random.Random` (Mersenne Twister); its
 identity is recorded in every manifest the CLI writes.
 
@@ -21,9 +31,12 @@ timesteps:
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import json
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graph import Graph
 
@@ -71,6 +84,80 @@ class StrategySpec:
             raise ValueError(f"insert_degree {self.insert_degree} < 1")
 
 
+# The strategies that pick the node of maximum live degree on most events,
+# and so keep a degree heap in their index.
+HEAP_KINDS = ("max-degree", "clustered")
+
+
+class AdversaryIndex:
+    """The live ids, the next fresh id and the maximum live degree, kept
+    from one event to the next.
+
+    * `live_ids`: every live id, ascending. A deletion bisects its id out;
+      an insert appends, or bisects in a scripted id below the maximum.
+    * `next_id`: one more than every id that ever existed, live or deleted.
+    * A lazy max-heap of (-live degree, id), kept only when `heap` is set.
+      An entry is current while its node is live with that degree; stale
+      ones are dropped when they reach the top. The nodes whose degree an
+      event changed are set aside, and each gets a fresh entry when the
+      maximum is next asked for, so that a node touched by several events
+      in between is pushed once. Then every live node has a current entry,
+      and the top current entry is the maximum degree with the smallest
+      id. Past twice as many entries as live ids, plus 64, the heap is
+      rebuilt from the graph instead, so its size stays O(n) and the
+      rebuilds cost O(1) per entry pushed.
+    """
+
+    __slots__ = ("live_ids", "next_id", "_heap", "_dirty")
+
+    def __init__(self, live: Graph, shadow: Graph, heap: bool):
+        self.live_ids = sorted(live._adj)
+        self.next_id = max(shadow._adj) + 1 if shadow._adj else 0
+        self._heap: list[tuple[int, int]] | None = None
+        self._dirty: set[int] = set()
+        if heap:
+            self._rebuild(live._adj)
+
+    def _rebuild(self, adj: dict[int, set[int]]) -> None:
+        self._heap = [(-len(adj[v]), v) for v in self.live_ids]
+        heapq.heapify(self._heap)
+        self._dirty.clear()
+
+    def update(self, op: str, node: int, touched: Iterable[int]) -> None:
+        """Apply the event (`op`, `node`), given every node whose live degree
+        it changed."""
+        ids = self.live_ids
+        if op == "delete":
+            del ids[bisect.bisect_left(ids, node)]
+        else:
+            if ids and node < ids[-1]:
+                bisect.insort(ids, node)
+            else:
+                ids.append(node)
+            if node >= self.next_id:
+                self.next_id = node + 1
+        if self._heap is not None:
+            self._dirty.update(touched)
+
+    def max_degree_node(self, live: Graph) -> int:
+        """The live node of maximum degree, the smallest id among ties."""
+        heap, adj, dirty = self._heap, live._adj, self._dirty
+        if len(heap) + len(dirty) > 2 * len(self.live_ids) + 64:
+            self._rebuild(adj)
+            heap = self._heap
+        for w in dirty:
+            nbrs = adj.get(w)
+            if nbrs is not None:
+                heapq.heappush(heap, (-len(nbrs), w))
+        dirty.clear()
+        while True:
+            negdeg, v = heap[0]
+            nbrs = adj.get(v)
+            if nbrs is not None and len(nbrs) == -negdeg:
+                return v
+            heapq.heappop(heap)
+
+
 @dataclass
 class AdversaryState:
     """Everything a strategy is allowed to remember between calls."""
@@ -78,10 +165,18 @@ class AdversaryState:
     rng: random.Random
     last_deleted: int | None = None
     cursor: int = 0
+    index: AdversaryIndex | None = None
 
 
 def new_state(spec: StrategySpec, run_seed: int = 0) -> AdversaryState:
     return AdversaryState(rng=random.Random(f"{run_seed}:{spec.seed}:adversary"))
+
+
+def new_index(spec: StrategySpec, live: Graph, shadow: Graph) -> AdversaryIndex | None:
+    """The index an online strategy reads, or None for a scripted one."""
+    if spec.kind == "scripted":
+        return None
+    return AdversaryIndex(live, shadow, heap=spec.kind in HEAP_KINDS)
 
 
 def next_event(
@@ -97,7 +192,8 @@ def next_event(
             state.last_deleted = ev.node
         return ev
 
-    live_nodes = sorted(live.nodes)
+    index = state.index or new_index(spec, live, shadow)
+    live_nodes = index.live_ids
 
     if spec.kind == "mixed" or spec.kind == "random":
         p_delete = spec.p_delete if spec.kind == "mixed" else 0.5
@@ -105,13 +201,13 @@ def next_event(
             return None
         if state.rng.random() < p_delete:
             return _emit_delete(live_nodes[state.rng.randrange(len(live_nodes))], state)
-        return _insert(spec, live_nodes, shadow, state)
+        return _insert(spec, live_nodes, index.next_id, state)
 
     # Pure deleters from here on.
     if not live_nodes:
         return None
     if spec.kind == "max-degree":
-        return _emit_delete(_max_degree_node(live, live_nodes), state)
+        return _emit_delete(index.max_degree_node(live), state)
     if spec.kind == "articulation":
         cuts = live.articulation_points()
         target = cuts[0] if cuts else _max_degree_node(live, live_nodes)
@@ -119,13 +215,9 @@ def next_event(
     if spec.kind == "clustered":
         target = None
         if state.last_deleted is not None and shadow.has_node(state.last_deleted):
-            prev_neighbors = sorted(
-                _live_neighbors_of_deleted(live, shadow, state.last_deleted)
-            )
-            if prev_neighbors:
-                target = prev_neighbors[0]
+            target = _first_live_neighbor_of_deleted(live, shadow, state.last_deleted)
         if target is None:
-            target = _max_degree_node(live, live_nodes)
+            target = index.max_degree_node(live)
         return _emit_delete(target, state)
     raise AssertionError(f"unhandled kind {spec.kind}")
 
@@ -135,13 +227,16 @@ def _emit_delete(node: int, state: AdversaryState) -> Event:
     return Event(op="delete", node=node)
 
 
-def _live_neighbors_of_deleted(live: Graph, shadow: Graph, dead: int) -> set[int]:
-    """Live nodes adjacent to the previous deletion, in the graph as it was:
-    shadow adjacency works because healers never touch shadow edges."""
-    return {w for w in shadow.neighbors(dead) if live.has_node(w)}
+def _first_live_neighbor_of_deleted(live: Graph, shadow: Graph, dead: int) -> int | None:
+    """The smallest live node adjacent to the previous deletion, in the graph
+    as it was: shadow adjacency works because healers never touch shadow
+    edges."""
+    live_adj = live._adj
+    return min((w for w in shadow._adj[dead] if w in live_adj), default=None)
 
 
 def _max_degree_node(live: Graph, live_nodes: list[int]) -> int:
+    """The `articulation` fallback: a scan of the ascending live ids."""
     best = live_nodes[0]
     best_deg = live.degree(best)
     for v in live_nodes[1:]:
@@ -151,10 +246,7 @@ def _max_degree_node(live: Graph, live_nodes: list[int]) -> int:
     return best
 
 
-def _insert(
-    spec: StrategySpec, live_nodes: list[int], shadow: Graph, state: AdversaryState
-) -> Event:
-    fresh = max(shadow.nodes) + 1 if shadow.nodes else 0
+def _insert(spec: StrategySpec, live_nodes: list[int], fresh: int, state: AdversaryState) -> Event:
     k = min(spec.insert_degree, len(live_nodes))
     neighbors = tuple(sorted(state.rng.sample(live_nodes, k)))
     return Event(op="insert", node=fresh, neighbors=neighbors)

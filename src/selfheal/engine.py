@@ -17,8 +17,11 @@ when the live count comes back under the cap. A deletion recomputes only
 the pairs whose distance can change, or rebuilds the matrix when they are
 many. Runs with stretch off never build either matrix. Connectivity and
 the maximum degree ratio are updated per event from the nodes the event
-touched (`LiveMeasure`); only the t = 0 measurement, and a step after a
-disconnected one, scan the whole live graph for connectivity.
+touched and the repair's connectivity witness (`LiveMeasure`); only the
+t = 0 measurement, and a step after a disconnected one, scan the whole live
+graph for connectivity. The adversary's index (`adversary.AdversaryIndex`)
+is refreshed from the same touched set after each event, so no step sorts
+or scans every live node outside a repair.
 
 Runs are deterministic: one master seed drives the adversary and the stretch
 sampler, and all iteration orders are sorted. Running the same config twice
@@ -36,15 +39,23 @@ from __future__ import annotations
 import bisect
 import random
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 import numpy as np
 
 from . import metrics
-from .adversary import AdversaryState, Event, StrategySpec, new_state, next_event, validate_event
+from .adversary import (
+    AdversaryState,
+    Event,
+    StrategySpec,
+    new_index,
+    new_state,
+    next_event,
+    validate_event,
+)
 from .graph import Graph, UnknownNodeError
 from .healers import Healer, make_healer
 from .metrics import MetricsRecord, StretchResult, ZeroShadowDegreeError, all_pairs_distances
@@ -309,9 +320,11 @@ class LiveMeasure:
     a connected graph connected. After a deletion from a connected graph,
     every live node still reaches a live touched node (its old path to v
     breaks first at a removed edge, next to one), so the graph is connected
-    iff those nodes share one component. A search from one of them stops
-    once it has seen them all. After a disconnected step the full BFS
-    decides.
+    iff those nodes share one component. The report's witness, when not
+    empty, is a set of touched nodes already known to share one: then only
+    the touched nodes outside it must reach it, and with none outside no
+    search runs. Otherwise a search from one of them stops once it has
+    seen them all. After a disconnected step the full BFS decides.
 
     Degree ratio: each live node's (live degree, shadow degree) pair and a
     count of nodes per distinct pair. The maximum is taken over the
@@ -327,13 +340,17 @@ class LiveMeasure:
         self._count: dict[tuple[int, int], int] = {}
         self._best, self._ratio = (1, 1), Fraction(1)
 
-    def connected(self, live: Graph, op: str, touched: Iterable[int]) -> bool:
-        """Whether the live graph is connected after the event `op`."""
+    def connected(
+        self, live: Graph, op: str, touched: Iterable[int], witness: Collection[int] = ()
+    ) -> bool:
+        """Whether the live graph is connected after the event `op`, given
+        the report's touched nodes and connectivity witness."""
         if op == "init" or not self._connected:
             self._connected = live.is_connected()
         elif op == "delete":
             adj = live._adj
-            self._connected = _one_component(adj, {w for w in touched if w in adj})
+            outside = {w for w in touched if w in adj and w not in witness}
+            self._connected = _one_component(adj, outside, witness)
         return self._connected
 
     def refresh(self, live: Graph, op: str, node: int, touched: Iterable[int]) -> Fraction:
@@ -395,25 +412,39 @@ class LiveMeasure:
             raise ZeroShadowDegreeError(f"live node {v} has shadow degree 0")
 
 
-def _one_component(adj: dict[int, set[int]], nodes: set[int]) -> bool:
-    """Whether `nodes` (emptied on the way) lie in one component of `adj`.
+def _one_component(
+    adj: dict[int, set[int]], nodes: set[int], witness: Collection[int] = ()
+) -> bool:
+    """Whether `nodes` (emptied on the way) lie in one component of `adj`,
+    together with `witness`, a set already known to be connected, when it
+    is not empty.
 
-    A graph search from one of them that expands the others first, so it
-    stops after reading little more than their neighbourhoods when they
-    are joined among themselves, and stops as soon as it has seen them all.
+    A graph search from one of the nodes that expands the others, and the
+    first witness node it meets, first, and every other node in the order
+    it was seen. So it stops after reading little more than their
+    neighbourhoods when they are joined among themselves, and stops as soon
+    as it has seen them all and met the witness: the witness then stands
+    for every node it holds. The first-seen order finds a witness next to
+    the start before it wanders off: on `haft`/`clustered` at n = 65536 it
+    took 32 us per search against 180 us for a last-seen (depth-first)
+    order, and the two measured within 10% of each other without a witness.
     """
-    if len(nodes) <= 1:
+    if not nodes:
         return True
     start = nodes.pop()
+    apart = bool(witness)  # the witness is still to be met
+    if not (nodes or apart):
+        return True
     seen = {start}
-    near, far = [start], []
+    near, far = [start], deque()
     while near or far:
-        for w in adj[near.pop() if near else far.pop()]:
+        for w in adj[near.pop() if near else far.popleft()]:
             if w not in seen:
                 seen.add(w)
-                if w in nodes:
-                    nodes.remove(w)
-                    if not nodes:
+                if w in nodes or (apart and w in witness):
+                    nodes.discard(w)
+                    apart = apart and w not in witness
+                    if not (nodes or apart):
                         return True
                     near.append(w)
                 else:
@@ -463,6 +494,7 @@ def start(config: RunConfig) -> RunState:
             adversary=new_state(config.strategy, config.seed),
             setup_messages=setup.messages,
         )
+        state.adversary.index = new_index(config.strategy, state.live_graph(), state.shadow)
         state.oracle = DistanceOracle(state.shadow)
         state.measure = LiveMeasure(state.shadow, state.deleted)
         state.initial_record = _measure(state, op="init", node=-1, report=setup)
@@ -494,6 +526,8 @@ def step(state: RunState, event: Event) -> RunState:
             state.deleted.add(event.node)
             report = state.healer.on_delete(event.node)
         state.timers["heal"] = state.timers.get("heal", 0.0) + (time.perf_counter() - t0)
+        if state.adversary.index is not None:
+            state.adversary.index.update(event.op, event.node, report.touched)
         state.t += 1
         state.events.append(event)
         state.records.append(_measure(state, event.op, event.node, report, event.neighbors))
@@ -545,7 +579,7 @@ def _measure(
     assert state.oracle is not None and state.measure is not None
 
     t0 = time.perf_counter()
-    connected = state.measure.connected(live, op, report.touched)
+    connected = state.measure.connected(live, op, report.touched, report.witness)
     state.timers["connectivity"] = state.timers.get("connectivity", 0.0) + (
         time.perf_counter() - t0
     )

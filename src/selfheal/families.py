@@ -55,6 +55,9 @@ def connected_erdos_renyi(
 def make_family(name: str, n: int, p: float, rng: random.Random) -> Graph:
     if n < 1:
         raise ValueError(f"graph family size n must be at least 1, got {n}")
+    # Written so that NaN fails too.
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability p must be in [0, 1], got {p}")
     if name == "path":
         return path_graph(n)
     if name == "star":

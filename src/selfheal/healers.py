@@ -34,9 +34,13 @@ and no election is needed. Message counts are the audited metric: per
 deletion, the notified live neighbors, plus two messages per virtual-graph
 edge change, plus one per new simulator assignment. Rounds follow the
 synchronous convention 1 + ceil(log2 |touched|) for the structural healers
-and 1 for the baselines. max_hops comes from a breadth-first search over the
-pre-deletion graph, rebuilt from the image and the repair journal, that
-stops once every touched node has its distance.
+and 1 for the baselines. max_hops comes from a bidirectional breadth-first
+search between the deleted node and the touched nodes over the pre-deletion
+graph; for the search, the image takes that graph's shape in place, with
+the repair journal's real-edge changes undone. The tree healers also report a
+connectivity witness, the processors their repair joined by construction,
+so that the engine need not search for touched nodes the repair has
+already joined.
 
 A healer instance owns its state exclusively; distinct instances share
 nothing and may run in parallel.
@@ -83,6 +87,13 @@ class HealerReport:
     |edges_dropped|.
     max_hops is the farthest touched node from the deleted node, measured in
     the pre-deletion live graph.
+    witness, when not empty, is a set of live processors that the repair
+    joined into one connected part of the healed graph by construction:
+    for `haft` and `rebuild`, the processors at the endpoints of the
+    virtual edges the repair added. Those edges hang every new internal
+    node from the new haft's root, so they form one tree, and the image of
+    a connected virtual subgraph is connected. Every witness node is also
+    touched. The baselines, and every insert, leave it empty.
     """
 
     edges_added: set[tuple[int, int]] = field(default_factory=set)
@@ -92,6 +103,7 @@ class HealerReport:
     rounds: int = 0
     touched: set[int] = field(default_factory=set)
     max_hops: int = 0
+    witness: set[int] = field(default_factory=set)
 
 
 def make_healer(name: str) -> "Healer":
@@ -111,6 +123,9 @@ class Healer:
     override `_rounds`."""
 
     name = "abstract"
+    # Whether the virtual edges one repair adds always form one tree, so
+    # that their endpoints' processors are the report's witness.
+    witnessed = False
 
     def __init__(self) -> None:
         self.vg = VirtualGraph()
@@ -160,13 +175,15 @@ class Healer:
         finally:
             journal = self.vg.close_journal()
 
-        touched = set(notified)
+        joined: set[int] = set()  # the processors of the added virtual edges
+        for pa, pb in journal.virtual_added.values():
+            joined.update((pa, pb))
+        touched = notified | joined
         for edges in (journal.real_added, journal.real_dropped):
             for a, b in edges:
                 touched.update((a, b))
-        for procs in (journal.virtual_added, journal.virtual_dropped):
-            for pa, pb in procs.values():
-                touched.update((pa, pb))
+        for pa, pb in journal.virtual_dropped.values():
+            touched.update((pa, pb))
 
         v_changes = len(journal.virtual_added) + len(journal.virtual_dropped)
         return HealerReport(
@@ -177,53 +194,39 @@ class Healer:
             rounds=self._rounds(len(touched)) if touched else 0,
             touched=touched,
             max_hops=self._max_hops(v, notified, journal, touched),
+            witness=joined if self.witnessed else set(),
         )
 
     def _max_hops(
         self, v: int, notified: set[int], journal: RepairJournal, touched: set[int]
     ) -> int:
-        """The farthest touched node from v in the pre-deletion live graph,
-        by a BFS from v that stops once every touched node has a distance.
+        """The farthest touched node from v in the pre-deletion live graph.
 
         The removal of v drops only edges at v, so the pre-deletion graph is
         the image without the repair's added edges, with its dropped edges,
-        and with v joined to `notified`. Only v and the endpoints of a repair
-        edge see a different neighbourhood; every other node reads the
-        image's.
+        and with v joined to `notified`. The image's adjacency is put back
+        that way for the search, in place, and restored after it: O(changed)
+        set operations, and no copy of any neighbourhood.
         """
         adj = self.vg.image._adj
-        changed: dict[int, set[int]] = {v: notified}
-        for edges, restore in ((journal.real_added, False), (journal.real_dropped, True)):
-            for a, b in edges:
-                for x, y in ((a, b), (b, a)):
-                    if x not in changed:
-                        changed[x] = set(adj[x])
-                    if restore:
-                        changed[x].add(y)
-                    else:
-                        changed[x].discard(y)
-        # BFS labels in nondecreasing distance, so the touched node labelled
-        # last is the farthest; an unreachable one is left out.
-        unseen = len(touched)
-        farthest = hops = 0
-        seen = {v}
-        frontier = [v]
-        while frontier and unseen:
-            hops += 1
-            reached = []
-            for u in frontier:
-                nbrs = changed.get(u)
-                for w in adj[u] if nbrs is None else nbrs:
-                    if w not in seen:
-                        seen.add(w)
-                        reached.append(w)
-                        if w in touched:
-                            farthest = hops
-                            unseen -= 1
-                            if not unseen:
-                                return farthest
-            frontier = reached
-        return farthest
+        added, dropped = journal.real_added, journal.real_dropped
+        for a, b in added:
+            adj[a].discard(b)
+            adj[b].discard(a)
+        for a, b in dropped:
+            adj[a].add(b)
+            adj[b].add(a)
+        adj[v] = notified
+        try:
+            return _farthest(adj, v, touched)
+        finally:
+            del adj[v]
+            for a, b in dropped:
+                adj[a].discard(b)
+                adj[b].discard(a)
+            for a, b in added:
+                adj[a].add(b)
+                adj[b].add(a)
 
     def _repair(self, v: int, direct: list[int]) -> int:
         """Rewire the survivors after v's removal; `direct` lists v's former
@@ -298,6 +301,8 @@ class HaftHealer(Healer):
     which costs time in proportion to that region. `audit` recomputes the
     maps from whole-haft walks.
     """
+
+    witnessed = True
 
     def __init__(self, name: str):
         if name not in ("haft", "rebuild"):
@@ -477,6 +482,78 @@ class HaftHealer(Healer):
                         f"{name}[{key}]: {live.get(key)!r}, expected {expected.get(key)!r}"
                     )
         return problems
+
+
+# The search from v grows alone while its frontier holds at most this many
+# nodes: up to there, one breadth-first search is cheaper than keeping a
+# ball around each far touched node. On `haft`/`clustered` (random tree,
+# T = n/4) a floor of 32 matched the one-sided search at n = 512 and cut
+# the time per deletion by 40% at n = 4096 and 70% at n = 16384; 16 and
+# 64 measured within a few percent of it.
+SEARCH_FLOOR = 32
+
+
+def _farthest(adj: dict[int, set[int]], v: int, targets: set[int]) -> int:
+    """max over the targets t that v reaches of dist(v, t) in `adj`.
+
+    A bidirectional breadth-first search: one ball around v, of radius
+    `hops`, and one around each open target, all of radius `radius`. Two
+    balls that do not meet are more than hops + radius apart, since a
+    shortest path would cross both; so when they first meet, as one of
+    them grows by a level, the distance is exactly hops + radius, and the
+    target closes. Each step grows the side with the smaller frontier: v's
+    ball, which serves every target, or every open ball by one level. v's
+    ball grows first, so that each target ball meets it at a node other
+    than v. A target whose ball, or the ball around v, stops growing
+    before they meet is unreachable and is left out.
+    """
+    seen = {v}  # v's ball
+    frontier = [v]
+    hops = radius = farthest = 0
+    # An open target's ball frontier, and the open targets whose ball holds each node.
+    balls = {t: [t] for t in targets}
+    owners = {t: [t] for t in targets}
+    while balls and frontier:
+        if len(frontier) <= SEARCH_FLOOR or len(frontier) <= sum(map(len, balls.values())):
+            hops += 1
+            reached = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        reached.append(w)
+                        for t in owners.get(w, ()):
+                            if balls.pop(t, None) is not None:
+                                farthest = hops + radius  # never falls
+            frontier = reached
+            continue
+        radius += 1
+        for t, ball in list(balls.items()):
+            reached = []
+            met = False
+            for u in ball:
+                for w in adj[u]:
+                    ts = owners.get(w)
+                    if ts is None:
+                        owners[w] = [t]
+                    elif t in ts:
+                        continue
+                    else:
+                        ts.append(t)
+                    if w in seen:
+                        met = True
+                        break
+                    reached.append(w)
+                if met:
+                    break
+            if met:
+                del balls[t]
+                farthest = hops + radius
+            elif reached:
+                balls[t] = reached
+            else:
+                del balls[t]
+    return farthest
 
 
 def _key(node: HaftNode) -> int | tuple[int, int]:

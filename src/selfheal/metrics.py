@@ -133,16 +133,19 @@ def all_pairs_distances(g: Graph) -> tuple[np.ndarray, dict[int, int]]:
     Each level ORs together the sets of i's closed neighbourhood (i and its
     neighbours), one gather over those lists laid end to end and one
     `bitwise_or.reduceat`, until a level changes nothing. Before each
-    level, the pairs still apart gain 1 in the matrix, so an entry ends as
-    its hop count, and pairs never reached become INF. O(diam * m * n/64)
-    word operations; float32 is exact for hop counts < 2^24.
+    level, the pairs still apart gain 1 in a uint16 level counter, so an
+    entry ends as its hop count; the counter becomes the float32 matrix
+    once, at the end, and pairs never reached become INF. A count can
+    reach 2^16 only after 2^16 levels, that is on a path of more than
+    2^16 nodes, whose n x n float32 matrix alone would take over 16 GiB.
+    O(diam * m * n/64) word operations; float32 is exact for hop counts
+    < 2^24.
     """
     nodes = sorted(g.nodes)
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
-    dist = np.zeros((n, n), dtype=np.float32)
     if n == 0:
-        return dist, index
+        return np.zeros((0, 0), dtype=np.float32), index
     # Row i's closed neighbourhood at closed[starts[i]:], i first.
     lists = list(map(g._adj.__getitem__, nodes))
     size = np.fromiter(map(len, lists), np.intp, n) + 1
@@ -160,14 +163,16 @@ def all_pairs_distances(g: Graph) -> tuple[np.ndarray, dict[int, int]]:
     packed[rows, rows >> 3] = (1 << (rows & 7)).astype(np.uint8)
     reached = packed.view(np.uint64)
     gathered = np.empty((closed.size, words), dtype=np.uint64)
+    levels = np.zeros((n, n), dtype=np.uint16)
     while True:
-        dist += np.unpackbits(~packed, axis=1, count=n, bitorder="little")
+        levels += np.unpackbits(~packed, axis=1, count=n, bitorder="little")
         np.take(reached, closed, axis=0, out=gathered)
         grown = np.bitwise_or.reduceat(gathered, starts, axis=0)
         if np.array_equal(grown, reached):
             break
         reached = grown
         packed = reached.view(np.uint8)
+    dist = levels.astype(np.float32)
     dist[np.unpackbits(packed, axis=1, count=n, bitorder="little") == 0] = np.inf
     return dist, index
 

@@ -99,6 +99,27 @@ def oracle_articulation_points(adj: dict) -> list:
     return [v for v in sorted(adj) if components(nodes - {v}) > base]
 
 
+def oracle_max_degree_node(live: Graph):
+    """The live node of maximum degree, the smallest id among ties: a scan."""
+    return min(live.nodes, key=lambda v: (-live.degree(v), v), default=None)
+
+
+def index_view(index, live: Graph) -> tuple:
+    """What an `AdversaryIndex` tells a strategy about the live graph: the
+    live ids, the next fresh id and, when it keeps a degree heap, the live
+    nodes with a current entry and its maximum-degree node. Checks the heap
+    property on the way."""
+    if index._heap is None:
+        return list(index.live_ids), index.next_id, None
+    # Asking for the maximum first gives the set-aside nodes their entries.
+    adj = live._adj
+    top = index.max_degree_node(live) if adj else None
+    heap = index._heap
+    assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+    current = {v for d, v in heap if v in adj and len(adj[v]) == -d}
+    return list(index.live_ids), index.next_id, current, top
+
+
 def adj_of(g: Graph) -> dict:
     return {v: g.neighbors(v) for v in g.nodes}
 

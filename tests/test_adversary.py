@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+from selfheal import engine
 from selfheal.adversary import (
+    HEAP_KINDS,
+    AdversaryIndex,
     Event,
     StrategySpec,
     TraceFormatError,
@@ -16,8 +20,12 @@ from selfheal.adversary import (
     parse_trace,
     validate_event,
 )
-from selfheal.families import path_graph, star_graph
+from selfheal.engine import RunConfig, start, step
+from selfheal.families import erdos_renyi, path_graph, random_tree, star_graph
 from selfheal.graph import Graph
+from selfheal.healers import HEALER_NAMES
+
+from conftest import index_view, oracle_max_degree_node
 
 
 def complete(n: int) -> Graph:
@@ -227,3 +235,122 @@ class TestTraceFormat:
     def test_missing_key_rejected(self):
         with pytest.raises(TraceFormatError):
             parse_trace('{"t": 1, "op": "delete"}\n')
+
+
+# -- the maintained index against one rebuilt from the graphs -------------------
+
+
+def rebuilt(state) -> AdversaryIndex:
+    kind = state.config.strategy.kind
+    return AdversaryIndex(state.live_graph(), state.shadow, heap=kind in HEAP_KINDS)
+
+
+def assert_index_current(state) -> None:
+    live = state.live_graph()
+    index = state.adversary.index
+    assert index_view(index, live) == index_view(rebuilt(state), live)
+    if index._heap is not None and live.node_count:
+        assert index.max_degree_node(live) == oracle_max_degree_node(live)
+
+
+def next_from_both(state) -> Event | None:
+    """The engine's next event, after checking that a state without an
+    index, with the same generator and memory, draws the same one."""
+    adversary = state.adversary
+    rng = random.Random()
+    rng.setstate(adversary.rng.getstate())
+    fresh = dataclasses.replace(adversary, rng=rng, index=None)
+    spec, live = state.config.strategy, state.live_graph()
+    expected = next_event(spec, live, state.shadow, fresh)
+    event = engine._next(state)
+    assert event == expected
+    assert adversary.rng.getstate() == rng.getstate()
+    assert adversary.last_deleted == fresh.last_deleted
+    return event
+
+
+@pytest.mark.parametrize("family", ["tree", "er"])
+@pytest.mark.parametrize("kind", ["random", "mixed", "max-degree", "articulation", "clustered"])
+@pytest.mark.parametrize("healer", HEALER_NAMES)
+def test_maintained_index_matches_a_rebuilt_one(healer, kind, family):
+    # Sparse ER graphs start disconnected; the null healer splits trees.
+    for seed in range(2):
+        rng = random.Random(seed)
+        initial = random_tree(30, rng) if family == "tree" else erdos_renyi(30, 0.1, rng)
+        config = RunConfig(
+            initial=initial,
+            healer=healer,
+            strategy=StrategySpec(kind=kind, p_delete=0.6, seed=seed),
+            t_max=40,
+            seed=seed,
+            exact_apsp_cap=0,
+            stretch_samples=0,
+        )
+        state = start(config)
+        assert (state.adversary.index._heap is not None) == (kind in HEAP_KINDS)
+        assert_index_current(state)
+        for _ in range(config.t_max):
+            event = next_from_both(state)
+            if event is None:
+                break
+            step(state, event)
+            assert_index_current(state)
+            if state.live_count == 0:
+                break
+
+
+@pytest.mark.parametrize("kind", ["random", "max-degree"])
+def test_index_takes_a_scripted_id_below_the_maximum(kind):
+    # Ids 0, 2, 5 and 7: an insert of 3 lands between live ids, and one of
+    # 1 below the deleted 2, and neither moves the next fresh id past 8.
+    initial = Graph(nodes=[0, 2, 5, 7], edges=[(0, 2), (2, 5), (5, 7)])
+    config = RunConfig(
+        initial=initial,
+        strategy=StrategySpec(kind=kind, seed=3),
+        t_max=20,
+        exact_apsp_cap=0,
+        stretch_samples=0,
+    )
+    state = start(config)
+    for event in (
+        Event(op="insert", node=3, neighbors=(0, 5)),
+        Event(op="delete", node=2),
+        Event(op="insert", node=1, neighbors=(0, 3, 5)),
+        Event(op="insert", node=12, neighbors=(1,)),
+    ):
+        step(state, event)
+        assert_index_current(state)
+    assert state.adversary.index.live_ids == [0, 1, 3, 5, 7, 12]
+    assert state.adversary.index.next_id == 13
+    for _ in range(config.t_max):
+        event = next_from_both(state)
+        if event is None:
+            break
+        step(state, event)
+        assert_index_current(state)
+        if state.live_count == 0:
+            break
+
+
+def test_index_heap_is_rebuilt_once_stale_entries_pile_up():
+    # Max-degree deletions on a star: every deletion touches the orphans.
+    # Each query of the maximum pushes the nodes touched since the last
+    # one (here 4 per event), unless the heap would then hold more than
+    # twice the live ids plus 64: then it is rebuilt from the graph.
+    config = RunConfig(
+        initial=star_graph(40),
+        healer="null",
+        strategy=StrategySpec(kind="max-degree"),
+        t_max=0,
+        exact_apsp_cap=0,
+        stretch_samples=0,
+    )
+    state = start(config)
+    index = state.adversary.index
+    sizes = []
+    for v in range(40, 200):
+        step(state, Event(op="insert", node=v, neighbors=(1, 2, 3)))
+        assert_index_current(state)
+        sizes.append(len(index._heap))
+        assert len(index._heap) <= 2 * len(index.live_ids) + 64
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))

@@ -238,6 +238,18 @@ def _remove_leaving_a_stale_entry(self, v, added, dropped):
     dist[0, -1] = dist[-1, 0] = dist[0, -1] + 1
 
 
+_on_delete = HaftHealer.on_delete
+
+
+def _delete_with_a_false_witness(self, v):
+    """A haft deletion that leaves the hole open, yet reports every orphan
+    in its witness, as if the repair had joined them."""
+    self._repair = lambda v, direct: 0
+    report = _on_delete(self, v)
+    report.witness = set(report.touched)
+    return report
+
+
 class TestVerify:
     def test_clean_haft_run_exits_zero(self, triangle_run):
         cfg, tmp_path = triangle_run
@@ -261,13 +273,18 @@ class TestVerify:
             ("connected", lambda *args: False),
             ("refresh", lambda *args: Fraction(1, 2)),
             ("remove", _remove_leaving_a_stale_entry),
+            ("on_delete", _delete_with_a_false_witness),
         ],
     )
     def test_wrong_fast_measure_exits_one(self, triangle_run, monkeypatch, method, wrong):
-        # `remove` is the live-distance update; the others are LiveMeasure's.
-        owner = DistanceOracle if method == "remove" else LiveMeasure
+        # `remove` is the live-distance update, `on_delete` reports the
+        # connectivity witness, and the others are LiveMeasure's.
+        owner = {"remove": DistanceOracle, "on_delete": HaftHealer}.get(method, LiveMeasure)
         monkeypatch.setattr(owner, method, wrong)
         cfg, tmp_path = triangle_run
+        if method == "on_delete":
+            # The path 0-2-1, which the deletion of node 2 cuts in two.
+            write(tmp_path / "g.edges", "0 2\n2 1\n")
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet"]) == 1
         report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
         assert any("measure-audit" in v for v in report["violations"])
@@ -399,6 +416,11 @@ BENCH_POINT = "n_list = 8\nhealers = haft\ntrials = 1\nfamily = path\nT = 2\n"
          "'exact_apsp_cap' must be >= 0, got -1"),
         ("verify", "family = path\nn = 4\nT = 2\nstretch_samples = -5\n",
          "'stretch_samples' must be >= 0, got -5"),
+        ("gen", "family = erdos-renyi\nn = 4\np = 2.0\nT = 2\n", "p must be in [0, 1], got 2.0"),
+        ("run", "family = erdos-renyi\nn = 4\np = nan\nT = 2\n", "p must be in [0, 1], got nan"),
+        ("verify", "family = erdos-renyi\nn = 4\np = -1\nT = 2\n", "p must be in [0, 1], got -1.0"),
+        ("bench", BENCH_POINT.replace("family = path", "family = erdos-renyi\np = 1.5"),
+         "p must be in [0, 1], got 1.5"),
     ],
     ids=[
         "gen-scripted", "run-scripted", "verify-scripted", "bench-scripted",
@@ -406,11 +428,14 @@ BENCH_POINT = "n_list = 8\nhealers = haft\ntrials = 1\nfamily = path\nT = 2\n"
         "gen-empty-edge-list", "run-empty-edge-list", "verify-empty-edge-list",
         "run-T-negative", "gen-T-negative", "bench-T-negative", "bench-trials-negative",
         "run-exact-apsp-cap-negative", "verify-stretch-samples-negative",
+        "gen-p-above-one", "run-p-nan", "verify-p-negative", "bench-p-above-one",
     ],
 )
 def test_config_that_would_run_empty_exits_2(tmp_path, capsys, command, text, message):
-    # All used to exit 0: with an empty run whose status is "exhausted", or
-    # (the last two) with a negative cap or sample count taken as given.
+    # All used to exit 0: with an empty run whose status is "exhausted",
+    # with a negative cap or sample count taken as given, or with p > 1
+    # taken as a complete graph. An edge probability of NaN or below 0
+    # failed only after 1000 resampled graphs, with another message.
     write(tmp_path / "empty.edges", "# comments only\n\n")
     cfg = write(tmp_path / "c.cfg", text.replace("{dir}", str(tmp_path)))
     out = tmp_path / "o"

@@ -489,10 +489,13 @@ def assert_measure_matches_full_scans(state) -> None:
 
 
 @pytest.mark.parametrize("family", ["tree", "er"])
-@pytest.mark.parametrize("kind", ["clustered", "mixed", "random", "articulation"])
+@pytest.mark.parametrize("kind", ["clustered", "mixed", "random", "articulation", "max-degree"])
 @pytest.mark.parametrize("healer", HEALER_NAMES)
 def test_live_measure_matches_full_scans(healer, kind, family):
     # Sparse ER graphs start disconnected, so the fallback scan runs too.
+    # The haft healers' deletions carry a connectivity witness; the
+    # baselines' carry none, so theirs search among all touched nodes.
+    witnesses = []
     for seed in range(3):
         rng = random.Random(seed)
         initial = random_tree(30, rng) if family == "tree" else erdos_renyi(30, 0.1, rng)
@@ -506,6 +509,14 @@ def test_live_measure_matches_full_scans(healer, kind, family):
             stretch_samples=0,
         )
         state = start(config)
+        on_delete = state.healer.on_delete
+
+        def witnessed(v):
+            report = on_delete(v)
+            witnesses.append(report.witness)
+            return report
+
+        state.healer.on_delete = witnessed
         assert_measure_matches_full_scans(state)
         for _ in range(config.t_max):
             event = engine._next(state)
@@ -513,6 +524,11 @@ def test_live_measure_matches_full_scans(healer, kind, family):
                 break
             step(state, event)
             assert_measure_matches_full_scans(state)
+    assert witnesses
+    if healer in ("haft", "rebuild"):
+        assert any(witnesses)
+    else:
+        assert not any(witnesses)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -575,3 +591,23 @@ def test_live_measure_init_reads_every_node():
     measure = LiveMeasure(shadow, set())
     assert measure.connected(live, "init", ())
     assert measure.refresh(live, "init", -1, ()) == 3 == degree_ratio_max(live, shadow)[0]
+
+
+@pytest.mark.parametrize(
+    "touched, witness, joined",
+    [
+        ({1, 3, 5}, {1, 3}, True),  # 5 is outside the witness and reaches it
+        ({1, 3, 7}, {1, 3}, False),  # 7 is outside the witness and cut off
+        ({1, 3}, {1, 3}, True),  # nothing outside the witness: no search
+        ({1, 2, 5, 9}, {2}, False),  # 5 reaches the witness, 9 does not
+        ({7, 8, 9}, {8}, True),
+        ({1, 5}, set(), True),  # no witness: the touched nodes must meet
+        ({1, 7}, set(), False),
+        ({1}, set(), True),
+    ],
+)
+def test_live_measure_searches_from_touched_nodes_outside_the_witness(touched, witness, joined):
+    # After a deletion: the path 1-2-3-4-5, and the path 7-8-9 cut off from it.
+    live = Graph(edges=[(1, 2), (2, 3), (3, 4), (4, 5), (7, 8), (8, 9)])
+    measure = LiveMeasure(live.copy(), set())
+    assert measure.connected(live, "delete", touched, witness) is joined

@@ -14,6 +14,8 @@ from selfheal.haft import Haft
 from selfheal.healers import HealerError, make_healer
 from selfheal.virtual_graph import virt
 
+from conftest import adj_of, oracle_bfs
+
 def triangle() -> Graph:
     return Graph(nodes=[0, 1, 2], edges=[(0, 1), (1, 2), (0, 2)])
 
@@ -388,3 +390,28 @@ def test_haft_deletion_never_walks_a_whole_haft(monkeypatch):
     state = engine.run(config())
     assert state.records == expected
     assert len(state.healer.hafts) > 0
+
+
+@pytest.mark.parametrize("floor", [0, 4, healers.SEARCH_FLOOR])
+@pytest.mark.parametrize("family", ["tree", "er"])
+def test_farthest_matches_a_full_bfs(family, floor, monkeypatch):
+    # Graphs large enough for the search to grow balls around the targets
+    # at the real floor; lower floors make it do so on every search. The
+    # sparse ER graphs fall apart, so some targets are out of reach.
+    monkeypatch.setattr(healers, "SEARCH_FLOOR", floor)
+    for seed in range(8):
+        rng = random.Random(seed)
+        if family == "tree":
+            g = random_tree(400, rng)
+        else:
+            g = Graph(nodes=range(300))
+            for _ in range(330):
+                a, b = rng.sample(range(300), 2)
+                g.add_edge(a, b)
+        adj = adj_of(g)
+        for _ in range(20):
+            v = rng.randrange(g.node_count)
+            targets = set(rng.sample(sorted(g.nodes - {v}), rng.randint(1, 12)))
+            dist = oracle_bfs(adj, v)
+            expected = max((dist[t] for t in targets if t in dist), default=0)
+            assert healers._farthest(g._adj, v, targets) == expected

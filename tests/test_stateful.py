@@ -8,7 +8,9 @@ equal a recount from before/after snapshots of the real and virtual graphs.
 An `engine.LiveMeasure` fed each report must agree with the full
 connectivity and degree-ratio scans, and an `engine.DistanceOracle` fed the
 same events must hold the live graph's all-pairs distances entry by entry,
-as one breadth-first search per source finds them.
+as one breadth-first search per source finds them. An `AdversaryIndex` fed
+each event and its touched set must equal one rebuilt from the live graph,
+and a deletion's connectivity witness must lie in one live component.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
+from selfheal.adversary import AdversaryIndex
 from selfheal.engine import DistanceOracle, LiveMeasure
 from selfheal.healers import make_healer
 from selfheal.metrics import degree_ratio_max
 from selfheal.virtual_graph import real, virt
 
-from conftest import adj_of, oracle_apsp_bfs, oracle_bfs, oracle_image, random_graph
+from conftest import adj_of, index_view, oracle_apsp_bfs, oracle_bfs, oracle_image, random_graph
 
 
 class HealerMachine(RuleBasedStateMachine):
@@ -41,14 +44,18 @@ class HealerMachine(RuleBasedStateMachine):
         self.next_id = max(initial.nodes) + 1
         self.shadow, self.deleted = initial.copy(), set()
         self.measure = LiveMeasure(self.shadow, self.deleted)
-        self.measured("init", -1, ())
+        live = self.healer.live_graph()
+        self.connected = self.measure.connected(live, "init", ())
+        self.ratio = self.measure.refresh(live, "init", -1, ())
         self.distances = DistanceOracle(self.healer.live_graph())
         self.distances.matrix()
+        self.index = AdversaryIndex(self.healer.live_graph(), self.shadow, heap=True)
 
-    def measured(self, op, node, touched):
+    def measured(self, op, node, report):
         live = self.healer.live_graph()
-        self.connected = self.measure.connected(live, op, touched)
-        self.ratio = self.measure.refresh(live, op, node, touched)
+        self.connected = self.measure.connected(live, op, report.touched, report.witness)
+        self.ratio = self.measure.refresh(live, op, node, report.touched)
+        self.index.update(op, node, report.touched)
 
     @property
     def vg(self):
@@ -64,7 +71,7 @@ class HealerMachine(RuleBasedStateMachine):
         for w in neighbors:
             self.shadow.add_edge(v, w)
         report = self.healer.on_insert(v, neighbors)
-        self.measured("insert", v, report.touched)
+        self.measured("insert", v, report)
         self.distances.insert(v, neighbors)
         after = set(oracle_image(self.vg).edges())
         assert after - before == {(min(v, w), max(v, w)) for w in neighbors}
@@ -89,7 +96,7 @@ class HealerMachine(RuleBasedStateMachine):
 
         self.deleted.add(v)
         report = self.healer.on_delete(v)
-        self.measured("delete", v, report.touched)
+        self.measured("delete", v, report)
         self.distances.remove(v, report.edges_added, report.edges_dropped)
 
         after_real = set(oracle_image(vg).edges())
@@ -113,6 +120,16 @@ class HealerMachine(RuleBasedStateMachine):
         for a, b in v_dropped:
             touched.update((proc(a, before_sim), proc(b, before_sim)))
         assert report.touched == touched
+        # The witness: the processors of the added virtual edges, in one
+        # live component, for the haft healers; none for the baselines.
+        if self.mode in ("haft", "rebuild"):
+            ends = {x for edge in v_added for x in edge}
+            assert report.witness == {proc(x, vg.sim) for x in ends}
+        else:
+            assert report.witness == set()
+        if report.witness:
+            reach = oracle_bfs(adj_of(vg.image), min(report.witness))
+            assert report.witness <= touched and report.witness <= reach.keys()
         assert report.max_hops == max((hops[p] for p in touched if p in hops), default=0)
         if self.mode in ("haft", "rebuild"):
             assert report.rounds == (1 + math.ceil(math.log2(len(touched))) if touched else 0)
@@ -140,6 +157,13 @@ class HealerMachine(RuleBasedStateMachine):
             fresh, fresh_index = oracle_apsp_bfs(adj_of(self.healer.live_graph()))
             assert index == fresh_index
             np.testing.assert_array_equal(dist, fresh)
+
+    @invariant()
+    def index_matches_a_rebuilt_one(self):
+        if hasattr(self, "healer"):
+            live = self.healer.live_graph()
+            fresh = AdversaryIndex(live, self.shadow, heap=True)
+            assert index_view(self.index, live) == index_view(fresh, live)
 
     @invariant()
     def audit_clean(self):
