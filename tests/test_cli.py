@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from selfheal import cli
-from selfheal.adversary import read_trace
+from selfheal.adversary import AdversaryIndex, read_trace
 from selfheal.cli import loglog_slope, main, parse_config
 from selfheal.engine import DistanceOracle, LiveMeasure
 from selfheal.graph import UnknownNodeError
@@ -250,6 +250,29 @@ def _delete_with_a_false_witness(self, v):
     return report
 
 
+_update = AdversaryIndex.update
+
+
+def _update_setting_aside_one_node(self, op, node, touched):
+    """An index update that sets aside only the smallest touched node, so
+    the heap misses the other nodes' new degrees."""
+    _update(self, op, node, sorted(touched)[:1])
+
+
+def _update_forgetting_inserts(self, op, node, touched):
+    """An index update that leaves an inserted node out of the live ids."""
+    _update(self, op, node, touched)
+    if op == "insert":
+        self.live_ids.remove(node)
+
+
+def _update_skipping_an_id(self, op, node, touched):
+    """An index update that moves the next fresh id one too far on an insert."""
+    _update(self, op, node, touched)
+    if op == "insert":
+        self.next_id += 1
+
+
 class TestVerify:
     def test_clean_haft_run_exits_zero(self, triangle_run):
         cfg, tmp_path = triangle_run
@@ -288,6 +311,28 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet"]) == 1
         report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
         assert any("measure-audit" in v for v in report["violations"])
+
+    @pytest.mark.parametrize(
+        "wrong, strategy, name",
+        [
+            (_update_setting_aside_one_node, "max-degree", "max_degree_node"),
+            (_update_forgetting_inserts, "mixed", "live_ids"),
+            (_update_skipping_an_id, "mixed", "next_id"),
+        ],
+    )
+    def test_broken_adversary_index_exits_one(self, tmp_path, monkeypatch, wrong, strategy, name):
+        # Its events stay legal, so only the audit against a rebuilt index
+        # can tell.
+        monkeypatch.setattr(AdversaryIndex, "update", wrong)
+        cfg = write(
+            tmp_path / "c.cfg",
+            f"family = random-tree\nn = 16\nhealer = haft\nstrategy = {strategy}\nT = 8\n"
+            "exact_apsp_cap = 0\nstretch_samples = 0\n",
+        )
+        args = ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet", "--seed", "1"]
+        assert main(args) == 1
+        report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+        assert any(f"adversary-audit: {name}" in v for v in report["violations"])
 
     def test_corrupt_csv_exits_two(self, triangle_run):
         cfg, tmp_path = triangle_run

@@ -432,13 +432,10 @@ def test_live_oracle_crosses_the_cap_both_ways():
     assert len(rebuilt) >= 2 and len(dropped) >= 2
 
 
-@pytest.mark.parametrize("share", [engine.REBUILD_SHARE, 0])
 @pytest.mark.parametrize("seed", range(8))
-def test_live_oracle_updates_match_fresh_apsp(seed, share, monkeypatch):
+def test_live_oracle_updates_match_fresh_apsp(seed):
     # Random inserts, edge additions and removals with added and dropped
-    # edges, straight on the class; share 0 never falls back to a rebuild,
-    # so every candidate set is recomputed.
-    monkeypatch.setattr(engine, "REBUILD_SHARE", share)
+    # edges, straight on the class.
     rng = random.Random(seed)
     g = erdos_renyi(40, 0.06, rng) if seed % 2 else random_tree(40, rng)
     oracle = DistanceOracle(g)
@@ -476,6 +473,38 @@ def test_live_oracle_updates_match_fresh_apsp(seed, share, monkeypatch):
                 g.remove_edge(*e)
             oracle.remove(v, added, dropped - added)
         assert_oracle_matches(oracle, g)
+
+
+@pytest.mark.parametrize(
+    "edges, v, added, dropped, rebuilds",
+    [
+        # A leaf lies on no shortest path between two other nodes.
+        pytest.param([(0, 1), (1, 2), (2, 3)], 3, [], [], False, id="leaf"),
+        # The path 3-1-0-2-4 without 0, bridged by 1-2: every pair that went
+        # through 0 is now nearer.
+        pytest.param([(3, 1), (1, 0), (0, 2), (2, 4)], 0, [(1, 2)], [], False, id="shortcut"),
+        # The triangle 0-1-2 without 0, beside the edge 3-4, which never
+        # reached 0: its unreachable pairs are no path through 0.
+        pytest.param([(0, 1), (1, 2), (2, 0), (3, 4)], 0, [], [], False, id="apart"),
+        pytest.param([(0, 1), (1, 2), (2, 3)], 3, [], [(0, 1)], True, id="dropped-edge"),
+        # The path 0-1-2 without 1: the pair (0, 2) went through it.
+        pytest.param([(0, 1), (1, 2)], 1, [], [], True, id="tight-pair"),
+    ],
+)
+def test_live_oracle_rebuilds_only_when_a_distance_can_grow(
+    edges, v, added, dropped, rebuilds, apsp_builds
+):
+    g = Graph(nodes={x for e in edges for x in e}, edges=edges)
+    oracle = DistanceOracle(g)
+    oracle.matrix()
+    g.remove_node(v)
+    for e in added:
+        g.add_edge(*e)
+    for e in dropped:
+        g.remove_edge(*e)
+    oracle.remove(v, added, dropped)
+    assert len(apsp_builds) == 1 + rebuilds
+    assert_oracle_matches(oracle, g)
 
 
 # -- per-event connectivity and degree ratio ------------------------------------
