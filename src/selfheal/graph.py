@@ -9,7 +9,7 @@ query; no dynamic-connectivity structure is kept here. The engine follows
 the live graph's connectivity from event to event (`engine.LiveMeasure`)
 and keeps `is_connected` as its oracle. Cut vertices come
 from one iterative Tarjan low-link depth-first search, linear in nodes plus
-edges. The healed graph itself is maintained edge by edge by
+edges. The healed graph itself is maintained by
 `virtual_graph.VirtualGraph`.
 
 Concurrency contract: a Graph is either exclusively owned while being mutated

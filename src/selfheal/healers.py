@@ -64,10 +64,9 @@ from .haft import (
     split_out,  # noqa: F401  (unused here; the benchmark's tracer wraps this name)
     to_virtual_edges,
     validate_haft,
-    vnode_of,
     walk,
 )
-from .virtual_graph import RepairJournal, VirtualGraph, real, virt
+from .virtual_graph import Edge, RepairJournal, VirtualGraph, VNode, real, virt
 
 HEALER_NAMES = ("null", "star", "ring", "rebuild", "haft")
 
@@ -298,8 +297,11 @@ class HaftHealer(Healer):
     and wires only the new carries and spine nodes, so it costs
     O(changed * log n). name "rebuild" also dissolves every piece, in one
     `walk` each, and rebuilds the whole affected region from its slots,
-    which costs time in proportion to that region. `audit` recomputes the
-    maps from whole-haft walks.
+    which costs time in proportion to that region. Either way the repair
+    only collects the vids it dissolves, the vids it declares and the edges
+    it adds, and applies them to the virtual graph as one netted batch,
+    `VirtualGraph.rewire`. `audit` recomputes the maps from whole-haft
+    walks.
     """
 
     witnessed = True
@@ -343,15 +345,15 @@ class HaftHealer(Healer):
                 hids.add(self.tree_haft[key])
 
         pieces: list[HaftNode] = []
+        dissolve: list[int] = []
         for hid in sorted(hids):
             haft = self.hafts.pop(hid)
             for tree in haft.trees:
                 del self.tree_haft[_key(tree)]
             tree_pieces, dissolved = split_marked(haft, marked, v)
             pieces.extend(tree_pieces)
-            for vid in dissolved:
-                if vid in self.vg.virtuals:
-                    self.vg.remove_virtual(vid)
+            # The dead processor's own vids went with it.
+            dissolve += [vid for vid in dissolved if vid in self.vg.virtuals]
         # Dissolved nodes, dead leaves and the pieces' roots lose their parents.
         for key in (*marked, *dead, *(_key(piece) for piece in pieces)):
             self.parent.pop(key, None)
@@ -367,7 +369,7 @@ class HaftHealer(Healer):
                 for node, _, _ in walk(piece):
                     self.parent.pop(_key(node), None)
                     if isinstance(node, Internal):
-                        self.vg.remove_virtual(node.vid)
+                        dissolve.append(node.vid)
                     else:
                         survivors.append(node)
             items: list[HaftNode] = sorted(survivors + new_slots)
@@ -375,14 +377,16 @@ class HaftHealer(Healer):
             items = sorted(pieces, key=_piece_key)
             items += new_slots
 
-        return self._install(items)
+        return self._install(items, dissolve)
 
-    def _install(self, items: list[HaftNode]) -> int:
-        """Assemble the replacement structure and wire it into the virtual
-        graph. Only the new internal nodes (carries and spine) are declared,
-        linked to their children and entered in the maps; preserved
-        subtrees are already wired. Returns the number of virtual nodes
-        created."""
+    def _install(self, items: list[HaftNode], dissolve: list[int]) -> int:
+        """Assemble the replacement structure over `items`, and apply it,
+        with the dissolution of the vids in `dissolve`, to the virtual graph
+        in one `rewire`. Only the new internal nodes (carries and spine) are
+        declared, linked to their children and entered in the maps;
+        preserved subtrees are already wired, and their simulators are
+        checked before the graph changes. Returns the number of virtual
+        nodes created."""
         total = sum(it.size for it in items)
         if total <= 2 and len(items) == total:
             # A lone claimant keeps no structure, and two separate single
@@ -394,8 +398,8 @@ class HaftHealer(Healer):
                     if not origins:
                         del self.slot_origins[slot.processor]
             procs = sorted({slot.processor for slot in items})
-            if len(procs) == 2:
-                self.vg.add_edge(real(procs[0]), real(procs[1]))
+            edges = [(real(procs[0]), real(procs[1]))] if len(procs) == 2 else []
+            self.vg.rewire(dissolve, (), edges)
             return 0
         new_haft = _assemble(items, self.vg.vids)
         hid = self._next_haft_id
@@ -404,29 +408,33 @@ class HaftHealer(Healer):
         for tree in new_haft.trees:
             self.tree_haft[_key(tree)] = hid
         spine = set(new_haft.spine)
-        created = 0
-        stack: list[tuple[HaftNode, Internal | None]] = [(new_haft.root(), None)]
+        virtuals, sim = self.vg.virtuals, self.vg.sim
+        declare: list[tuple[int, int]] = []
+        edges: list[Edge] = []
+        # Each entry carries the virtual-graph node of its parent.
+        stack: list[tuple[HaftNode, VNode | None]] = [(new_haft.root(), None)]
         while stack:
-            node, parent = stack.pop()
+            node, up = stack.pop()
             if not isinstance(node, Internal):
                 self.slot_origins.setdefault(node.processor, set()).add(node.origin)
+                me = real(node.processor)
             else:
+                me = virt(node.vid)
                 proc = node.right.first.processor
-                if node.vid not in self.vg.virtuals:  # a carry or spine node
-                    self.vg.declare_virtual(node.vid, proc)
-                    created += 1
-                    stack += [(node.right, node), (node.left, node)]
+                if node.vid not in virtuals:  # a carry or spine node
+                    declare.append((node.vid, proc))
+                    stack += [(node.right, me), (node.left, me)]
                     if node.vid not in spine:
                         self.parent[_key(node.left)] = node.vid
                         self.parent[_key(node.right)] = node.vid
-                elif self.vg.sim[node.vid] != proc:  # a preserved subtree's root
+                elif sim[node.vid] != proc:  # a preserved subtree's root
                     raise HealerError(
-                        f"preserved vid {node.vid} changed simulator "
-                        f"{self.vg.sim[node.vid]} -> {proc}"
+                        f"preserved vid {node.vid} changed simulator {sim[node.vid]} -> {proc}"
                     )
-            if parent is not None:
-                self.vg.add_edge(virt(parent.vid), vnode_of(node))
-        return created
+            if up is not None:
+                edges.append((up, me))
+        self.vg.rewire(dissolve, declare, edges)
+        return len(declare)
 
     def audit(self) -> list[str]:
         """State consistency: virtual and healed graph invariants, haft

@@ -9,9 +9,17 @@ whose edges are exactly the images of the virtual-graph edges.
 
 The image is maintained, not recomputed: `image` is a `Graph` kept up to
 date by every mutation, with a count of the virtual edges mapping onto each
-image edge. An image edge appears when its count goes 0 -> 1 and disappears
-on 1 -> 0. `de_simulate` returns a copy of it. A processor -> hosted-vids
-index makes removing a processor proportional to what it simulates.
+image edge. An image edge appears when its count leaves 0 and disappears
+when it returns to 0. `de_simulate` returns a copy of it. A processor ->
+hosted-vids index makes removing a processor proportional to what it
+simulates.
+
+A single edge (an insert, a baseline healer's repair, a removed
+processor's edges) moves its image count at once. A tree healer's repair
+goes through `rewire` as one batch: it dissolves vids, declares new ones
+and adds edges, sums the count changes per processor pair, and applies
+each net change once. So an image edge whose count falls to 0 and climbs
+back within the repair is never touched.
 
 While a `RepairJournal` is open (`open_journal` .. `close_journal`), every
 mutation is also recorded in it, netted against the graph as it was when
@@ -33,7 +41,7 @@ processor cascades to everything it simulates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .graph import DuplicateNodeError, Graph, GraphError, UnknownNodeError
 
@@ -52,12 +60,14 @@ class VNode(NamedTuple):
         return f"{self.kind}{self.id}"
 
 
+# Both build the tuple directly: the same VNode value as VNode("r", p), at
+# under half the cost of the NamedTuple's generated __new__.
 def real(processor: int) -> VNode:
-    return VNode("r", processor)
+    return tuple.__new__(VNode, ("r", processor))
 
 
 def virt(vid: int) -> VNode:
-    return VNode("v", vid)
+    return tuple.__new__(VNode, ("v", vid))
 
 
 class VidSource:
@@ -95,6 +105,28 @@ class RepairJournal:
     virtual_dropped: dict[Edge, tuple[int, int]] = field(default_factory=dict)
     real_added: set[tuple[int, int]] = field(default_factory=set)
     real_dropped: set[tuple[int, int]] = field(default_factory=set)
+
+    def book_virtual(self, a: VNode, b: VNode, pa: int, pb: int, delta: int) -> None:
+        """Net virtual edge a-b, with processors pa and pb, being added
+        (delta > 0) or removed (delta < 0)."""
+        key, procs = ((a, b), (pa, pb)) if a < b else ((b, a), (pb, pa))
+        if delta > 0:
+            if self.virtual_dropped.pop(key, None) is None:
+                self.virtual_added[key] = procs
+        elif self.virtual_added.pop(key, None) is None:
+            self.virtual_dropped[key] = procs
+
+    def book_real(self, edge: tuple[int, int], present: bool) -> None:
+        """Net image edge `edge` appearing (present) or disappearing."""
+        gained, lost = (
+            (self.real_added, self.real_dropped)
+            if present
+            else (self.real_dropped, self.real_added)
+        )
+        if edge in lost:
+            lost.discard(edge)
+        else:
+            gained.add(edge)
 
 
 class VirtualGraph:
@@ -191,35 +223,24 @@ class VirtualGraph:
             self.virtuals.discard(vid)
             self.sim.pop(vid, None)
 
-    def remove_virtual(self, vid: int) -> None:
-        """Dissolve one virtual node and its edges."""
-        if vid not in self.virtuals:
-            raise UnknownNodeError(f"virtual node {vid} not present")
-        self._detach(virt(vid))
-        self.virtuals.discard(vid)
-        self._hosted[self.sim.pop(vid)].discard(vid)
-
     def _detach(self, node: VNode) -> None:
         for nbr in self._adj.pop(node):
             self._adj[nbr].discard(node)
             self._count_image(node, nbr, -1)
 
     def _count_image(self, a: VNode, b: VNode, delta: int) -> None:
-        """Book one virtual edge a-b being added (+1) or removed (-1): update
-        the count of the image edge it maps onto, the image itself when that
-        count leaves or reaches 0, and the journal if one is open."""
+        """Book one virtual edge a-b being added (+1) or removed (-1) in the
+        journal, if one is open, and in the count of its image edge."""
         pa, pb = self.processor_of(a), self.processor_of(b)
-        journal = self._journal
-        if journal is not None:
-            key, procs = ((a, b), (pa, pb)) if a < b else ((b, a), (pb, pa))
-            if delta > 0:
-                if journal.virtual_dropped.pop(key, None) is None:
-                    journal.virtual_added[key] = procs
-            elif journal.virtual_added.pop(key, None) is None:
-                journal.virtual_dropped[key] = procs
-        if pa == pb:
-            return
-        edge = (pa, pb) if pa < pb else (pb, pa)
+        if self._journal is not None:
+            self._journal.book_virtual(a, b, pa, pb, delta)
+        if pa != pb:
+            self._shift((pa, pb) if pa < pb else (pb, pa), delta)
+
+    def _shift(self, edge: tuple[int, int], delta: int) -> None:
+        """Move the count of image edge `edge`, a (min, max) processor pair,
+        by a nonzero `delta`. The image, and the open journal's real edges,
+        change only when the count moves between 0 and nonzero."""
         before = self._multiplicity.get(edge, 0)
         after = before + delta
         if after:
@@ -229,19 +250,74 @@ class VirtualGraph:
         if before and after:
             return
         if after:
-            self.image.add_edge(pa, pb)
+            self.image.add_edge(*edge)
         else:
-            self.image.remove_edge(pa, pb)
-        if journal is not None:
-            gained, lost = (
-                (journal.real_added, journal.real_dropped)
-                if after
-                else (journal.real_dropped, journal.real_added)
-            )
-            if edge in lost:
-                lost.discard(edge)
-            else:
-                gained.add(edge)
+            self.image.remove_edge(*edge)
+        if self._journal is not None:
+            self._journal.book_real(edge, bool(after))
+
+    # -- batched repair -----------------------------------------------------
+
+    def rewire(
+        self,
+        dissolve: Iterable[int],
+        declare: Iterable[tuple[int, int]],
+        edges: Iterable[Edge],
+    ) -> None:
+        """Dissolve each vid in `dissolve` with its edges, declare each
+        (vid, simulator) in `declare`, then add each virtual edge in
+        `edges`: one batch, in that order.
+
+        Every check of `declare_virtual` and `add_edge` holds, with the same
+        exceptions; an edge already present is skipped, and a vid to
+        dissolve that is not a live virtual node raises UnknownNodeError.
+        Each virtual edge is journaled as it changes. The image counts are
+        summed per processor pair and each nonzero net change is applied
+        once, at the end, even when a check raises part way; so the image
+        and the journal's real edges change only on a real move between 0
+        and nonzero.
+        """
+        adj, sim, virtuals, journal = self._adj, self.sim, self.virtuals, self._journal
+        net: dict[tuple[int, int], int] = {}
+        try:
+            for vid in dissolve:
+                if vid not in virtuals:
+                    raise UnknownNodeError(f"virtual node {vid} not present")
+                node = virt(vid)
+                pv = sim.pop(vid)
+                for nbr in adj.pop(node):
+                    adj[nbr].discard(node)
+                    pn = nbr.id if nbr.kind == "r" else sim[nbr.id]
+                    if journal is not None:
+                        journal.book_virtual(node, nbr, pv, pn, -1)
+                    if pv != pn:
+                        edge = (pv, pn) if pv < pn else (pn, pv)
+                        net[edge] = net.get(edge, 0) - 1
+                virtuals.discard(vid)
+                self._hosted[pv].discard(vid)
+            for vid, simulator in declare:
+                self.declare_virtual(vid, simulator)
+            for a, b in edges:
+                if a == b:
+                    raise UnknownNodeError(f"self-loop at {a}")
+                for x in (a, b):
+                    if x not in adj:
+                        raise UnknownNodeError(f"{x} not in virtual graph")
+                if b in adj[a]:
+                    continue
+                adj[a].add(b)
+                adj[b].add(a)
+                pa = a.id if a.kind == "r" else sim[a.id]
+                pb = b.id if b.kind == "r" else sim[b.id]
+                if journal is not None:
+                    journal.book_virtual(a, b, pa, pb, +1)
+                if pa != pb:
+                    edge = (pa, pb) if pa < pb else (pb, pa)
+                    net[edge] = net.get(edge, 0) + 1
+        finally:
+            for edge, delta in net.items():
+                if delta:
+                    self._shift(edge, delta)
 
     # -- repair journal -----------------------------------------------------
 
@@ -306,7 +382,9 @@ class VirtualGraph:
     # -- diagnostics --------------------------------------------------------
 
     def audit(self) -> list[str]:
-        """Machine-readable invariant check; empty list means healthy."""
+        """Machine-readable invariant check; empty list means healthy. The
+        image counts, the image's edges and the hosted index are checked
+        against a recount from the adjacency and the simulation map."""
         problems = []
         for vid in sorted(self.virtuals):
             if vid not in self.sim:
@@ -331,6 +409,41 @@ class VirtualGraph:
                     problems.append(f"dangling-edge: {a}-{b}")
                 elif a not in self._adj[b]:
                     problems.append(f"asymmetric-adjacency: {a}-{b}")
+        problems += self._audit_image()
+        hosted: dict[int, set[int]] = {}
+        for vid, p in self.sim.items():
+            hosted.setdefault(p, set()).add(vid)
+        for p in sorted(hosted.keys() | self._hosted.keys()):
+            if self._hosted.get(p, set()) != hosted.get(p, set()):
+                problems.append(
+                    f"hosted: {p} -> {sorted(self._hosted.get(p, ()))}, "
+                    f"expected {sorted(hosted.get(p, ()))}"
+                )
+        for vid in sorted(self.virtuals - self._spent_vids):
+            problems.append(f"unspent-vid: {vid}")
+        return problems
+
+    def _audit_image(self) -> list[str]:
+        """The image counts and edges against a recount from the adjacency
+        and the simulation map."""
+        counts: dict[tuple[int, int], int] = {}
+        for a, nbrs in self._adj.items():
+            pa = a.id if a.kind == "r" else self.sim.get(a.id)
+            for b in nbrs:
+                pb = b.id if b.kind == "r" else self.sim.get(b.id)
+                if a < b and pa is not None and pb is not None and pa != pb:
+                    edge = (pa, pb) if pa < pb else (pb, pa)
+                    counts[edge] = counts.get(edge, 0) + 1
+        problems = []
+        for edge in sorted(counts.keys() | self._multiplicity.keys()):
+            kept, expected = self._multiplicity.get(edge, 0), counts.get(edge, 0)
+            if kept != expected:
+                problems.append(f"image-count: {edge} is {kept}, expected {expected}")
+        image = set(self.image.edges())
+        for edge in sorted(image - counts.keys()):
+            problems.append(f"image-edge: {edge} is in the image, but no virtual edge maps onto it")
+        for edge in sorted(counts.keys() - image):
+            problems.append(f"image-edge: {edge} is missing from the image")
         return problems
 
     def to_dot(self, name: str = "virtual") -> str:

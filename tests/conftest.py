@@ -6,7 +6,9 @@ with an explicit queue, all-pairs distances by Floyd-Warshall and by one
 such search per source, cut
 vertices by deleting each vertex and recounting components, the
 homomorphic image of a virtual graph recomputed from its adjacency and
-simulation map, and the degree ratio with one Fraction per node.
+simulation map, and the degree ratio with one Fraction per node. The one
+exception is `remove_virtual`: it is the library's own single-edge path,
+kept here as the sequential oracle of the batched `VirtualGraph.rewire`.
 """
 
 from __future__ import annotations
@@ -143,6 +145,27 @@ def oracle_image(vg: VirtualGraph) -> Graph:
     g = Graph()
     g._adj = adj
     return g
+
+
+def remove_virtual(vg: VirtualGraph, vid: int) -> None:
+    """Dissolve one virtual node and its edges, booking each edge on its own
+    through `VirtualGraph._detach`."""
+    if vid not in vg.virtuals:
+        raise UnknownNodeError(f"virtual node {vid} not present")
+    vg._detach(virt(vid))
+    vg.virtuals.discard(vid)
+    vg._hosted[vg.sim.pop(vid)].discard(vid)
+
+
+def rewire_in_sequence(vg: VirtualGraph, dissolve, declare, edges) -> None:
+    """What `vg.rewire(dissolve, declare, edges)` does, one operation at a
+    time: `remove_virtual`, then `declare_virtual`, then `add_edge`."""
+    for vid in dissolve:
+        remove_virtual(vg, vid)
+    for vid, simulator in declare:
+        vg.declare_virtual(vid, simulator)
+    for a, b in edges:
+        vg.add_edge(a, b)
 
 
 def oracle_degree_ratio_max(live: Graph, shadow: Graph, deleted: set[int] | None = None):

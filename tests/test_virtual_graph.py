@@ -8,10 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfheal.graph import DuplicateNodeError, UnknownNodeError
-from selfheal.virtual_graph import VirtualGraph, VNode, real, virt
+from selfheal.graph import DuplicateNodeError, Graph, GraphError, UnknownNodeError
+from selfheal.virtual_graph import RepairJournal, VirtualGraph, VNode, real, virt
 
-from conftest import oracle_bfs, oracle_image, random_virtual_graph, vg_adj
+from conftest import (
+    oracle_bfs,
+    oracle_image,
+    random_virtual_graph,
+    remove_virtual,
+    rewire_in_sequence,
+    vg_adj,
+)
 
 
 class TestVNode:
@@ -72,7 +79,7 @@ class TestAddNodes:
         vg = VirtualGraph()
         vg.add_real_node(1)
         vid = vg.add_virtual_node(1)
-        vg.remove_virtual(vid)
+        remove_virtual(vg, vid)
         assert vg.add_virtual_node(1) == vid + 1
         with pytest.raises(DuplicateNodeError):
             vg.declare_virtual(vid, 1)
@@ -151,7 +158,7 @@ class TestMaintainedImage:
         h = vg.add_virtual_node(1)
         vg.add_edge(virt(h), real(2))
         vg.add_edge(real(1), real(2))
-        vg.remove_virtual(h)
+        remove_virtual(vg, h)
         assert set(vg.image.edges()) == {(1, 2)}
         vg.remove_processor(2)
         assert vg.image.nodes == {1}
@@ -193,8 +200,8 @@ class TestJournal:
         g = vg.add_virtual_node(3)
         vg.add_edge(virt(g), real(2))
         vg.add_edge(virt(g), real(1))
-        vg.remove_virtual(h)
-        vg.remove_virtual(g)  # added and dropped again: in neither set
+        remove_virtual(vg, h)
+        remove_virtual(vg, g)  # added and dropped again: in neither set
         k = vg.add_virtual_node(2)
         vg.add_edge(virt(k), real(1))
         journal = vg.close_journal()
@@ -230,7 +237,7 @@ def test_image_and_journal_match_recomputation(seed):
     for _ in range(rng.randint(1, 12)):
         roll = rng.random()
         if roll < 0.3 and vg.virtuals:
-            vg.remove_virtual(rng.choice(sorted(vg.virtuals)))
+            remove_virtual(vg, rng.choice(sorted(vg.virtuals)))
         elif roll < 0.5 and len(vg.reals) > 1:
             vg.add_virtual_node(rng.choice(sorted(vg.reals)))
         else:
@@ -253,10 +260,215 @@ def test_image_and_journal_match_recomputation(seed):
             assert procs == (proc(a), proc(b))
 
 
+def _state(vg: VirtualGraph) -> tuple:
+    """Everything a mutation may change, the open journal included."""
+    return (
+        vg.reals,
+        vg.virtuals,
+        vg._adj,
+        vg.sim,
+        vg._hosted,
+        vg._spent_vids,
+        vg._multiplicity,
+        vg.image,
+        vg._journal,
+    )
+
+
+def _twin_graphs(seed: int) -> tuple[VirtualGraph, VirtualGraph]:
+    """Two equal random virtual graphs, each with an open journal."""
+    pair = []
+    for _ in range(2):
+        vg = random_virtual_graph(random.Random(seed), max_reals=8, max_virtuals=12)
+        vg.open_journal()
+        pair.append(vg)
+    return pair[0], pair[1]
+
+
+def _random_batch(rng: random.Random, batched: VirtualGraph, sequential: VirtualGraph):
+    """A repair-shaped batch: dissolve some vids, re-declare some of them
+    under fresh vids with the same simulator and wire them to the same
+    surviving neighbours (so their image pairs fall to 0 and climb back),
+    plus random new edges and edges already present. Fresh vids are minted
+    from both graphs' counters alike."""
+    virtuals = sorted(batched.virtuals)
+    dissolve = rng.sample(virtuals, rng.randint(0, len(virtuals)))
+    gone = {virt(vid) for vid in dissolve}
+    reals = sorted(batched.reals)
+    declare, edges = [], []
+    for vid in dissolve:
+        if rng.random() < 0.6:
+            fresh = batched.vids.take()
+            sequential.vids.take()
+            declare.append((fresh, batched.sim[vid]))
+            edges += [(virt(fresh), nbr) for nbr in sorted(batched.neighbors(virt(vid)) - gone)]
+    for _ in range(rng.randint(0, 3)):
+        fresh = batched.vids.take()
+        sequential.vids.take()
+        declare.append((fresh, rng.choice(reals)))
+    nodes = [real(p) for p in reals] + [virt(v) for v in virtuals if virt(v) not in gone]
+    nodes += [virt(vid) for vid, _ in declare]
+    present = [e for e in batched.edges() if not gone & set(e)]
+    edges += rng.sample(present, min(len(present), rng.randint(0, 3)))
+    if len(nodes) >= 2:
+        edges += [tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(0, 8))]
+    edges += rng.sample(edges, min(len(edges), 2))  # some edges twice in one batch
+    rng.shuffle(edges)
+    return dissolve, declare, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_rewire_matches_the_per_operation_path(seed):
+    # One batched rewire leaves exactly what remove_virtual, declare_virtual
+    # and add_edge leave in sequence: adjacency, simulation map, hosted
+    # index, spent vids, image counts, the image and the open journal.
+    batched, sequential = _twin_graphs(seed)
+    batch = _random_batch(random.Random(seed + 1), batched, sequential)
+    batched.rewire(*batch)
+    rewire_in_sequence(sequential, *batch)
+    assert _state(batched) == _state(sequential)
+    assert batched.image == oracle_image(batched)
+    assert batched.audit() == []
+
+
+class _RecordingGraph(Graph):
+    """A Graph that logs every edge mutation."""
+
+    __slots__ = ("calls",)
+
+    def add_edge(self, u, v):
+        self.calls.append(("add", u, v))
+        return super().add_edge(u, v)
+
+    def remove_edge(self, u, v):
+        self.calls.append(("remove", u, v))
+        super().remove_edge(u, v)
+
+
+class TestRewire:
+    def test_pair_that_returns_is_not_touched(self):
+        # h (on 1) carries the only edge 1-2; its replacement g (on 1) brings
+        # it back in the same batch, so the image and the real journal never
+        # see it go, while the virtual journal records both virtual edges.
+        vg = VirtualGraph()
+        for p in (1, 2):
+            vg.add_real_node(p)
+        h = vg.add_virtual_node(1)
+        vg.add_edge(virt(h), real(2))
+        image = _RecordingGraph()
+        image._adj, image.calls = vg.image._adj, []
+        vg.image = image
+        vg.open_journal()
+        g = vg.vids.take()
+        vg.rewire([h], [(g, 1)], [(virt(g), real(2))])
+        journal = vg.close_journal()
+        assert image.calls == []
+        assert vg._multiplicity == {(1, 2): 1}
+        assert set(image.edges()) == {(1, 2)}
+        assert journal.real_added == journal.real_dropped == set()
+        assert journal.virtual_dropped == {(real(2), virt(h)): (2, 1)}
+        assert journal.virtual_added == {(real(2), virt(g)): (2, 1)}
+
+    def test_edge_already_present_is_skipped(self):
+        vg = VirtualGraph()
+        for p in (1, 2):
+            vg.add_real_node(p)
+        vg.add_edge(real(1), real(2))
+        vg.open_journal()
+        vg.rewire([], [], [(real(2), real(1)), (real(1), real(2))])
+        assert vg.close_journal() == RepairJournal()
+        assert vg._multiplicity == {(1, 2): 1}
+        assert vg.neighbors(real(1)) == {real(2)}
+
+
+# Malformed batches for `_small_graph`: reals 0..3, vids 0 (on 0) and 1
+# (on 1), and vid 2 minted but never declared.
+BAD_BATCHES = {
+    "dissolve-unknown-vid": ([7], [], []),
+    "dissolve-undeclared-vid": ([2], [], []),
+    "dissolve-twice": ([0, 0], [], []),
+    "declare-spent-vid": ([], [(0, 2)], []),
+    "declare-dissolved-vid": ([1], [(1, 2)], []),
+    "declare-twice": ([], [(2, 0), (2, 1)], []),
+    "declare-unminted-vid": ([], [(9, 0)], []),
+    "declare-on-unknown-simulator": ([], [(2, 8)], []),
+    "self-loop": ([], [], [(virt(0), virt(0))]),
+    "edge-to-unknown-node": ([], [], [(real(0), real(9))]),
+    "edge-to-dissolved-node": ([0], [], [(real(2), real(3)), (virt(0), real(2))]),
+    "edge-to-undeclared-vid": ([], [], [(virt(2), real(1))]),
+}
+
+
+def _small_graph() -> VirtualGraph:
+    vg = VirtualGraph()
+    for p in range(4):
+        vg.add_real_node(p)
+    a, b = vg.add_virtual_node(0), vg.add_virtual_node(1)
+    vg.add_edge(virt(a), real(2))
+    vg.add_edge(virt(a), virt(b))
+    vg.add_edge(virt(b), real(3))
+    vg.vids.take()
+    vg.open_journal()
+    return vg
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BATCHES))
+def test_rewire_raises_as_the_per_operation_path(case):
+    # The same exception type, and, since the counts summed before the
+    # failure are still applied, the same graph afterwards.
+    batched, sequential = _small_graph(), _small_graph()
+    batch = BAD_BATCHES[case]
+    with pytest.raises(GraphError) as batched_error:
+        batched.rewire(*batch)
+    with pytest.raises(GraphError) as sequential_error:
+        rewire_in_sequence(sequential, *batch)
+    assert batched_error.type is sequential_error.type
+    assert _state(batched) == _state(sequential)
+    assert batched.audit() == []
+
+
 class TestAudit:
     def test_clean(self):
         rng = random.Random(1)
         assert random_virtual_graph(rng).audit() == []
+
+    def test_image_count_and_edge(self):
+        # reals {1, 2, 3}; h on 1 with edges to 2 and 3; 1-2 also directly.
+        vg = VirtualGraph()
+        for p in (1, 2, 3):
+            vg.add_real_node(p)
+        h = vg.add_virtual_node(1)
+        vg.add_edge(virt(h), real(2))
+        vg.add_edge(virt(h), real(3))
+        vg.add_edge(real(1), real(2))
+        assert vg.audit() == []
+        vg._multiplicity[(1, 2)] += 1  # corrupt: over-counted
+        del vg._multiplicity[(1, 3)]  # corrupt: lost
+        vg.image.add_edge(2, 3)  # corrupt: no preimage
+        assert vg.audit() == [
+            "image-count: (1, 2) is 3, expected 2",
+            "image-count: (1, 3) is 0, expected 1",
+            "image-edge: (2, 3) is in the image, but no virtual edge maps onto it",
+        ]
+        vg._multiplicity[(1, 3)] = 1
+        vg._multiplicity[(1, 2)] = 2
+        vg.image.remove_edge(2, 3)
+        vg.image.remove_edge(1, 3)  # corrupt: an edge with a preimage
+        assert vg.audit() == ["image-edge: (1, 3) is missing from the image"]
+
+    def test_hosted_and_spent(self):
+        vg = VirtualGraph()
+        for p in (1, 2):
+            vg.add_real_node(p)
+        h, g = vg.add_virtual_node(1), vg.add_virtual_node(2)
+        vg._hosted[1].discard(h)  # corrupt: h missing from its host's index
+        vg._hosted[1].add(g)  # corrupt: g indexed under the wrong host
+        vg._spent_vids.discard(g)  # corrupt: a live vid not marked spent
+        assert vg.audit() == [
+            f"hosted: 1 -> [{g}], expected [{h}]",
+            f"unspent-vid: {g}",
+        ]
 
     def test_dangling_simulator(self):
         vg = VirtualGraph()
