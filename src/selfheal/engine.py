@@ -39,7 +39,7 @@ from __future__ import annotations
 import bisect
 import random
 import time
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Collection, Iterable
@@ -396,7 +396,7 @@ class RunState:
     oracle: DistanceOracle | None = None
     live_oracle: DistanceOracle | None = None
     measure: LiveMeasure | None = None
-    timers: dict[str, float] = field(default_factory=dict)
+    timers: defaultdict[str, float] = field(default_factory=lambda: defaultdict(float))
 
     def live_graph(self) -> Graph:
         """The healer's live graph: read-only, valid until the next event."""
@@ -452,7 +452,7 @@ def step(state: RunState, event: Event) -> RunState:
         else:
             state.deleted.add(event.node)
             report = state.healer.on_delete(event.node)
-        state.timers["heal"] = state.timers.get("heal", 0.0) + (time.perf_counter() - t0)
+        state.timers["heal"] += time.perf_counter() - t0
         if state.adversary.index is not None:
             state.adversary.index.update(event.op, event.node, report.touched)
         state.t += 1
@@ -507,9 +507,7 @@ def _measure(
 
     t0 = time.perf_counter()
     connected = state.measure.connected(live, op, report.touched, report.witness)
-    state.timers["connectivity"] = state.timers.get("connectivity", 0.0) + (
-        time.perf_counter() - t0
-    )
+    state.timers["connectivity"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     ratio = state.measure.refresh(live, op, node, report.touched)
@@ -547,7 +545,7 @@ def _measure(
             live_dist=state.live_oracle.matrix()[0] if exact else None,
         )
         diameter_shadow = state.oracle.diameter()
-    state.timers["metrics"] = state.timers.get("metrics", 0.0) + (time.perf_counter() - t0)
+    state.timers["metrics"] += time.perf_counter() - t0
 
     return MetricsRecord(
         t=state.t,

@@ -5,9 +5,9 @@ network is its real image. Five healers share one implementation: `preprocess`
 lifts the initial graph into the virtual graph, then `on_insert` /
 `on_delete` per adversary event each return a HealerReport with the edge
 changes and cost accounting. A deletion removes the processor and everything
-it simulates, then a healer-specific `_repair` rewires the survivors while
-the virtual graph's repair journal records every edge it changes; the report
-is read off that journal. `live_graph` returns the maintained image itself,
+it simulates, then a healer-specific `_repair` rewires the survivors in one
+`VirtualGraph.rewire` batch, which returns every edge it changes; the report
+is read off those changes. `live_graph` returns the maintained image itself,
 not a copy: it is read-only and valid until the next event, so a caller that
 wants to keep it calls `.copy()`.
 
@@ -37,7 +37,7 @@ synchronous convention 1 + ceil(log2 |touched|) for the structural healers
 and 1 for the baselines. max_hops comes from a bidirectional breadth-first
 search between the deleted node and the touched nodes over the pre-deletion
 graph; for the search, the image takes that graph's shape in place, with
-the repair journal's real-edge changes undone. The tree healers also report a
+the repair's real-edge changes undone. The tree healers also report a
 connectivity witness, the processors their repair joined by construction,
 so that the engine need not search for touched nodes the repair has
 already joined.
@@ -149,8 +149,7 @@ class Healer:
             if not live.has_node(w):
                 raise UnknownNodeError(f"insert neighbor {w} is not live")
         self.vg.add_real_node(v)
-        for w in sorted(neighbors):
-            self.vg.add_edge(real(v), real(w))
+        self.vg.rewire((), (), [(real(v), real(w)) for w in sorted(neighbors)])
         return HealerReport(
             messages=len(neighbors),
             rounds=1,
@@ -166,13 +165,8 @@ class Healer:
 
         # Adversary's removal: v, everything v simulates, their edges.
         self.vg.remove_processor(v)
-
-        # Everything journaled from here on is healer work.
-        self.vg.open_journal()
-        try:
-            created_virtuals = self._repair(v, direct)
-        finally:
-            journal = self.vg.close_journal()
+        # Everything from here on is healer work.
+        journal, created_virtuals = self._repair(v, direct)
 
         joined: set[int] = set()  # the processors of the added virtual edges
         for pa, pb in journal.virtual_added.values():
@@ -227,9 +221,10 @@ class Healer:
                 adj[a].add(b)
                 adj[b].add(a)
 
-    def _repair(self, v: int, direct: list[int]) -> int:
-        """Rewire the survivors after v's removal; `direct` lists v's former
-        real neighbors in ascending order. Returns the virtual nodes created."""
+    def _repair(self, v: int, direct: list[int]) -> tuple[RepairJournal, int]:
+        """Rewire the survivors after v's removal in one `rewire` call;
+        `direct` lists v's former real neighbors in ascending order. Returns
+        that call's changes and the number of virtual nodes created."""
         raise NotImplementedError
 
     def _rounds(self, touched: int) -> int:
@@ -253,29 +248,25 @@ class Healer:
 class NullHealer(Healer):
     name = "null"
 
-    def _repair(self, v: int, direct: list[int]) -> int:
-        return 0
+    def _repair(self, v: int, direct: list[int]) -> tuple[RepairJournal, int]:
+        return RepairJournal(), 0
 
 
 class StarHealer(Healer):
     name = "star"
 
-    def _repair(self, v: int, direct: list[int]) -> int:
-        for w in direct[1:]:
-            self.vg.add_edge(real(direct[0]), real(w))
-        return 0
+    def _repair(self, v: int, direct: list[int]) -> tuple[RepairJournal, int]:
+        return self.vg.rewire((), (), [(real(direct[0]), real(w)) for w in direct[1:]]), 0
 
 
 class RingHealer(Healer):
     name = "ring"
 
-    def _repair(self, v: int, direct: list[int]) -> int:
+    def _repair(self, v: int, direct: list[int]) -> tuple[RepairJournal, int]:
         pairs = list(zip(direct, direct[1:]))
         if len(direct) > 2:
             pairs.append((direct[-1], direct[0]))
-        for u, w in pairs:
-            self.vg.add_edge(real(u), real(w))
-        return 0
+        return self.vg.rewire((), (), [(real(u), real(w)) for u, w in pairs]), 0
 
 
 class HaftHealer(Healer):
@@ -299,7 +290,7 @@ class HaftHealer(Healer):
     `walk` each, and rebuilds the whole affected region from its slots,
     which costs time in proportion to that region. Either way the repair
     only collects the vids it dissolves, the vids it declares and the edges
-    it adds, and applies them to the virtual graph as one netted batch,
+    it adds, and applies them to the virtual graph as one batch,
     `VirtualGraph.rewire`. `audit` recomputes the maps from whole-haft
     walks.
     """
@@ -328,9 +319,9 @@ class HaftHealer(Healer):
     def _rounds(self, touched: int) -> int:
         return 1 + ceil_log2(touched)
 
-    def _repair(self, v: int, direct: list[int]) -> int:
+    def _repair(self, v: int, direct: list[int]) -> tuple[RepairJournal, int]:
         """Split the hafts that lost v, then rebuild over their pieces and
-        the slots of v's real neighbors. Returns the virtual nodes created."""
+        the slots of v's real neighbors."""
         # Mark every vid above a dead slot; a path that meets a marked vid
         # has already been walked up to its tree root.
         dead = self.slot_origins.pop(v, set())
@@ -379,14 +370,16 @@ class HaftHealer(Healer):
 
         return self._install(items, dissolve)
 
-    def _install(self, items: list[HaftNode], dissolve: list[int]) -> int:
+    def _install(
+        self, items: list[HaftNode], dissolve: list[int]
+    ) -> tuple[RepairJournal, int]:
         """Assemble the replacement structure over `items`, and apply it,
         with the dissolution of the vids in `dissolve`, to the virtual graph
         in one `rewire`. Only the new internal nodes (carries and spine) are
         declared, linked to their children and entered in the maps;
         preserved subtrees are already wired, and their simulators are
-        checked before the graph changes. Returns the number of virtual
-        nodes created."""
+        checked before the graph changes. Returns the `rewire` changes and
+        the number of virtual nodes created."""
         total = sum(it.size for it in items)
         if total <= 2 and len(items) == total:
             # A lone claimant keeps no structure, and two separate single
@@ -399,8 +392,7 @@ class HaftHealer(Healer):
                         del self.slot_origins[slot.processor]
             procs = sorted({slot.processor for slot in items})
             edges = [(real(procs[0]), real(procs[1]))] if len(procs) == 2 else []
-            self.vg.rewire(dissolve, (), edges)
-            return 0
+            return self.vg.rewire(dissolve, (), edges), 0
         new_haft = _assemble(items, self.vg.vids)
         hid = self._next_haft_id
         self._next_haft_id += 1
@@ -433,8 +425,7 @@ class HaftHealer(Healer):
                     )
             if up is not None:
                 edges.append((up, me))
-        self.vg.rewire(dissolve, declare, edges)
-        return len(declare)
+        return self.vg.rewire(dissolve, declare, edges), len(declare)
 
     def audit(self) -> list[str]:
         """State consistency: virtual and healed graph invariants, haft

@@ -14,17 +14,15 @@ when it returns to 0. `de_simulate` returns a copy of it. A processor ->
 hosted-vids index makes removing a processor proportional to what it
 simulates.
 
-A single edge (an insert, a baseline healer's repair, a removed
-processor's edges) moves its image count at once. A tree healer's repair
-goes through `rewire` as one batch: it dissolves vids, declares new ones
-and adds edges, sums the count changes per processor pair, and applies
-each net change once. So an image edge whose count falls to 0 and climbs
-back within the repair is never touched.
-
-While a `RepairJournal` is open (`open_journal` .. `close_journal`), every
-mutation is also recorded in it, netted against the graph as it was when
-the journal opened: a healer reads the edges its repair changed from the
-journal instead of diffing snapshots.
+Edges between live nodes change in one place, `rewire`: it dissolves vids,
+declares new ones and adds edges as one batch, sums the count changes per
+processor pair, and applies each net change once. So an image edge whose
+count falls to 0 and climbs back within the batch is never touched.
+`rewire` returns the batch's virtual and real edge changes as a
+`RepairJournal`: a healer reads the edges its repair changed from it
+instead of diffing snapshots. Removing a processor needs no counting: the
+virtual edges it loses are exactly those that map onto its image edges (or
+onto none), so those image edges and their counts go with it.
 
 Two consequences of the homomorphism that downstream bounds lean on, and
 that the property tests check against a breadth-first oracle:
@@ -43,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .graph import DuplicateNodeError, Graph, GraphError, UnknownNodeError
+from .graph import DuplicateNodeError, Graph, UnknownNodeError
 
 
 class VNode(NamedTuple):
@@ -93,40 +91,17 @@ Edge = tuple[VNode, VNode]
 
 @dataclass
 class RepairJournal:
-    """Net edge changes since the journal opened.
+    """The edge changes of one `VirtualGraph.rewire` batch.
 
     Virtual edges are canonically ordered VNode pairs, each mapped to the
     processors of its endpoints (for a dropped edge, as they were at its
-    removal). Real edges are image edges as (min, max) processor pairs. An
-    edge added and dropped again within one journal appears in neither set.
+    removal). Real edges are image edges as (min, max) processor pairs.
     """
 
     virtual_added: dict[Edge, tuple[int, int]] = field(default_factory=dict)
     virtual_dropped: dict[Edge, tuple[int, int]] = field(default_factory=dict)
     real_added: set[tuple[int, int]] = field(default_factory=set)
     real_dropped: set[tuple[int, int]] = field(default_factory=set)
-
-    def book_virtual(self, a: VNode, b: VNode, pa: int, pb: int, delta: int) -> None:
-        """Net virtual edge a-b, with processors pa and pb, being added
-        (delta > 0) or removed (delta < 0)."""
-        key, procs = ((a, b), (pa, pb)) if a < b else ((b, a), (pb, pa))
-        if delta > 0:
-            if self.virtual_dropped.pop(key, None) is None:
-                self.virtual_added[key] = procs
-        elif self.virtual_added.pop(key, None) is None:
-            self.virtual_dropped[key] = procs
-
-    def book_real(self, edge: tuple[int, int], present: bool) -> None:
-        """Net image edge `edge` appearing (present) or disappearing."""
-        gained, lost = (
-            (self.real_added, self.real_dropped)
-            if present
-            else (self.real_dropped, self.real_added)
-        )
-        if edge in lost:
-            lost.discard(edge)
-        else:
-            gained.add(edge)
 
 
 class VirtualGraph:
@@ -143,7 +118,6 @@ class VirtualGraph:
         self._spent_vids: set[int] = set()
         self._hosted: dict[int, set[int]] = {}
         self._multiplicity: dict[tuple[int, int], int] = {}
-        self._journal: RepairJournal | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -153,8 +127,7 @@ class VirtualGraph:
         vg = cls()
         for v in sorted(g.nodes):
             vg.add_real_node(v)
-        for u, v in g.edges():
-            vg.add_edge(real(u), real(v))
+        vg.rewire((), (), [(real(u), real(v)) for u, v in g.edges()])
         return vg
 
     def add_real_node(self, processor: int) -> None:
@@ -193,68 +166,27 @@ class VirtualGraph:
 
     def add_edge(self, a: VNode, b: VNode) -> bool:
         """Add edge a-b; returns False if already present."""
-        if a == b:
-            raise UnknownNodeError(f"self-loop at {a}")
-        for x in (a, b):
-            if x not in self._adj:
-                raise UnknownNodeError(f"{x} not in virtual graph")
-        if b in self._adj[a]:
-            return False
-        self._adj[a].add(b)
-        self._adj[b].add(a)
-        self._count_image(a, b, +1)
-        return True
+        return bool(self.rewire((), (), [(a, b)]).virtual_added)
 
     # -- removal ----------------------------------------------------------
 
     def remove_processor(self, processor: int) -> None:
         """Remove a processor, cascading to every virtual node it simulates,
-        and all their edges; the image loses the processor and every image
-        edge no surviving virtual edge maps onto."""
+        and all their edges; the image loses the processor and its edges,
+        with their counts, and no other count changes."""
         if processor not in self.reals:
             raise UnknownNodeError(f"real node {processor} not present")
-        hosted = sorted(self._hosted.pop(processor, ()))
-        self._detach(real(processor))
-        for vid in hosted:
-            self._detach(virt(vid))
+        hosted = self._hosted.pop(processor, ())
+        adj = self._adj
+        for node in (real(processor), *map(virt, hosted)):
+            for nbr in adj.pop(node):
+                adj[nbr].discard(node)
+        for q in self.image.remove_node(processor):
+            del self._multiplicity[(processor, q) if processor < q else (q, processor)]
         self.reals.discard(processor)
-        self.image.remove_node(processor)
         for vid in hosted:
             self.virtuals.discard(vid)
-            self.sim.pop(vid, None)
-
-    def _detach(self, node: VNode) -> None:
-        for nbr in self._adj.pop(node):
-            self._adj[nbr].discard(node)
-            self._count_image(node, nbr, -1)
-
-    def _count_image(self, a: VNode, b: VNode, delta: int) -> None:
-        """Book one virtual edge a-b being added (+1) or removed (-1) in the
-        journal, if one is open, and in the count of its image edge."""
-        pa, pb = self.processor_of(a), self.processor_of(b)
-        if self._journal is not None:
-            self._journal.book_virtual(a, b, pa, pb, delta)
-        if pa != pb:
-            self._shift((pa, pb) if pa < pb else (pb, pa), delta)
-
-    def _shift(self, edge: tuple[int, int], delta: int) -> None:
-        """Move the count of image edge `edge`, a (min, max) processor pair,
-        by a nonzero `delta`. The image, and the open journal's real edges,
-        change only when the count moves between 0 and nonzero."""
-        before = self._multiplicity.get(edge, 0)
-        after = before + delta
-        if after:
-            self._multiplicity[edge] = after
-        else:
-            del self._multiplicity[edge]
-        if before and after:
-            return
-        if after:
-            self.image.add_edge(*edge)
-        else:
-            self.image.remove_edge(*edge)
-        if self._journal is not None:
-            self._journal.book_real(edge, bool(after))
+            del self.sim[vid]
 
     # -- batched repair -----------------------------------------------------
 
@@ -263,21 +195,24 @@ class VirtualGraph:
         dissolve: Iterable[int],
         declare: Iterable[tuple[int, int]],
         edges: Iterable[Edge],
-    ) -> None:
+    ) -> RepairJournal:
         """Dissolve each vid in `dissolve` with its edges, declare each
         (vid, simulator) in `declare`, then add each virtual edge in
-        `edges`: one batch, in that order.
+        `edges`: one batch, in that order. Returns the batch's changes.
 
-        Every check of `declare_virtual` and `add_edge` holds, with the same
-        exceptions; an edge already present is skipped, and a vid to
-        dissolve that is not a live virtual node raises UnknownNodeError.
-        Each virtual edge is journaled as it changes. The image counts are
+        Every check of `declare_virtual` holds, with the same exceptions; a
+        self-loop or an endpoint not in the graph raises UnknownNodeError,
+        an edge already present is skipped, and a vid to dissolve that is
+        not a live virtual node raises UnknownNodeError. No edge is both
+        added and dropped: each dropped edge has a dissolved endpoint, and
+        a dissolved vid cannot be declared again. The image counts are
         summed per processor pair and each nonzero net change is applied
         once, at the end, even when a check raises part way; so the image
-        and the journal's real edges change only on a real move between 0
-        and nonzero.
+        changes only on a real move between 0 and nonzero.
         """
-        adj, sim, virtuals, journal = self._adj, self.sim, self.virtuals, self._journal
+        adj, sim, virtuals = self._adj, self.sim, self.virtuals
+        changes = RepairJournal()
+        added, dropped = changes.virtual_added, changes.virtual_dropped
         net: dict[tuple[int, int], int] = {}
         try:
             for vid in dissolve:
@@ -288,8 +223,10 @@ class VirtualGraph:
                 for nbr in adj.pop(node):
                     adj[nbr].discard(node)
                     pn = nbr.id if nbr.kind == "r" else sim[nbr.id]
-                    if journal is not None:
-                        journal.book_virtual(node, nbr, pv, pn, -1)
+                    if node < nbr:
+                        dropped[(node, nbr)] = (pv, pn)
+                    else:
+                        dropped[(nbr, node)] = (pn, pv)
                     if pv != pn:
                         edge = (pv, pn) if pv < pn else (pn, pv)
                         net[edge] = net.get(edge, 0) - 1
@@ -309,28 +246,31 @@ class VirtualGraph:
                 adj[b].add(a)
                 pa = a.id if a.kind == "r" else sim[a.id]
                 pb = b.id if b.kind == "r" else sim[b.id]
-                if journal is not None:
-                    journal.book_virtual(a, b, pa, pb, +1)
+                if a < b:
+                    added[(a, b)] = (pa, pb)
+                else:
+                    added[(b, a)] = (pb, pa)
                 if pa != pb:
                     edge = (pa, pb) if pa < pb else (pb, pa)
                     net[edge] = net.get(edge, 0) + 1
         finally:
+            counts, image = self._multiplicity, self.image
             for edge, delta in net.items():
-                if delta:
-                    self._shift(edge, delta)
-
-    # -- repair journal -----------------------------------------------------
-
-    def open_journal(self) -> None:
-        """Start recording net edge changes (replacing any open journal)."""
-        self._journal = RepairJournal()
-
-    def close_journal(self) -> RepairJournal:
-        """Stop recording and return the changes since `open_journal`."""
-        journal, self._journal = self._journal, None
-        if journal is None:
-            raise GraphError("no repair journal is open")
-        return journal
+                if not delta:
+                    continue
+                before = counts.get(edge, 0)
+                after = before + delta
+                if after:
+                    counts[edge] = after
+                else:
+                    del counts[edge]
+                if not before:
+                    image.add_edge(*edge)
+                    changes.real_added.add(edge)
+                elif not after:
+                    image.remove_edge(*edge)
+                    changes.real_dropped.add(edge)
+        return changes
 
     # -- views ------------------------------------------------------------
 

@@ -6,9 +6,11 @@ with an explicit queue, all-pairs distances by Floyd-Warshall and by one
 such search per source, cut
 vertices by deleting each vertex and recounting components, the
 homomorphic image of a virtual graph recomputed from its adjacency and
-simulation map, and the degree ratio with one Fraction per node. The one
-exception is `remove_virtual`: it is the library's own single-edge path,
-kept here as the sequential oracle of the batched `VirtualGraph.rewire`.
+simulation map, and the degree ratio with one Fraction per node.
+`rewire_in_sequence` is the sequential oracle of the batched
+`VirtualGraph.rewire`: it changes the graph one operation and one edge at a
+time, with its own image-count bookkeeping, and reads the changes off
+snapshots taken before and after.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from selfheal.graph import Graph, UnknownNodeError
 from selfheal.metrics import ZeroShadowDegreeError
-from selfheal.virtual_graph import VirtualGraph, real, virt
+from selfheal.virtual_graph import RepairJournal, VirtualGraph, real, virt
 
 INF = float("inf")
 
@@ -147,25 +149,82 @@ def oracle_image(vg: VirtualGraph) -> Graph:
     return g
 
 
+def _count_image(vg: VirtualGraph, a, b, delta: int) -> None:
+    """Move the count of the image edge under virtual edge a-b by `delta`;
+    the image edge appears as its count leaves 0 and goes as it returns."""
+    pa, pb = vg.processor_of(a), vg.processor_of(b)
+    if pa == pb:
+        return
+    edge = (min(pa, pb), max(pa, pb))
+    before = vg._multiplicity.get(edge, 0)
+    vg._multiplicity[edge] = before + delta
+    if not before:
+        vg.image.add_edge(*edge)
+    elif not before + delta:
+        del vg._multiplicity[edge]
+        vg.image.remove_edge(*edge)
+
+
 def remove_virtual(vg: VirtualGraph, vid: int) -> None:
-    """Dissolve one virtual node and its edges, booking each edge on its own
-    through `VirtualGraph._detach`."""
+    """Dissolve one virtual node and its edges, one edge at a time."""
     if vid not in vg.virtuals:
         raise UnknownNodeError(f"virtual node {vid} not present")
-    vg._detach(virt(vid))
+    node = virt(vid)
+    for nbr in vg._adj.pop(node):
+        vg._adj[nbr].discard(node)
+        _count_image(vg, node, nbr, -1)
     vg.virtuals.discard(vid)
     vg._hosted[vg.sim.pop(vid)].discard(vid)
 
 
-def rewire_in_sequence(vg: VirtualGraph, dissolve, declare, edges) -> None:
+def add_virtual_edge(vg: VirtualGraph, a, b) -> None:
+    """Add one virtual edge, with the errors of `VirtualGraph.add_edge`; an
+    edge already present is left alone."""
+    if a == b:
+        raise UnknownNodeError(f"self-loop at {a}")
+    for x in (a, b):
+        if x not in vg._adj:
+            raise UnknownNodeError(f"{x} not in virtual graph")
+    if b not in vg._adj[a]:
+        vg._adj[a].add(b)
+        vg._adj[b].add(a)
+        _count_image(vg, a, b, +1)
+
+
+def edge_snapshot(vg: VirtualGraph) -> tuple[dict, set]:
+    """Every virtual edge as a sorted pair, mapped to its endpoints'
+    processors, and the edges of the recomputed image."""
+    virtual = {}
+    for a, nbrs in vg._adj.items():
+        for b in nbrs:
+            if a < b:
+                virtual[(a, b)] = (vg.processor_of(a), vg.processor_of(b))
+    return virtual, set(oracle_image(vg).edges())
+
+
+def changes_between(before: tuple[dict, set], after: tuple[dict, set]) -> RepairJournal:
+    """The edge changes from one `edge_snapshot` to a later one."""
+    (v0, r0), (v1, r1) = before, after
+    return RepairJournal(
+        virtual_added={e: p for e, p in v1.items() if e not in v0},
+        virtual_dropped={e: p for e, p in v0.items() if e not in v1},
+        real_added=r1 - r0,
+        real_dropped=r0 - r1,
+    )
+
+
+def rewire_in_sequence(vg: VirtualGraph, dissolve, declare, edges) -> RepairJournal:
     """What `vg.rewire(dissolve, declare, edges)` does, one operation at a
-    time: `remove_virtual`, then `declare_virtual`, then `add_edge`."""
+    time: `remove_virtual`, then `declare_virtual`, then `add_virtual_edge`.
+    Returns the changes between snapshots taken before and after."""
+    before = edge_snapshot(vg)
     for vid in dissolve:
         remove_virtual(vg, vid)
     for vid, simulator in declare:
         vg.declare_virtual(vid, simulator)
     for a, b in edges:
-        vg.add_edge(a, b)
+        add_virtual_edge(vg, a, b)
+    return changes_between(before, edge_snapshot(vg))
 
 
 def oracle_degree_ratio_max(live: Graph, shadow: Graph, deleted: set[int] | None = None):

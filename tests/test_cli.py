@@ -14,6 +14,7 @@ from selfheal.engine import DistanceOracle, LiveMeasure
 from selfheal.graph import UnknownNodeError
 from selfheal.healers import HaftHealer, HealerError
 from selfheal.metrics import ZeroShadowDegreeError
+from selfheal.virtual_graph import RepairJournal
 
 
 def write(path, text):
@@ -244,7 +245,7 @@ _on_delete = HaftHealer.on_delete
 def _delete_with_a_false_witness(self, v):
     """A haft deletion that leaves the hole open, yet reports every orphan
     in its witness, as if the repair had joined them."""
-    self._repair = lambda v, direct: 0
+    self._repair = lambda v, direct: (RepairJournal(), 0)
     report = _on_delete(self, v)
     report.witness = set(report.touched)
     return report

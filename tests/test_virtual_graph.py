@@ -12,6 +12,8 @@ from selfheal.graph import DuplicateNodeError, Graph, GraphError, UnknownNodeErr
 from selfheal.virtual_graph import RepairJournal, VirtualGraph, VNode, real, virt
 
 from conftest import (
+    changes_between,
+    edge_snapshot,
     oracle_bfs,
     oracle_image,
     random_virtual_graph,
@@ -116,6 +118,34 @@ class TestRemoveProcessor:
             vg.remove_processor(4)
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_remove_processor_keeps_image_and_counts(seed):
+    # Processors removed one by one, in random order, from a random virtual
+    # graph in which every hosting processor's vids also touch its own real
+    # node, each other and another processor: after each removal the graph
+    # audits clean, the image equals the from-scratch image, and no image
+    # count is left on the removed processor.
+    rng = random.Random(seed)
+    vg = random_virtual_graph(rng, max_reals=12, max_virtuals=24)
+    nodes = [real(p) for p in sorted(vg.reals)] + [virt(v) for v in sorted(vg.virtuals)]
+    for p in sorted(vg.reals):
+        hosted = [virt(v) for v in sorted(vg.virtuals) if vg.sim[v] == p]
+        if hosted:
+            vg.add_edge(hosted[0], real(p))
+            if len(hosted) > 1:
+                vg.add_edge(hosted[0], hosted[1])
+            others = [x for x in nodes if vg.processor_of(x) != p]
+            if others:
+                vg.add_edge(hosted[-1], rng.choice(others))
+    while vg.reals:
+        p = rng.choice(sorted(vg.reals))
+        vg.remove_processor(p)
+        assert vg.audit() == []
+        assert vg.image == oracle_image(vg)
+        assert not any(p in edge for edge in vg._multiplicity)
+
+
 class TestDeSimulate:
     def test_collapsing_image(self):
         # reals {1,2,3}; virtual h sim by 1; edges (h,2), (h,3), (1,2).
@@ -190,78 +220,46 @@ class TestMaintainedImage:
 
 
 class TestJournal:
-    def test_nets_changes_since_open(self):
+    def test_each_batch_returns_only_its_own_changes(self):
         vg = VirtualGraph()
         for p in (1, 2, 3):
             vg.add_real_node(p)
-        h = vg.add_virtual_node(1)
-        vg.add_edge(virt(h), real(2))
-        vg.open_journal()
-        g = vg.add_virtual_node(3)
-        vg.add_edge(virt(g), real(2))
-        vg.add_edge(virt(g), real(1))
-        remove_virtual(vg, h)
-        remove_virtual(vg, g)  # added and dropped again: in neither set
-        k = vg.add_virtual_node(2)
-        vg.add_edge(virt(k), real(1))
-        journal = vg.close_journal()
-        assert journal.virtual_added == {(real(1), virt(k)): (1, 2)}
-        assert journal.virtual_dropped == {(real(2), virt(h)): (2, 1)}
-        # 1-2 was dropped with h and came back through k: no net change.
-        assert journal.real_added == set()
-        assert journal.real_dropped == set()
-
-    def test_closed_journal_records_nothing(self):
-        vg = VirtualGraph()
-        vg.open_journal()
-        vg.close_journal()
-        vg.add_real_node(1)
-        vg.add_real_node(2)
-        vg.add_edge(real(1), real(2))
-        vg.open_journal()
-        assert vg.close_journal().real_added == set()
+        first = vg.rewire((), (), [(real(1), real(2))])
+        assert first.real_added == {(1, 2)}
+        h = vg.vids.take()
+        second = vg.rewire((), [(h, 3)], [(virt(h), real(1))])
+        assert second == RepairJournal(
+            virtual_added={(real(1), virt(h)): (1, 3)}, real_added={(1, 3)}
+        )
+        assert first.real_added == {(1, 2)}
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_image_and_journal_match_recomputation(seed):
-    # Random removals and re-wirings under an open journal: the maintained
-    # image equals the from-scratch image, and the journal equals the
-    # difference of edge sets before and after.
+    # Random removals and re-wirings, one `rewire` batch each: the
+    # maintained image equals the from-scratch image, and each batch's
+    # returned changes equal the difference of edge sets before and after.
     rng = random.Random(seed)
     vg = random_virtual_graph(rng)
     assert vg.image == oracle_image(vg)
-    before_v, before_r = vg.edge_set(), set(oracle_image(vg).edges())
-    sims = dict(vg.sim)
-    vg.open_journal()
     for _ in range(rng.randint(1, 12)):
+        before = edge_snapshot(vg)
         roll = rng.random()
         if roll < 0.3 and vg.virtuals:
-            remove_virtual(vg, rng.choice(sorted(vg.virtuals)))
+            changes = vg.rewire([rng.choice(sorted(vg.virtuals))], (), ())
         elif roll < 0.5 and len(vg.reals) > 1:
-            vg.add_virtual_node(rng.choice(sorted(vg.reals)))
+            changes = vg.rewire((), [(vg.vids.take(), rng.choice(sorted(vg.reals)))], ())
         else:
             nodes = [real(p) for p in sorted(vg.reals)] + [virt(v) for v in sorted(vg.virtuals)]
-            if len(nodes) >= 2:
-                vg.add_edge(*rng.sample(nodes, 2))
+            edges = [tuple(rng.sample(nodes, 2))] if len(nodes) >= 2 else []
+            changes = vg.rewire((), (), edges)
         assert vg.image == oracle_image(vg)
-    journal = vg.close_journal()
-    after_v, after_r = vg.edge_set(), set(oracle_image(vg).edges())
-    assert set(journal.virtual_added) == after_v - before_v
-    assert set(journal.virtual_dropped) == before_v - after_v
-    assert journal.real_added == after_r - before_r
-    assert journal.real_dropped == before_r - after_r
-
-    def proc(x):
-        return x.id if x.kind == "r" else sims.get(x.id, vg.sim.get(x.id))
-
-    for edges in (journal.virtual_added, journal.virtual_dropped):
-        for (a, b), procs in edges.items():
-            assert procs == (proc(a), proc(b))
+        assert changes == changes_between(before, edge_snapshot(vg))
 
 
 def _state(vg: VirtualGraph) -> tuple:
-    """Everything a mutation may change, the open journal included."""
+    """Everything a mutation may change."""
     return (
         vg.reals,
         vg.virtuals,
@@ -271,18 +269,14 @@ def _state(vg: VirtualGraph) -> tuple:
         vg._spent_vids,
         vg._multiplicity,
         vg.image,
-        vg._journal,
     )
 
 
 def _twin_graphs(seed: int) -> tuple[VirtualGraph, VirtualGraph]:
-    """Two equal random virtual graphs, each with an open journal."""
-    pair = []
-    for _ in range(2):
-        vg = random_virtual_graph(random.Random(seed), max_reals=8, max_virtuals=12)
-        vg.open_journal()
-        pair.append(vg)
-    return pair[0], pair[1]
+    """Two equal random virtual graphs."""
+    return tuple(
+        random_virtual_graph(random.Random(seed), max_reals=8, max_virtuals=12) for _ in range(2)
+    )
 
 
 def _random_batch(rng: random.Random, batched: VirtualGraph, sequential: VirtualGraph):
@@ -321,12 +315,12 @@ def _random_batch(rng: random.Random, batched: VirtualGraph, sequential: Virtual
 @given(seed=st.integers(0, 10**9))
 def test_rewire_matches_the_per_operation_path(seed):
     # One batched rewire leaves exactly what remove_virtual, declare_virtual
-    # and add_edge leave in sequence: adjacency, simulation map, hosted
-    # index, spent vids, image counts, the image and the open journal.
+    # and add_virtual_edge leave in sequence: adjacency, simulation map,
+    # hosted index, spent vids, image counts and the image; and it returns
+    # the changes between snapshots taken before and after.
     batched, sequential = _twin_graphs(seed)
     batch = _random_batch(random.Random(seed + 1), batched, sequential)
-    batched.rewire(*batch)
-    rewire_in_sequence(sequential, *batch)
+    assert batched.rewire(*batch) == rewire_in_sequence(sequential, *batch)
     assert _state(batched) == _state(sequential)
     assert batched.image == oracle_image(batched)
     assert batched.audit() == []
@@ -349,8 +343,8 @@ class _RecordingGraph(Graph):
 class TestRewire:
     def test_pair_that_returns_is_not_touched(self):
         # h (on 1) carries the only edge 1-2; its replacement g (on 1) brings
-        # it back in the same batch, so the image and the real journal never
-        # see it go, while the virtual journal records both virtual edges.
+        # it back in the same batch, so the image and the real changes never
+        # see it go, while the virtual changes record both virtual edges.
         vg = VirtualGraph()
         for p in (1, 2):
             vg.add_real_node(p)
@@ -359,10 +353,8 @@ class TestRewire:
         image = _RecordingGraph()
         image._adj, image.calls = vg.image._adj, []
         vg.image = image
-        vg.open_journal()
         g = vg.vids.take()
-        vg.rewire([h], [(g, 1)], [(virt(g), real(2))])
-        journal = vg.close_journal()
+        journal = vg.rewire([h], [(g, 1)], [(virt(g), real(2))])
         assert image.calls == []
         assert vg._multiplicity == {(1, 2): 1}
         assert set(image.edges()) == {(1, 2)}
@@ -375,9 +367,7 @@ class TestRewire:
         for p in (1, 2):
             vg.add_real_node(p)
         vg.add_edge(real(1), real(2))
-        vg.open_journal()
-        vg.rewire([], [], [(real(2), real(1)), (real(1), real(2))])
-        assert vg.close_journal() == RepairJournal()
+        assert vg.rewire([], [], [(real(2), real(1)), (real(1), real(2))]) == RepairJournal()
         assert vg._multiplicity == {(1, 2): 1}
         assert vg.neighbors(real(1)) == {real(2)}
 
@@ -409,7 +399,6 @@ def _small_graph() -> VirtualGraph:
     vg.add_edge(virt(a), virt(b))
     vg.add_edge(virt(b), real(3))
     vg.vids.take()
-    vg.open_journal()
     return vg
 
 
