@@ -13,11 +13,11 @@ An online strategy reads the live ids, the next fresh id and the node of
 maximum live degree from an `AdversaryIndex`. The engine keeps one in the
 state and refreshes it after every event from the event and the nodes it
 touched (`update`), so choosing an event costs O(log n) rather than a sort
-and a scan of every live node. A state without an index, as a direct
-caller passes, gets a throwaway one built from the graphs; both make the
-same choices with the same draws. The `articulation` strategy keeps no
-degree heap: it falls back to a scan of the live ids only when the graph
-has no cut vertex.
+and a scan of every live node. Its degree heap is built on the first
+request for the maximum, so a strategy that never asks (`random`, `mixed`,
+or `articulation` while the graph has a cut vertex) never builds one. A
+state without an index, as a direct caller passes, gets a throwaway one
+built from the graphs; both make the same choices with the same draws.
 
 The pinned generator is CPython's `random.Random` (Mersenne Twister); its
 identity is recorded in every manifest the CLI writes.
@@ -84,11 +84,6 @@ class StrategySpec:
             raise ValueError(f"insert_degree {self.insert_degree} < 1")
 
 
-# The strategies that pick the node of maximum live degree on most events,
-# and so keep a degree heap in their index.
-HEAP_KINDS = ("max-degree", "clustered")
-
-
 class AdversaryIndex:
     """The live ids, the next fresh id and the maximum live degree, kept
     from one event to the next.
@@ -96,9 +91,10 @@ class AdversaryIndex:
     * `live_ids`: every live id, ascending. A deletion bisects its id out;
       an insert appends, or bisects in a scripted id below the maximum.
     * `next_id`: one more than every id that ever existed, live or deleted.
-    * A lazy max-heap of (-live degree, id), kept only when `heap` is set.
-      An entry is current while its node is live with that degree; stale
-      ones are dropped when they reach the top. The nodes whose degree an
+    * A lazy max-heap of (-live degree, id), built from the graph on the
+      first `max_degree_node` call and kept from then on. An entry is
+      current while its node is live with that degree; stale ones are
+      dropped when they reach the top. The nodes whose degree an
       event changed are set aside, and each gets a fresh entry when the
       maximum is next asked for, so that a node touched by several events
       in between is pushed once. Then every live node has a current entry,
@@ -110,13 +106,11 @@ class AdversaryIndex:
 
     __slots__ = ("live_ids", "next_id", "_heap", "_dirty")
 
-    def __init__(self, live: Graph, shadow: Graph, heap: bool):
+    def __init__(self, live: Graph, shadow: Graph):
         self.live_ids = sorted(live._adj)
         self.next_id = max(shadow._adj) + 1 if shadow._adj else 0
         self._heap: list[tuple[int, int]] | None = None
         self._dirty: set[int] = set()
-        if heap:
-            self._rebuild(live._adj)
 
     def _rebuild(self, adj: dict[int, set[int]]) -> None:
         self._heap = [(-len(adj[v]), v) for v in self.live_ids]
@@ -142,7 +136,7 @@ class AdversaryIndex:
     def max_degree_node(self, live: Graph) -> int:
         """The live node of maximum degree, the smallest id among ties."""
         heap, adj, dirty = self._heap, live._adj, self._dirty
-        if len(heap) + len(dirty) > 2 * len(self.live_ids) + 64:
+        if heap is None or len(heap) + len(dirty) > 2 * len(self.live_ids) + 64:
             self._rebuild(adj)
             heap = self._heap
         for w in dirty:
@@ -176,7 +170,7 @@ def new_index(spec: StrategySpec, live: Graph, shadow: Graph) -> AdversaryIndex 
     """The index an online strategy reads, or None for a scripted one."""
     if spec.kind == "scripted":
         return None
-    return AdversaryIndex(live, shadow, heap=spec.kind in HEAP_KINDS)
+    return AdversaryIndex(live, shadow)
 
 
 def next_event(
@@ -210,7 +204,7 @@ def next_event(
         return _emit_delete(index.max_degree_node(live), state)
     if spec.kind == "articulation":
         cuts = live.articulation_points()
-        target = cuts[0] if cuts else _max_degree_node(live, live_nodes)
+        target = cuts[0] if cuts else index.max_degree_node(live)
         return _emit_delete(target, state)
     if spec.kind == "clustered":
         target = None
@@ -233,17 +227,6 @@ def _first_live_neighbor_of_deleted(live: Graph, shadow: Graph, dead: int) -> in
     edges."""
     live_adj = live._adj
     return min((w for w in shadow._adj[dead] if w in live_adj), default=None)
-
-
-def _max_degree_node(live: Graph, live_nodes: list[int]) -> int:
-    """The `articulation` fallback: a scan of the ascending live ids."""
-    best = live_nodes[0]
-    best_deg = live.degree(best)
-    for v in live_nodes[1:]:
-        d = live.degree(v)
-        if d > best_deg:
-            best, best_deg = v, d
-    return best
 
 
 def _insert(spec: StrategySpec, live_nodes: list[int], fresh: int, state: AdversaryState) -> Event:

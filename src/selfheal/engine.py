@@ -36,10 +36,9 @@ instances that share nothing.
 
 from __future__ import annotations
 
-import bisect
 import random
 import time
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Collection, Iterable
@@ -89,9 +88,10 @@ class DistanceOracle:
     it never pays for it; until then every update is a no-op. After that it
     is maintained in place, in one float32 capacity buffer that grows by a
     quarter when full (entries are hop counts < 2^24, so float32 is exact).
-    Rows stay in ascending node order, as `all_pairs_distances` builds them:
-    a node joins at its place and a removed one closes its gap. Three
-    updates:
+    Rows are in arrival order, and `nodes` names the node of each: a build
+    lays them out ascending, an insert appends a row and column, and a
+    removal moves the last ones into the freed slot, so no update shifts
+    the matrix. Three updates:
 
     * `insert(v, neighbors)` (Ausiello et al., "Incremental algorithms for
       minimal length paths", 1991): v's row is one more than the nearest
@@ -100,14 +100,15 @@ class DistanceOracle:
     * `add_edge(a, b)`: D = min(D, D[:, a] + 1 + D[b, :]) both ways. Only
       rows nearer a than b can gain and only columns nearer b than a, so
       the update touches that block.
-    * `remove(v, added, dropped)`: the added edges first, then v's row and
-      column out. By the decremental rule (Ramalingam & Reps, J. Algorithms
-      1996; Demetrescu & Italiano, J. ACM 2004) only a pair whose distance
-      equals a path through v or a dropped edge can grow. When some pair
-      can, the matrix is rebuilt; otherwise every entry is exact already.
-      On the `churn-stretch` corpus 54% of deletions leave no such pair,
-      and recomputing only the pairs that can grow measured no faster than
-      a rebuild.
+    * `remove(v, added, dropped)`: by the decremental rule (Ramalingam &
+      Reps, J. Algorithms 1996; Demetrescu & Italiano, J. ACM 2004) only a
+      pair whose distance equals a path through v or a dropped edge can
+      grow. So a removal that drops an edge rebuilds the matrix at once.
+      Otherwise the added edges go in first, then the last row and column
+      move into v's, and the matrix is rebuilt when some pair through v
+      can grow; else every entry is exact already. On the `churn-stretch` corpus 54% of
+      deletions leave no such pair, and recomputing only the pairs that can
+      grow measured no faster than a rebuild.
 
     The shadow graph only grows, so its oracle uses `insert` alone.
     """
@@ -116,31 +117,26 @@ class DistanceOracle:
         self._graph = graph
         self._build = build
         self._buf: np.ndarray | None = None
-        self._nodes: list[int] = []  # ascending; row i holds _nodes[i]
+        self.nodes: list[int] = []  # row i holds nodes[i]
         self._index: dict[int, int] = {}
         self._diameter: object = None
 
     def _load(self) -> None:
         dist, self._index = (self._build or all_pairs_distances)(self._graph)
-        self._nodes = sorted(self._index)
-        n = len(self._nodes)
+        self.nodes = sorted(self._index, key=self._index.__getitem__)
+        n = len(self.nodes)
         if self._buf is None or self._buf.shape[0] < n:
             self._buf = np.empty((n, n), dtype=np.float32)
         self._buf[:n, :n] = dist
-
-    def _reindex(self, start: int) -> None:
-        index, nodes = self._index, self._nodes
-        for i in range(start, len(nodes)):
-            index[nodes[i]] = i
 
     def insert(self, v: int, neighbors: Iterable[int]) -> None:
         """Add node v, joined to `neighbors` (already in the matrix)."""
         self._diameter = None
         if self._buf is None:
             return
-        n = len(self._nodes)
-        index = self._index
-        row = self._buf[[index[w] for w in neighbors], :n].min(axis=0)
+        n = len(self.nodes)
+        rows = [self._index[w] for w in neighbors]
+        row = self._buf[rows, :n].min(axis=0)
         row += 1.0
         if n == self._buf.shape[0]:
             cap = n + n // 4 + 1
@@ -148,16 +144,11 @@ class DistanceOracle:
             grown[:n, :n] = self._buf[:n, :n]
             self._buf = grown
         buf = self._buf
-        p = bisect.bisect(self._nodes, v)
-        if p < n:
-            buf[p + 1 : n + 1, :n] = buf[p:n, :n]
-            buf[: n + 1, p + 1 : n + 1] = buf[: n + 1, p:n]
-        row = np.insert(row, p, 0.0)
-        buf[p, : n + 1] = row
-        buf[: n + 1, p] = row
-        self._nodes.insert(p, v)
-        self._reindex(p)
-        rows = [index[w] for w in neighbors]  # past p, one row further on
+        buf[n, :n] = row
+        buf[:n, n] = row
+        buf[n, n] = 0.0
+        self.nodes.append(v)
+        self._index[v] = n
         for k, a in enumerate(rows):
             for b in rows[k + 1 :]:
                 self._relax(a, b, 2.0)
@@ -170,7 +161,7 @@ class DistanceOracle:
 
     def _relax(self, a: int, b: int, length: float) -> None:
         """Every pair through a path a-b of `length` hops, both ways."""
-        n = len(self._nodes)
+        n = len(self.nodes)
         dist = self._buf[:n, :n]
         col_a, col_b = dist[:, a], dist[:, b]
         near_a = np.flatnonzero(col_a + length < col_b)
@@ -190,36 +181,42 @@ class DistanceOracle:
         `dropped`; the graph passed in at construction is already in that
         state."""
         self._diameter = None
-        for a, b in added:
-            self.add_edge(a, b)
         if self._buf is None:
             return
-        # v's distances to the others, then v's row and column out.
-        i = self._index.pop(v)
-        n = len(self._nodes) - 1
-        buf = self._buf
-        col = np.delete(buf[: n + 1, i], i)
-        buf[i:n, : n + 1] = buf[i + 1 : n + 1, : n + 1]
-        buf[:n, i:n] = buf[:n, i + 1 : n + 1]
-        del self._nodes[i]
-        self._reindex(i)
-        # A dropped edge's endpoints are a pair whose distance can grow. So
-        # is a pair with a shortest path through v, of which there is none
-        # unless v had two neighbours; a row that did not reach v is NaN,
-        # which equals no distance.
+        # A dropped edge's endpoints are a pair whose distance can grow.
         if dropped:
             self._load()
-        elif np.count_nonzero(col == 1.0) > 1:
+            return
+        for a, b in added:
+            self.add_edge(a, b)
+        # v's distances to the others, then the last row and column into
+        # v's place.
+        i = self._index.pop(v)
+        n = len(self.nodes) - 1
+        buf = self._buf
+        col = buf[: n + 1, i].copy()
+        col[i] = col[n]
+        col = col[:n]
+        last = self.nodes.pop()
+        if i < n:
+            buf[i, : n + 1] = buf[n, : n + 1]
+            buf[: n + 1, i] = buf[: n + 1, n]
+            self.nodes[i] = last
+            self._index[last] = i
+        # So can a pair with a shortest path through v, of which there is
+        # none unless v had two neighbours; a row that did not reach v is
+        # NaN, which equals no distance.
+        if np.count_nonzero(col == 1.0) > 1:
             col[col == np.inf] = np.nan
             if (np.add.outer(col, col) == buf[:n, :n]).any():
                 self._load()
 
     def matrix(self) -> tuple[np.ndarray, dict[int, int]]:
-        """The distance matrix, rows in ascending node order, and its node
-        -> row index: read-only, valid until the next update."""
+        """The distance matrix and its node -> row index, the inverse of
+        `nodes`: read-only, valid until the next update."""
         if self._buf is None:
             self._load()
-        n = len(self._nodes)
+        n = len(self.nodes)
         return self._buf[:n, :n], self._index
 
     def diameter(self) -> object:
@@ -285,8 +282,8 @@ class LiveMeasure:
         drop a deleted `node`, and return the maximum degree ratio."""
         live_adj, shadow_adj = live._adj, self._shadow._adj
         if op == "init":
-            self._recount(live_adj, shadow_adj)
-            touched = ()
+            self._pair, self._count = {}, {}
+            touched = sorted(live_adj)
         elif op == "delete":
             touched = [*touched, node]
         pairs, count, deleted = self._pair, self._count, self._deleted
@@ -322,21 +319,6 @@ class LiveMeasure:
         if best != self._best:
             self._best, self._ratio = best, Fraction(*best)
         return self._ratio
-
-    def _recount(self, live_adj: dict[int, set[int]], shadow_adj: dict[int, set[int]]) -> None:
-        """Every live node's pair at once, with the checks `refresh` makes."""
-        both = [v for v in self._deleted if v in live_adj]
-        if both:
-            raise ZeroShadowDegreeError(f"node {min(both)} is both live and deleted")
-        unknown = live_adj.keys() - shadow_adj.keys()
-        if unknown:
-            raise UnknownNodeError(f"node {min(unknown)} not in graph")
-        pairs = {v: (len(nbrs), len(shadow_adj[v])) for v, nbrs in live_adj.items()}
-        # A plain dict: indexing a dict subclass is slower on the refresh path.
-        self._pair, self._count = pairs, dict(Counter(pairs.values()))
-        if any(n and not d for n, d in self._count):
-            v = min(v for v, (n, d) in pairs.items() if n and not d)
-            raise ZeroShadowDegreeError(f"live node {v} has shadow degree 0")
 
 
 def _one_component(
@@ -533,6 +515,9 @@ def _measure(
         diameter_shadow = None
     else:
         shadow_dist, shadow_index = state.oracle.matrix()
+        live_matrix = None
+        if exact:
+            live_matrix = (state.live_oracle.matrix()[0], state.live_oracle.nodes)
         # Only a sampled step draws pairs.
         stretch_rng = None if exact else random.Random(f"{config.seed}:stretch:{state.t}")
         result = metrics.stretch_max(
@@ -542,7 +527,7 @@ def _measure(
             exact_cap=config.exact_apsp_cap,
             samples=config.stretch_samples,
             rng=stretch_rng,
-            live_dist=state.live_oracle.matrix()[0] if exact else None,
+            live_matrix=live_matrix,
         )
         diameter_shadow = state.oracle.diameter()
     state.timers["metrics"] += time.perf_counter() - t0

@@ -37,10 +37,10 @@ synchronous convention 1 + ceil(log2 |touched|) for the structural healers
 and 1 for the baselines. max_hops comes from a bidirectional breadth-first
 search between the deleted node and the touched nodes over the pre-deletion
 graph; for the search, the image takes that graph's shape in place, with
-the repair's real-edge changes undone. The tree healers also report a
-connectivity witness, the processors their repair joined by construction,
-so that the engine need not search for touched nodes the repair has
-already joined.
+the repair's real-edge changes undone. Every healer also reports a
+connectivity witness, the processors of the virtual edges its repair
+added, which that repair has joined by construction, so that the engine
+need not search for touched nodes the repair has already joined.
 
 A healer instance owns its state exclusively; distinct instances share
 nothing and may run in parallel.
@@ -86,13 +86,15 @@ class HealerReport:
     |edges_dropped|.
     max_hops is the farthest touched node from the deleted node, measured in
     the pre-deletion live graph.
-    witness, when not empty, is a set of live processors that the repair
-    joined into one connected part of the healed graph by construction:
-    for `haft` and `rebuild`, the processors at the endpoints of the
-    virtual edges the repair added. Those edges hang every new internal
-    node from the new haft's root, so they form one tree, and the image of
-    a connected virtual subgraph is connected. Every witness node is also
-    touched. The baselines, and every insert, leave it empty.
+    witness holds the processors at the endpoints of the virtual edges a
+    deletion's repair added, and the repair joins them into one connected
+    part of the healed graph by construction. For `haft` and `rebuild`
+    those edges hang every new internal node from the new haft's root, so
+    they form one tree, and the image of a connected virtual subgraph is
+    connected. Every `star` edge touches the hub. Each `ring` edge among
+    the orphans was either added or already there, so the ring joins every
+    orphan. `null` adds no edge. Every witness node is also touched; every
+    insert leaves the witness empty.
     """
 
     edges_added: set[tuple[int, int]] = field(default_factory=set)
@@ -122,9 +124,6 @@ class Healer:
     override `_rounds`."""
 
     name = "abstract"
-    # Whether the virtual edges one repair adds always form one tree, so
-    # that their endpoints' processors are the report's witness.
-    witnessed = False
 
     def __init__(self) -> None:
         self.vg = VirtualGraph()
@@ -187,7 +186,7 @@ class Healer:
             rounds=self._rounds(len(touched)) if touched else 0,
             touched=touched,
             max_hops=self._max_hops(v, notified, journal, touched),
-            witness=joined if self.witnessed else set(),
+            witness=joined,
         )
 
     def _max_hops(
@@ -294,8 +293,6 @@ class HaftHealer(Healer):
     `VirtualGraph.rewire`. `audit` recomputes the maps from whole-haft
     walks.
     """
-
-    witnessed = True
 
     def __init__(self, name: str):
         if name not in ("haft", "rebuild"):

@@ -13,13 +13,13 @@ node at once: each row's reached set is packed 64 sources to a uint64
 word, and each distance level grows every row with one gather and one
 `bitwise_or.reduceat` over the nodes' closed neighbour lists, numpy only.
 The engine runs it only to start or rebuild the distance matrices it
-maintains (`engine.DistanceOracle`) and hands the live one to
-`stretch_max`; called without it, `stretch_max` builds the live APSP
-itself, which keeps it the oracle for tests and `verify`. The pure-BFS
-implementations in `graph` stay the independent oracle of the build; the
-test suite cross-checks the two entry by entry on random graphs whose
-sizes cross the 64-bit word boundaries, with isolated nodes, several
-components and scattered ids. Above the exact cap, stretch falls back to a
+maintains (`engine.DistanceOracle`) and hands the live one, with the
+node of each row, to `stretch_max`; called without it, `stretch_max`
+builds the live APSP itself, which keeps it the oracle for tests and
+`verify`. The pure-BFS implementations in `graph` stay the independent
+oracle of the build; the test suite cross-checks the two entry by entry
+on random graphs whose sizes cross the 64-bit word boundaries, with
+isolated nodes, several components and scattered ids. Above the exact cap, stretch falls back to a
 seeded sample of live pairs, and the record notes which mode produced it.
 
 All functions are pure snapshots-in, values-out; records from finished runs
@@ -203,23 +203,22 @@ def stretch_max(
     exact_cap: int = 256,
     samples: int = 1000,
     rng: random.Random | None = None,
-    live_dist: np.ndarray | None = None,
+    live_matrix: tuple[np.ndarray, list[int]] | None = None,
 ) -> StretchResult:
     """max over live pairs of dist_live(u, v) / dist_shadow(u, v).
 
     Exact over all pairs while the live graph fits the cap, else over a
     seeded sample of pairs. INF when the live graph is disconnected; pairs
     never joined in the shadow graph contribute nothing. Returns 1 when
-    there are fewer than two live nodes. `live_dist`, a live distance
-    matrix the caller maintains (rows in ascending node order, as
-    `all_pairs_distances` builds them), replaces that build in the exact
-    mode.
+    there are fewer than two live nodes. `live_matrix`, a live distance
+    matrix the caller maintains and the live node of each of its rows, in
+    any order, replaces the live build in the exact mode.
     """
     n = live.node_count
     if n <= 1:
         return StretchResult(Fraction(1), "exact", 0)
     if n <= exact_cap:
-        return _stretch_exact(live, shadow_dist, shadow_index, live_dist)
+        return _stretch_exact(live, shadow_dist, shadow_index, live_matrix)
     if samples <= 0:
         return StretchResult(None, "skipped", None)
     return _stretch_sampled(live, shadow_dist, shadow_index, samples, rng or random.Random(0))
@@ -229,14 +228,15 @@ def _stretch_exact(
     live: Graph,
     shadow_dist: np.ndarray,
     shadow_index: dict[int, int],
-    live_dist: np.ndarray | None = None,
+    live_matrix: tuple[np.ndarray, list[int]] | None = None,
 ) -> StretchResult:
-    if live_dist is None:
-        live_dist = all_pairs_distances(live)[0]
+    if live_matrix is None:
+        live_dist, nodes = all_pairs_distances(live)[0], sorted(live.nodes)
+    else:
+        live_dist, nodes = live_matrix
     diameter_live = diameter_from(live_dist)
     if diameter_live is INF:
         return StretchResult(INF, "exact", INF)
-    nodes = sorted(live.nodes)
     rows = np.fromiter(map(shadow_index.__getitem__, nodes), np.intp, len(nodes))
     shadow_sub = shadow_dist[rows][:, rows]
     # float64 ratios whatever the matrices store, so that argmax ties

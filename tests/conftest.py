@@ -110,14 +110,15 @@ def oracle_max_degree_node(live: Graph):
 
 def index_view(index, live: Graph) -> tuple:
     """What an `AdversaryIndex` tells a strategy about the live graph: the
-    live ids, the next fresh id and, when it keeps a degree heap, the live
-    nodes with a current entry and its maximum-degree node. Checks the heap
-    property on the way."""
-    if index._heap is None:
-        return list(index.live_ids), index.next_id, None
-    # Asking for the maximum first gives the set-aside nodes their entries.
+    live ids, the next fresh id and, over a live graph that is not empty,
+    the live nodes with a current entry in its degree heap and its
+    maximum-degree node. Checks the heap property on the way."""
     adj = live._adj
-    top = index.max_degree_node(live) if adj else None
+    if not adj:
+        return list(index.live_ids), index.next_id, None
+    # Asking for the maximum first builds the heap, or gives the set-aside
+    # nodes their entries.
+    top = index.max_degree_node(live)
     heap = index._heap
     assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
     current = {v for d, v in heap if v in adj and len(adj[v]) == -d}

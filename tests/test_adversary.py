@@ -9,7 +9,6 @@ import pytest
 
 from selfheal import engine
 from selfheal.adversary import (
-    HEAP_KINDS,
     AdversaryIndex,
     Event,
     StrategySpec,
@@ -241,15 +240,14 @@ class TestTraceFormat:
 
 
 def rebuilt(state) -> AdversaryIndex:
-    kind = state.config.strategy.kind
-    return AdversaryIndex(state.live_graph(), state.shadow, heap=kind in HEAP_KINDS)
+    return AdversaryIndex(state.live_graph(), state.shadow)
 
 
 def assert_index_current(state) -> None:
     live = state.live_graph()
     index = state.adversary.index
     assert index_view(index, live) == index_view(rebuilt(state), live)
-    if index._heap is not None and live.node_count:
+    if live.node_count:
         assert index.max_degree_node(live) == oracle_max_degree_node(live)
 
 
@@ -287,8 +285,10 @@ def test_maintained_index_matches_a_rebuilt_one(healer, kind, family):
             stretch_samples=0,
         )
         state = start(config)
-        assert (state.adversary.index._heap is not None) == (kind in HEAP_KINDS)
+        # No heap until the maximum is first asked for.
+        assert state.adversary.index._heap is None
         assert_index_current(state)
+        assert state.adversary.index._heap is not None
         for _ in range(config.t_max):
             event = next_from_both(state)
             if event is None:
@@ -330,6 +330,37 @@ def test_index_takes_a_scripted_id_below_the_maximum(kind):
         assert_index_current(state)
         if state.live_count == 0:
             break
+
+
+@pytest.mark.parametrize("healer", ["haft", "rebuild"])
+def test_articulation_fallback_picks_the_maximum_degree_between_deletions(healer):
+    # A wheel has no cut vertex, and neither has what the tree healers
+    # make of it on most steps, so the strategy falls back to the maximum
+    # degree from its index's heap, refreshed by the deletions in between.
+    rim = 16
+    wheel = Graph(nodes=range(rim + 1))
+    for i in range(1, rim + 1):
+        wheel.add_edge(0, i)
+        wheel.add_edge(i, i % rim + 1)
+    config = RunConfig(
+        initial=wheel,
+        healer=healer,
+        strategy=StrategySpec(kind="articulation"),
+        t_max=0,
+        exact_apsp_cap=0,
+        stretch_samples=0,
+    )
+    state = start(config)
+    fallbacks = []
+    for _ in range(rim - 2):
+        live = state.live_graph()
+        fallback = not live.articulation_points()
+        event = next_from_both(state)
+        if fallback:
+            assert event.node == oracle_max_degree_node(live)
+            fallbacks.append(event.node)
+        step(state, event)
+    assert fallbacks[0] == 0 and len(fallbacks) >= rim // 2
 
 
 def test_index_heap_is_rebuilt_once_stale_entries_pile_up():

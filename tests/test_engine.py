@@ -4,6 +4,7 @@ per-event measurement against its full-scan oracles."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,14 +21,15 @@ from selfheal.engine import (
     start,
     step,
 )
-from selfheal.families import erdos_renyi, path_graph, random_tree
+from selfheal.families import erdos_renyi, path_graph, random_tree, star_graph
 from selfheal.graph import Graph, UnknownNodeError
-from selfheal.healers import HEALER_NAMES
+from selfheal.healers import HEALER_NAMES, make_healer
 from selfheal.metrics import (
     ZeroShadowDegreeError,
     all_pairs_distances,
     degree_ratio_max,
     diameter_from,
+    stretch_max,
 )
 
 from conftest import INF, adj_of, oracle_apsp_bfs
@@ -204,11 +206,14 @@ class TestInvariants:
 def assert_oracle_matches(oracle: DistanceOracle, shadow: Graph) -> None:
     """Every (u, v) entry and the diameter, each side read through its index,
     against one breadth-first search per source: the matrix's own builds
-    and rebuilds run `all_pairs_distances`, so that is no oracle for it."""
+    and rebuilds run `all_pairs_distances`, so that is no oracle for it.
+    The oracle's row -> node list inverts its index."""
     dist, index = oracle.matrix()
     fresh, fresh_index = oracle_apsp_bfs(adj_of(shadow))
     assert set(index) == set(fresh_index) == set(shadow.nodes)
     assert dist.shape == fresh.shape
+    assert len(oracle.nodes) == len(index)
+    assert all(oracle.nodes[i] == v for v, i in index.items())
     nodes = sorted(index)
     rows = [index[v] for v in nodes]
     fresh_rows = [fresh_index[v] for v in nodes]
@@ -446,7 +451,7 @@ def test_live_oracle_updates_match_fresh_apsp(seed):
         op = rng.choice(["insert", "add", "remove", "remove"]) if len(nodes) > 4 else "insert"
         if op == "insert":
             # Fresh ids below and above the current maximum, so that rows
-            # join in the middle of the matrix too.
+            # arrive out of id order too.
             v = rng.choice([x for x in range(max(used) + 6) if x not in used])
             used.add(v)
             nbrs = rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
@@ -507,6 +512,60 @@ def test_live_oracle_rebuilds_only_when_a_distance_can_grow(
     assert_oracle_matches(oracle, g)
 
 
+def test_stretch_over_rows_out_of_id_order_matches_a_fresh_build():
+    # The shadow graph is the path 0-2-4-6-8-10 closed into a cycle by 1,
+    # which is deleted. Then 5 joins 2 and 8, below the maximum id; 4, a
+    # middle row, leaves with 2-6 added; 10, the last row, leaves. No step
+    # rebuilds the live matrix, so its rows stay in arrival order.
+    path = [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]
+    shadow = Graph(nodes=[0, 1, 2, 4, 6, 8, 10], edges=path + [(0, 1), (1, 10)])
+    live = shadow.copy()
+    live.remove_node(1)
+    builds = []
+
+    def build(g):
+        builds.append(g.node_count)
+        return all_pairs_distances(g)
+
+    oracle = DistanceOracle(live, build)
+    oracle.matrix()
+    orders, stretches = [], []
+    script = [("insert", 5, [(5, 2), (5, 8)]), ("delete", 4, [(2, 6)]), ("delete", 10, [])]
+    for op, v, edges in script:
+        if op == "insert":
+            shadow.add_node(v)
+            live.add_node(v)
+            for e in edges:
+                shadow.add_edge(*e)
+                live.add_edge(*e)
+            oracle.insert(v, [w for _, w in edges])
+        else:
+            live.remove_node(v)
+            for e in edges:
+                live.add_edge(*e)
+            oracle.remove(v, edges, ())
+        assert_oracle_matches(oracle, live)
+        shadow_dist, shadow_index = all_pairs_distances(shadow)
+        kept = stretch_max(
+            live, shadow_dist, shadow_index, live_matrix=(oracle.matrix()[0], oracle.nodes)
+        )
+        fresh = stretch_max(live, shadow_dist, shadow_index)
+        assert (kept.max_stretch, kept.mode, kept.diameter_live) == (
+            fresh.max_stretch,
+            fresh.mode,
+            fresh.diameter_live,
+        )
+        # The pair reported has the maximum stretch, read by BFS.
+        u, w = kept.argmax_pair
+        hops = Fraction(live.bfs_distances(u)[w], shadow.bfs_distances(u)[w])
+        assert hops == kept.max_stretch
+        orders.append(list(oracle.nodes))
+        stretches.append(fresh.max_stretch)
+    assert builds == [6]
+    assert orders == [[0, 2, 4, 6, 8, 10, 5], [0, 2, 5, 6, 8, 10], [0, 2, 5, 6, 8]]
+    assert stretches[0] > 1
+
+
 # -- per-event connectivity and degree ratio ------------------------------------
 
 
@@ -522,8 +581,9 @@ def assert_measure_matches_full_scans(state) -> None:
 @pytest.mark.parametrize("healer", HEALER_NAMES)
 def test_live_measure_matches_full_scans(healer, kind, family):
     # Sparse ER graphs start disconnected, so the fallback scan runs too.
-    # The haft healers' deletions carry a connectivity witness; the
-    # baselines' carry none, so theirs search among all touched nodes.
+    # Every healer's deletion carries a connectivity witness: the
+    # processors of the virtual edges its repair added, read here off the
+    # virtual graph before and after.
     witnesses = []
     for seed in range(3):
         rng = random.Random(seed)
@@ -538,10 +598,14 @@ def test_live_measure_matches_full_scans(healer, kind, family):
             stretch_samples=0,
         )
         state = start(config)
-        on_delete = state.healer.on_delete
+        vg, on_delete = state.healer.vg, state.healer.on_delete
 
         def witnessed(v):
+            before = vg.edge_set()
             report = on_delete(v)
+            added = vg.edge_set() - before
+            procs = {x.id if x.kind == "r" else vg.sim[x.id] for edge in added for x in edge}
+            assert report.witness == procs
             witnesses.append(report.witness)
             return report
 
@@ -554,10 +618,28 @@ def test_live_measure_matches_full_scans(healer, kind, family):
             step(state, event)
             assert_measure_matches_full_scans(state)
     assert witnesses
-    if healer in ("haft", "rebuild"):
-        assert any(witnesses)
-    else:
-        assert not any(witnesses)
+    assert any(witnesses) == (healer != "null")
+
+
+def test_star_hub_deletion_is_witnessed_by_every_orphan():
+    # The star healer wires every orphan to the smallest one, so all of
+    # them are its witness, and connectivity needs no search.
+    initial = star_graph(8)
+    healer = make_healer("star")
+    healer.preprocess(initial)
+    measure = LiveMeasure(initial.copy(), {0})
+    assert measure.connected(healer.live_graph(), "init", ())
+    report = healer.on_delete(0)
+    orphans = set(range(1, 8))
+    assert report.witness == report.touched == orphans
+
+    class Unread(dict):
+        def __getitem__(self, v):
+            raise AssertionError(f"searched the neighbours of {v}")
+
+    live = healer.live_graph().copy()
+    live._adj = Unread(live._adj)
+    assert measure.connected(live, "delete", report.touched, report.witness)
 
 
 @pytest.mark.parametrize("seed", range(6))
