@@ -41,7 +41,7 @@ from .adversary import (
     read_trace,
     write_trace,
 )
-from .engine import InternalError, RunConfig, RunState, run
+from .engine import DistanceOracle, InternalError, RunConfig, RunState, run
 from .families import FAMILY_NAMES, make_family
 from .graph import Graph, dump_edge_list, load_edge_list
 from .healers import HEALER_NAMES
@@ -234,8 +234,8 @@ def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     maintained index (live ids, next fresh id, maximum-degree node) against
     one rebuilt from the graphs after every step. Measurement level: the
     step's connectivity and degree ratio, recomputed by full scans, and on
-    a step with exact stretch its maximum stretch and live diameter,
-    recomputed from a fresh all-pairs build of the live graph. Real
+    a step with exact stretch its maximum stretch, live diameter and every
+    live distance, against a fresh all-pairs build of the live graph. Real
     level: the hard bounds that `summary.json` counts, namely connectivity,
     the 4x degree bound and the 2*ceil(log2 n') stretch bound (exact or
     sampled; a sampled maximum never exceeds the true one). The virtual
@@ -261,6 +261,13 @@ def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
                 names += ["max_stretch", "diameter_live"]
                 fast += [record.max_stretch, record.diameter_live]
                 full += [fresh.max_stretch, fresh.diameter_live]
+            if record.stretch_mode == "exact" and state.live_oracle is not None:
+                # Every entry, each matrix read through its own index.
+                kept, index = state.live_oracle.matrix()
+                built, built_index = DistanceOracle(live).matrix()
+                rows = [built_index.get(x, -1) for x in state.live_oracle.nodes]
+                if index.keys() != built_index.keys() or (built[rows][:, rows] != kept).any():
+                    violations.append(f"t={state.t} measure-audit: live distances not exact")
         except ValueError as exc:
             raise InternalError(str(exc)) from exc
         for name, got, want in zip(names, fast, full):

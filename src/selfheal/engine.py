@@ -14,7 +14,7 @@ per insert. The live matrix exists only while exact stretch is on and
 fed each event's node, neighbours and the repair's added and dropped
 edges, dropped on a step with sampled or skipped stretch, and built afresh
 when the live count comes back under the cap. A deletion rebuilds the
-matrix when some distance can grow and leaves it as it is otherwise. Runs
+matrix when some distance grows and leaves it as it is otherwise. Runs
 with stretch off never build either matrix. Connectivity and
 the maximum degree ratio are updated per event from the nodes the event
 touched and the repair's connectivity witness (`LiveMeasure`); only the
@@ -41,6 +41,7 @@ import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Collection, Iterable
 
 import numpy as np
@@ -100,15 +101,15 @@ class DistanceOracle:
     * `add_edge(a, b)`: D = min(D, D[:, a] + 1 + D[b, :]) both ways. Only
       rows nearer a than b can gain and only columns nearer b than a, so
       the update touches that block.
-    * `remove(v, added, dropped)`: by the decremental rule (Ramalingam &
-      Reps, J. Algorithms 1996; Demetrescu & Italiano, J. ACM 2004) only a
-      pair whose distance equals a path through v or a dropped edge can
-      grow. So a removal that drops an edge rebuilds the matrix at once.
-      Otherwise the added edges go in first, then the last row and column
-      move into v's, and the matrix is rebuilt when some pair through v
-      can grow; else every entry is exact already. On the `churn-stretch` corpus 54% of
-      deletions leave no such pair, and recomputing only the pairs that can
-      grow measured no faster than a rebuild.
+    * `remove(v, added, dropped)` (the decremental rule of Ramalingam &
+      Reps, J. Algorithms 1996; Demetrescu & Italiano, J. ACM 2004): some
+      distance grows iff an edge was dropped or two of v's former
+      neighbours are now neither adjacent nor share a neighbour, a test of
+      O(deg(v)^2 * max degree) set lookups. Then the matrix is rebuilt;
+      else the added edges are relaxed and the last row and column move
+      into v's. Proof: a dropped edge's ends, or two such neighbours, grew
+      apart. Else edges are only added, and a path of at most two hops
+      avoiding v replaces the step a-v-b of any shortest path through v.
 
     The shadow graph only grows, so its oracle uses `insert` alone.
     """
@@ -149,9 +150,8 @@ class DistanceOracle:
         buf[n, n] = 0.0
         self.nodes.append(v)
         self._index[v] = n
-        for k, a in enumerate(rows):
-            for b in rows[k + 1 :]:
-                self._relax(a, b, 2.0)
+        for a, b in combinations(rows, 2):
+            self._relax(a, b, 2.0)
 
     def add_edge(self, a: int, b: int) -> None:
         """Add the edge (a, b) between two nodes in the matrix."""
@@ -168,11 +168,12 @@ class DistanceOracle:
         near_b = np.flatnonzero(col_b + length < col_a)
         if not (near_a.size and near_b.size):
             return
+        rows = near_a[:, None]
         through = np.add.outer(col_a[near_a], col_b[near_b])
         through += length
-        np.minimum(through, dist[near_a][:, near_b], out=through)
-        dist[np.ix_(near_a, near_b)] = through
-        dist[np.ix_(near_b, near_a)] = through.T
+        np.minimum(through, dist[rows, near_b], out=through)
+        dist[rows, near_b] = through
+        dist[near_b[:, None], near_a] = through.T
 
     def remove(
         self, v: int, added: Collection[tuple[int, int]], dropped: Collection[tuple[int, int]]
@@ -183,33 +184,24 @@ class DistanceOracle:
         self._diameter = None
         if self._buf is None:
             return
-        # A dropped edge's endpoints are a pair whose distance can grow.
-        if dropped:
+        # v's former neighbours are the rows at distance 1 from it.
+        i = self._index.pop(v)
+        buf, adj = self._buf, self._graph._adj
+        near = [self.nodes[r] for r in np.flatnonzero(buf[i, : len(self.nodes)] == 1.0)]
+        if dropped or any(
+            b not in adj[a] and adj[a].isdisjoint(adj[b]) for a, b in combinations(near, 2)
+        ):
             self._load()
             return
         for a, b in added:
             self.add_edge(a, b)
-        # v's distances to the others, then the last row and column into
-        # v's place.
-        i = self._index.pop(v)
-        n = len(self.nodes) - 1
-        buf = self._buf
-        col = buf[: n + 1, i].copy()
-        col[i] = col[n]
-        col = col[:n]
-        last = self.nodes.pop()
+        # The last row and column into v's place.
+        last, n = self.nodes.pop(), len(self.nodes)
         if i < n:
             buf[i, : n + 1] = buf[n, : n + 1]
             buf[: n + 1, i] = buf[: n + 1, n]
             self.nodes[i] = last
             self._index[last] = i
-        # So can a pair with a shortest path through v, of which there is
-        # none unless v had two neighbours; a row that did not reach v is
-        # NaN, which equals no distance.
-        if np.count_nonzero(col == 1.0) > 1:
-            col[col == np.inf] = np.nan
-            if (np.add.outer(col, col) == buf[:n, :n]).any():
-                self._load()
 
     def matrix(self) -> tuple[np.ndarray, dict[int, int]]:
         """The distance matrix and its node -> row index, the inverse of

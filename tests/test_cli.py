@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from selfheal import cli
 from selfheal.adversary import AdversaryIndex, read_trace
 from selfheal.cli import loglog_slope, main, parse_config
 from selfheal.engine import DistanceOracle, LiveMeasure
-from selfheal.graph import UnknownNodeError
+from selfheal.graph import Graph, UnknownNodeError
 from selfheal.healers import HaftHealer, HealerError
 from selfheal.metrics import ZeroShadowDegreeError
 from selfheal.virtual_graph import RepairJournal
@@ -239,6 +241,20 @@ def _remove_leaving_a_stale_entry(self, v, added, dropped):
     dist[0, -1] = dist[-1, 0] = dist[0, -1] + 1
 
 
+def _remove_never_rebuilding(self, v, added, dropped):
+    """A live-matrix removal that skips its rebuild: it passes on no dropped
+    edge and shows its rule a graph in which v's former neighbours are all
+    adjacent, so it relaxes the added edges and frees v's row even when a
+    distance grew."""
+    dist, index = self.matrix()
+    near = [self.nodes[r] for r in np.flatnonzero(dist[index[v]] == 1.0)]
+    graph, self._graph = self._graph, Graph(nodes=near, edges=combinations(near, 2))
+    try:
+        _remove(self, v, added, ())
+    finally:
+        self._graph = graph
+
+
 _on_delete = HaftHealer.on_delete
 
 
@@ -312,6 +328,24 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet"]) == 1
         report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
         assert any("measure-audit" in v for v in report["violations"])
+
+    def test_live_distance_off_the_maximum_exits_one(self, tmp_path, monkeypatch):
+        # At seed 3 some step's wrong live distances leave its maximum stretch
+        # and live diameter right, so only the entry-by-entry audit sees it.
+        monkeypatch.setattr(DistanceOracle, "remove", _remove_never_rebuilding)
+        cfg = write(
+            tmp_path / "c.cfg",
+            "family = random-tree\nn = 16\nhealer = haft\nstrategy = clustered\nT = 12\n"
+            "exact_apsp_cap = 512\nstretch_samples = 0\n",
+        )
+        args = ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet", "--seed", "3"]
+        assert main(args) == 1
+        report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+        steps = {}
+        for line in report["violations"]:
+            t, _, audit = line.partition(" measure-audit: ")
+            steps.setdefault(t, []).append(audit)
+        assert ["live distances not exact"] in steps.values()
 
     @pytest.mark.parametrize(
         "wrong, strategy, name",

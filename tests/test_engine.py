@@ -494,6 +494,19 @@ def test_live_oracle_updates_match_fresh_apsp(seed):
         pytest.param([(0, 1), (1, 2), (2, 3)], 3, [], [(0, 1)], True, id="dropped-edge"),
         # The path 0-1-2 without 1: the pair (0, 2) went through it.
         pytest.param([(0, 1), (1, 2)], 1, [], [], True, id="tight-pair"),
+        # The 4-cycle 0-1-2-3-0 without 0: (1, 3) had two shortest paths,
+        # and the one through 2 remains.
+        pytest.param([(0, 1), (1, 2), (2, 3), (3, 0)], 0, [], [], False, id="tie"),
+        # 1-0-2 beside the detour 1-3-4-2, without 0: (1, 2) grows to 3.
+        pytest.param(
+            [(1, 0), (0, 2), (1, 3), (3, 4), (4, 2)], 0, [], [], True, id="detour-3"
+        ),
+        # The star on 0 without 0, its leaves joined 1-2-3: (1, 3) now
+        # share 2, a neighbour the repair added.
+        pytest.param(
+            [(0, 1), (0, 2), (0, 3)], 0, [(1, 2), (2, 3)], [], False,
+            id="added-common-neighbour",
+        ),
     ],
 )
 def test_live_oracle_rebuilds_only_when_a_distance_can_grow(
@@ -510,6 +523,42 @@ def test_live_oracle_rebuilds_only_when_a_distance_can_grow(
     oracle.remove(v, added, dropped)
     assert len(apsp_builds) == 1 + rebuilds
     assert_oracle_matches(oracle, g)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_live_oracle_rebuilds_iff_a_bfs_distance_grew(seed, apsp_builds):
+    # Each deletion is repaired much as haft repairs one: new edges among
+    # v's former neighbours, most of a tree over them, and now and then a
+    # dropped edge elsewhere. Whether any distance grew is read off one BFS per source
+    # before and after.
+    rng = random.Random(seed)
+    g = erdos_renyi(36, 0.1, rng) if seed % 2 else random_tree(36, rng)
+    oracle = DistanceOracle(g)
+    oracle.matrix()
+    while g.node_count > 2:
+        before, index = oracle_apsp_bfs(adj_of(g))
+        v = rng.choice(sorted(g.nodes))
+        orphans = sorted(g.neighbors(v))
+        rng.shuffle(orphans)
+        g.remove_node(v)
+        added = set()
+        for k in range(1, len(orphans)):
+            e = tuple(sorted((orphans[k], rng.choice(orphans[:k]))))
+            if rng.random() < 0.9 and not g.has_edge(*e):
+                added.add(e)
+        existing = sorted(g.edges())
+        dropped = {rng.choice(existing)} if existing and rng.random() < 0.15 else set()
+        for e in added:
+            g.add_edge(*e)
+        for e in dropped:
+            g.remove_edge(*e)
+        builds = len(apsp_builds)
+        oracle.remove(v, added, dropped)
+        after, _ = oracle_apsp_bfs(adj_of(g))
+        rows = [index[x] for x in sorted(g.nodes)]
+        grew = bool((after > before[np.ix_(rows, rows)]).any())
+        assert len(apsp_builds) - builds == grew
+        assert_oracle_matches(oracle, g)
 
 
 def test_stretch_over_rows_out_of_id_order_matches_a_fresh_build():
