@@ -41,11 +41,18 @@ from .adversary import (
     read_trace,
     write_trace,
 )
-from .engine import DistanceOracle, InternalError, RunConfig, RunState, run
+from .engine import InternalError, RunConfig, RunState, run
 from .families import FAMILY_NAMES, make_family
 from .graph import Graph, dump_edge_list, load_edge_list
 from .healers import HEALER_NAMES
-from .metrics import degree_ratio_max, parse_csv, records_to_csv, stretch_max, summarize
+from .metrics import (
+    all_pairs_distances,
+    degree_ratio_max,
+    parse_csv,
+    records_to_csv,
+    stretch_max,
+    summarize,
+)
 
 
 class ConfigError(ValueError):
@@ -101,19 +108,16 @@ def _get_float(cfg: dict, key: str, default: float) -> float:
         raise ConfigError(f"config key {key!r} must be a number") from None
 
 
-def _online_kind(cfg: dict, default: str) -> str:
-    """The `strategy` key, which must name a strategy that draws its own events."""
-    kind = cfg.get("strategy", default)
+def _strategy_from(cfg: dict, seed: int) -> StrategySpec:
+    """The online strategy the config names (default `mixed`): its `strategy`
+    key must name a strategy that draws its own events."""
+    kind = cfg.get("strategy", "mixed")
     if kind not in STRATEGY_KINDS:
         raise ConfigError(f"unknown strategy {kind!r}; expected one of {STRATEGY_KINDS}")
     if kind == "scripted":
         raise ConfigError("strategy 'scripted' needs a 'trace' key (run and verify only)")
-    return kind
-
-
-def _strategy_from(cfg: dict, seed: int) -> StrategySpec:
     return StrategySpec(
-        kind=_online_kind(cfg, "mixed"),
+        kind=kind,
         p_delete=_get_float(cfg, "p_delete", 0.7),
         insert_degree=_get_int(cfg, "insert_degree", 2),
         seed=seed,
@@ -254,20 +258,23 @@ def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         try:
             full = [live.is_connected(), degree_ratio_max(live, state.shadow, state.deleted)[0]]
             if record.stretch_mode == "exact":
-                shadow_dist, shadow_index = state.oracle.matrix()
+                # One fresh build serves both checks; its rows ascend by node.
+                built, built_index = all_pairs_distances(live)
                 fresh = stretch_max(
-                    live, shadow_dist, shadow_index, exact_cap=state.config.exact_apsp_cap
+                    live,
+                    *state.oracle.matrix(),
+                    exact_cap=state.config.exact_apsp_cap,
+                    live_matrix=(built, sorted(built_index)),
                 )
                 names += ["max_stretch", "diameter_live"]
                 fast += [record.max_stretch, record.diameter_live]
                 full += [fresh.max_stretch, fresh.diameter_live]
-            if record.stretch_mode == "exact" and state.live_oracle is not None:
-                # Every entry, each matrix read through its own index.
-                kept, index = state.live_oracle.matrix()
-                built, built_index = DistanceOracle(live).matrix()
-                rows = [built_index.get(x, -1) for x in state.live_oracle.nodes]
-                if index.keys() != built_index.keys() or (built[rows][:, rows] != kept).any():
-                    violations.append(f"t={state.t} measure-audit: live distances not exact")
+                if state.live_oracle is not None:
+                    # Every entry, each matrix read through its own index.
+                    kept, index = state.live_oracle.matrix()
+                    rows = [built_index.get(x, -1) for x in state.live_oracle.nodes]
+                    if index.keys() != built_index.keys() or (built[rows][:, rows] != kept).any():
+                        violations.append(f"t={state.t} measure-audit: live distances not exact")
         except ValueError as exc:
             raise InternalError(str(exc)) from exc
         for name, got, want in zip(names, fast, full):
@@ -330,7 +337,7 @@ def cmd_bench(cfg: dict, out: Path, seed: int, quiet: bool, trials_override: int
     trials = trials_override if trials_override is not None else _get_count(cfg, "trials", 3)
     family = cfg.get("family", "random-tree")
     p = _get_float(cfg, "p", 0.15)
-    kind = _online_kind(cfg, "clustered")
+    strategy = _strategy_from({"strategy": "clustered", **cfg}, seed)
     rows = []
     touched_by_healer: dict[str, list[tuple[int, float]]] = {h: [] for h in healers}
     for n in n_list:
@@ -348,7 +355,7 @@ def cmd_bench(cfg: dict, out: Path, seed: int, quiet: bool, trials_override: int
                     RunConfig(
                         initial=initial,
                         healer=healer,
-                        strategy=StrategySpec(kind=kind, seed=trial_seed),
+                        strategy=replace(strategy, seed=trial_seed),
                         t_max=t_max,
                         seed=trial_seed,
                         exact_apsp_cap=0,

@@ -272,15 +272,16 @@ class HaftHealer(Healer):
     """Reconstruction-tree healer over a virtual graph.
 
     Its state is the virtual graph plus the shape of every live haft
-    (`hafts`, by haft id); simulators live only in `vg.sim`. Each deletion
-    adds one slot per former real neighbor. Three maps find the part of a
-    haft a deletion touches without walking the haft:
+    (`hafts`, keyed by the vid of the haft's root, which is always an
+    internal node: a haft holds at least 3 slots or one tree of 2);
+    simulators live only in `vg.sim`. Each deletion adds one slot per
+    former real neighbor. Two maps find the part of a haft a deletion
+    touches without walking the haft:
 
     * `slot_origins`: processor -> origins of its live slots;
-    * `parent`: child -> parent vid inside the complete trees, keyed by
-      origin for a leaf (a `LeafSlot`) and by vid for an internal node
-      (spine nodes are nobody's parent here);
-    * `tree_haft`: key of each complete tree's root -> its haft id.
+    * `parent`: child -> parent vid, spine links included, keyed by origin
+      for a leaf (a `LeafSlot`) and by vid for an internal node; the walk
+      up from a slot ends at its haft's key.
 
     name "haft" merges surviving complete subtrees by binary addition. Its
     deletion walks up from the dead slots, splits only the marked paths
@@ -302,15 +303,11 @@ class HaftHealer(Healer):
         self.hafts: dict[int, Haft] = {}
         self.slot_origins: dict[int, set[tuple[int, int]]] = {}
         self.parent: dict[int | tuple[int, int], int] = {}
-        self.tree_haft: dict[int | tuple[int, int], int] = {}
-        self._next_haft_id = 0
 
     def preprocess(self, initial: Graph) -> HealerReport:
         self.hafts.clear()
         self.slot_origins.clear()
         self.parent.clear()
-        self.tree_haft.clear()
-        self._next_haft_id = 0
         return super().preprocess(initial)
 
     def _rounds(self, touched: int) -> int:
@@ -320,31 +317,31 @@ class HaftHealer(Healer):
         """Split the hafts that lost v, then rebuild over their pieces and
         the slots of v's real neighbors."""
         # Mark every vid above a dead slot; a path that meets a marked vid
-        # has already been walked up to its tree root.
+        # has already been walked up to its haft's root.
         dead = self.slot_origins.pop(v, set())
+        parent, sim = self.parent, self.vg.sim
         marked: set[int] = set()
-        hids: set[int] = set()
+        roots: set[int] = set()
         for origin in dead:
             key: int | tuple[int, int] = origin
-            while (up := self.parent.get(key)) is not None and up not in marked:
+            while (up := parent.get(key)) is not None and up not in marked:
                 marked.add(up)
                 key = up
             if up is None:
-                hids.add(self.tree_haft[key])
+                roots.add(key)
 
         pieces: list[HaftNode] = []
         dissolve: list[int] = []
-        for hid in sorted(hids):
-            haft = self.hafts.pop(hid)
-            for tree in haft.trees:
-                del self.tree_haft[_key(tree)]
-            tree_pieces, dissolved = split_marked(haft, marked, v)
+        for root in sorted(roots):
+            tree_pieces, dissolved = split_marked(self.hafts.pop(root), marked, v)
             pieces.extend(tree_pieces)
             # The dead processor's own vids went with it.
-            dissolve += [vid for vid in dissolved if vid in self.vg.virtuals]
-        # Dissolved nodes, dead leaves and the pieces' roots lose their parents.
-        for key in (*marked, *dead, *(_key(piece) for piece in pieces)):
-            self.parent.pop(key, None)
+            dissolve += [vid for vid in dissolved if vid in sim]
+            for vid in dissolved:
+                parent.pop(vid, None)
+        # Dead leaves and the pieces' roots lose their parents too.
+        for key in (*dead, *(_key(piece) for piece in pieces)):
+            parent.pop(key, None)
 
         # `direct` ascends, so the new slots are already in slot order.
         new_slots = [LeafSlot(w, (min(v, w), max(v, w))) for w in direct]
@@ -355,7 +352,7 @@ class HaftHealer(Healer):
             survivors: list[LeafSlot] = []
             for piece in pieces:
                 for node, _, _ in walk(piece):
-                    self.parent.pop(_key(node), None)
+                    parent.pop(_key(node), None)
                     if isinstance(node, Internal):
                         dissolve.append(node.vid)
                     else:
@@ -391,17 +388,13 @@ class HaftHealer(Healer):
             edges = [(real(procs[0]), real(procs[1]))] if len(procs) == 2 else []
             return self.vg.rewire(dissolve, (), edges), 0
         new_haft = _assemble(items, self.vg.vids)
-        hid = self._next_haft_id
-        self._next_haft_id += 1
-        self.hafts[hid] = new_haft
-        for tree in new_haft.trees:
-            self.tree_haft[_key(tree)] = hid
-        spine = set(new_haft.spine)
-        virtuals, sim = self.vg.virtuals, self.vg.sim
+        root = new_haft.root()
+        self.hafts[root.vid] = new_haft
+        parent, sim = self.parent, self.vg.sim
         declare: list[tuple[int, int]] = []
         edges: list[Edge] = []
         # Each entry carries the virtual-graph node of its parent.
-        stack: list[tuple[HaftNode, VNode | None]] = [(new_haft.root(), None)]
+        stack: list[tuple[HaftNode, VNode | None]] = [(root, None)]
         while stack:
             node, up = stack.pop()
             if not isinstance(node, Internal):
@@ -410,12 +403,11 @@ class HaftHealer(Healer):
             else:
                 me = virt(node.vid)
                 proc = node.right.first.processor
-                if node.vid not in virtuals:  # a carry or spine node
+                if node.vid not in sim:  # a carry or spine node
                     declare.append((node.vid, proc))
                     stack += [(node.right, me), (node.left, me)]
-                    if node.vid not in spine:
-                        self.parent[_key(node.left)] = node.vid
-                        self.parent[_key(node.right)] = node.vid
+                    parent[_key(node.left)] = node.vid
+                    parent[_key(node.right)] = node.vid
                 elif sim[node.vid] != proc:  # a preserved subtree's root
                     raise HealerError(
                         f"preserved vid {node.vid} changed simulator {sim[node.vid]} -> {proc}"
@@ -427,14 +419,14 @@ class HaftHealer(Healer):
     def audit(self) -> list[str]:
         """State consistency: virtual and healed graph invariants, haft
         shapes and cached subtree facts, each haft's wiring and simulators
-        (recomputed from its shape) against the virtual graph, and the three
-        maps against the same maps recomputed from the shapes."""
+        (recomputed from its shape) against the virtual graph, each haft's
+        key against its root, and the two maps against the same maps
+        recomputed from the shapes."""
         problems = super().audit()
         seen_vids: set[int] = set()
         seen_origins: set[tuple[int, int]] = set()
         slot_origins: dict[int, set[tuple[int, int]]] = {}
         parent: dict[int | tuple[int, int], int] = {}
-        tree_haft: dict[int | tuple[int, int], int] = {}
         for hid in sorted(self.hafts):
             haft = self.hafts[hid]
             for issue in validate_haft(haft):
@@ -445,6 +437,11 @@ class HaftHealer(Healer):
                 decls, vedges = [], []
             else:
                 decls, vedges = to_virtual_edges(haft, assign_simulators(haft))
+                root = haft.root()
+                key = None if root is None else _key(root)
+                if key != hid:
+                    problems.append(f"haft {hid}: root key is {key!r}")
+                parent.update((_key(x), up.vid) for x, up, _ in walk(root) if up is not None)
             for vid, proc in decls:
                 if vid in seen_vids:
                     problems.append(f"haft {hid}: vid {vid} in two hafts")
@@ -461,16 +458,12 @@ class HaftHealer(Healer):
                     problems.append(f"haft {hid}: origin {slot.origin} in two slots")
                 seen_origins.add(slot.origin)
                 slot_origins.setdefault(slot.processor, set()).add(slot.origin)
-            for tree in haft.trees:
-                tree_haft[_key(tree)] = hid
-                parent.update((_key(x), up.vid) for x, up, _ in walk(tree) if up is not None)
         if seen_vids != self.vg.virtuals:
             stray = sorted(self.vg.virtuals - seen_vids)
             problems.append(f"virtual nodes outside any haft: {stray}")
         for name, live, expected in (
             ("slot_origins", self.slot_origins, slot_origins),
             ("parent", self.parent, parent),
-            ("tree_haft", self.tree_haft, tree_haft),
         ):
             for key in sorted(live.keys() | expected.keys(), key=repr):
                 if live.get(key) != expected.get(key):

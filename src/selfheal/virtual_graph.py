@@ -12,7 +12,8 @@ date by every mutation, with a count of the virtual edges mapping onto each
 image edge. An image edge appears when its count leaves 0 and disappears
 when it returns to 0. `de_simulate` returns a copy of it. A processor ->
 hosted-vids index makes removing a processor proportional to what it
-simulates.
+simulates. The node sets are not stored apart: `reals` is a read-only view
+of the image's nodes and `virtuals` one of the simulation map's keys.
 
 Edges between live nodes change in one place, `rewire`: it dissolves vids,
 declares new ones and adds edges as one batch, sums the count changes per
@@ -39,7 +40,7 @@ processor cascades to everything it simulates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, KeysView, NamedTuple
 
 from .graph import DuplicateNodeError, Graph, UnknownNodeError
 
@@ -109,8 +110,6 @@ class VirtualGraph:
     plus its maintained homomorphic image."""
 
     def __init__(self, vids: VidSource | None = None):
-        self.reals: set[int] = set()
-        self.virtuals: set[int] = set()
         self.sim: dict[int, int] = {}
         self.vids = vids if vids is not None else VidSource()
         self.image = Graph()
@@ -118,6 +117,14 @@ class VirtualGraph:
         self._spent_vids: set[int] = set()
         self._hosted: dict[int, set[int]] = {}
         self._multiplicity: dict[tuple[int, int], int] = {}
+
+    @property
+    def reals(self) -> KeysView[int]:
+        return self.image._adj.keys()
+
+    @property
+    def virtuals(self) -> KeysView[int]:
+        return self.sim.keys()
 
     # -- construction -----------------------------------------------------
 
@@ -133,7 +140,6 @@ class VirtualGraph:
     def add_real_node(self, processor: int) -> None:
         if processor in self.reals:
             raise DuplicateNodeError(f"real node {processor} already present")
-        self.reals.add(processor)
         self._adj[real(processor)] = set()
         self.image.add_node(processor)
 
@@ -159,7 +165,6 @@ class VirtualGraph:
         if vid >= self.vids.next_vid:
             raise UnknownNodeError(f"vid {vid} was not minted from this graph's counter")
         self._spent_vids.add(vid)
-        self.virtuals.add(vid)
         self.sim[vid] = simulator
         self._hosted.setdefault(simulator, set()).add(vid)
         self._adj[virt(vid)] = set()
@@ -183,9 +188,7 @@ class VirtualGraph:
                 adj[nbr].discard(node)
         for q in self.image.remove_node(processor):
             del self._multiplicity[(processor, q) if processor < q else (q, processor)]
-        self.reals.discard(processor)
         for vid in hosted:
-            self.virtuals.discard(vid)
             del self.sim[vid]
 
     # -- batched repair -----------------------------------------------------
@@ -210,13 +213,13 @@ class VirtualGraph:
         once, at the end, even when a check raises part way; so the image
         changes only on a real move between 0 and nonzero.
         """
-        adj, sim, virtuals = self._adj, self.sim, self.virtuals
+        adj, sim = self._adj, self.sim
         changes = RepairJournal()
         added, dropped = changes.virtual_added, changes.virtual_dropped
         net: dict[tuple[int, int], int] = {}
         try:
             for vid in dissolve:
-                if vid not in virtuals:
+                if vid not in sim:
                     raise UnknownNodeError(f"virtual node {vid} not present")
                 node = virt(vid)
                 pv = sim.pop(vid)
@@ -230,7 +233,6 @@ class VirtualGraph:
                     if pv != pn:
                         edge = (pv, pn) if pv < pn else (pn, pv)
                         net[edge] = net.get(edge, 0) - 1
-                virtuals.discard(vid)
                 self._hosted[pv].discard(vid)
             for vid, simulator in declare:
                 self.declare_virtual(vid, simulator)
@@ -326,14 +328,9 @@ class VirtualGraph:
         image counts, the image's edges and the hosted index are checked
         against a recount from the adjacency and the simulation map."""
         problems = []
-        for vid in sorted(self.virtuals):
-            if vid not in self.sim:
-                problems.append(f"sim-missing: {vid}")
-            elif self.sim[vid] not in self.reals:
-                problems.append(f"dangling-simulator: {vid}->{self.sim[vid]}")
         for vid in sorted(self.sim):
-            if vid not in self.virtuals:
-                problems.append(f"sim-orphan: {vid}")
+            if self.sim[vid] not in self.reals:
+                problems.append(f"dangling-simulator: {vid}->{self.sim[vid]}")
         expected = {real(p) for p in self.reals} | {virt(v) for v in self.virtuals}
         for node in sorted(self._adj):
             if node not in expected:

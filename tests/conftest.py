@@ -174,7 +174,6 @@ def remove_virtual(vg: VirtualGraph, vid: int) -> None:
     for nbr in vg._adj.pop(node):
         vg._adj[nbr].discard(node)
         _count_image(vg, node, nbr, -1)
-    vg.virtuals.discard(vid)
     vg._hosted[vg.sim.pop(vid)].discard(vid)
 
 

@@ -470,6 +470,18 @@ class TestBench:
         assert exc.value.code == 2
         assert "--healer" in capsys.readouterr().err
 
+    def test_mixed_shape_keys_reach_the_strategy(self, tmp_path):
+        # With p_delete = 1 every event of every trial is a deletion.
+        cfg = write(
+            tmp_path / "b.cfg",
+            "n_list = 32\nhealers = haft\ntrials = 2\nfamily = random-tree\nT = 16\n"
+            "strategy = mixed\np_delete = 1.0\ninsert_degree = 3\n",
+        )
+        out = tmp_path / "b"
+        assert main(["bench", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        row = (out / "bench.csv").read_text().splitlines()[1].split(",")
+        assert row[3] == str(2 * 16)
+
 
 BENCH_POINT = "n_list = 8\nhealers = haft\ntrials = 1\nfamily = path\nT = 2\n"
 

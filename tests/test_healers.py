@@ -10,7 +10,7 @@ from selfheal import engine, healers
 from selfheal.adversary import StrategySpec, next_event, new_state
 from selfheal.families import connected_erdos_renyi, path_graph, random_tree, star_graph
 from selfheal.graph import Graph, UnknownNodeError
-from selfheal.haft import Haft
+from selfheal.haft import Haft, LeafSlot, leaves, walk
 from selfheal.healers import HealerError, make_healer
 from selfheal.virtual_graph import virt
 
@@ -244,10 +244,11 @@ def _corrupt_slot_origins(h, hid):
     return "slot_origins[2]: "
 
 
-def _corrupt_tree_haft(h, hid):
+def _corrupt_haft_key(h, hid):
+    # Filed under the vid of a tree, not of the spine node at its root.
     key = h.hafts[hid].trees[1].vid
-    h.tree_haft[key] = hid + 7
-    return f"tree_haft[{key}]: {hid + 7}, expected {hid}"
+    h.hafts[key] = h.hafts.pop(hid)
+    return f"haft {key}: root key is {hid}"
 
 
 def _corrupt_virtual_edge(h, hid):
@@ -280,7 +281,7 @@ def _stray_virtual(h, hid):
     [
         _corrupt_parent,
         _corrupt_slot_origins,
-        _corrupt_tree_haft,
+        _corrupt_haft_key,
         _corrupt_virtual_edge,
         _corrupt_simulator,
         _short_spine,
@@ -293,6 +294,24 @@ def test_haft_audit_names_each_corrupted_fact(corrupt):
     expected = corrupt(h, hid)
     problems = h.audit()
     assert any(p.startswith(expected) for p in problems), problems
+
+
+def test_parent_chain_runs_from_each_slot_through_the_spine_to_the_haft_key():
+    h, hid = _healed_haft()
+    haft = h.hafts[hid]
+    depth = {x.origin: d for x, _, d in walk(haft.root()) if isinstance(x, LeafSlot)}
+    last = len(haft.spine) - 1
+    for i, tree in enumerate(haft.trees):
+        # trees[i] hangs from spine[i], and the last tree from the last spine node.
+        spine_path = [haft.spine[j] for j in range(min(i, last), -1, -1)]
+        for slot in leaves(tree):
+            chain, key = [], slot.origin
+            while key in h.parent:
+                key = h.parent[key]
+                chain.append(key)
+            assert len(chain) == depth[slot.origin]
+            assert chain[len(chain) - len(spine_path) :] == spine_path
+    assert spine_path[-1] == hid
 
 
 def scripted_churn(healer_name: str, seed: int, n0: int = 24, steps: int = 60):
