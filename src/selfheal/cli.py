@@ -48,6 +48,7 @@ from .healers import HEALER_NAMES
 from .metrics import (
     all_pairs_distances,
     degree_ratio_max,
+    diameter_from,
     parse_csv,
     records_to_csv,
     stretch_max,
@@ -238,43 +239,50 @@ def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     maintained index (live ids, next fresh id, maximum-degree node) against
     one rebuilt from the graphs after every step. Measurement level: the
     step's connectivity and degree ratio, recomputed by full scans, and on
-    a step with exact stretch its maximum stretch, live diameter and every
-    live distance, against a fresh all-pairs build of the live graph. Real
-    level: the hard bounds that `summary.json` counts, namely connectivity,
-    the 4x degree bound and the 2*ceil(log2 n') stretch bound (exact or
-    sampled; a sampled maximum never exceeds the true one). The virtual
-    checks implying the real ones is the point; both are exercised.
+    a step with exact stretch its maximum stretch, both diameters and every
+    live and shadow distance, against fresh all-pairs builds of the live
+    and the shadow graph. Real level: the hard bounds that `summary.json`
+    counts, namely connectivity, the 4x degree bound and the
+    2*ceil(log2 n') stretch bound (exact or sampled; a sampled maximum
+    never exceeds the true one). The virtual checks implying the real ones
+    is the point; both are exercised.
     """
     violations: list[str] = []
 
     def audit(state: RunState) -> None:
         violations.extend(f"t={state.t} state-audit: {issue}" for issue in state.healer.audit())
         # The engine's per-event connectivity and degree ratio, against the
-        # full scans, and its stretch over the maintained live distances
-        # against a fresh build.
+        # full scans, and its stretch, diameters and maintained distances
+        # against fresh builds.
         record, live = state.records[-1], state.live_graph()
         names = ["connected", "max_degree_ratio"]
         fast = [record.connected, record.max_degree_ratio]
         try:
             full = [live.is_connected(), degree_ratio_max(live, state.shadow, state.deleted)[0]]
             if record.stretch_mode == "exact":
-                # One fresh build serves both checks; its rows ascend by node.
+                # One fresh build of each graph serves every check; its rows
+                # ascend by node.
                 built, built_index = all_pairs_distances(live)
+                shadow_built, shadow_index = all_pairs_distances(state.shadow)
                 fresh = stretch_max(
                     live,
-                    *state.oracle.matrix(),
+                    shadow_built,
+                    shadow_index,
                     exact_cap=state.config.exact_apsp_cap,
                     live_matrix=(built, sorted(built_index)),
                 )
-                names += ["max_stretch", "diameter_live"]
-                fast += [record.max_stretch, record.diameter_live]
-                full += [fresh.max_stretch, fresh.diameter_live]
+                names += ["max_stretch", "diameter_live", "diameter_shadow"]
+                fast += [record.max_stretch, record.diameter_live, record.diameter_shadow]
+                full += [fresh.max_stretch, fresh.diameter_live, diameter_from(shadow_built)]
+                oracles = [("shadow", state.oracle, shadow_built, shadow_index)]
                 if state.live_oracle is not None:
+                    oracles.append(("live", state.live_oracle, built, built_index))
+                for name, oracle, fresh_dist, fresh_index in oracles:
                     # Every entry, each matrix read through its own index.
-                    kept, index = state.live_oracle.matrix()
-                    rows = [built_index.get(x, -1) for x in state.live_oracle.nodes]
-                    if index.keys() != built_index.keys() or (built[rows][:, rows] != kept).any():
-                        violations.append(f"t={state.t} measure-audit: live distances not exact")
+                    dist, index = oracle.matrix()
+                    rows = [fresh_index.get(x, -1) for x in oracle.nodes]
+                    if index.keys() != fresh_index.keys() or (fresh_dist[rows][:, rows] != dist).any():
+                        violations.append(f"t={state.t} measure-audit: {name} distances not exact")
         except ValueError as exc:
             raise InternalError(str(exc)) from exc
         for name, got, want in zip(names, fast, full):

@@ -14,13 +14,16 @@ per insert. The live matrix exists only while exact stretch is on and
 fed each event's node, neighbours and the repair's added and dropped
 edges, dropped on a step with sampled or skipped stretch, and built afresh
 when the live count comes back under the cap. A deletion rebuilds the
-matrix when some distance grows and leaves it as it is otherwise. Runs
-with stretch off never build either matrix. Connectivity and
-the maximum degree ratio are updated per event from the nodes the event
-touched and the repair's connectivity witness (`LiveMeasure`); only the
-t = 0 measurement, and a step after a disconnected one, scan the whole live
-graph for connectivity. The adversary's index (`adversary.AdversaryIndex`)
-is refreshed from the same touched set after each event, so no step sorts
+matrix when some distance grows and leaves it as it is otherwise. Without
+a build no distance grows, so the maximum stretch and both diameters are
+kept, each with the pair that attains it, from the entries each event
+wrote, and a full scan of either matrix is rare. Runs with stretch off
+never build either matrix. Connectivity and the maximum degree ratio are
+updated per event from the nodes the event touched and the repair's
+connectivity witness (`LiveMeasure`); only the t = 0 measurement, and a
+step after a disconnected one, scan the whole live graph for
+connectivity. The adversary's index (`adversary.AdversaryIndex`) is
+refreshed from the same touched set after each event, so no step sorts
 or scans every live node outside a repair.
 
 Runs are deterministic: one master seed drives the adversary and the stretch
@@ -56,7 +59,7 @@ from .adversary import (
     next_event,
     validate_event,
 )
-from .graph import Graph, UnknownNodeError
+from .graph import INF, Graph, UnknownNodeError
 from .healers import Healer, make_healer
 from .metrics import MetricsRecord, StretchResult, ZeroShadowDegreeError, all_pairs_distances
 
@@ -106,21 +109,61 @@ class DistanceOracle:
       distance grows iff an edge was dropped or two of v's former
       neighbours are now neither adjacent nor share a neighbour, a test of
       O(deg(v)^2 * max degree) set lookups. Then the matrix is rebuilt;
-      else the added edges are relaxed and the last row and column move
-      into v's. Proof: a dropped edge's ends, or two such neighbours, grew
+      else the last row and column move into v's and the added edges are
+      relaxed. Proof: a dropped edge's ends, or two such neighbours, grew
       apart. Else edges are only added, and a path of at most two hops
       avoiding v replaces the step a-v-b of any shortest path through v.
 
     The shadow graph only grows, so its oracle uses `insert` alone.
+
+    So without a build no distance grows: an update lowers the entries it
+    writes, adds v's row or drops it, and moves rows only whole. Two
+    maxima are kept on that ground, each with the pair that attains it,
+    and scanned for in full only after a build, on the first read, or when
+    that pair's entry changed and no written entry reaches the old value:
+
+    * The diameter (`diameter`): an update keeps the pair if its entry is
+      unchanged, for every other entry is at most that, and an insert
+      compares it with v's row, which the relaxation leaves as it is.
+    * The maximum stretch L/S of a live oracle, one given the shadow
+      graph's oracle as `shadow` (`stretch`). `srow` holds the shadow row
+      of each live row: it is appended on insert, moved with the last row
+      on removal and rebuilt by a build. While `changed` is a list, each
+      `_relax` that writes appends its (near a, near b) block to it, which
+      stands for its mirror image too, and each insert its new row, as
+      (rows, columns) index arrays in the row order that holds after the
+      update; a build sets it to None, "every entry", and so does a
+      removal that finds blocks still unread, for it moves a row under
+      them. A shadow insert of v needs no blocks: it lowers S(x, y) only
+      when the new shortest path runs through v, and then S(x, y) =
+      S(x, v) + S(v, y) while L(x, y) <= L(x, v) + L(v, y), so the new
+      ratio is at most that of (x, v) or (v, y), which v's live row holds.
+      So if the stored pair's ratio is unchanged, the new maximum is the
+      larger of it and the blocks' maximum; if it changed, the blocks'
+      maximum stands when it is at least the stored one, which bounds
+      every other ratio; else one full scan decides. A full scan also
+      follows a read whose live graph is disconnected, and a shadow insert
+      that the live oracle did not follow with its own before the read.
     """
 
-    def __init__(self, graph: Graph, build: Callable | None = None):
+    def __init__(
+        self, graph: Graph, build: Callable | None = None, shadow: DistanceOracle | None = None
+    ):
         self._graph = graph
         self._build = build
         self._buf: np.ndarray | None = None
         self.nodes: list[int] = []  # row i holds nodes[i]
         self._index: dict[int, int] = {}
-        self._diameter: object = None
+        self.changed: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self.shadow = shadow
+        self._srow = np.empty(0, dtype=np.intp)
+        # The shadow's node count at the last read, and the inserts since
+        # of nodes new to it.
+        self._shadow_seen = self._inserted = 0
+        # The last diameter and maximum stretch, as (value, u, w); None: a
+        # full scan is due. u and w are None when no ratio is positive.
+        self._far: tuple[float, int, int] | None = None
+        self._best: tuple[float, int | None, int | None] | None = None
 
     def _load(self) -> None:
         dist, self._index = (self._build or all_pairs_distances)(self._graph)
@@ -129,10 +172,13 @@ class DistanceOracle:
         if self._buf is None or self._buf.shape[0] < n:
             self._buf = np.empty((n, n), dtype=np.float32)
         self._buf[:n, :n] = dist
+        self.changed = self._far = None
+        if self.shadow is not None:
+            shadow_index = self.shadow.matrix()[1]
+            self._srow = np.fromiter(map(shadow_index.__getitem__, self.nodes), np.intp, n)
 
     def insert(self, v: int, neighbors: Iterable[int]) -> None:
         """Add node v, joined to `neighbors` (already in the matrix)."""
-        self._diameter = None
         if self._buf is None:
             return
         n = len(self.nodes)
@@ -150,14 +196,28 @@ class DistanceOracle:
         buf[n, n] = 0.0
         self.nodes.append(v)
         self._index[v] = n
+        if self.changed is not None:
+            self.changed.append((np.array([n]), np.arange(n)))
+        if self.shadow is not None:
+            s = self.shadow._index[v]
+            if s >= self._shadow_seen:
+                self._inserted += 1
+            if n == self._srow.size:
+                self._srow = np.concatenate([self._srow, np.empty(n // 4 + 1, dtype=np.intp)])
+            self._srow[n] = s
         for a, b in combinations(rows, 2):
             self._relax(a, b, 2.0)
+        self._keep_far()
+        if self._far is not None and n:
+            far = int(row.argmax())
+            if row[far] > self._far[0]:
+                self._far = (float(row[far]), v, self.nodes[far])
 
     def add_edge(self, a: int, b: int) -> None:
         """Add the edge (a, b) between two nodes in the matrix."""
-        self._diameter = None
         if self._buf is not None:
             self._relax(self._index[a], self._index[b], 1.0)
+            self._keep_far()
 
     def _relax(self, a: int, b: int, length: float) -> None:
         """Every pair through a path a-b of `length` hops, both ways."""
@@ -174,6 +234,16 @@ class DistanceOracle:
         np.minimum(through, dist[rows, near_b], out=through)
         dist[rows, near_b] = through
         dist[near_b[:, None], near_a] = through.T
+        if self.changed is not None:
+            self.changed.append((near_a, near_b))
+
+    def _keep_far(self) -> None:
+        """Drop the stored diameter pair if it left or its entry changed."""
+        if self._far is not None:
+            top, u, w = self._far
+            i, j = self._index.get(u), self._index.get(w)
+            if i is None or j is None or self._buf[i, j] != top:
+                self._far = None
 
     def remove(
         self, v: int, added: Collection[tuple[int, int]], dropped: Collection[tuple[int, int]]
@@ -181,7 +251,6 @@ class DistanceOracle:
         """Node v leaves, and the graph gains the edges `added` and loses
         `dropped`; the graph passed in at construction is already in that
         state."""
-        self._diameter = None
         if self._buf is None:
             return
         # v's former neighbours are the rows at distance 1 from it.
@@ -193,8 +262,9 @@ class DistanceOracle:
         ):
             self._load()
             return
-        for a, b in added:
-            self.add_edge(a, b)
+        if self.changed:
+            # Blocks not yet read name the last row by its old slot.
+            self.changed = None
         # The last row and column into v's place.
         last, n = self.nodes.pop(), len(self.nodes)
         if i < n:
@@ -202,6 +272,11 @@ class DistanceOracle:
             buf[: n + 1, i] = buf[: n + 1, n]
             self.nodes[i] = last
             self._index[last] = i
+            if self.shadow is not None:
+                self._srow[i] = self._srow[n]
+        self._keep_far()
+        for a, b in added:
+            self.add_edge(a, b)
 
     def matrix(self) -> tuple[np.ndarray, dict[int, int]]:
         """The distance matrix and its node -> row index, the inverse of
@@ -212,14 +287,76 @@ class DistanceOracle:
         return self._buf[:n, :n], self._index
 
     def diameter(self) -> object:
-        """`metrics.diameter_from` of the matrix, kept until the next update."""
-        if self._diameter is None:
-            self._diameter = metrics.diameter_from(self.matrix()[0])
-        return self._diameter
+        """`metrics.diameter_from` of the matrix."""
+        dist = self.matrix()[0]
+        if dist.size <= 1:
+            return 0
+        if self._far is None:
+            i, j = divmod(int(dist.argmax()), len(self.nodes))
+            self._far = (float(dist[i, j]), self.nodes[i], self.nodes[j])
+        top = self._far[0]
+        return INF if top == INF else int(top)
 
     def distance(self, u: int, v: int) -> float:
         dist, index = self.matrix()
         return float(dist[index[u], index[v]])
+
+    def stretch(self) -> tuple[object, tuple[int, int] | None]:
+        """The diameter of a live oracle, and the rows (i, j) of a pair of
+        largest stretch, `dist[i, j]` over its shadow distance: None when
+        the diameter is INF or no two rows are joined in the shadow graph.
+        Reads the changes, and has them recorded from here on."""
+        dist, index = self.matrix()
+        shadow_dist = self.shadow.matrix()[0]
+        changed, inserted = self.changed, self._inserted
+        if len(self.shadow.nodes) - self._shadow_seen != inserted:
+            changed = None
+        self.changed, self._shadow_seen, self._inserted = [], len(self.shadow.nodes), 0
+        diameter = self.diameter()
+        if diameter is INF:
+            self._best = None
+            return diameter, None
+        srow = self._srow[: len(self.nodes)]
+        best = None if changed is None else self._best
+        if best is not None:
+            ratio, u, w = best
+            i, j = index.get(u), index.get(w)
+            kept = i is not None and j is not None
+            kept = kept and float(dist[i, j]) / float(shadow_dist[srow[i], srow[j]]) == ratio
+            top = self._changed_max(changed, shadow_dist)
+            if kept:
+                best = top if top[0] > ratio else best
+            else:
+                best = top if top[0] >= ratio else None
+        if best is None:
+            ratio, i, j = metrics.stretch_argmax(dist, shadow_dist[srow][:, srow])
+            best = (ratio, self.nodes[i], self.nodes[j]) if ratio else (0.0, None, None)
+        self._best = best
+        if best[1] is None:
+            return diameter, None
+        return diameter, (index[best[1]], index[best[2]])
+
+    def _changed_max(
+        self, changed: list, shadow_dist: np.ndarray
+    ) -> tuple[float, int | None, int | None]:
+        """The largest stretch over the entries of the blocks, and its pair;
+        (0.0, None, None) when no entry has a finite shadow distance."""
+        if not changed:
+            return 0.0, None, None
+        # Each entry as one flat index into the capacity buffer.
+        cap = self._buf.shape[0]
+        at = np.concatenate([(rows[:, None] * cap + cols).ravel() for rows, cols in changed])
+        i = at // cap
+        j = at - i * cap
+        ratio = np.divide(
+            self._buf.reshape(-1).take(at),
+            shadow_dist[self._srow[i], self._srow[j]],
+            dtype=np.float64,
+        )
+        k = int(ratio.argmax()) if ratio.size else 0
+        if not (ratio.size and ratio[k]):
+            return 0.0, None, None
+        return float(ratio[k]), self.nodes[i[k]], self.nodes[j[k]]
 
 
 class LiveMeasure:
@@ -493,7 +630,7 @@ def _measure(
     if not exact:
         state.live_oracle = None
     elif live_oracle is None:
-        state.live_oracle = DistanceOracle(live, metrics.all_pairs_distances)
+        state.live_oracle = DistanceOracle(live, metrics.all_pairs_distances, state.oracle)
     elif op == "insert":
         live_oracle.insert(node, neighbors)
     elif op == "delete":
@@ -507,9 +644,6 @@ def _measure(
         diameter_shadow = None
     else:
         shadow_dist, shadow_index = state.oracle.matrix()
-        live_matrix = None
-        if exact:
-            live_matrix = (state.live_oracle.matrix()[0], state.live_oracle.nodes)
         # Only a sampled step draws pairs.
         stretch_rng = None if exact else random.Random(f"{config.seed}:stretch:{state.t}")
         result = metrics.stretch_max(
@@ -519,7 +653,7 @@ def _measure(
             exact_cap=config.exact_apsp_cap,
             samples=config.stretch_samples,
             rng=stretch_rng,
-            live_matrix=live_matrix,
+            live_matrix=state.live_oracle,
         )
         diameter_shadow = state.oracle.diameter()
     state.timers["metrics"] += time.perf_counter() - t0

@@ -13,14 +13,17 @@ node at once: each row's reached set is packed 64 sources to a uint64
 word, and each distance level grows every row with one gather and one
 `bitwise_or.reduceat` over the nodes' closed neighbour lists, numpy only.
 The engine runs it only to start or rebuild the distance matrices it
-maintains (`engine.DistanceOracle`) and hands the live one, with the
-node of each row, to `stretch_max`; called without it, `stretch_max`
-builds the live APSP itself, which keeps it the oracle for tests and
-`verify`. The pure-BFS implementations in `graph` stay the independent
-oracle of the build; the test suite cross-checks the two entry by entry
-on random graphs whose sizes cross the 64-bit word boundaries, with
-isolated nodes, several components and scattered ids. Above the exact cap, stretch falls back to a
-seeded sample of live pairs, and the record notes which mode produced it.
+maintains (`engine.DistanceOracle`), and hands the live oracle to
+`stretch_max`, which then takes the maximum stretch the oracle keeps from
+the entries each event changed. Called with no live matrix, `stretch_max`
+builds the live APSP itself and scans every pair (`_stretch_exact`): that
+path is the oracle of the kept maximum for tests and `verify`. The
+pure-BFS implementations in `graph` stay the independent oracle of the
+build; the test suite cross-checks the two entry by entry on random
+graphs whose sizes cross the 64-bit word boundaries, with isolated
+nodes, several components and scattered ids. Above the exact cap,
+stretch falls back to a seeded sample of live pairs, and the record
+notes which mode produced it.
 
 All functions are pure snapshots-in, values-out; records from finished runs
 can be crunched in parallel.
@@ -35,11 +38,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from statistics import median
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import INF, Graph, UnknownNodeError
 from .haft import ceil_log2
+
+if TYPE_CHECKING:
+    from .engine import DistanceOracle
 
 CSV_COLUMNS = [
     "t",
@@ -203,16 +210,18 @@ def stretch_max(
     exact_cap: int = 256,
     samples: int = 1000,
     rng: random.Random | None = None,
-    live_matrix: tuple[np.ndarray, list[int]] | None = None,
+    live_matrix: tuple[np.ndarray, list[int]] | DistanceOracle | None = None,
 ) -> StretchResult:
     """max over live pairs of dist_live(u, v) / dist_shadow(u, v).
 
     Exact over all pairs while the live graph fits the cap, else over a
     seeded sample of pairs. INF when the live graph is disconnected; pairs
     never joined in the shadow graph contribute nothing. Returns 1 when
-    there are fewer than two live nodes. `live_matrix`, a live distance
-    matrix the caller maintains and the live node of each of its rows, in
-    any order, replaces the live build in the exact mode.
+    there are fewer than two live nodes. In the exact mode, `live_matrix`
+    replaces the live build and the scan over every pair: either a live
+    distance matrix and the live node of each of its rows, in any order,
+    or a live `engine.DistanceOracle` whose shadow oracle holds
+    `shadow_dist`, which keeps the maximum itself.
     """
     n = live.node_count
     if n <= 1:
@@ -228,30 +237,41 @@ def _stretch_exact(
     live: Graph,
     shadow_dist: np.ndarray,
     shadow_index: dict[int, int],
-    live_matrix: tuple[np.ndarray, list[int]] | None = None,
+    live_matrix: tuple[np.ndarray, list[int]] | DistanceOracle | None = None,
 ) -> StretchResult:
     if live_matrix is None:
-        live_dist, nodes = all_pairs_distances(live)[0], sorted(live.nodes)
-    else:
+        live_matrix = all_pairs_distances(live)[0], sorted(live.nodes)
+    if isinstance(live_matrix, tuple):
         live_dist, nodes = live_matrix
-    diameter_live = diameter_from(live_dist)
+        diameter_live, pair = diameter_from(live_dist), None
+        if diameter_live is not INF:
+            rows = np.fromiter(map(shadow_index.__getitem__, nodes), np.intp, len(nodes))
+            ratio, i, j = stretch_argmax(live_dist, shadow_dist[rows][:, rows])
+            pair = (i, j) if ratio else None
+    else:
+        live_dist, nodes = live_matrix.matrix()[0], live_matrix.nodes
+        diameter_live, pair = live_matrix.stretch()
     if diameter_live is INF:
         return StretchResult(INF, "exact", INF)
-    rows = np.fromiter(map(shadow_index.__getitem__, nodes), np.intp, len(nodes))
-    shadow_sub = shadow_dist[rows][:, rows]
-    # float64 ratios whatever the matrices store, so that argmax ties
-    # break one way.
+    if pair is None:
+        return StretchResult(Fraction(1), "exact", diameter_live)
+    u, w = nodes[pair[0]], nodes[pair[1]]
+    value = _ratio(int(live_dist[pair]), int(shadow_dist[shadow_index[u], shadow_index[w]]))
+    return StretchResult(value, "exact", diameter_live, (u, w))
+
+
+def stretch_argmax(live_dist: np.ndarray, shadow_sub: np.ndarray) -> tuple[float, int, int]:
+    """The largest ratio `live_dist / shadow_sub` over the off-diagonal
+    entries of two square matrices, and its row and column. The ratios are
+    float64 whatever the matrices store, so that ties break one way. A
+    shadow-infinite pair gives 0 and drops out, so the ratio is 0 when no
+    pair is joined in the shadow graph."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.divide(live_dist, shadow_sub, dtype=np.float64)
-    # Off-diagonal pairs only (0/0 on the diagonal); a shadow-infinite pair
-    # gives 0 and drops out.
+    # 0/0 on the diagonal.
     np.fill_diagonal(ratio, 0.0)
-    flat = int(ratio.argmax())
-    i, j = divmod(flat, len(nodes))
-    if ratio[i, j] == 0.0:
-        return StretchResult(Fraction(1), "exact", diameter_live)
-    value = _ratio(int(live_dist[i, j]), int(shadow_sub[i, j]))
-    return StretchResult(value, "exact", diameter_live, (nodes[i], nodes[j]))
+    i, j = divmod(int(ratio.argmax()), ratio.shape[1])
+    return float(ratio[i, j]), i, j
 
 
 @lru_cache(maxsize=None)

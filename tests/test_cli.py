@@ -255,6 +255,15 @@ def _remove_never_rebuilding(self, v, added, dropped):
         self._graph = graph
 
 
+_insert = DistanceOracle.insert
+
+
+def _shadow_insert_of_the_first_neighbour(self, v, neighbors):
+    """The shadow oracle, the one without a shadow of its own, joins an
+    inserted node to its first neighbour only."""
+    _insert(self, v, neighbors if self.shadow is not None else list(neighbors)[:1])
+
+
 _on_delete = HaftHealer.on_delete
 
 
@@ -346,6 +355,22 @@ class TestVerify:
             t, _, audit = line.partition(" measure-audit: ")
             steps.setdefault(t, []).append(audit)
         assert ["live distances not exact"] in steps.values()
+
+    def test_shadow_distances_off_the_graph_exit_one(self, tmp_path, monkeypatch):
+        # The shadow graph gets every edge, so only the audit of the shadow
+        # matrix against a fresh build of the shadow graph can tell.
+        monkeypatch.setattr(DistanceOracle, "insert", _shadow_insert_of_the_first_neighbour)
+        cfg = write(
+            tmp_path / "c.cfg",
+            "family = random-tree\nn = 160\nhealer = haft\nstrategy = random\nT = 224\n"
+            "exact_apsp_cap = 512\nstretch_samples = 0\n",
+        )
+        args = ["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet", "--seed", "1"]
+        assert main(args) == 1
+        report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+        audits = {line.partition(" measure-audit: ")[2] for line in report["violations"]}
+        assert "shadow distances not exact" in audits
+        assert any(audit.startswith("diameter_shadow ") for audit in audits)
 
     @pytest.mark.parametrize(
         "wrong, strategy, name",

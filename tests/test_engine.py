@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selfheal import engine
+from selfheal import engine, metrics
 from selfheal.adversary import Event, StrategySpec, next_event
 from selfheal.engine import (
     DistanceOracle,
@@ -29,6 +29,7 @@ from selfheal.metrics import (
     all_pairs_distances,
     degree_ratio_max,
     diameter_from,
+    stretch_argmax,
     stretch_max,
 )
 
@@ -345,12 +346,30 @@ def test_stretch_off_skips_the_annihilating_step(apsp_builds):
 
 def assert_live_oracle_matches(state) -> None:
     """The engine keeps live distances exactly on the steps that measure
-    exact stretch, and they match a per-source BFS entry by entry."""
+    exact stretch, and they match a per-source BFS entry by entry. The
+    step's maximum stretch, kept from the entries that changed, and its
+    diameters match a scan over fresh builds of both graphs
+    (`_stretch_exact`), and the kept pair attains that maximum."""
     live = state.live_graph()
     exact = 1 < live.node_count <= state.config.exact_apsp_cap
     assert (state.live_oracle is not None) == exact
     if exact:
         assert_oracle_matches(state.live_oracle, live)
+        record = state.records[-1]
+        shadow_dist, shadow_index = all_pairs_distances(state.shadow)
+        fresh = stretch_max(live, shadow_dist, shadow_index, exact_cap=state.config.exact_apsp_cap)
+        assert (record.max_stretch, record.diameter_live, record.diameter_shadow) == (
+            fresh.max_stretch,
+            fresh.diameter_live,
+            diameter_from(shadow_dist),
+        )
+        best = state.live_oracle._best
+        if record.max_stretch != INF and best[1] is not None:
+            u, w = best[1:]
+            live_hops = live.bfs_distances(u)[w]
+            assert Fraction(live_hops, int(shadow_dist[shadow_index[u], shadow_index[w]])) == (
+                record.max_stretch
+            )
 
 
 def live_config(healer, kind, initial, seed) -> RunConfig:
@@ -391,7 +410,7 @@ def test_live_oracle_follows_null_runs_apart_and_together(seed):
     config = live_config("null", "mixed", random_tree(24, random.Random(seed)), seed)
     config.strategy = StrategySpec(kind="mixed", p_delete=0.5, insert_degree=3, seed=seed)
     run(config, on_step=check)
-    assert INF in seen
+    assert any(a == INF != b for a, b in zip(seen, seen[1:]))
 
 
 def test_live_oracle_dropped_at_one_live_node_and_rebuilt():
@@ -440,10 +459,12 @@ def test_live_oracle_crosses_the_cap_both_ways():
 @pytest.mark.parametrize("seed", range(8))
 def test_live_oracle_updates_match_fresh_apsp(seed):
     # Random inserts, edge additions and removals with added and dropped
-    # edges, straight on the class.
+    # edges, straight on the class. Inserts go to a shadow graph too, and
+    # the maximum stretch is read after a random run of updates.
     rng = random.Random(seed)
     g = erdos_renyi(40, 0.06, rng) if seed % 2 else random_tree(40, rng)
-    oracle = DistanceOracle(g)
+    shadow = g.copy()
+    oracle = DistanceOracle(g, shadow=DistanceOracle(shadow))
     assert_oracle_matches(oracle, g)
     used = set(g.nodes)
     for _ in range(60):
@@ -455,9 +476,11 @@ def test_live_oracle_updates_match_fresh_apsp(seed):
             v = rng.choice([x for x in range(max(used) + 6) if x not in used])
             used.add(v)
             nbrs = rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
-            g.add_node(v)
-            for w in nbrs:
-                g.add_edge(v, w)
+            for h in (g, shadow):
+                h.add_node(v)
+                for w in nbrs:
+                    h.add_edge(v, w)
+            oracle.shadow.insert(v, nbrs)
             oracle.insert(v, nbrs)
         elif op == "add":
             a, b = rng.sample(nodes, 2)
@@ -478,6 +501,10 @@ def test_live_oracle_updates_match_fresh_apsp(seed):
                 g.remove_edge(*e)
             oracle.remove(v, added, dropped - added)
         assert_oracle_matches(oracle, g)
+        if rng.random() < 0.4:
+            kept = stretch_max(g, *oracle.shadow.matrix(), live_matrix=oracle)
+            fresh = stretch_max(g, *all_pairs_distances(shadow))
+            assert (kept.max_stretch, kept.diameter_live) == (fresh.max_stretch, fresh.diameter_live)
 
 
 @pytest.mark.parametrize(
@@ -576,7 +603,8 @@ def test_stretch_over_rows_out_of_id_order_matches_a_fresh_build():
         builds.append(g.node_count)
         return all_pairs_distances(g)
 
-    oracle = DistanceOracle(live, build)
+    shadow_oracle = DistanceOracle(shadow)
+    oracle = DistanceOracle(live, build, shadow_oracle)
     oracle.matrix()
     orders, stretches = [], []
     script = [("insert", 5, [(5, 2), (5, 8)]), ("delete", 4, [(2, 6)]), ("delete", 10, [])]
@@ -587,6 +615,7 @@ def test_stretch_over_rows_out_of_id_order_matches_a_fresh_build():
             for e in edges:
                 shadow.add_edge(*e)
                 live.add_edge(*e)
+            shadow_oracle.insert(v, [w for _, w in edges])
             oracle.insert(v, [w for _, w in edges])
         else:
             live.remove_node(v)
@@ -598,21 +627,122 @@ def test_stretch_over_rows_out_of_id_order_matches_a_fresh_build():
         kept = stretch_max(
             live, shadow_dist, shadow_index, live_matrix=(oracle.matrix()[0], oracle.nodes)
         )
+        # The same matrix with the maximum the oracle keeps, read through
+        # the shadow row of each live row.
+        held = stretch_max(live, *shadow_oracle.matrix(), live_matrix=oracle)
         fresh = stretch_max(live, shadow_dist, shadow_index)
-        assert (kept.max_stretch, kept.mode, kept.diameter_live) == (
-            fresh.max_stretch,
-            fresh.mode,
-            fresh.diameter_live,
-        )
-        # The pair reported has the maximum stretch, read by BFS.
-        u, w = kept.argmax_pair
-        hops = Fraction(live.bfs_distances(u)[w], shadow.bfs_distances(u)[w])
-        assert hops == kept.max_stretch
+        for result in (kept, held):
+            assert (result.max_stretch, result.mode, result.diameter_live) == (
+                fresh.max_stretch,
+                fresh.mode,
+                fresh.diameter_live,
+            )
+            # The pair reported has the maximum stretch, read by BFS.
+            u, w = result.argmax_pair
+            hops = Fraction(live.bfs_distances(u)[w], shadow.bfs_distances(u)[w])
+            assert hops == result.max_stretch
         orders.append(list(oracle.nodes))
         stretches.append(fresh.max_stretch)
     assert builds == [6]
     assert orders == [[0, 2, 4, 6, 8, 10, 5], [0, 2, 5, 6, 8, 10], [0, 2, 5, 6, 8]]
     assert stretches[0] > 1
+
+
+@pytest.fixture
+def full_scans(monkeypatch):
+    """Count the full scans for the maximum stretch."""
+    calls = []
+
+    def counted(live_dist, shadow_sub):
+        calls.append(live_dist.shape[0])
+        return stretch_argmax(live_dist, shadow_sub)
+
+    monkeypatch.setattr(metrics, "stretch_argmax", counted)
+    return calls
+
+
+def kept_stretch(oracle: DistanceOracle, live: Graph, shadow: Graph, full_scans) -> tuple:
+    """The maximum stretch a live oracle keeps, checked against a scan over
+    fresh builds of both graphs, and the full scans it made for it."""
+    before = len(full_scans)
+    kept = stretch_max(live, *oracle.shadow.matrix(), live_matrix=oracle)
+    scans = len(full_scans) - before
+    fresh = stretch_max(live, *all_pairs_distances(shadow))
+    assert (kept.max_stretch, kept.diameter_live) == (fresh.max_stretch, fresh.diameter_live)
+    return kept.max_stretch, scans
+
+
+def test_kept_stretch_of_a_stored_pair_whose_shadow_distance_fell(full_scans):
+    # The shadow path 0-1-2-3 with 1 and 2 deleted, and a repair's edge 0-3:
+    # the stored pair (0, 3) has ratio 1/3. Node 4 joins 0 and 3, and the
+    # pair's shadow distance falls to 2, so its ratio rises to 1/2. The
+    # row of 4, the only block written, reaches 1, which stands unscanned.
+    shadow, live = path_graph(4), Graph(nodes=[0, 3], edges=[(0, 3)])
+    oracle = DistanceOracle(live, shadow=DistanceOracle(shadow))
+    assert kept_stretch(oracle, live, shadow, full_scans) == (Fraction(1, 3), 1)
+    assert oracle._best[1:] == (0, 3)
+    for g in (shadow, live):
+        g.add_node(4)
+        g.add_edge(4, 0)
+        g.add_edge(4, 3)
+    oracle.shadow.insert(4, [0, 3])
+    oracle.insert(4, [0, 3])
+    assert oracle.shadow.distance(0, 3) == 2 and oracle.distance(0, 3) == 1
+    assert kept_stretch(oracle, live, shadow, full_scans) == (1, 0)
+
+
+def test_kept_stretch_scans_in_full_when_no_written_entry_reaches_it(full_scans):
+    # The cycle 0-1-2-4-0 with a leaf 3 on 0, and 1 deleted: the live graph
+    # is the path 3-0-4-2, and the stored pair (0, 2) has ratio 2/2. Node 4
+    # leaves and the repair joins 0-2: the pair's ratio falls to 1/2, and
+    # the block written reaches 2/3 at (3, 2). Only a full scan finds the
+    # maximum, 1 at (0, 3), which no update touched.
+    shadow = Graph(nodes=range(5), edges=[(0, 1), (1, 2), (2, 4), (4, 0), (0, 3)])
+    live = Graph(nodes=[0, 2, 3, 4], edges=[(3, 0), (0, 4), (4, 2)])
+    oracle = DistanceOracle(live, shadow=DistanceOracle(shadow))
+    assert kept_stretch(oracle, live, shadow, full_scans) == (1, 1)
+    assert oracle._best[1:] == (0, 2)
+    live.remove_node(4)
+    live.add_edge(0, 2)
+    oracle.remove(4, [(0, 2)], ())
+    assert oracle.changed and oracle._changed_max(oracle.changed, oracle.shadow.matrix()[0]) == (
+        2 / 3, 3, 2
+    )
+    assert kept_stretch(oracle, live, shadow, full_scans) == (1, 1)
+    assert oracle._best[1:] == (0, 3)
+
+
+def test_kept_stretch_scans_in_full_after_a_shadow_insert_it_did_not_follow(full_scans):
+    # Node 9 joins the shadow path 0-1-2-3 at its ends and is deleted before
+    # the live oracle reads, so no live row holds the pair it brought
+    # closer: the stretch of (0, 3) rises from 1 to 3/2 unseen by any block.
+    shadow, live = path_graph(4), path_graph(4)
+    oracle = DistanceOracle(live, shadow=DistanceOracle(shadow))
+    assert kept_stretch(oracle, live, shadow, full_scans) == (1, 1)
+    shadow.add_node(9)
+    shadow.add_edge(9, 0)
+    shadow.add_edge(9, 3)
+    oracle.shadow.insert(9, [0, 3])
+    assert oracle.changed == []
+    assert kept_stretch(oracle, live, shadow, full_scans) == (Fraction(3, 2), 1)
+
+
+def test_kept_stretch_scans_in_full_after_a_removal_under_unread_blocks(full_scans):
+    # 4 joins the path 0-1-2-3 at 3, and 0 leaves before a read: the
+    # removal moves 4's row into 0's slot, under the block 4's insert
+    # recorded, so the next read scans in full.
+    shadow, live = path_graph(4), path_graph(4)
+    oracle = DistanceOracle(live, shadow=DistanceOracle(shadow))
+    assert kept_stretch(oracle, live, shadow, full_scans) == (1, 1)
+    for g in (shadow, live):
+        g.add_node(4)
+        g.add_edge(4, 3)
+    oracle.shadow.insert(4, [3])
+    oracle.insert(4, [3])
+    live.remove_node(0)
+    oracle.remove(0, (), ())
+    assert oracle.nodes == [4, 1, 2, 3] and oracle.changed is None
+    assert kept_stretch(oracle, live, shadow, full_scans) == (1, 1)
 
 
 # -- per-event connectivity and degree ratio ------------------------------------
