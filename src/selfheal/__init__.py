@@ -21,7 +21,7 @@ from .adversary import (
     validate_event,
     write_trace,
 )
-from .engine import RunConfig, RunState, run, shadow_distance, start, step
+from .engine import RunConfig, RunState, audit, run, shadow_distance, start, step
 from .families import (
     connected_erdos_renyi,
     erdos_renyi,
@@ -77,6 +77,7 @@ __all__ = [
     "write_trace",
     "RunConfig",
     "RunState",
+    "audit",
     "run",
     "shadow_distance",
     "start",

@@ -151,6 +151,21 @@ class AdversaryIndex:
                 return v
             heapq.heappop(heap)
 
+    def audit(self, live: Graph, shadow: Graph) -> list[str]:
+        """This index against one rebuilt from the graphs. Asking for the
+        maximum only builds the heap or pushes the entries set aside, so it
+        changes no later choice."""
+        fresh, problems = AdversaryIndex(live, shadow), []
+        if self.live_ids != fresh.live_ids:
+            problems.append("live_ids differ from a rebuilt index")
+        elif fresh.live_ids:
+            got, want = self.max_degree_node(live), fresh.max_degree_node(live)
+            if got != want:
+                problems.append(f"max_degree_node {got}, rebuilt {want}")
+        if self.next_id != fresh.next_id:
+            problems.append(f"next_id {self.next_id}, rebuilt {fresh.next_id}")
+        return problems
+
 
 @dataclass
 class AdversaryState:

@@ -16,7 +16,7 @@ library check that fails while preprocessing the initial graph or on an
 event the engine already validated).
 
 gen, run and verify build their `RunConfig` in one place (`_run_config`)
-and all drive `engine.run`; verify adds the healer audit after every step
+and all drive `engine.run`; verify adds `engine.audit` after every step
 and reports the same hard-bound violations that `summary.json` counts.
 """
 
@@ -33,27 +33,12 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from statistics import median
 
-from .adversary import (
-    RNG_NAME,
-    STRATEGY_KINDS,
-    StrategySpec,
-    new_index,
-    read_trace,
-    write_trace,
-)
-from .engine import InternalError, RunConfig, RunState, run
+from .adversary import RNG_NAME, STRATEGY_KINDS, StrategySpec, read_trace, write_trace
+from .engine import InternalError, RunConfig, audit, run
 from .families import FAMILY_NAMES, make_family
 from .graph import Graph, dump_edge_list, load_edge_list
 from .healers import HEALER_NAMES
-from .metrics import (
-    all_pairs_distances,
-    degree_ratio_max,
-    diameter_from,
-    parse_csv,
-    records_to_csv,
-    stretch_max,
-    summarize,
-)
+from .metrics import parse_csv, records_to_csv, summarize
 
 
 class ConfigError(ValueError):
@@ -234,81 +219,18 @@ def cmd_run(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     """Replay a run and check every invariant level.
 
-    Virtual level: the healer's state audit (virtual-graph invariants, haft
-    shape, simulator assignment) after every step. Adversary level: its
-    maintained index (live ids, next fresh id, maximum-degree node) against
-    one rebuilt from the graphs after every step. Measurement level: the
-    step's connectivity and degree ratio, recomputed by full scans, and on
-    a step with exact stretch its maximum stretch, both diameters and every
-    live and shadow distance, against fresh all-pairs builds of the live
-    and the shadow graph. Real level: the hard bounds that `summary.json`
-    counts, namely connectivity, the 4x degree bound and the
-    2*ceil(log2 n') stretch bound (exact or sampled; a sampled maximum
-    never exceeds the true one). The virtual checks implying the real ones
-    is the point; both are exercised.
+    After every step, `engine.audit` checks each maintained structure
+    against a fresh build: the healer's state (virtual level), the
+    adversary's index, and the step's measurement (connectivity, degree
+    ratio and, on a step with exact stretch, every live and shadow
+    distance, the maximum stretch and both diameters). After the run come
+    the hard bounds that `summary.json` counts (real level): connectivity,
+    the 4x degree bound and the 2*ceil(log2 n') stretch bound (exact or
+    sampled; a sampled maximum never exceeds the true one). The virtual
+    checks implying the real ones is the point; both are exercised.
     """
     violations: list[str] = []
-
-    def audit(state: RunState) -> None:
-        violations.extend(f"t={state.t} state-audit: {issue}" for issue in state.healer.audit())
-        # The engine's per-event connectivity and degree ratio, against the
-        # full scans, and its stretch, diameters and maintained distances
-        # against fresh builds.
-        record, live = state.records[-1], state.live_graph()
-        names = ["connected", "max_degree_ratio"]
-        fast = [record.connected, record.max_degree_ratio]
-        try:
-            full = [live.is_connected(), degree_ratio_max(live, state.shadow, state.deleted)[0]]
-            if record.stretch_mode == "exact":
-                # One fresh build of each graph serves every check; its rows
-                # ascend by node.
-                built, built_index = all_pairs_distances(live)
-                shadow_built, shadow_index = all_pairs_distances(state.shadow)
-                fresh = stretch_max(
-                    live,
-                    shadow_built,
-                    shadow_index,
-                    exact_cap=state.config.exact_apsp_cap,
-                    live_matrix=(built, sorted(built_index)),
-                )
-                names += ["max_stretch", "diameter_live", "diameter_shadow"]
-                fast += [record.max_stretch, record.diameter_live, record.diameter_shadow]
-                full += [fresh.max_stretch, fresh.diameter_live, diameter_from(shadow_built)]
-                oracles = [("shadow", state.oracle, shadow_built, shadow_index)]
-                if state.live_oracle is not None:
-                    oracles.append(("live", state.live_oracle, built, built_index))
-                for name, oracle, fresh_dist, fresh_index in oracles:
-                    # Every entry, each matrix read through its own index.
-                    dist, index = oracle.matrix()
-                    rows = [fresh_index.get(x, -1) for x in oracle.nodes]
-                    if index.keys() != fresh_index.keys() or (fresh_dist[rows][:, rows] != dist).any():
-                        violations.append(f"t={state.t} measure-audit: {name} distances not exact")
-        except ValueError as exc:
-            raise InternalError(str(exc)) from exc
-        for name, got, want in zip(names, fast, full):
-            if got != want:
-                violations.append(f"t={state.t} measure-audit: {name} {got}, full scan {want}")
-        # The adversary's maintained index against one built afresh. Asking
-        # for the maximum only builds the heap or pushes the entries set
-        # aside, so it changes no later choice.
-        index, spec = state.adversary.index, state.config.strategy
-        if index is None:
-            return
-        fresh = new_index(spec, live, state.shadow)
-        if index.live_ids != fresh.live_ids:
-            violations.append(f"t={state.t} adversary-audit: live_ids differ from a rebuilt index")
-        elif fresh.live_ids:
-            got, want = index.max_degree_node(live), fresh.max_degree_node(live)
-            if got != want:
-                violations.append(
-                    f"t={state.t} adversary-audit: max_degree_node {got}, rebuilt {want}"
-                )
-        if index.next_id != fresh.next_id:
-            violations.append(
-                f"t={state.t} adversary-audit: next_id {index.next_id}, rebuilt {fresh.next_id}"
-            )
-
-    state = run(_run_config(cfg, seed), on_step=audit)
+    state = run(_run_config(cfg, seed), on_step=lambda s: violations.extend(audit(s)))
     violations.extend(summarize(state.records).violations)
     if "csv" in cfg:
         try:

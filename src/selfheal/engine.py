@@ -24,7 +24,8 @@ connectivity witness (`LiveMeasure`); only the t = 0 measurement, and a
 step after a disconnected one, scan the whole live graph for
 connectivity. The adversary's index (`adversary.AdversaryIndex`) is
 refreshed from the same touched set after each event, so no step sorts
-or scans every live node outside a repair.
+or scans every live node outside a repair. `audit` checks each of these
+structures, and the healer's state, against a fresh build.
 
 Runs are deterministic: one master seed drives the adversary and the stretch
 sampler, and all iteration orders are sorted. Running the same config twice
@@ -285,6 +286,17 @@ class DistanceOracle:
             self._load()
         n = len(self.nodes)
         return self._buf[:n, :n], self._index
+
+    def audit(self, fresh: tuple[np.ndarray, dict[int, int]]) -> list[str]:
+        """Every entry against `fresh`, a build of the graph as
+        `all_pairs_distances` returns it, each matrix read through its own
+        index."""
+        dist, index = self.matrix()
+        fresh_dist, fresh_index = fresh
+        rows = [fresh_index.get(x, -1) for x in self.nodes]
+        if index.keys() != fresh_index.keys() or (fresh_dist[rows][:, rows] != dist).any():
+            return ["distances not exact"]
+        return []
 
     def diameter(self) -> object:
         """`metrics.diameter_from` of the matrix."""
@@ -598,6 +610,48 @@ def _next(state: RunState) -> Event | None:
     return next_event(
         state.config.strategy, state.live_graph(), state.shadow, state.adversary
     )
+
+
+def audit(state: RunState) -> list[str]:
+    """Every maintained structure against a fresh build, after the last
+    step (or the t = 0 measurement), one line per problem: `state-audit`,
+    the healer's own audit; `measure-audit`, the record's connectivity and
+    degree ratio against the full scans and, on a step with exact stretch,
+    every shadow and live distance (`DistanceOracle.audit`), the maximum
+    stretch and both diameters against fresh builds of both graphs;
+    `adversary-audit`, `AdversaryIndex.audit`. A ValueError from a check is
+    the library's own, so it is raised as an InternalError.
+    """
+    t, live, shadow = state.t, state.live_graph(), state.shadow
+    record = state.records[-1] if state.records else state.initial_record
+    names = ["connected", "max_degree_ratio"]
+    fast = [record.connected, record.max_degree_ratio]
+    try:
+        problems = [f"t={t} state-audit: {issue}" for issue in state.healer.audit()]
+        full = [live.is_connected(), metrics.degree_ratio_max(live, shadow, state.deleted)[0]]
+        if record.stretch_mode == "exact":
+            # One fresh build of each graph serves every check; its rows
+            # ascend by node.
+            built = metrics.all_pairs_distances(live)
+            shadow_built = metrics.all_pairs_distances(shadow)
+            cap, live_matrix = state.config.exact_apsp_cap, (built[0], sorted(built[1]))
+            fresh = metrics.stretch_max(live, *shadow_built, exact_cap=cap, live_matrix=live_matrix)
+            names += ["max_stretch", "diameter_live", "diameter_shadow"]
+            fast += [record.max_stretch, record.diameter_live, record.diameter_shadow]
+            full += [fresh.max_stretch, fresh.diameter_live, metrics.diameter_from(shadow_built[0])]
+            oracles = [("shadow", state.oracle, shadow_built), ("live", state.live_oracle, built)]
+            for name, oracle, matrix in oracles:
+                if oracle is not None:
+                    problems += (f"t={t} measure-audit: {name} {x}" for x in oracle.audit(matrix))
+        for name, got, want in zip(names, fast, full):
+            if got != want:
+                problems.append(f"t={t} measure-audit: {name} {got}, full scan {want}")
+        index = state.adversary.index
+        if index is not None:
+            problems += (f"t={t} adversary-audit: {x}" for x in index.audit(live, shadow))
+    except ValueError as exc:
+        raise InternalError(str(exc)) from exc
+    return problems
 
 
 def shadow_distance(state: RunState, u: int, v: int) -> float:

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from .graph import Graph, UnknownNodeError
 from .haft import (
     Haft,
+    HaftError,
     HaftNode,
     Internal,
     LeafSlot,
@@ -431,12 +432,15 @@ class HaftHealer(Healer):
             haft = self.hafts[hid]
             for issue in validate_haft(haft):
                 problems.append(f"haft {hid}: {issue}")
-            # The wiring is read off the haft as one tree, and a spine too
-            # short to join the trees (reported above) cannot form it.
-            if len(haft.spine) < len(haft.trees) - 1:
-                decls, vedges = [], []
-            else:
-                decls, vedges = to_virtual_edges(haft, assign_simulators(haft))
+            # The wiring is read off the haft as one tree. A spine too short
+            # to join the trees (reported above) cannot form it, and a slot
+            # that would simulate two internals is reported here.
+            decls, vedges = [], []
+            if len(haft.spine) >= len(haft.trees) - 1:
+                try:
+                    decls, vedges = to_virtual_edges(haft, assign_simulators(haft))
+                except HaftError as exc:
+                    problems.append(f"haft {hid}: {exc}")
                 root = haft.root()
                 key = None if root is None else _key(root)
                 if key != hid:

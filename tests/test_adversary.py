@@ -385,3 +385,21 @@ def test_index_heap_is_rebuilt_once_stale_entries_pile_up():
         sizes.append(len(index._heap))
         assert len(index._heap) <= 2 * len(index.live_ids) + 64
     assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
+def test_index_audit_reports_each_corruption_in_one_line():
+    live = path_graph(5)
+    shadow = live.copy()
+    index = AdversaryIndex(live, shadow)
+    assert index.audit(live, shadow) == []
+    index.next_id += 1
+    assert index.audit(live, shadow) == ["next_id 6, rebuilt 5"]
+    index.next_id -= 1
+    index.live_ids.remove(3)
+    assert index.audit(live, shadow) == ["live_ids differ from a rebuilt index"]
+    index.live_ids.insert(3, 3)
+    assert index.audit(live, shadow) == []
+    # The heap now holds every node, and 3 gains an edge that no update
+    # reports: its entry goes stale, so the index misses the new maximum.
+    live.add_edge(3, 0)
+    assert index.audit(live, shadow) == ["max_degree_node 1, rebuilt 3"]

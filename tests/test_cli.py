@@ -9,11 +9,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from selfheal import cli
+from selfheal import metrics
 from selfheal.adversary import AdversaryIndex, read_trace
 from selfheal.cli import loglog_slope, main, parse_config
 from selfheal.engine import DistanceOracle, LiveMeasure
 from selfheal.graph import Graph, UnknownNodeError
+from selfheal.haft import Haft, Internal, haft_slots
 from selfheal.healers import HaftHealer, HealerError
 from selfheal.metrics import ZeroShadowDegreeError
 from selfheal.virtual_graph import RepairJournal
@@ -159,7 +160,7 @@ class TestRun:
             ("verify", (HaftHealer, "preprocess"), UnknownNodeError),
             ("run", (LiveMeasure, "refresh"), ZeroShadowDegreeError),
             ("verify", (LiveMeasure, "refresh"), ZeroShadowDegreeError),
-            ("verify", (cli, "degree_ratio_max"), ZeroShadowDegreeError),
+            ("verify", (metrics, "degree_ratio_max"), ZeroShadowDegreeError),
         ],
         ids=[
             "run",
@@ -274,6 +275,20 @@ def _delete_with_a_false_witness(self, v):
     report = _on_delete(self, v)
     report.witness = set(report.touched)
     return report
+
+
+_repair = HaftHealer._repair
+
+
+def _repair_sharing_a_simulator(self, v, direct):
+    """A haft repair that then reshapes every haft into two subtrees over
+    the same two slots, so that the second slot would simulate two
+    internals."""
+    result = _repair(self, v, direct)
+    for hid, haft in self.hafts.items():
+        a, b = haft_slots(haft)[:2]
+        self.hafts[hid] = Haft((Internal(hid, Internal(-1, a, b), Internal(-2, a, b)),), ())
+    return result
 
 
 _update = AdversaryIndex.update
@@ -393,6 +408,22 @@ class TestVerify:
         assert main(args) == 1
         report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
         assert any(f"adversary-audit: {name}" in v for v in report["violations"])
+
+    def test_unassignable_haft_exits_one(self, tmp_path, monkeypatch):
+        # No simulator assignment exists for such a haft. The state audit
+        # reports it like any other corrupt haft: a violation, not a user
+        # error (exit 2) nor a crash of the audit itself (exit 3).
+        monkeypatch.setattr(HaftHealer, "_repair", _repair_sharing_a_simulator)
+        graph = write(tmp_path / "g.edges", "0 1\n0 2\n0 3\n0 4\n")
+        trace = write(tmp_path / "t.jsonl", '{"t": 1, "op": "delete", "node": 0}\n')
+        cfg = write(tmp_path / "v.cfg", f"graph = {graph}\ntrace = {trace}\nhealer = haft\n")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet"]) == 1
+        report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+        assert any(
+            v.startswith("t=1 state-audit: haft ")
+            and v.endswith(": slot (0, 2) would simulate two internals")
+            for v in report["violations"]
+        )
 
     def test_corrupt_csv_exits_two(self, triangle_run):
         cfg, tmp_path = triangle_run

@@ -13,6 +13,7 @@ from selfheal import engine, metrics
 from selfheal.adversary import Event, StrategySpec, next_event
 from selfheal.engine import (
     DistanceOracle,
+    InternalError,
     InvalidEventError,
     LiveMeasure,
     RunConfig,
@@ -347,29 +348,23 @@ def test_stretch_off_skips_the_annihilating_step(apsp_builds):
 def assert_live_oracle_matches(state) -> None:
     """The engine keeps live distances exactly on the steps that measure
     exact stretch, and they match a per-source BFS entry by entry. The
+    shared audit (`engine.audit`) finds nothing: its checks include the
     step's maximum stretch, kept from the entries that changed, and its
-    diameters match a scan over fresh builds of both graphs
-    (`_stretch_exact`), and the kept pair attains that maximum."""
+    diameters against fresh builds of both graphs. The kept pair attains
+    that maximum, by a BFS in each graph."""
     live = state.live_graph()
     exact = 1 < live.node_count <= state.config.exact_apsp_cap
     assert (state.live_oracle is not None) == exact
+    assert engine.audit(state) == []
     if exact:
         assert_oracle_matches(state.live_oracle, live)
         record = state.records[-1]
-        shadow_dist, shadow_index = all_pairs_distances(state.shadow)
-        fresh = stretch_max(live, shadow_dist, shadow_index, exact_cap=state.config.exact_apsp_cap)
-        assert (record.max_stretch, record.diameter_live, record.diameter_shadow) == (
-            fresh.max_stretch,
-            fresh.diameter_live,
-            diameter_from(shadow_dist),
-        )
         best = state.live_oracle._best
         if record.max_stretch != INF and best[1] is not None:
             u, w = best[1:]
             live_hops = live.bfs_distances(u)[w]
-            assert Fraction(live_hops, int(shadow_dist[shadow_index[u], shadow_index[w]])) == (
-                record.max_stretch
-            )
+            shadow_hops = state.shadow.bfs_distances(u)[w]
+            assert Fraction(live_hops, shadow_hops) == record.max_stretch
 
 
 def live_config(healer, kind, initial, seed) -> RunConfig:
@@ -749,10 +744,9 @@ def test_kept_stretch_scans_in_full_after_a_removal_under_unread_blocks(full_sca
 
 
 def assert_measure_matches_full_scans(state) -> None:
-    live = state.live_graph()
-    record = state.records[-1] if state.records else state.initial_record
-    assert record.connected == live.is_connected()
-    assert record.max_degree_ratio == degree_ratio_max(live, state.shadow, state.deleted)[0]
+    """The step's connectivity and degree ratio, among the other checks of
+    the shared audit, against the full scans."""
+    assert engine.audit(state) == []
 
 
 @pytest.mark.parametrize("family", ["tree", "er"])
@@ -901,3 +895,62 @@ def test_live_measure_searches_from_touched_nodes_outside_the_witness(touched, w
     live = Graph(edges=[(1, 2), (2, 3), (3, 4), (4, 5), (7, 8), (8, 9)])
     measure = LiveMeasure(live.copy(), set())
     assert measure.connected(live, "delete", touched, witness) is joined
+
+
+# -- the shared audit -------------------------------------------------------------
+
+
+def test_distance_oracle_audit_reads_each_matrix_through_its_own_index():
+    # An insert and a removal leave the rows out of node order.
+    g = path_graph(5)
+    oracle = DistanceOracle(g)
+    oracle.matrix()
+    g.add_node(5)
+    g.add_edge(5, 4)
+    oracle.insert(5, [4])
+    g.remove_node(0)
+    oracle.remove(0, (), ())
+    assert oracle.nodes == [5, 1, 2, 3, 4]
+    fresh = all_pairs_distances(g)
+    assert oracle.audit(fresh) == []
+    assert oracle.audit(all_pairs_distances(path_graph(6))) == ["distances not exact"]
+    oracle.matrix()[0][0, 1] += 1  # one entry, without its mirror
+    assert oracle.audit(fresh) == ["distances not exact"]
+
+
+@pytest.mark.parametrize("healer", HEALER_NAMES)
+def test_audit_is_clean_after_every_step(healer):
+    # Mixed churn moves the live count across the cap, so some steps
+    # measure exact stretch and some sample it.
+    config = RunConfig(
+        initial=random_tree(40, random.Random(7)),
+        healer=healer,
+        strategy=StrategySpec(kind="mixed", p_delete=0.5, seed=7),
+        t_max=60,
+        seed=7,
+        exact_apsp_cap=38,
+        stretch_samples=100,
+    )
+    assert engine.audit(start(config)) == []
+    audits = []
+    state = run(config, on_step=lambda s: audits.append(engine.audit(s)))
+    assert len(state.records) == 60 and audits == [[]] * 60
+    assert {r.stretch_mode for r in state.records} == {"exact", "sampled"}
+
+
+def test_audit_names_the_step_and_the_structure(monkeypatch):
+    state = start(RunConfig(initial=path_graph(6), exact_apsp_cap=64, stretch_samples=0))
+    state.adversary.index.next_id += 1
+    assert engine.audit(state) == ["t=0 adversary-audit: next_id 7, rebuilt 6"]
+    state.adversary.index.next_id -= 1
+    step(state, Event(op="delete", node=0))
+    assert engine.audit(state) == []
+    state.live_oracle.matrix()[0][0, 1] += 1
+    assert engine.audit(state) == ["t=1 measure-audit: live distances not exact"]
+
+    def breach(*args):
+        raise ZeroShadowDegreeError("live node 3 has shadow degree 0")
+
+    monkeypatch.setattr(metrics, "degree_ratio_max", breach)
+    with pytest.raises(InternalError, match="shadow degree 0"):
+        engine.audit(state)

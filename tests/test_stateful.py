@@ -1,17 +1,17 @@
 """Stateful invariants of every healer under interleaved churn.
 
 A Hypothesis state machine drives each of the five healers through random
-inserts and deletes. After every step the maintained live graph must equal
-the image recomputed from scratch, the healer's audit must be clean, and
-the report's edge changes, message count, touched set and max_hops must
-equal a recount from before/after snapshots of the real and virtual graphs.
-An `engine.LiveMeasure` fed each report must agree with the full
-connectivity and degree-ratio scans, and an `engine.DistanceOracle` fed the
-same events must hold the live graph's all-pairs distances entry by entry,
-as one breadth-first search per source finds them. An `AdversaryIndex` fed
-each event and its touched set must equal one rebuilt from the live graph,
-and every deletion's connectivity witness, the processors of the virtual
-edges its repair added, must lie in one live component.
+inserts and deletes, each applied as an `Event` through `engine.step`, with
+exact stretch on every step. After every step `engine.audit` must be clean:
+the healer's audit; connectivity and the degree ratio against the full
+scans; every shadow and live distance, the maximum stretch and both
+diameters against fresh builds; and the adversary's index against a rebuilt
+one. The maintained live graph must equal the image recomputed from
+scratch. Each event's report, captured from the healer, must equal a
+recount from before/after snapshots of the real and virtual graphs: its
+edge changes, message count, touched set and max_hops, and every
+deletion's connectivity witness, the processors of the virtual edges its
+repair added, which must lie in one live component.
 """
 
 from __future__ import annotations
@@ -19,18 +19,15 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from selfheal.adversary import AdversaryIndex
-from selfheal.engine import DistanceOracle, LiveMeasure
-from selfheal.healers import make_healer
-from selfheal.metrics import degree_ratio_max
+from selfheal.adversary import Event, StrategySpec
+from selfheal.engine import RunConfig, audit, start, step
 from selfheal.virtual_graph import real, virt
 
-from conftest import adj_of, index_view, oracle_apsp_bfs, oracle_bfs, oracle_image, random_graph
+from conftest import adj_of, oracle_bfs, oracle_image, random_graph
 
 
 class HealerMachine(RuleBasedStateMachine):
@@ -39,41 +36,45 @@ class HealerMachine(RuleBasedStateMachine):
     @initialize(seed=st.integers(0, 10**9))
     def start(self, seed):
         self.rng = random.Random(seed)
-        self.healer = make_healer(self.mode)
         initial = random_graph(self.rng, max_nodes=16, p=0.3)
-        self.healer.preprocess(initial)
         self.next_id = max(initial.nodes) + 1
-        self.shadow, self.deleted = initial.copy(), set()
-        self.measure = LiveMeasure(self.shadow, self.deleted)
-        live = self.healer.live_graph()
-        self.connected = self.measure.connected(live, "init", ())
-        self.ratio = self.measure.refresh(live, "init", -1, ())
-        self.distances = DistanceOracle(self.healer.live_graph())
-        self.distances.matrix()
-        self.index = AdversaryIndex(self.healer.live_graph(), self.shadow)
+        # An online strategy, so that the state keeps an adversary index.
+        config = RunConfig(
+            initial=initial,
+            healer=self.mode,
+            strategy=StrategySpec(kind="mixed"),
+            exact_apsp_cap=64,
+            stretch_samples=0,
+        )
+        self.state = start(config)
+        healer = self.state.healer
+        healer.on_insert = self.captured(healer.on_insert)
+        healer.on_delete = self.captured(healer.on_delete)
 
-    def measured(self, op, node, report):
-        live = self.healer.live_graph()
-        self.connected = self.measure.connected(live, op, report.touched, report.witness)
-        self.ratio = self.measure.refresh(live, op, node, report.touched)
-        self.index.update(op, node, report.touched)
+    def captured(self, method):
+        """`method`, keeping the report of its last call."""
+
+        def call(*args):
+            self.report = method(*args)
+            return self.report
+
+        return call
+
+    def apply(self, event):
+        step(self.state, event)
+        return self.report
 
     @property
     def vg(self):
-        return self.healer.vg
+        return self.state.healer.vg
 
     @rule(degree=st.integers(1, 3))
     def insert(self, degree):
         live = sorted(self.vg.reals)
-        neighbors = set(self.rng.sample(live, min(degree, len(live))))
+        neighbors = tuple(sorted(self.rng.sample(live, min(degree, len(live)))))
         v, self.next_id = self.next_id, self.next_id + 1
         before = set(oracle_image(self.vg).edges())
-        self.shadow.add_node(v)
-        for w in neighbors:
-            self.shadow.add_edge(v, w)
-        report = self.healer.on_insert(v, neighbors)
-        self.measured("insert", v, report)
-        self.distances.insert(v, neighbors)
+        report = self.apply(Event(op="insert", node=v, neighbors=neighbors))
         after = set(oracle_image(self.vg).edges())
         assert after - before == {(min(v, w), max(v, w)) for w in neighbors}
         assert before <= after
@@ -95,10 +96,7 @@ class HealerMachine(RuleBasedStateMachine):
         before_sim = dict(vg.sim)
         before_virtuals = set(vg.virtuals)
 
-        self.deleted.add(v)
-        report = self.healer.on_delete(v)
-        self.measured("delete", v, report)
-        self.distances.remove(v, report.edges_added, report.edges_dropped)
+        report = self.apply(Event(op="delete", node=v))
 
         after_real = set(oracle_image(vg).edges())
         after_virtual = vg.edge_set()
@@ -137,42 +135,14 @@ class HealerMachine(RuleBasedStateMachine):
 
     @invariant()
     def image_matches_oracle(self):
-        if hasattr(self, "healer"):
+        if hasattr(self, "state"):
             assert self.vg.image == oracle_image(self.vg)
-            assert self.healer.live_graph() is self.vg.image
-
-    @invariant()
-    def measure_matches_full_scans(self):
-        if hasattr(self, "healer"):
-            live = self.healer.live_graph()
-            assert self.connected == live.is_connected()
-            assert self.ratio == degree_ratio_max(live, self.shadow, self.deleted)[0]
-
-    @invariant()
-    def live_distances_match_fresh_apsp(self):
-        if hasattr(self, "healer"):
-            dist, index = self.distances.matrix()
-            fresh, fresh_index = oracle_apsp_bfs(adj_of(self.healer.live_graph()))
-            assert set(index) == set(fresh_index)
-            assert dist.shape == fresh.shape
-            nodes = sorted(index)
-            rows = [index[v] for v in nodes]
-            fresh_rows = [fresh_index[v] for v in nodes]
-            np.testing.assert_array_equal(
-                dist[np.ix_(rows, rows)], fresh[np.ix_(fresh_rows, fresh_rows)]
-            )
-
-    @invariant()
-    def index_matches_a_rebuilt_one(self):
-        if hasattr(self, "healer"):
-            live = self.healer.live_graph()
-            fresh = AdversaryIndex(live, self.shadow)
-            assert index_view(self.index, live) == index_view(fresh, live)
+            assert self.state.live_graph() is self.vg.image
 
     @invariant()
     def audit_clean(self):
-        if hasattr(self, "healer"):
-            assert self.healer.audit() == []
+        if hasattr(self, "state"):
+            assert audit(self.state) == []
 
 
 class RebuildMachine(HealerMachine):
