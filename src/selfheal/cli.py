@@ -16,8 +16,9 @@ library check that fails while preprocessing the initial graph or on an
 event the engine already validated).
 
 gen, run and verify build their `RunConfig` in one place (`_run_config`)
-and all drive `engine.run`; verify adds `engine.audit` after every step
-and reports the same hard-bound violations that `summary.json` counts.
+and all drive `engine.run`; verify adds `engine.audit` at t = 0 and
+after every step, and reports the same hard-bound violations that
+`summary.json` counts.
 """
 
 from __future__ import annotations
@@ -219,11 +220,12 @@ def cmd_run(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     """Replay a run and check every invariant level.
 
-    After every step, `engine.audit` checks each maintained structure
-    against a fresh build: the healer's state (virtual level), the
-    adversary's index, and the step's measurement (connectivity, degree
-    ratio and, on a step with exact stretch, every live and shadow
-    distance, the maximum stretch and both diameters). After the run come
+    On the started state (t = 0) and after every step, `engine.audit`
+    checks each maintained structure against a fresh build: the healer's
+    state (virtual level), the adversary's index, and the step's
+    measurement (connectivity, degree ratio and, on a step with exact
+    stretch, every live and shadow distance, the maximum stretch and both
+    diameters). After the run come
     the hard bounds that `summary.json` counts (real level): connectivity,
     the 4x degree bound and the 2*ceil(log2 n') stretch bound (exact or
     sampled; a sampled maximum never exceeds the true one). The virtual

@@ -589,9 +589,12 @@ def step(state: RunState, event: Event) -> RunState:
 def run(config: RunConfig, on_step: Callable[[RunState], None] | None = None) -> RunState:
     """The full loop: T events or until the strategy/network gives out.
 
-    `on_step`, if given, is called with the state after every step.
+    `on_step`, if given, is called with the started state (t = 0) and
+    with the state after every step.
     """
     state = start(config)
+    if on_step is not None:
+        on_step(state)
     for _ in range(config.t_max):
         event = _next(state)
         if event is None:

@@ -22,7 +22,8 @@ the leftmost serves none. The map is injective, which caps the de-simulated
 degree gain per slot at 4 real edges (2 when the simulated internal sits at
 the bottom level).
 
-A leaf node is its `LeafSlot`; an internal node is an `Internal`. Every
+A leaf node is its `LeafSlot`; an internal node is an `Internal`, a
+slotted immutable value that a repair builds once per vid it mints. Every
 internal node caches its subtree's leaf count, leftmost slot and smallest
 slot, set from its two children when it is built (a slot answers the same
 three questions about itself), so a subtree's size, the simulator of a new
@@ -38,7 +39,7 @@ All structures here are immutable values; merging shares subtrees freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .virtual_graph import VidSource, VNode, real, virt
@@ -87,25 +88,63 @@ class LeafSlot(NamedTuple):
         return self
 
 
-@dataclass(frozen=True)
 class Internal:
-    """An internal node. `size` (leaf count), `first` (leftmost slot) and
-    `low` (smallest slot) of the subtree are cached from the two children at
-    construction, O(1) per node; equality and hashing ignore them."""
+    """An internal node, Internal(vid, left, right): an immutable value.
+
+    `size` (leaf count), `first` (leftmost slot) and `low` (smallest slot)
+    of the subtree are cached from the two children at construction, O(1)
+    per node; equality, hashing and the repr ignore them. It behaves as a
+    frozen dataclass over (vid, left, right) would, copies and pickles
+    included, but is a slotted class that stores its six fields through
+    the slot descriptors: a repair builds one node per vid it mints, and
+    this builds a node in about half the time.
+    """
+
+    __slots__ = ("vid", "left", "right", "size", "first", "low")
 
     vid: int
-    left: "HaftNode"
-    right: "HaftNode"
-    size: int = field(init=False, compare=False, repr=False)
-    first: LeafSlot = field(init=False, compare=False, repr=False)
-    low: LeafSlot = field(init=False, compare=False, repr=False)
+    left: HaftNode
+    right: HaftNode
+    size: int
+    first: LeafSlot
+    low: LeafSlot
 
-    def __post_init__(self) -> None:
-        left, right = self.left, self.right
-        object.__setattr__(self, "size", left.size + right.size)
-        object.__setattr__(self, "first", left.first)
-        object.__setattr__(self, "low", min(left.low, right.low))
+    def __init__(self, vid: int, left: HaftNode, right: HaftNode) -> None:
+        _set_vid(self, vid)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_size(self, left.size + right.size)
+        _set_first(self, left.first)
+        low, right_low = left.low, right.low
+        _set_low(self, right_low if right_low < low else low)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Internal:
+            return NotImplemented
+        return (self.vid, self.left, self.right) == (other.vid, other.left, other.right)
+
+    def __hash__(self) -> int:
+        return hash((self.vid, self.left, self.right))
+
+    def __repr__(self) -> str:
+        return f"Internal(vid={self.vid!r}, left={self.left!r}, right={self.right!r})"
+
+    def __getstate__(self) -> tuple:
+        return (self.vid, self.left, self.right, self.size, self.first, self.low)
+
+    def __setstate__(self, state: tuple) -> None:
+        for setter, value in zip(_SETTERS, state):
+            setter(self, value)
+
+
+_SETTERS = tuple(getattr(Internal, name).__set__ for name in Internal.__slots__)
+_set_vid, _set_left, _set_right, _set_size, _set_first, _set_low = _SETTERS
 
 HaftNode = Union[LeafSlot, Internal]
 
@@ -187,17 +226,19 @@ def _assemble(items: list[HaftNode], vids: VidSource) -> Haft:
     queues: dict[int, list[HaftNode]] = {}
     for item in items:
         queues.setdefault(item.size, []).append(item)
+    take = vids.take
     result: list[HaftNode] = []
     while queues:
         size = min(queues)
         queue = queues.pop(size)
-        while len(queue) >= 2:
-            left, right = queue.pop(0), queue.pop(0)
-            queues.setdefault(size * 2, []).append(Internal(vids.take(), left, right))
-        if queue:
-            result.append(queue[0])
+        if len(queue) >= 2:
+            carries = queues.setdefault(size * 2, [])
+            for i in range(0, len(queue) - 1, 2):
+                carries.append(Internal(take(), queue[i], queue[i + 1]))
+        if len(queue) & 1:
+            result.append(queue[-1])
     trees = tuple(reversed(result))
-    spine = tuple(vids.take() for _ in range(max(0, len(trees) - 1)))
+    spine = tuple(take() for _ in range(len(trees) - 1))
     return Haft(trees=trees, spine=spine)
 
 

@@ -14,10 +14,10 @@ wants to keep it calls `.copy()`.
 * null     - does nothing on deletion; negative control for the checkers.
 * star     - wires all orphans to the minimum-id orphan.
 * ring     - wires the orphans into a cycle by ascending id.
-* rebuild  - reconstruction trees rebuilt from scratch: every tree the
-             deleted node touched is dissolved and one fresh haft is built
-             over all surviving slots; messages and host time scale with
-             the whole region.
+* rebuild  - reconstruction trees rebuilt from scratch: every haft the
+             deleted node touched is dissolved whole, in one walk each,
+             and one fresh haft is built over all surviving slots;
+             messages and host time scale with the whole region.
 * haft     - the flagship: surviving complete subtrees are preserved and
              merged by binary addition, so only the spine, the carries and
              the reassigned simulators are touched, and edges of dissolved
@@ -168,15 +168,14 @@ class Healer:
         # Everything from here on is healer work.
         journal, created_virtuals = self._repair(v, direct)
 
-        joined: set[int] = set()  # the processors of the added virtual edges
-        for pa, pb in journal.virtual_added.values():
-            joined.update((pa, pb))
-        touched = notified | joined
-        for edges in (journal.real_added, journal.real_dropped):
-            for a, b in edges:
-                touched.update((a, b))
-        for pa, pb in journal.virtual_dropped.values():
-            touched.update((pa, pb))
+        # The processors of the added virtual edges.
+        joined: set[int] = set().union(*journal.virtual_added.values())
+        touched = notified.union(
+            joined,
+            *journal.real_added,
+            *journal.real_dropped,
+            *journal.virtual_dropped.values(),
+        )
 
         v_changes = len(journal.virtual_added) + len(journal.virtual_dropped)
         return HealerReport(
@@ -287,9 +286,11 @@ class HaftHealer(Healer):
     name "haft" merges surviving complete subtrees by binary addition. Its
     deletion walks up from the dead slots, splits only the marked paths
     and wires only the new carries and spine nodes, so it costs
-    O(changed * log n). name "rebuild" also dissolves every piece, in one
-    `walk` each, and rebuilds the whole affected region from its slots,
-    which costs time in proportion to that region. Either way the repair
+    O(changed * log n). name "rebuild" finds the affected hafts the same
+    way, but splits none: it dissolves each whole, in one walk that
+    collects its live vids and surviving slots and clears its `parent`
+    keys, and rebuilds the whole affected region from those slots, which
+    costs time in proportion to that region. Either way the repair
     only collects the vids it dissolves, the vids it declares and the edges
     it adds, and applies them to the virtual graph as one batch,
     `VirtualGraph.rewire`. `audit` recomputes the maps from whole-haft
@@ -315,7 +316,8 @@ class HaftHealer(Healer):
         return 1 + ceil_log2(touched)
 
     def _repair(self, v: int, direct: list[int]) -> tuple[RepairJournal, int]:
-        """Split the hafts that lost v, then rebuild over their pieces and
+        """Dissolve the hafts that lost v, along the marked paths for
+        "haft" and whole for "rebuild", then rebuild over what survives and
         the slots of v's real neighbors."""
         # Mark every vid above a dead slot; a path that meets a marked vid
         # has already been walked up to its haft's root.
@@ -331,35 +333,48 @@ class HaftHealer(Healer):
             if up is None:
                 roots.add(key)
 
-        pieces: list[HaftNode] = []
-        dissolve: list[int] = []
-        for root in sorted(roots):
-            tree_pieces, dissolved = split_marked(self.hafts.pop(root), marked, v)
-            pieces.extend(tree_pieces)
-            # The dead processor's own vids went with it.
-            dissolve += [vid for vid in dissolved if vid in sim]
-            for vid in dissolved:
-                parent.pop(vid, None)
-        # Dead leaves and the pieces' roots lose their parents too.
-        for key in (*dead, *(_key(piece) for piece in pieces)):
-            parent.pop(key, None)
-
         # `direct` ascends, so the new slots are already in slot order.
         new_slots = [LeafSlot(w, (min(v, w), max(v, w))) for w in direct]
-
+        dissolve: list[int] = []
+        items: list[HaftNode]
         if self.name == "rebuild":
-            # Dissolve the pieces too. A piece holds no dead slot, so every
-            # vid in it is live.
+            # Dissolve every affected haft whole, in one walk each: every
+            # key in it leaves `parent`; the dead processor's vids, already
+            # gone from `sim`, and its slots are left out.
             survivors: list[LeafSlot] = []
-            for piece in pieces:
-                for node, _, _ in walk(piece):
-                    parent.pop(_key(node), None)
-                    if isinstance(node, Internal):
-                        dissolve.append(node.vid)
+            for root in sorted(roots):
+                haft = self.hafts.pop(root)
+                for vid in haft.spine:
+                    parent.pop(vid, None)
+                    if vid in sim:
+                        dissolve.append(vid)
+                stack: list[HaftNode] = list(haft.trees)
+                while stack:
+                    node = stack.pop()
+                    if node.__class__ is Internal:
+                        vid = node.vid
+                        parent.pop(vid, None)
+                        if vid in sim:
+                            dissolve.append(vid)
+                        stack.append(node.right)
+                        stack.append(node.left)
                     else:
-                        survivors.append(node)
-            items: list[HaftNode] = sorted(survivors + new_slots)
+                        parent.pop(node.origin, None)
+                        if node.processor != v:
+                            survivors.append(node)
+            items = sorted(survivors + new_slots)
         else:
+            pieces: list[HaftNode] = []
+            for root in sorted(roots):
+                tree_pieces, dissolved = split_marked(self.hafts.pop(root), marked, v)
+                pieces.extend(tree_pieces)
+                # The dead processor's own vids went with it.
+                dissolve += [vid for vid in dissolved if vid in sim]
+                for vid in dissolved:
+                    parent.pop(vid, None)
+            # Dead leaves and the pieces' roots lose their parents too.
+            for key in (*dead, *(_key(piece) for piece in pieces)):
+                parent.pop(key, None)
             items = sorted(pieces, key=_piece_key)
             items += new_slots
 
@@ -391,28 +406,34 @@ class HaftHealer(Healer):
         new_haft = _assemble(items, self.vg.vids)
         root = new_haft.root()
         self.hafts[root.vid] = new_haft
-        parent, sim = self.parent, self.vg.sim
+        parent, sim, origins = self.parent, self.vg.sim, self.slot_origins
         declare: list[tuple[int, int]] = []
         edges: list[Edge] = []
         # Each entry carries the virtual-graph node of its parent.
         stack: list[tuple[HaftNode, VNode | None]] = [(root, None)]
+        pop, push = stack.pop, stack.append
         while stack:
-            node, up = stack.pop()
-            if not isinstance(node, Internal):
-                self.slot_origins.setdefault(node.processor, set()).add(node.origin)
-                me = real(node.processor)
-            else:
-                me = virt(node.vid)
+            node, up = pop()
+            if node.__class__ is Internal:
+                vid = node.vid
+                me = virt(vid)
                 proc = node.right.first.processor
-                if node.vid not in sim:  # a carry or spine node
-                    declare.append((node.vid, proc))
-                    stack += [(node.right, me), (node.left, me)]
-                    parent[_key(node.left)] = node.vid
-                    parent[_key(node.right)] = node.vid
-                elif sim[node.vid] != proc:  # a preserved subtree's root
-                    raise HealerError(
-                        f"preserved vid {node.vid} changed simulator {sim[node.vid]} -> {proc}"
-                    )
+                if vid not in sim:  # a carry or spine node
+                    declare.append((vid, proc))
+                    left, right = node.left, node.right
+                    push((right, me))
+                    push((left, me))
+                    parent[left.vid if left.__class__ is Internal else left.origin] = vid
+                    parent[right.vid if right.__class__ is Internal else right.origin] = vid
+                elif sim[vid] != proc:  # a preserved subtree's root
+                    raise HealerError(f"preserved vid {vid} changed simulator {sim[vid]} -> {proc}")
+            else:
+                held = origins.get(node.processor)
+                if held is None:
+                    origins[node.processor] = {node.origin}
+                else:
+                    held.add(node.origin)
+                me = real(node.processor)
             if up is not None:
                 edges.append((up, me))
         return self.vg.rewire(dissolve, declare, edges), len(declare)

@@ -144,7 +144,8 @@ class VirtualGraph:
         self.image.add_node(processor)
 
     def add_virtual_node(self, simulator: int) -> int:
-        """Mint a fresh vid simulated by `simulator`."""
+        """Mint a fresh vid simulated by `simulator`; an unknown simulator
+        raises before a vid is spent."""
         if simulator not in self.reals:
             raise UnknownNodeError(f"simulator {simulator} is not a real node")
         vid = self.vids.take()
@@ -156,18 +157,10 @@ class VirtualGraph:
 
         Lets callers build structures (e.g. reconstruction trees) with fresh
         vids before wiring them in. A vid can be declared at most once per
-        run, matching the no-reuse invariant.
+        run, matching the no-reuse invariant. This is a one-declaration
+        `rewire` batch, so it raises as `rewire` does.
         """
-        if simulator not in self.reals:
-            raise UnknownNodeError(f"simulator {simulator} is not a real node")
-        if vid in self._spent_vids:
-            raise DuplicateNodeError(f"vid {vid} was already used in this run")
-        if vid >= self.vids.next_vid:
-            raise UnknownNodeError(f"vid {vid} was not minted from this graph's counter")
-        self._spent_vids.add(vid)
-        self.sim[vid] = simulator
-        self._hosted.setdefault(simulator, set()).add(vid)
-        self._adj[virt(vid)] = set()
+        self.rewire((), [(vid, simulator)], ())
 
     def add_edge(self, a: VNode, b: VNode) -> bool:
         """Add edge a-b; returns False if already present."""
@@ -203,17 +196,21 @@ class VirtualGraph:
         (vid, simulator) in `declare`, then add each virtual edge in
         `edges`: one batch, in that order. Returns the batch's changes.
 
-        Every check of `declare_virtual` holds, with the same exceptions; a
-        self-loop or an endpoint not in the graph raises UnknownNodeError,
-        an edge already present is skipped, and a vid to dissolve that is
-        not a live virtual node raises UnknownNodeError. No edge is both
+        A declared simulator that is not a real node raises
+        UnknownNodeError, a vid already declared in this run
+        DuplicateNodeError, and a vid not yet minted from `vids`
+        UnknownNodeError; `declare_virtual` is a batch of one declaration,
+        so these checks are its own. A self-loop or an endpoint not in the
+        graph raises UnknownNodeError, an edge already present is skipped,
+        and a vid to dissolve that is not a live virtual node raises
+        UnknownNodeError. No edge is both
         added and dropped: each dropped edge has a dissolved endpoint, and
         a dissolved vid cannot be declared again. The image counts are
         summed per processor pair and each nonzero net change is applied
         once, at the end, even when a check raises part way; so the image
         changes only on a real move between 0 and nonzero.
         """
-        adj, sim = self._adj, self.sim
+        adj, sim, hosted = self._adj, self.sim, self._hosted
         changes = RepairJournal()
         added, dropped = changes.virtual_added, changes.virtual_dropped
         net: dict[tuple[int, int], int] = {}
@@ -223,28 +220,51 @@ class VirtualGraph:
                     raise UnknownNodeError(f"virtual node {vid} not present")
                 node = virt(vid)
                 pv = sim.pop(vid)
+                # Key each dropped edge in VNode order: a real neighbour
+                # sorts first, a virtual one by vid.
                 for nbr in adj.pop(node):
                     adj[nbr].discard(node)
-                    pn = nbr.id if nbr.kind == "r" else sim[nbr.id]
-                    if node < nbr:
-                        dropped[(node, nbr)] = (pv, pn)
-                    else:
+                    kind, nid = nbr
+                    if kind == "r":
+                        pn = nid
                         dropped[(nbr, node)] = (pn, pv)
+                    else:
+                        pn = sim[nid]
+                        if vid < nid:
+                            dropped[(node, nbr)] = (pv, pn)
+                        else:
+                            dropped[(nbr, node)] = (pn, pv)
                     if pv != pn:
                         edge = (pv, pn) if pv < pn else (pn, pv)
                         net[edge] = net.get(edge, 0) - 1
-                self._hosted[pv].discard(vid)
+                hosted[pv].discard(vid)
+            reals, spent, minted = self.reals, self._spent_vids, self.vids.next_vid
             for vid, simulator in declare:
-                self.declare_virtual(vid, simulator)
+                if simulator not in reals:
+                    raise UnknownNodeError(f"simulator {simulator} is not a real node")
+                if vid in spent:
+                    raise DuplicateNodeError(f"vid {vid} was already used in this run")
+                if vid >= minted:
+                    raise UnknownNodeError(f"vid {vid} was not minted from this graph's counter")
+                spent.add(vid)
+                sim[vid] = simulator
+                held = hosted.get(simulator)
+                if held is None:
+                    hosted[simulator] = {vid}
+                else:
+                    held.add(vid)
+                adj[virt(vid)] = set()
             for a, b in edges:
                 if a == b:
                     raise UnknownNodeError(f"self-loop at {a}")
-                for x in (a, b):
-                    if x not in adj:
-                        raise UnknownNodeError(f"{x} not in virtual graph")
-                if b in adj[a]:
+                nbrs = adj.get(a)
+                if nbrs is None:
+                    raise UnknownNodeError(f"{a} not in virtual graph")
+                if b not in adj:
+                    raise UnknownNodeError(f"{b} not in virtual graph")
+                if b in nbrs:
                     continue
-                adj[a].add(b)
+                nbrs.add(b)
                 adj[b].add(a)
                 pa = a.id if a.kind == "r" else sim[a.id]
                 pb = b.id if b.kind == "r" else sim[b.id]

@@ -353,6 +353,17 @@ class TestVerify:
         report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
         assert any("measure-audit" in v for v in report["violations"])
 
+    def test_started_state_is_audited(self, tmp_path, monkeypatch):
+        # With no step at all, only the audit of the started state can see
+        # the t = 0 measurement's wrong degree ratio.
+        monkeypatch.setattr(LiveMeasure, "refresh", lambda *args: Fraction(1, 2))
+        graph = write(tmp_path / "g.edges", "0 1\n1 2\n")
+        cfg = write(tmp_path / "v.cfg", f"graph = {graph}\nhealer = haft\nT = 0\n")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet"]) == 1
+        report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+        assert report["timesteps"] == 0
+        assert report["violations"] == ["t=0 measure-audit: max_degree_ratio 1/2, full scan 1"]
+
     def test_live_distance_off_the_maximum_exits_one(self, tmp_path, monkeypatch):
         # At seed 3 some step's wrong live distances leave its maximum stretch
         # and live diameter right, so only the entry-by-entry audit sees it.

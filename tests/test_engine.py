@@ -288,7 +288,8 @@ def test_oracle_matches_fresh_apsp_after_every_engine_step(apsp_builds):
     inserts = []
 
     def check(state):
-        inserts.append(state.events[-1].op == "insert")
+        if state.events:
+            inserts.append(state.events[-1].op == "insert")
         assert_oracle_matches(state.oracle, state.shadow)
 
     state = run(mixed_config(), on_step=check)
@@ -345,6 +346,11 @@ def test_stretch_off_skips_the_annihilating_step(apsp_builds):
 # -- the maintained live distances against a per-source BFS ---------------------
 
 
+def latest_record(state):
+    """The last step's record; at t = 0, the started state's."""
+    return state.records[-1] if state.records else state.initial_record
+
+
 def assert_live_oracle_matches(state) -> None:
     """The engine keeps live distances exactly on the steps that measure
     exact stretch, and they match a per-source BFS entry by entry. The
@@ -358,7 +364,7 @@ def assert_live_oracle_matches(state) -> None:
     assert engine.audit(state) == []
     if exact:
         assert_oracle_matches(state.live_oracle, live)
-        record = state.records[-1]
+        record = latest_record(state)
         best = state.live_oracle._best
         if record.max_stretch != INF and best[1] is not None:
             u, w = best[1:]
@@ -400,7 +406,7 @@ def test_live_oracle_follows_null_runs_apart_and_together(seed):
 
     def check(state):
         assert_live_oracle_matches(state)
-        seen.append(state.records[-1].max_stretch)
+        seen.append(latest_record(state).max_stretch)
 
     config = live_config("null", "mixed", random_tree(24, random.Random(seed)), seed)
     config.strategy = StrategySpec(kind="mixed", p_delete=0.5, insert_degree=3, seed=seed)
@@ -823,7 +829,7 @@ def test_live_measure_follows_null_runs_apart_and_together(seed):
 
     def check(state):
         assert_measure_matches_full_scans(state)
-        seen.append(state.records[-1].connected)
+        seen.append(latest_record(state).connected)
 
     config = RunConfig(
         initial=random_tree(24, random.Random(seed)),
@@ -931,10 +937,10 @@ def test_audit_is_clean_after_every_step(healer):
         exact_apsp_cap=38,
         stretch_samples=100,
     )
-    assert engine.audit(start(config)) == []
     audits = []
     state = run(config, on_step=lambda s: audits.append(engine.audit(s)))
-    assert len(state.records) == 60 and audits == [[]] * 60
+    # One audit of the started state, then one per step.
+    assert len(state.records) == 60 and audits == [[]] * 61
     assert {r.stretch_mode for r in state.records} == {"exact", "sampled"}
 
 

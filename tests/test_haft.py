@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
 
 import pytest
@@ -229,6 +231,49 @@ class TestSplitOut:
 
 def _leaf(i, origin=None):
     return LeafSlot(i, origin or (0, i))
+
+
+class TestInternalValue:
+    def _node(self):
+        return Internal(10, Internal(11, _leaf(2), _leaf(1)), Internal(12, _leaf(3), _leaf(4)))
+
+    def test_eq_and_hash_ignore_the_cached_facts(self):
+        a, b = self._node(), self._node()
+        object.__setattr__(b, "size", 9)
+        object.__setattr__(b, "low", _leaf(7))
+        assert a == b and hash(a) == hash(b)
+        assert a != Internal(13, a.left, a.right)
+        assert a != Internal(10, a.right, a.left)
+        assert a != (10, a.left, a.right)
+
+    @pytest.mark.parametrize("name", ["vid", "left", "right", "size", "first", "low"])
+    def test_assignment_raises(self, name):
+        node = self._node()
+        with pytest.raises(AttributeError):
+            setattr(node, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+        assert node == self._node() and node.size == 4
+
+    def test_repr(self):
+        assert repr(Internal(5, _leaf(1), _leaf(2))) == (
+            "Internal(vid=5, left=LeafSlot(processor=1, origin=(0, 1)), "
+            "right=LeafSlot(processor=2, origin=(0, 2)))"
+        )
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_round_trip_keeps_the_value_and_the_cached_facts(self, round_trip):
+        node = self._node()
+        back = round_trip(node)
+        assert back == node and back is not node
+        assert (back.size, back.first, back.low) == (4, _leaf(2), _leaf(1))
+        assert (back.left.size, back.right.low) == (2, _leaf(3))
+        with pytest.raises(AttributeError):
+            back.vid = 1
 
 
 def _stale_inner_size():

@@ -10,9 +10,9 @@ from selfheal import engine, healers
 from selfheal.adversary import StrategySpec, next_event, new_state
 from selfheal.families import connected_erdos_renyi, path_graph, random_tree, star_graph
 from selfheal.graph import Graph, UnknownNodeError
-from selfheal.haft import Haft, LeafSlot, leaves, walk
+from selfheal.haft import Haft, LeafSlot, haft_slots, haft_vids, leaves, walk
 from selfheal.healers import HealerError, make_healer
-from selfheal.virtual_graph import virt
+from selfheal.virtual_graph import VirtualGraph, real, virt
 
 from conftest import adj_of, oracle_bfs
 
@@ -434,3 +434,55 @@ def test_farthest_matches_a_full_bfs(family, floor, monkeypatch):
             dist = oracle_bfs(adj, v)
             expected = max((dist[t] for t in targets if t in dist), default=0)
             assert healers._farthest(g._adj, v, targets) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rebuild_dissolves_each_affected_haft_whole(seed, monkeypatch):
+    # Against the whole-haft oracles, taken before each deletion: the vids
+    # that leave the virtual graph are those of the hafts holding a slot of
+    # the deleted node, the batch dissolves all of them but the deleted
+    # node's own, and the new haft's slots are the survivors and the new
+    # slots in slot order.
+    on_delete, rewire = healers.HaftHealer.on_delete, VirtualGraph.rewire
+    batches = []
+
+    def recording_rewire(vg, dissolve, declare, edges):
+        batches.append(list(dissolve))
+        return rewire(vg, dissolve, declare, edges)
+
+    regions = []
+
+    def checked_on_delete(healer, v):
+        before = dict(healer.hafts)
+        affected = [h for h in before.values() if any(s.processor == v for s in haft_slots(h))]
+        sim = dict(healer.vg.sim)
+        direct = sorted(w.id for w in healer.vg.neighbors(real(v)) if w.kind == "r")
+        batches.clear()
+        report = on_delete(healer, v)
+        vids = set().union(*map(haft_vids, affected))
+        (dissolve,) = batches
+        assert sorted(dissolve) == sorted(vid for vid in vids if sim[vid] != v)
+        assert set(sim) - set(healer.vg.sim) == vids
+        slots = [s for h in affected for s in haft_slots(h) if s.processor != v]
+        slots += [LeafSlot(w, (min(v, w), max(v, w))) for w in direct]
+        new = [h for key, h in healer.hafts.items() if key not in before]
+        assert [haft_slots(h) for h in new] == ([sorted(slots)] if len(slots) > 2 else [])
+        regions.append(len(affected))
+        return report
+
+    monkeypatch.setattr(VirtualGraph, "rewire", recording_rewire)
+    monkeypatch.setattr(healers.HaftHealer, "on_delete", checked_on_delete)
+    # Random churn on a sparse random graph leaves hafts apart, so that
+    # some deletions dissolve two or three hafts into one.
+    config = engine.RunConfig(
+        initial=connected_erdos_renyi(96, 0.08, random.Random(seed)),
+        healer="rebuild",
+        strategy=StrategySpec(kind="random", seed=seed),
+        t_max=48,
+        seed=seed,
+        exact_apsp_cap=0,
+        stretch_samples=0,
+    )
+    state = engine.run(config)
+    assert len(regions) >= 12 and max(regions) >= 2
+    assert state.healer.audit() == []

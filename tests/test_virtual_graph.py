@@ -417,6 +417,24 @@ def test_rewire_raises_as_the_per_operation_path(case):
     assert batched.audit() == []
 
 
+@pytest.mark.parametrize(
+    "declaration, error",
+    [((2, 8), UnknownNodeError), ((0, 2), DuplicateNodeError), ((9, 0), UnknownNodeError)],
+    ids=["simulator-not-real", "spent-vid", "unminted-vid"],
+)
+def test_declare_virtual_raises_as_rewire(declaration, error):
+    # The declare checks live in one place: a lone declaration and one in a
+    # batch fail with the same exception and leave the same healthy graph.
+    single, batched = _small_graph(), _small_graph()
+    with pytest.raises(error) as single_error:
+        single.declare_virtual(*declaration)
+    with pytest.raises(error) as batch_error:
+        batched.rewire((), [declaration], [(virt(0), real(3))])
+    assert str(single_error.value) == str(batch_error.value)
+    assert single.audit() == [] and batched.audit() == []
+    assert _state(single) == _state(batched)
+
+
 class TestAudit:
     def test_clean(self):
         rng = random.Random(1)
