@@ -7,7 +7,7 @@ simulate them, and what the healed real network looks like afterwards.
 Run:  python demos/01_single_deletion.py
 """
 
-from selfheal import Graph, make_healer, virt
+from selfheal import Graph, make_healer, node_name, virt
 
 hub, leaves = 0, [1, 2, 3, 4, 5]
 g = Graph(nodes=[hub] + leaves, edges=[(hub, leaf) for leaf in leaves])
@@ -26,7 +26,7 @@ print(f"  processors touched: {sorted(report.touched)}\n")
 
 vg = healer.vg
 for vid in sorted(vg.virtuals):
-    neighbors = ", ".join(str(x) for x in sorted(vg.neighbors(virt(vid))))
+    neighbors = ", ".join(node_name(x) for x in sorted(vg.neighbors(virt(vid))))
     print(f"  helper v{vid} simulated by processor {vg.sim[vid]}; edges to {neighbors}")
 
 live = healer.live_graph()

@@ -32,6 +32,7 @@ from .families import (
 )
 from .graph import (
     INF,
+    MAX_NODE_ID,
     DuplicateNodeError,
     Graph,
     GraphError,
@@ -62,7 +63,8 @@ from .metrics import (
     stretch_max,
     summarize,
 )
-from .virtual_graph import VidSource, VirtualGraph, VNode, real, virt
+from .virtual_graph import VBASE, VidSource, VirtualGraph, VNode, real, virt
+from .virtual_graph import is_real, node_id, node_name
 
 __version__ = "0.1.0"
 
@@ -89,6 +91,7 @@ __all__ = [
     "random_tree",
     "star_graph",
     "INF",
+    "MAX_NODE_ID",
     "DuplicateNodeError",
     "Graph",
     "GraphError",
@@ -118,7 +121,11 @@ __all__ = [
     "summarize",
     "VidSource",
     "VirtualGraph",
+    "VBASE",
     "VNode",
+    "is_real",
+    "node_id",
+    "node_name",
     "real",
     "virt",
     "__version__",

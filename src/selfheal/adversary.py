@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph
+from .graph import MAX_NODE_ID, Graph
 
 RNG_NAME = "python-random-mt19937"
 
@@ -333,9 +333,11 @@ def parse_trace(text: str) -> list[Event]:
 
 
 def _check_id(value, lineno: int, what: str) -> None:
-    """Node ids are non-negative ints; JSON booleans are not ids."""
+    """Node ids are ints in [0, MAX_NODE_ID); JSON booleans are not ids."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise TraceFormatError(f"line {lineno}: {what} {value!r} is not a non-negative integer")
+    if value >= MAX_NODE_ID:
+        raise TraceFormatError(f"line {lineno}: {what} {value} is not below {MAX_NODE_ID}")
 
 
 def write_trace(events: list[Event], path) -> None:

@@ -24,6 +24,11 @@ from typing import Iterable, Iterator
 
 INF = float("inf")
 
+# Input node ids (edge lists, traces) lie in [0, MAX_NODE_ID). A run mints
+# its insert ids upwards from there, and the virtual graph numbers its
+# helper nodes from `virtual_graph.VBASE`, 2^60 higher.
+MAX_NODE_ID = 2**62
+
 
 class GraphError(ValueError):
     """Base class for graph contract violations."""
@@ -293,6 +298,8 @@ def _parse_id(token: str, lineno: int) -> int:
         raise GraphError(f"line {lineno}: bad node id {token!r}") from None
     if v < 0:
         raise GraphError(f"line {lineno}: negative node id {v}")
+    if v >= MAX_NODE_ID:
+        raise GraphError(f"line {lineno}: node id {v} is not below {MAX_NODE_ID}")
     return v
 
 

@@ -67,7 +67,7 @@ from .haft import (
     validate_haft,
     walk,
 )
-from .virtual_graph import Edge, RepairJournal, VirtualGraph, VNode, real, virt
+from .virtual_graph import VBASE, Edge, RepairJournal, VirtualGraph, VNode, node_name
 
 HEALER_NAMES = ("null", "star", "ring", "rebuild", "haft")
 
@@ -149,7 +149,7 @@ class Healer:
             if not live.has_node(w):
                 raise UnknownNodeError(f"insert neighbor {w} is not live")
         self.vg.add_real_node(v)
-        self.vg.rewire((), (), [(real(v), real(w)) for w in sorted(neighbors)])
+        self.vg.rewire((), (), [(v, w) for w in sorted(neighbors)])
         return HealerReport(
             messages=len(neighbors),
             rounds=1,
@@ -161,7 +161,7 @@ class Healer:
         if v not in self.vg.reals:
             raise UnknownNodeError(f"processor {v} is not live")
         notified = self.vg.image.neighbors(v)
-        direct = sorted(w.id for w in self.vg.neighbors(real(v)) if w.kind == "r")
+        direct = sorted(w for w in self.vg._adj[v] if w < VBASE)
 
         # Adversary's removal: v, everything v simulates, their edges.
         self.vg.remove_processor(v)
@@ -255,7 +255,7 @@ class StarHealer(Healer):
     name = "star"
 
     def _repair(self, v: int, direct: list[int]) -> tuple[RepairJournal, int]:
-        return self.vg.rewire((), (), [(real(direct[0]), real(w)) for w in direct[1:]]), 0
+        return self.vg.rewire((), (), [(direct[0], w) for w in direct[1:]]), 0
 
 
 class RingHealer(Healer):
@@ -265,7 +265,7 @@ class RingHealer(Healer):
         pairs = list(zip(direct, direct[1:]))
         if len(direct) > 2:
             pairs.append((direct[-1], direct[0]))
-        return self.vg.rewire((), (), [(real(u), real(w)) for u, w in pairs]), 0
+        return self.vg.rewire((), (), pairs), 0
 
 
 class HaftHealer(Healer):
@@ -401,7 +401,7 @@ class HaftHealer(Healer):
                     if not origins:
                         del self.slot_origins[slot.processor]
             procs = sorted({slot.processor for slot in items})
-            edges = [(real(procs[0]), real(procs[1]))] if len(procs) == 2 else []
+            edges = [(procs[0], procs[1])] if len(procs) == 2 else []
             return self.vg.rewire(dissolve, (), edges), 0
         new_haft = _assemble(items, self.vg.vids)
         root = new_haft.root()
@@ -416,7 +416,7 @@ class HaftHealer(Healer):
             node, up = pop()
             if node.__class__ is Internal:
                 vid = node.vid
-                me = virt(vid)
+                me = VBASE + vid
                 proc = node.right.first.processor
                 if vid not in sim:  # a carry or spine node
                     declare.append((vid, proc))
@@ -433,7 +433,7 @@ class HaftHealer(Healer):
                     origins[node.processor] = {node.origin}
                 else:
                     held.add(node.origin)
-                me = real(node.processor)
+                me = node.processor
             if up is not None:
                 edges.append((up, me))
         return self.vg.rewire(dissolve, declare, edges), len(declare)
@@ -477,7 +477,9 @@ class HaftHealer(Healer):
                     problems.append(f"haft {hid}: vid {vid} simulator mismatch")
             for a, b in vedges:
                 if not (self.vg.has_node(a) and b in self.vg.neighbors(a)):
-                    problems.append(f"haft {hid}: edge {a}-{b} missing from virtual graph")
+                    problems.append(
+                        f"haft {hid}: edge {node_name(a)}-{node_name(b)} missing from virtual graph"
+                    )
             for slot in haft_slots(haft):
                 if slot.origin in seen_origins:
                     problems.append(f"haft {hid}: origin {slot.origin} in two slots")

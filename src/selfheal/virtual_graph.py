@@ -35,38 +35,47 @@ that the property tests check against a breadth-first oracle:
 Virtual-node ids come from a monotone per-run counter and are never reused,
 even after removal. A virtual node cannot outlive its simulator: removing a
 processor cascades to everything it simulates.
+
+A virtual-graph node is a plain int. Real processor p is p, and virtual
+vid is `VBASE + vid`. Processor ids stay below VBASE: input ids are below
+`graph.MAX_NODE_ID`, and a run's inserts add one each from there. So int
+order is the order (kind, id) with "r" before "v": every real node sorts
+before every virtual one, and edges, journal keys and the DOT export sort
+with no key. `node_name` spells a node "r3" / "v12" for messages. VBASE
+is 2^62 + 2^60, whose hash is 2^60 + 2, so a virtual node's hash does not
+equal a small processor id's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, KeysView, NamedTuple
+from typing import Iterable, Iterator, KeysView
 
-from .graph import DuplicateNodeError, Graph, UnknownNodeError
+from .graph import MAX_NODE_ID, DuplicateNodeError, Graph, GraphError, UnknownNodeError
 
-
-class VNode(NamedTuple):
-    """Node id in a virtual graph: kind 'r' wraps a processor id, 'v' a vid.
-
-    Nodes order, compare and hash as the tuple (kind, id), so every real
-    node sorts before every virtual one; repr and str are "r3" / "v12".
-    """
-
-    kind: str
-    id: int
-
-    def __repr__(self) -> str:
-        return f"{self.kind}{self.id}"
+VNode = int
+VBASE = MAX_NODE_ID + 2**60
 
 
-# Both build the tuple directly: the same VNode value as VNode("r", p), at
-# under half the cost of the NamedTuple's generated __new__.
 def real(processor: int) -> VNode:
-    return tuple.__new__(VNode, ("r", processor))
+    return processor
 
 
 def virt(vid: int) -> VNode:
-    return tuple.__new__(VNode, ("v", vid))
+    return VBASE + vid
+
+
+def is_real(x: VNode) -> bool:
+    return x < VBASE
+
+
+def node_id(x: VNode) -> int:
+    """The processor of a real node, the vid of a virtual one."""
+    return x if x < VBASE else x - VBASE
+
+
+def node_name(x: VNode) -> str:
+    return f"r{x}" if x < VBASE else f"v{x - VBASE}"
 
 
 class VidSource:
@@ -94,7 +103,7 @@ Edge = tuple[VNode, VNode]
 class RepairJournal:
     """The edge changes of one `VirtualGraph.rewire` batch.
 
-    Virtual edges are canonically ordered VNode pairs, each mapped to the
+    Virtual edges are ascending VNode pairs, each mapped to the
     processors of its endpoints (for a dropped edge, as they were at its
     removal). Real edges are image edges as (min, max) processor pairs.
     """
@@ -134,13 +143,15 @@ class VirtualGraph:
         vg = cls()
         for v in sorted(g.nodes):
             vg.add_real_node(v)
-        vg.rewire((), (), [(real(u), real(v)) for u, v in g.edges()])
+        vg.rewire((), (), g.edges())
         return vg
 
     def add_real_node(self, processor: int) -> None:
+        if processor >= VBASE:
+            raise GraphError(f"processor id {processor} is not below {VBASE}")
         if processor in self.reals:
             raise DuplicateNodeError(f"real node {processor} already present")
-        self._adj[real(processor)] = set()
+        self._adj[processor] = set()
         self.image.add_node(processor)
 
     def add_virtual_node(self, simulator: int) -> int:
@@ -176,7 +187,7 @@ class VirtualGraph:
             raise UnknownNodeError(f"real node {processor} not present")
         hosted = self._hosted.pop(processor, ())
         adj = self._adj
-        for node in (real(processor), *map(virt, hosted)):
+        for node in (processor, *[VBASE + vid for vid in hosted]):
             for nbr in adj.pop(node):
                 adj[nbr].discard(node)
         for q in self.image.remove_node(processor):
@@ -218,22 +229,15 @@ class VirtualGraph:
             for vid in dissolve:
                 if vid not in sim:
                     raise UnknownNodeError(f"virtual node {vid} not present")
-                node = virt(vid)
+                node = VBASE + vid
                 pv = sim.pop(vid)
-                # Key each dropped edge in VNode order: a real neighbour
-                # sorts first, a virtual one by vid.
                 for nbr in adj.pop(node):
                     adj[nbr].discard(node)
-                    kind, nid = nbr
-                    if kind == "r":
-                        pn = nid
-                        dropped[(nbr, node)] = (pn, pv)
+                    pn = nbr if nbr < VBASE else sim[nbr - VBASE]
+                    if node < nbr:
+                        dropped[(node, nbr)] = (pv, pn)
                     else:
-                        pn = sim[nid]
-                        if vid < nid:
-                            dropped[(node, nbr)] = (pv, pn)
-                        else:
-                            dropped[(nbr, node)] = (pn, pv)
+                        dropped[(nbr, node)] = (pn, pv)
                     if pv != pn:
                         edge = (pv, pn) if pv < pn else (pn, pv)
                         net[edge] = net.get(edge, 0) - 1
@@ -253,21 +257,21 @@ class VirtualGraph:
                     hosted[simulator] = {vid}
                 else:
                     held.add(vid)
-                adj[virt(vid)] = set()
+                adj[VBASE + vid] = set()
             for a, b in edges:
                 if a == b:
-                    raise UnknownNodeError(f"self-loop at {a}")
+                    raise UnknownNodeError(f"self-loop at {node_name(a)}")
                 nbrs = adj.get(a)
                 if nbrs is None:
-                    raise UnknownNodeError(f"{a} not in virtual graph")
+                    raise UnknownNodeError(f"{node_name(a)} not in virtual graph")
                 if b not in adj:
-                    raise UnknownNodeError(f"{b} not in virtual graph")
+                    raise UnknownNodeError(f"{node_name(b)} not in virtual graph")
                 if b in nbrs:
                     continue
                 nbrs.add(b)
                 adj[b].add(a)
-                pa = a.id if a.kind == "r" else sim[a.id]
-                pb = b.id if b.kind == "r" else sim[b.id]
+                pa = a if a < VBASE else sim[a - VBASE]
+                pb = b if b < VBASE else sim[b - VBASE]
                 if a < b:
                     added[(a, b)] = (pa, pb)
                 else:
@@ -301,12 +305,12 @@ class VirtualGraph:
 
     def neighbors(self, x: VNode) -> set[VNode]:
         if x not in self._adj:
-            raise UnknownNodeError(f"{x} not in virtual graph")
+            raise UnknownNodeError(f"{node_name(x)} not in virtual graph")
         return set(self._adj[x])
 
     def degree(self, x: VNode) -> int:
         if x not in self._adj:
-            raise UnknownNodeError(f"{x} not in virtual graph")
+            raise UnknownNodeError(f"{node_name(x)} not in virtual graph")
         return len(self._adj[x])
 
     def edges(self) -> Iterator[tuple[VNode, VNode]]:
@@ -321,9 +325,7 @@ class VirtualGraph:
 
     def processor_of(self, x: VNode) -> int:
         """The homomorphism H: a real node is its own processor."""
-        if x.kind == "r":
-            return x.id
-        return self.sim[x.id]
+        return x if x < VBASE else self.sim[x - VBASE]
 
     # -- de-simulation ------------------------------------------------------
 
@@ -351,21 +353,21 @@ class VirtualGraph:
         for vid in sorted(self.sim):
             if self.sim[vid] not in self.reals:
                 problems.append(f"dangling-simulator: {vid}->{self.sim[vid]}")
-        expected = {real(p) for p in self.reals} | {virt(v) for v in self.virtuals}
+        expected = self.reals | {VBASE + v for v in self.virtuals}
         for node in sorted(self._adj):
             if node not in expected:
-                problems.append(f"unknown-adjacency-key: {node}")
+                problems.append(f"unknown-adjacency-key: {node_name(node)}")
         for node in sorted(expected):
             if node not in self._adj:
-                problems.append(f"missing-adjacency-key: {node}")
+                problems.append(f"missing-adjacency-key: {node_name(node)}")
         for a in sorted(self._adj):
             if a in self._adj[a]:
-                problems.append(f"self-loop: {a}")
+                problems.append(f"self-loop: {node_name(a)}")
             for b in self._adj[a]:
                 if b not in self._adj:
-                    problems.append(f"dangling-edge: {a}-{b}")
+                    problems.append(f"dangling-edge: {node_name(a)}-{node_name(b)}")
                 elif a not in self._adj[b]:
-                    problems.append(f"asymmetric-adjacency: {a}-{b}")
+                    problems.append(f"asymmetric-adjacency: {node_name(a)}-{node_name(b)}")
         problems += self._audit_image()
         hosted: dict[int, set[int]] = {}
         for vid, p in self.sim.items():
@@ -385,9 +387,9 @@ class VirtualGraph:
         and the simulation map."""
         counts: dict[tuple[int, int], int] = {}
         for a, nbrs in self._adj.items():
-            pa = a.id if a.kind == "r" else self.sim.get(a.id)
+            pa = a if a < VBASE else self.sim.get(a - VBASE)
             for b in nbrs:
-                pb = b.id if b.kind == "r" else self.sim.get(b.id)
+                pb = b if b < VBASE else self.sim.get(b - VBASE)
                 if a < b and pa is not None and pb is not None and pa != pb:
                     edge = (pa, pb) if pa < pb else (pb, pa)
                     counts[edge] = counts.get(edge, 0) + 1
@@ -412,7 +414,7 @@ class VirtualGraph:
         for vid in sorted(self.virtuals):
             lines.append(f'  "v{vid}" [shape=triangle, label="{vid}/{self.sim[vid]}"];')
         for a, b in self.edges():
-            lines.append(f'  "{a}" -- "{b}";')
+            lines.append(f'  "{node_name(a)}" -- "{node_name(b)}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 

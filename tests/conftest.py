@@ -23,7 +23,7 @@ import numpy as np
 
 from selfheal.graph import Graph, UnknownNodeError
 from selfheal.metrics import ZeroShadowDegreeError
-from selfheal.virtual_graph import RepairJournal, VirtualGraph, real, virt
+from selfheal.virtual_graph import RepairJournal, VirtualGraph, is_real, node_id, real, virt
 
 INF = float("inf")
 
@@ -140,9 +140,9 @@ def oracle_image(vg: VirtualGraph) -> Graph:
     dropped and parallels collapsed."""
     adj = {p: set() for p in vg.reals}
     for a, nbrs in vg._adj.items():
-        pa = a.id if a.kind == "r" else vg.sim[a.id]
+        pa = node_id(a) if is_real(a) else vg.sim[node_id(a)]
         for b in nbrs:
-            pb = b.id if b.kind == "r" else vg.sim[b.id]
+            pb = node_id(b) if is_real(b) else vg.sim[node_id(b)]
             if pa != pb:
                 adj[pa].add(pb)
     g = Graph()

@@ -29,7 +29,7 @@ from selfheal.families import connected_erdos_renyi, path_graph, random_tree, st
 from selfheal.graph import INF, Graph, dump_edge_list
 from selfheal.haft import build_haft, ceil_log2, haft_slots, leaf_depths, merge_hafts
 from selfheal.haft import Internal, LeafSlot, assign_simulators, leaves, validate_haft
-from selfheal.virtual_graph import VidSource, real, virt
+from selfheal.virtual_graph import VidSource, node_id, real, virt
 from selfheal.adversary import write_trace
 
 from conftest import oracle_bfs, random_virtual_graph, vg_adj
@@ -142,7 +142,7 @@ def test_degree_bound_witness_reaches_four():
     (leaf_edge,) = vg.neighbors(real(9))
     helper_edges = vg.neighbors(virt(helpers[0]))
     assert len(helper_edges) == 3
-    assert {vg.sim[x.id] for x in helper_edges | {leaf_edge}} == live.neighbors(9)
+    assert {vg.sim[node_id(x)] for x in helper_edges | {leaf_edge}} == live.neighbors(9)
 
 
 def test_criterion_3_stretch(corpus, capsys):

@@ -13,7 +13,7 @@ from selfheal import metrics
 from selfheal.adversary import AdversaryIndex, read_trace
 from selfheal.cli import loglog_slope, main, parse_config
 from selfheal.engine import DistanceOracle, LiveMeasure
-from selfheal.graph import Graph, UnknownNodeError
+from selfheal.graph import MAX_NODE_ID, Graph, UnknownNodeError
 from selfheal.haft import Haft, Internal, haft_slots
 from selfheal.healers import HaftHealer, HealerError
 from selfheal.metrics import ZeroShadowDegreeError
@@ -143,6 +143,53 @@ class TestRun:
         graph = write(tmp_path / "g.edges", "0 1\n1 x\n")
         cfg = write(tmp_path / "r.cfg", f"graph = {graph}\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+    # 2^64 once died in the all-pairs build with OverflowError (exit 1).
+    @pytest.mark.parametrize("big", [MAX_NODE_ID, 2**64], ids=["max", "2^64"])
+    def test_edge_list_id_out_of_range_exits_2(self, tmp_path, capsys, big):
+        graph = write(tmp_path / "g.edges", f"0 1\n1 {big}\n")
+        cfg = write(tmp_path / "r.cfg", f"graph = {graph}\nT = 1\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"line 2: node id {big} is not below {MAX_NODE_ID}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("big", [MAX_NODE_ID, 2**64], ids=["max", "2^64"])
+    @pytest.mark.parametrize("op", ["delete", "insert", "neighbor"])
+    def test_trace_id_out_of_range_exits_2(self, tmp_path, capsys, big, op):
+        graph = write(tmp_path / "g.edges", "0 1\n1 2\n")
+        line = {
+            "delete": f'{{"t": 1, "op": "delete", "node": {big}}}',
+            "insert": f'{{"t": 1, "op": "insert", "node": {big}, "neighbors": [1]}}',
+            "neighbor": f'{{"t": 1, "op": "insert", "node": 9, "neighbors": [1, {big}]}}',
+        }[op]
+        trace = write(tmp_path / "t.jsonl", line + "\n")
+        cfg = write(tmp_path / "r.cfg", f"graph = {graph}\ntrace = {trace}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "line 1: " in err and str(big) in err
+        assert "Traceback" not in err
+
+    def test_largest_ids_run_with_exact_stretch(self, tmp_path):
+        top = MAX_NODE_ID - 1
+        graph = write(tmp_path / "g.edges", f"0 1\n1 {top}\n2 1\n")
+        trace = write(
+            tmp_path / "t.jsonl",
+            f'{{"t": 1, "op": "insert", "node": {top - 1}, "neighbors": [0, {top}]}}\n'
+            '{"t": 2, "op": "delete", "node": 1}\n',
+        )
+        cfg = write(
+            tmp_path / "r.cfg",
+            f"graph = {graph}\ntrace = {trace}\nexact_apsp_cap = 512\nstretch_samples = 0\n",
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--quiet"]) == 0
+        report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+        assert report["status"] == "ok" and report["violations"] == []
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 0
+        lines = (tmp_path / "r" / "metrics.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[2] for row in rows] == [str(top - 1), "1"]
+        assert [(row[3], row[6]) for row in rows] == [("true", "exact")] * 2
 
     # A check that fails after the engine validated its input is a library
     # bug, whatever ValueError subclass it raises: UnknownNodeError is a

@@ -33,6 +33,7 @@ from selfheal.metrics import (
     stretch_argmax,
     stretch_max,
 )
+from selfheal.virtual_graph import is_real, node_id
 
 from conftest import INF, adj_of, oracle_apsp_bfs
 
@@ -783,7 +784,7 @@ def test_live_measure_matches_full_scans(healer, kind, family):
             before = vg.edge_set()
             report = on_delete(v)
             added = vg.edge_set() - before
-            procs = {x.id if x.kind == "r" else vg.sim[x.id] for edge in added for x in edge}
+            procs = {node_id(x) if is_real(x) else vg.sim[node_id(x)] for edge in added for x in edge}
             assert report.witness == procs
             witnesses.append(report.witness)
             return report

@@ -12,7 +12,7 @@ from selfheal.families import connected_erdos_renyi, path_graph, random_tree, st
 from selfheal.graph import Graph, UnknownNodeError
 from selfheal.haft import Haft, LeafSlot, haft_slots, haft_vids, leaves, walk
 from selfheal.healers import HealerError, make_healer
-from selfheal.virtual_graph import VirtualGraph, real, virt
+from selfheal.virtual_graph import VirtualGraph, is_real, node_id, node_name, real, virt
 
 from conftest import adj_of, oracle_bfs
 
@@ -256,7 +256,7 @@ def _corrupt_virtual_edge(h, hid):
     a, b = virt(root.vid), virt(root.left.vid)
     h.vg._adj[a].discard(b)
     h.vg._adj[b].discard(a)
-    return f"haft {hid}: edge {a}-{b} missing from virtual graph"
+    return f"haft {hid}: edge {node_name(a)}-{node_name(b)} missing from virtual graph"
 
 
 def _corrupt_simulator(h, hid):
@@ -456,7 +456,7 @@ def test_rebuild_dissolves_each_affected_haft_whole(seed, monkeypatch):
         before = dict(healer.hafts)
         affected = [h for h in before.values() if any(s.processor == v for s in haft_slots(h))]
         sim = dict(healer.vg.sim)
-        direct = sorted(w.id for w in healer.vg.neighbors(real(v)) if w.kind == "r")
+        direct = sorted(node_id(w) for w in healer.vg.neighbors(real(v)) if is_real(w))
         batches.clear()
         report = on_delete(healer, v)
         vids = set().union(*map(haft_vids, affected))

@@ -25,7 +25,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 from selfheal.adversary import Event, StrategySpec
 from selfheal.engine import RunConfig, audit, start, step
-from selfheal.virtual_graph import real, virt
+from selfheal.virtual_graph import is_real, node_id, real, virt
 
 from conftest import adj_of, oracle_bfs, oracle_image, random_graph
 
@@ -109,7 +109,7 @@ class HealerMachine(RuleBasedStateMachine):
         assert report.messages == len(notified) + 2 * (len(v_added) + len(v_dropped)) + created
 
         def proc(x, sim):
-            return x.id if x.kind == "r" else sim[x.id]
+            return node_id(x) if is_real(x) else sim[node_id(x)]
 
         touched = set(notified)
         for a, b in report.edges_added | report.edges_dropped:

@@ -8,8 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfheal.graph import DuplicateNodeError, Graph, GraphError, UnknownNodeError
-from selfheal.virtual_graph import RepairJournal, VirtualGraph, VNode, real, virt
+from selfheal.graph import MAX_NODE_ID, DuplicateNodeError, Graph, GraphError, UnknownNodeError
+from selfheal.virtual_graph import (
+    VBASE,
+    RepairJournal,
+    VirtualGraph,
+    VNode,
+    is_real,
+    node_id,
+    node_name,
+    real,
+    virt,
+)
 
 from conftest import (
     changes_between,
@@ -25,21 +35,55 @@ from conftest import (
 
 class TestVNode:
     def test_repr_and_str(self):
-        assert repr(real(3)) == str(real(3)) == "r3"
-        assert repr(virt(12)) == str(virt(12)) == "v12"
-        assert f"{virt(0)}-{real(7)}" == "v0-r7"
+        assert node_name(real(3)) == "r3"
+        assert node_name(virt(12)) == "v12"
+        assert f"{node_name(virt(0))}-{node_name(real(7))}" == "v0-r7"
 
     def test_reals_sort_before_virtuals(self):
         nodes = [virt(0), real(10**6), virt(5), real(0), real(2)]
         assert sorted(nodes) == [real(0), real(2), real(10**6), virt(0), virt(5)]
         assert max(real(p) for p in range(50)) < min(virt(v) for v in range(50))
+        # Room above every input id for a run's inserts, all still real.
+        assert MAX_NODE_ID + 2**59 < VBASE
+        assert real(VBASE - 1) < virt(0)
+        assert is_real(real(VBASE - 1)) and not is_real(virt(0))
 
     def test_equal_nodes_hash_equal(self):
-        a, b = VNode("v", 4), virt(4)
+        a, b = VNode(str(VBASE + 4)), virt(4)
         assert a == b and a is not b
         assert hash(a) == hash(b)
         assert len({a, b, real(4)}) == 2
         assert real(4) != virt(4)
+
+    def test_virtual_hashes_miss_small_processor_ids(self):
+        assert {hash(virt(v)) for v in range(1000)}.isdisjoint(range(10**6))
+
+    @pytest.mark.parametrize("i", [0, 1, 7, 10**6, MAX_NODE_ID - 1])
+    def test_real_virt_and_node_id_round_trip(self, i):
+        assert node_id(real(i)) == i and is_real(real(i))
+        assert node_id(virt(i)) == i and not is_real(virt(i))
+
+    def test_add_real_node_refuses_a_virtual_id(self):
+        vg = VirtualGraph()
+        vg.add_real_node(VBASE - 1)
+        with pytest.raises(GraphError, match="not below"):
+            vg.add_real_node(VBASE)
+        assert vg.reals == {VBASE - 1}
+
+    def test_journal_keys_are_ascending_pairs(self):
+        vg = VirtualGraph.from_graph(Graph(nodes=[5, 9]))
+        vid = vg.add_virtual_node(9)
+        journal = vg.rewire((), (), [(virt(vid), real(5)), (real(9), real(5))])
+        assert journal.virtual_added == {(real(5), virt(vid)): (5, 9), (real(5), real(9)): (5, 9)}
+        other = vg.add_virtual_node(5)
+        vg.rewire((), (), [(virt(other), virt(vid))])
+        journal = vg.rewire([vid], (), ())
+        # The processors follow the key's order, not their own.
+        assert vid < other
+        assert journal.virtual_dropped == {
+            (real(5), virt(vid)): (5, 9),
+            (virt(vid), virt(other)): (9, 5),
+        }
 
 
 class TestAddNodes:
@@ -540,5 +584,5 @@ def test_de_simulate_is_identity_on_virtual_free_graphs(seed):
     vg = random_virtual_graph(rng, max_virtuals=0)
     image = vg.de_simulate()
     assert image.nodes == vg.reals
-    expected = {(min(a.id, b.id), max(a.id, b.id)) for a, b in vg.edges()}
+    expected = {(min(node_id(a), node_id(b)), max(node_id(a), node_id(b))) for a, b in vg.edges()}
     assert set(image.edges()) == expected
