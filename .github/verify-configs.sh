@@ -1,0 +1,104 @@
+#!/usr/bin/env bash
+# Runs `selfheal verify --seed 1` on each config of the table below, from
+# the repository root, and prints one PASS or FAIL line per config. Exits 1
+# if any config failed. Configs, outputs and stderr go to ci-verify/.
+#
+# Usage: .github/verify-configs.sh   (needs `selfheal` on PATH)
+#
+# A row passes when verify exits with the row's code. A row expected to
+# exit 1 (a baseline healer that breaks a hard bound by design) must also
+# leave no audit line in its report; a row expected to exit 2 must print no
+# traceback.
+set -u
+cd "$(dirname "$0")/.."
+mkdir -p ci-verify
+failed=0
+
+# row NAME EXPECTED_EXIT CONFIG_LINE...
+row() {
+  local name=$1 expect=$2 status=0 why=
+  shift 2
+  printf '%s\n' "$@" > "ci-verify/$name.cfg"
+  selfheal verify --config "ci-verify/$name.cfg" --out "ci-verify/$name-out" --seed 1 \
+    2> "ci-verify/$name.err" || status=$?
+  cat "ci-verify/$name.err"
+  if [ "$status" -ne "$expect" ]; then
+    why="verify exited $status, expected $expect"
+  elif [ "$expect" -eq 1 ] && grep -e '-audit:' "ci-verify/$name-out/verify_report.json"; then
+    why="audit lines in the report"
+  elif [ "$expect" -eq 2 ] && grep -q Traceback "ci-verify/$name.err"; then
+    why="traceback on stderr"
+  fi
+  if [ -z "$why" ]; then
+    echo "PASS $name"
+  else
+    echo "FAIL $name: $why"
+    failed=1
+  fi
+}
+
+# The per-event measurement at benchmark scale.
+row verify 0 'family = random-tree' 'n = 512' 'healer = haft' 'strategy = clustered' \
+  'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'
+# The max-degree adversary's maintained degree heap.
+row max-degree 0 'family = random-tree' 'n = 512' 'healer = haft' 'strategy = max-degree' \
+  'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'
+# The rebuild healer at benchmark scale.
+row rebuild 0 'family = random-tree' 'n = 216' 'healer = rebuild' 'strategy = articulation' \
+  'T = 200' 'exact_apsp_cap = 0' 'stretch_samples = 0'
+# The rebuild healer's whole-haft walk: clustered deletions at n = 512
+# dissolve regions of several hafts.
+row rebuild-clustered 0 'family = random-tree' 'n = 512' 'healer = rebuild' \
+  'strategy = clustered' 'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'
+# The haft healer under the articulation adversary.
+row articulation 0 'family = random-tree' 'n = 512' 'healer = haft' \
+  'strategy = articulation' 'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'
+# The rebuild healer under churn with exact stretch.
+row rebuild-churn 0 'family = random-tree' 'n = 160' 'healer = rebuild' 'strategy = random' \
+  'T = 224' 'exact_apsp_cap = 512' 'stretch_samples = 0'
+# Exact stretch over the maintained live distances.
+row stretch 0 'family = random-tree' 'n = 160' 'healer = haft' 'strategy = random' \
+  'T = 224' 'exact_apsp_cap = 512' 'stretch_samples = 0'
+# Exact stretch past four words of the all-pairs build.
+row stretch-wide 0 'family = random-tree' 'n = 300' 'healer = haft' 'strategy = random' \
+  'T = 150' 'exact_apsp_cap = 512' 'stretch_samples = 0'
+# The live distances over deletions that drop edges.
+row dropped 0 'family = random-tree' 'n = 160' 'healer = haft' 'strategy = clustered' \
+  'T = 120' 'exact_apsp_cap = 512' 'stretch_samples = 0'
+# The ring baseline's bookkeeping.
+row ring 0 'family = random-tree' 'n = 512' 'healer = ring' 'strategy = mixed' \
+  'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'
+# The star and null baselines' bookkeeping.
+row star 1 'family = random-tree' 'n = 512' 'healer = star' 'strategy = mixed' \
+  'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'
+row null 1 'family = random-tree' 'n = 512' 'healer = null' 'strategy = mixed' \
+  'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'
+# The ring baseline under churn with exact stretch.
+row ring-churn 0 'family = random-tree' 'n = 160' 'healer = ring' 'strategy = random' \
+  'T = 224' 'exact_apsp_cap = 512' 'stretch_samples = 0'
+# The star baseline under churn: hub deletions drive the live distances'
+# rebuild test at high degree.
+row star-churn 1 'family = random-tree' 'n = 160' 'healer = star' 'strategy = random' \
+  'T = 224' 'exact_apsp_cap = 512' 'stretch_samples = 0'
+# The null baseline under churn: holes left open disconnect the live graph
+# from the second step on, so the maintained distances and stretch run
+# through infinite entries.
+row null-churn 1 'family = random-tree' 'n = 160' 'healer = null' 'strategy = random' \
+  'T = 224' 'exact_apsp_cap = 512' 'stretch_samples = 0'
+# Sampled stretch above the exact cap: some 300 live nodes against a cap of
+# 64, so every step samples its stretch.
+row sampled 0 'family = random-tree' 'n = 300' 'healer = haft' 'strategy = mixed' \
+  'T = 40' 'exact_apsp_cap = 64' 'stretch_samples = 200'
+# The largest legal node ids with exact stretch: ids run up to
+# MAX_NODE_ID - 1 = 2^62 - 1, and random churn inserts ids above it; every
+# real id stays below the virtual nodes' VBASE.
+printf '%s\n' '0 1' '1 4611686018427387903' '2 4611686018427387903' '3 2' \
+  '4611686018427387902 0' > ci-verify/top-ids.edges
+row top-ids 0 'graph = ci-verify/top-ids.edges' 'healer = haft' 'strategy = random' \
+  'T = 6' 'exact_apsp_cap = 512' 'stretch_samples = 0'
+# A node id at MAX_NODE_ID is rejected with exit 2.
+printf '%s\n' '0 1' '1 4611686018427387904' > ci-verify/over-ids.edges
+row over-ids 2 'graph = ci-verify/over-ids.edges' 'T = 1' 'exact_apsp_cap = 512' \
+  'stretch_samples = 0'
+
+exit "$failed"

@@ -286,11 +286,17 @@ def validate_event(
 
 
 def format_trace(events: list[Event]) -> str:
+    """One JSON line per event, t from 1. Every id is checked against the
+    bound `parse_trace` applies, line t, so no trace is written that the
+    reader would refuse."""
     lines = []
     for t, e in enumerate(events, start=1):
+        _check_id(e.node, t, "node")
         obj: dict = {"t": t, "op": e.op, "node": e.node}
         if e.op == "insert":
             obj["neighbors"] = sorted(e.neighbors)
+            for w in obj["neighbors"]:
+                _check_id(w, t, "neighbor")
         lines.append(json.dumps(obj))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -341,8 +347,9 @@ def _check_id(value, lineno: int, what: str) -> None:
 
 
 def write_trace(events: list[Event], path) -> None:
+    text = format_trace(events)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_trace(events))
+        fh.write(text)
 
 
 def read_trace(path) -> list[Event]:

@@ -34,7 +34,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from statistics import median
 
-from .adversary import RNG_NAME, STRATEGY_KINDS, StrategySpec, read_trace, write_trace
+from .adversary import RNG_NAME, STRATEGY_KINDS, StrategySpec, format_trace, read_trace
 from .engine import InternalError, RunConfig, audit, run
 from .families import FAMILY_NAMES, make_family
 from .graph import Graph, dump_edge_list, load_edge_list
@@ -155,9 +155,11 @@ def cmd_gen(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         _run_config({"T": "32", **online}, seed), exact_apsp_cap=0, stretch_samples=0
     )
     state = run(config)
+    # Formatted first: a trace that `run` would refuse writes no file.
+    trace = format_trace(state.events)
     out.mkdir(parents=True, exist_ok=True)
     dump_edge_list(config.initial, out / "graph.edges")
-    write_trace(state.events, out / "trace.jsonl")
+    (out / "trace.jsonl").write_text(trace, encoding="utf-8")
     _write_manifest(out, "gen", cfg, seed)
     if not quiet:
         print(f"gen: {config.initial.node_count} nodes, {len(state.events)} events -> {out}")
@@ -260,6 +262,19 @@ def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     return 1 if violations else 0
 
 
+BENCH_COLUMNS = (
+    "n",
+    "healer",
+    "trials",
+    "deletions",
+    "median_messages",
+    "median_rounds",
+    "median_max_hops",
+    "median_touched",
+    "max_degree_ratio",
+)
+
+
 def cmd_bench(cfg: dict, out: Path, seed: int, quiet: bool, trials_override: int | None) -> int:
     """Sweep (n, healer) points; write a scaling table and log-log slopes."""
     n_list = _int_list(cfg.get("n_list", "64,128,256"))
@@ -318,17 +333,8 @@ def cmd_bench(cfg: dict, out: Path, seed: int, quiet: bool, trials_override: int
                         "max_degree_ratio": max(ratios),
                     }
                 )
-    header = (
-        "n,healer,trials,deletions,median_messages,median_rounds,"
-        "median_max_hops,median_touched,max_degree_ratio"
-    )
-    lines = [header]
-    for row in rows:
-        lines.append(
-            f'{row["n"]},{row["healer"]},{row["trials"]},{row["deletions"]},'
-            f'{row["median_messages"]},{row["median_rounds"]},'
-            f'{row["median_max_hops"]},{row["median_touched"]},{row["max_degree_ratio"]}'
-        )
+    lines = [",".join(BENCH_COLUMNS)]
+    lines.extend(",".join(str(row[c]) for c in BENCH_COLUMNS) for row in rows)
     out.mkdir(parents=True, exist_ok=True)
     (out / "bench.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     slopes = {

@@ -127,9 +127,10 @@ class DistanceOracle:
       unchanged, for every other entry is at most that, and an insert
       compares it with v's row, which the relaxation leaves as it is.
     * The maximum stretch L/S of a live oracle, one given the shadow
-      graph's oracle as `shadow` (`stretch`). `srow` holds the shadow row
-      of each live row: it is appended on insert, moved with the last row
-      on removal and rebuilt by a build. While `changed` is a list, each
+      graph's oracle as `shadow`; `stretch` returns it as the step's
+      `metrics.StretchResult`. `srow` holds the shadow row of each live
+      row: it is appended on insert, moved with the last row on removal
+      and rebuilt by a build. While `changed` is a list, each
       `_relax` that writes appends its (near a, near b) block to it, which
       stands for its mirror image too, and each insert its new row, as
       (rows, columns) index arrays in the row order that holds after the
@@ -313,11 +314,12 @@ class DistanceOracle:
         dist, index = self.matrix()
         return float(dist[index[u], index[v]])
 
-    def stretch(self) -> tuple[object, tuple[int, int] | None]:
-        """The diameter of a live oracle, and the rows (i, j) of a pair of
-        largest stretch, `dist[i, j]` over its shadow distance: None when
-        the diameter is INF or no two rows are joined in the shadow graph.
-        Reads the changes, and has them recorded from here on."""
+    def stretch(self) -> StretchResult:
+        """`metrics.stretch_max` of a live oracle's graph, exact: INF when
+        the diameter is, 1 when no two rows are joined in the shadow graph,
+        else the largest `dist[i, j]` over its shadow distance and the
+        pair of nodes that attains it. Reads the changes, and has them
+        recorded from here on."""
         dist, index = self.matrix()
         shadow_dist = self.shadow.matrix()[0]
         changed, inserted = self.changed, self._inserted
@@ -327,7 +329,7 @@ class DistanceOracle:
         diameter = self.diameter()
         if diameter is INF:
             self._best = None
-            return diameter, None
+            return StretchResult(INF, "exact", INF)
         srow = self._srow[: len(self.nodes)]
         best = None if changed is None else self._best
         if best is not None:
@@ -344,9 +346,12 @@ class DistanceOracle:
             ratio, i, j = metrics.stretch_argmax(dist, shadow_dist[srow][:, srow])
             best = (ratio, self.nodes[i], self.nodes[j]) if ratio else (0.0, None, None)
         self._best = best
-        if best[1] is None:
-            return diameter, None
-        return diameter, (index[best[1]], index[best[2]])
+        _, u, w = best
+        if u is None:
+            return StretchResult(Fraction(1), "exact", diameter)
+        i, j = index[u], index[w]
+        value = metrics._ratio(int(dist[i, j]), int(shadow_dist[srow[i], srow[j]]))
+        return StretchResult(value, "exact", diameter, (u, w))
 
     def _changed_max(
         self, changed: list, shadow_dist: np.ndarray
@@ -633,12 +638,9 @@ def audit(state: RunState) -> list[str]:
         problems = [f"t={t} state-audit: {issue}" for issue in state.healer.audit()]
         full = [live.is_connected(), metrics.degree_ratio_max(live, shadow, state.deleted)[0]]
         if record.stretch_mode == "exact":
-            # One fresh build of each graph serves every check; its rows
-            # ascend by node.
             built = metrics.all_pairs_distances(live)
             shadow_built = metrics.all_pairs_distances(shadow)
-            cap, live_matrix = state.config.exact_apsp_cap, (built[0], sorted(built[1]))
-            fresh = metrics.stretch_max(live, *shadow_built, exact_cap=cap, live_matrix=live_matrix)
+            fresh = metrics.stretch_max(live, *shadow_built, exact_cap=state.config.exact_apsp_cap)
             names += ["max_stretch", "diameter_live", "diameter_shadow"]
             fast += [record.max_stretch, record.diameter_live, record.diameter_shadow]
             full += [fresh.max_stretch, fresh.diameter_live, metrics.diameter_from(shadow_built[0])]
@@ -698,21 +700,18 @@ def _measure(
         config.exact_apsp_cap <= 0 or live.node_count > config.exact_apsp_cap
     ):
         result = StretchResult(None, "skipped", None)
-        diameter_shadow = None
+    elif exact:
+        result = state.live_oracle.stretch()
     else:
-        shadow_dist, shadow_index = state.oracle.matrix()
-        # Only a sampled step draws pairs.
-        stretch_rng = None if exact else random.Random(f"{config.seed}:stretch:{state.t}")
+        # At most one live node, or sampled stretch.
         result = metrics.stretch_max(
             live,
-            shadow_dist,
-            shadow_index,
+            *state.oracle.matrix(),
             exact_cap=config.exact_apsp_cap,
             samples=config.stretch_samples,
-            rng=stretch_rng,
-            live_matrix=state.live_oracle,
+            rng=random.Random(f"{config.seed}:stretch:{state.t}"),
         )
-        diameter_shadow = state.oracle.diameter()
+    diameter_shadow = None if result.mode == "skipped" else state.oracle.diameter()
     state.timers["metrics"] += time.perf_counter() - t0
 
     return MetricsRecord(

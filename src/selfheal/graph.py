@@ -282,6 +282,8 @@ def parse_edge_list(text: str) -> Graph:
                 g.add_node(v)
         elif len(parts) == 2:
             u, v = (_parse_id(p, lineno) for p in parts)
+            if u == v:
+                raise SelfLoopError(f"line {lineno}: self-loop at {u}")
             for x in (u, v):
                 if x not in g:
                     g.add_node(x)

@@ -13,15 +13,14 @@ node at once: each row's reached set is packed 64 sources to a uint64
 word, and each distance level grows every row with one gather and one
 `bitwise_or.reduceat` over the nodes' closed neighbour lists, numpy only.
 The engine runs it only to start or rebuild the distance matrices it
-maintains (`engine.DistanceOracle`), and hands the live oracle to
-`stretch_max`, which then takes the maximum stretch the oracle keeps from
-the entries each event changed. Called with no live matrix, `stretch_max`
-builds the live APSP itself and scans every pair (`_stretch_exact`): that
-path is the oracle of the kept maximum for tests and `verify`. The
-pure-BFS implementations in `graph` stay the independent oracle of the
-build; the test suite cross-checks the two entry by entry on random
-graphs whose sizes cross the 64-bit word boundaries, with isolated
-nodes, several components and scattered ids. Above the exact cap,
+maintains (`engine.DistanceOracle`), whose live oracle keeps the exact
+maximum stretch itself. `stretch_max` builds the live APSP and scans
+every pair (`_stretch_exact`): it is the snapshot reference that tests
+and `verify` check the kept maximum against. The pure-BFS
+implementations in `graph` stay the independent oracle of the build;
+the test suite cross-checks the two entry by entry on random graphs
+whose sizes cross the 64-bit word boundaries, with isolated nodes,
+several components and scattered ids. Above the exact cap,
 stretch falls back to a seeded sample of live pairs, and the record
 notes which mode produced it.
 
@@ -38,15 +37,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from statistics import median
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import INF, Graph, UnknownNodeError
 from .haft import ceil_log2
-
-if TYPE_CHECKING:
-    from .engine import DistanceOracle
 
 CSV_COLUMNS = [
     "t",
@@ -210,54 +205,38 @@ def stretch_max(
     exact_cap: int = 256,
     samples: int = 1000,
     rng: random.Random | None = None,
-    live_matrix: tuple[np.ndarray, list[int]] | DistanceOracle | None = None,
 ) -> StretchResult:
     """max over live pairs of dist_live(u, v) / dist_shadow(u, v).
 
     Exact over all pairs while the live graph fits the cap, else over a
     seeded sample of pairs. INF when the live graph is disconnected; pairs
     never joined in the shadow graph contribute nothing. Returns 1 when
-    there are fewer than two live nodes. In the exact mode, `live_matrix`
-    replaces the live build and the scan over every pair: either a live
-    distance matrix and the live node of each of its rows, in any order,
-    or a live `engine.DistanceOracle` whose shadow oracle holds
-    `shadow_dist`, which keeps the maximum itself.
+    there are fewer than two live nodes.
     """
     n = live.node_count
     if n <= 1:
         return StretchResult(Fraction(1), "exact", 0)
     if n <= exact_cap:
-        return _stretch_exact(live, shadow_dist, shadow_index, live_matrix)
+        return _stretch_exact(live, shadow_dist, shadow_index)
     if samples <= 0:
         return StretchResult(None, "skipped", None)
     return _stretch_sampled(live, shadow_dist, shadow_index, samples, rng or random.Random(0))
 
 
 def _stretch_exact(
-    live: Graph,
-    shadow_dist: np.ndarray,
-    shadow_index: dict[int, int],
-    live_matrix: tuple[np.ndarray, list[int]] | DistanceOracle | None = None,
+    live: Graph, shadow_dist: np.ndarray, shadow_index: dict[int, int]
 ) -> StretchResult:
-    if live_matrix is None:
-        live_matrix = all_pairs_distances(live)[0], sorted(live.nodes)
-    if isinstance(live_matrix, tuple):
-        live_dist, nodes = live_matrix
-        diameter_live, pair = diameter_from(live_dist), None
-        if diameter_live is not INF:
-            rows = np.fromiter(map(shadow_index.__getitem__, nodes), np.intp, len(nodes))
-            ratio, i, j = stretch_argmax(live_dist, shadow_dist[rows][:, rows])
-            pair = (i, j) if ratio else None
-    else:
-        live_dist, nodes = live_matrix.matrix()[0], live_matrix.nodes
-        diameter_live, pair = live_matrix.stretch()
+    live_dist = all_pairs_distances(live)[0]
+    diameter_live = diameter_from(live_dist)
     if diameter_live is INF:
         return StretchResult(INF, "exact", INF)
-    if pair is None:
+    nodes = sorted(live.nodes)
+    rows = np.fromiter(map(shadow_index.__getitem__, nodes), np.intp, len(nodes))
+    ratio, i, j = stretch_argmax(live_dist, shadow_dist[rows][:, rows])
+    if not ratio:
         return StretchResult(Fraction(1), "exact", diameter_live)
-    u, w = nodes[pair[0]], nodes[pair[1]]
-    value = _ratio(int(live_dist[pair]), int(shadow_dist[shadow_index[u], shadow_index[w]]))
-    return StretchResult(value, "exact", diameter_live, (u, w))
+    value = _ratio(int(live_dist[i, j]), int(shadow_dist[rows[i], rows[j]]))
+    return StretchResult(value, "exact", diameter_live, (nodes[i], nodes[j]))
 
 
 def stretch_argmax(live_dist: np.ndarray, shadow_sub: np.ndarray) -> tuple[float, int, int]:

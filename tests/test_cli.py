@@ -77,6 +77,20 @@ class TestGen:
         lines = (tmp_path / "r" / "metrics.csv").read_text().splitlines()
         assert len(lines) == len(events) + 1
 
+    def test_trace_that_run_would_refuse_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # The largest legal ids: random churn inserts one above them at t = 1,
+        # which `gen` once wrote and `run` then refused.
+        top = MAX_NODE_ID - 1
+        graph = write(
+            tmp_path / "g.edges", f"0 1\n1 {top}\n2 {top}\n3 2\n{top - 1} 0\n"
+        )
+        cfg = write(tmp_path / "g.cfg", f"graph = {graph}\nstrategy = random\nT = 6\n")
+        out = tmp_path / "o"
+        assert main(["gen", "--config", cfg, "--out", str(out), "--seed", "1", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line 1: node {MAX_NODE_ID} is not below {MAX_NODE_ID}\n"
+        assert not (out / "graph.edges").exists() and not (out / "trace.jsonl").exists()
+
     def test_manifest_pins_rng(self, tmp_path):
         cfg = write(tmp_path / "g.cfg", "family = path\nn = 4\nT = 0\n")
         main(["gen", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])

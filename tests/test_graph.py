@@ -285,3 +285,7 @@ class TestEdgeList:
             parse_edge_list("a b\n")
         with pytest.raises(GraphError):
             parse_edge_list("-1 2\n")
+
+    def test_self_loop_names_its_line(self):
+        with pytest.raises(SelfLoopError, match="^line 2: self-loop at 1$"):
+            parse_edge_list("0 1\n1 1\n")
