@@ -100,5 +100,10 @@ row top-ids 0 'graph = ci-verify/top-ids.edges' 'healer = haft' 'strategy = rand
 printf '%s\n' '0 1' '1 4611686018427387904' > ci-verify/over-ids.edges
 row over-ids 2 'graph = ci-verify/over-ids.edges' 'T = 1' 'exact_apsp_cap = 512' \
   'stretch_samples = 0'
+# A trace line nested too deeply for the JSON decoder is rejected with
+# exit 2.
+printf '%s\n' '0 1' '1 2' > ci-verify/nested.edges
+python3 -c "print('[' * 100000 + ']' * 100000)" > ci-verify/nested.jsonl
+row nested-trace 2 'graph = ci-verify/nested.edges' 'trace = ci-verify/nested.jsonl'
 
 exit "$failed"

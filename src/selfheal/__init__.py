@@ -21,7 +21,7 @@ from .adversary import (
     validate_event,
     write_trace,
 )
-from .engine import RunConfig, RunState, audit, run, shadow_distance, start, step
+from .engine import RunConfig, RunState, audit, run, start, step
 from .families import (
     connected_erdos_renyi,
     erdos_renyi,
@@ -81,7 +81,6 @@ __all__ = [
     "RunState",
     "audit",
     "run",
-    "shadow_distance",
     "start",
     "step",
     "connected_erdos_renyi",

@@ -312,6 +312,8 @@ def parse_trace(text: str) -> list[Event]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"line {lineno}: not valid JSON ({exc})") from None
+        except RecursionError:
+            raise TraceFormatError(f"line {lineno}: not valid JSON (nested too deeply)") from None
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {lineno}: expected an object")
         try:
@@ -320,7 +322,9 @@ def parse_trace(text: str) -> list[Event]:
             node = obj["node"]
         except KeyError as exc:
             raise TraceFormatError(f"line {lineno}: missing key {exc}") from None
-        if isinstance(t, bool) or not isinstance(t, int) or t <= last_t:
+        if isinstance(t, bool) or not isinstance(t, int):
+            raise TraceFormatError(f"line {lineno}: t={t!r} is not an integer")
+        if t <= last_t:
             raise TraceFormatError(f"line {lineno}: t={t!r} not strictly increasing")
         last_t = t
         _check_id(node, lineno, "node")

@@ -8,8 +8,9 @@ Usage:
 
 Every subcommand takes --config, --out, --seed and --quiet; gen, run and
 verify also take --healer, and bench takes --trials. Config files are flat
-"key = value" lines with '#' comments. The master seed comes from --seed,
-else the SELFHEAL_SEED environment variable, else the config's `seed` key.
+"key = value" lines with '#' comments, each key on one line at most. The
+master seed comes from --seed, else the SELFHEAL_SEED environment variable,
+else the config's `seed` key.
 Exit codes: 0 success (for verify: zero violations), 1 verification found
 violations, 2 parse/config/I-O failure, 3 internal invariant breach (any
 library check that fails while preprocessing the initial graph or on an
@@ -39,7 +40,13 @@ from .engine import InternalError, RunConfig, audit, run
 from .families import FAMILY_NAMES, make_family
 from .graph import Graph, dump_edge_list, load_edge_list
 from .healers import HEALER_NAMES
-from .metrics import parse_csv, records_to_csv, summarize
+from .metrics import (
+    DEFAULT_EXACT_APSP_CAP,
+    DEFAULT_STRETCH_SAMPLES,
+    parse_csv,
+    records_to_csv,
+    summarize,
+)
 
 
 class ConfigError(ValueError):
@@ -48,14 +55,18 @@ class ConfigError(ValueError):
 
 def parse_config(text: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
+    first: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {first[key]})")
+        first[key] = lineno
+        cfg[key] = value
     return cfg
 
 
@@ -184,8 +195,8 @@ def _run_config(cfg: dict, seed: int) -> RunConfig:
         strategy=strategy,
         t_max=t_max,
         seed=seed,
-        exact_apsp_cap=_get_count(cfg, "exact_apsp_cap", 256),
-        stretch_samples=_get_count(cfg, "stretch_samples", 1000),
+        exact_apsp_cap=_get_count(cfg, "exact_apsp_cap", DEFAULT_EXACT_APSP_CAP),
+        stretch_samples=_get_count(cfg, "stretch_samples", DEFAULT_STRETCH_SAMPLES),
     )
 
 

@@ -81,8 +81,8 @@ class RunConfig:
     strategy: StrategySpec = field(default_factory=StrategySpec)
     t_max: int = 0
     seed: int = 0
-    exact_apsp_cap: int = 256
-    stretch_samples: int = 1000
+    exact_apsp_cap: int = metrics.DEFAULT_EXACT_APSP_CAP
+    stretch_samples: int = metrics.DEFAULT_STRETCH_SAMPLES
 
 
 class DistanceOracle:
@@ -309,10 +309,6 @@ class DistanceOracle:
             self._far = (float(dist[i, j]), self.nodes[i], self.nodes[j])
         top = self._far[0]
         return INF if top == INF else int(top)
-
-    def distance(self, u: int, v: int) -> float:
-        dist, index = self.matrix()
-        return float(dist[index[u], index[v]])
 
     def stretch(self) -> StretchResult:
         """`metrics.stretch_max` of a live oracle's graph, exact: INF when
@@ -640,7 +636,7 @@ def audit(state: RunState) -> list[str]:
         if record.stretch_mode == "exact":
             built = metrics.all_pairs_distances(live)
             shadow_built = metrics.all_pairs_distances(shadow)
-            fresh = metrics.stretch_max(live, *shadow_built, exact_cap=state.config.exact_apsp_cap)
+            fresh = metrics.stretch_exact(built, *shadow_built)
             names += ["max_stretch", "diameter_live", "diameter_shadow"]
             fast += [record.max_stretch, record.diameter_live, record.diameter_shadow]
             full += [fresh.max_stretch, fresh.diameter_live, metrics.diameter_from(shadow_built[0])]
@@ -657,15 +653,6 @@ def audit(state: RunState) -> list[str]:
     except ValueError as exc:
         raise InternalError(str(exc)) from exc
     return problems
-
-
-def shadow_distance(state: RunState, u: int, v: int) -> float:
-    """Hop count in the shadow graph, deleted nodes included."""
-    for x in (u, v):
-        if not state.shadow.has_node(x):
-            raise UnknownNodeError(f"node {x} never existed")
-    assert state.oracle is not None
-    return state.oracle.distance(u, v)
 
 
 def _measure(

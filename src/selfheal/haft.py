@@ -29,7 +29,7 @@ slot, set from its two children when it is built (a slot answers the same
 three questions about itself), so a subtree's size, the simulator of a new
 node and a piece's sort key cost O(1). `split_marked` splits a haft along
 the paths above its dead slots only. The whole-haft queries (`leaves`,
-`haft_slots`, `node_vids`, `haft_vids`, `leaf_depths`, `assign_simulators`,
+`haft_slots`, `node_vids`, `leaf_depths`, `assign_simulators`,
 `to_virtual_edges`) all ride on one preorder walk, `walk`; they, `split_out`
 and `validate_haft` are the oracles that audits and tests check the fast
 paths against.
@@ -157,10 +157,6 @@ class Haft:
     trees: tuple[HaftNode, ...]
     spine: tuple[int, ...]
 
-    @property
-    def leaf_count(self) -> int:
-        return sum(t.size for t in self.trees)
-
     def root(self) -> HaftNode | None:
         """The whole haft as one tree, materializing the spine."""
         if not self.trees:
@@ -199,10 +195,6 @@ def haft_slots(h: Haft) -> list[LeafSlot]:
 def node_vids(node: HaftNode) -> list[int]:
     """Internal vids in preorder."""
     return [x.vid for x, _, _ in walk(node) if isinstance(x, Internal)]
-
-
-def haft_vids(h: Haft) -> set[int]:
-    return set(h.spine).union(*(node_vids(t) for t in h.trees))
 
 
 def leaf_depths(h: Haft) -> list[int]:
@@ -281,13 +273,6 @@ def assign_simulators(h: Haft) -> dict[int, LeafSlot]:
     return assignment
 
 
-def vnode_of(node: HaftNode) -> VNode:
-    """The virtual-graph node a haft node stands for."""
-    if isinstance(node, Internal):
-        return virt(node.vid)
-    return real(node.processor)
-
-
 def to_virtual_edges(
     h: Haft, assignment: dict[int, LeafSlot]
 ) -> tuple[list[tuple[int, int]], list[tuple[VNode, VNode]]]:
@@ -300,9 +285,11 @@ def to_virtual_edges(
     edges: list[tuple[VNode, VNode]] = []
     # Preorder: each node is declared just after the edge from its parent.
     for node, parent, _ in walk(h.root()):
+        internal = isinstance(node, Internal)
         if parent is not None:
-            edges.append((virt(parent.vid), vnode_of(node)))
-        if isinstance(node, Internal):
+            child = virt(node.vid) if internal else real(node.processor)
+            edges.append((virt(parent.vid), child))
+        if internal:
             decls.append((node.vid, assignment[node.vid].processor))
     return decls, edges
 

@@ -15,9 +15,10 @@ word, and each distance level grows every row with one gather and one
 The engine runs it only to start or rebuild the distance matrices it
 maintains (`engine.DistanceOracle`), whose live oracle keeps the exact
 maximum stretch itself. `stretch_max` builds the live APSP and scans
-every pair (`_stretch_exact`): it is the snapshot reference that tests
-and `verify` check the kept maximum against. The pure-BFS
-implementations in `graph` stay the independent oracle of the build;
+every pair (`stretch_exact`, which `verify` hands its own build): it is
+the snapshot reference that tests and `verify` check the kept maximum
+against. The pure-BFS implementations in `graph` stay the independent
+oracle of the build;
 the test suite cross-checks the two entry by entry on random graphs
 whose sizes cross the 64-bit word boundaries, with isolated nodes,
 several components and scattered ids. Above the exact cap,
@@ -190,6 +191,13 @@ def diameter_from(dist: np.ndarray) -> object:
 # -- stretch ---------------------------------------------------------------------
 
 
+# Exact stretch up to this many live nodes, and this many sampled pairs
+# above it: the defaults of `RunConfig` and of the config keys
+# `exact_apsp_cap` and `stretch_samples`.
+DEFAULT_EXACT_APSP_CAP = 256
+DEFAULT_STRETCH_SAMPLES = 1000
+
+
 @dataclass
 class StretchResult:
     max_stretch: object  # Fraction or INF or None
@@ -202,8 +210,8 @@ def stretch_max(
     live: Graph,
     shadow_dist: np.ndarray,
     shadow_index: dict[int, int],
-    exact_cap: int = 256,
-    samples: int = 1000,
+    exact_cap: int = DEFAULT_EXACT_APSP_CAP,
+    samples: int = DEFAULT_STRETCH_SAMPLES,
     rng: random.Random | None = None,
 ) -> StretchResult:
     """max over live pairs of dist_live(u, v) / dist_shadow(u, v).
@@ -214,23 +222,27 @@ def stretch_max(
     there are fewer than two live nodes.
     """
     n = live.node_count
-    if n <= 1:
-        return StretchResult(Fraction(1), "exact", 0)
-    if n <= exact_cap:
-        return _stretch_exact(live, shadow_dist, shadow_index)
+    if n <= 1 or n <= exact_cap:
+        return stretch_exact(all_pairs_distances(live), shadow_dist, shadow_index)
     if samples <= 0:
         return StretchResult(None, "skipped", None)
     return _stretch_sampled(live, shadow_dist, shadow_index, samples, rng or random.Random(0))
 
 
-def _stretch_exact(
-    live: Graph, shadow_dist: np.ndarray, shadow_index: dict[int, int]
+def stretch_exact(
+    live_built: tuple[np.ndarray, dict[int, int]],
+    shadow_dist: np.ndarray,
+    shadow_index: dict[int, int],
 ) -> StretchResult:
-    live_dist = all_pairs_distances(live)[0]
+    """`stretch_max` over every live pair, read from `live_built`, the live
+    graph's build as `all_pairs_distances` returns it."""
+    live_dist, live_index = live_built
+    if len(live_index) <= 1:
+        return StretchResult(Fraction(1), "exact", 0)
     diameter_live = diameter_from(live_dist)
     if diameter_live is INF:
         return StretchResult(INF, "exact", INF)
-    nodes = sorted(live.nodes)
+    nodes = list(live_index)
     rows = np.fromiter(map(shadow_index.__getitem__, nodes), np.intp, len(nodes))
     ratio, i, j = stretch_argmax(live_dist, shadow_dist[rows][:, rows])
     if not ratio:

@@ -33,8 +33,10 @@ that the property tests check against a breadth-first oracle:
   degrees of its real node and all virtual nodes it simulates.
 
 Virtual-node ids come from a monotone per-run counter and are never reused,
-even after removal. A virtual node cannot outlive its simulator: removing a
-processor cascades to everything it simulates.
+even after removal. The graph keeps no history for that, only a watermark:
+a declaration at or below a vid that an earlier batch declared is refused,
+so a batch declares each vid it mints. A virtual node cannot outlive its
+simulator: removing a processor cascades to everything it simulates.
 
 A virtual-graph node is a plain int. Real processor p is p, and virtual
 vid is `VBASE + vid`. Processor ids stay below VBASE: input ids are below
@@ -123,7 +125,7 @@ class VirtualGraph:
         self.vids = vids if vids is not None else VidSource()
         self.image = Graph()
         self._adj: dict[VNode, set[VNode]] = {}
-        self._spent_vids: set[int] = set()
+        self._declared_below = 0
         self._hosted: dict[int, set[int]] = {}
         self._multiplicity: dict[tuple[int, int], int] = {}
 
@@ -154,22 +156,12 @@ class VirtualGraph:
         self._adj[processor] = set()
         self.image.add_node(processor)
 
-    def add_virtual_node(self, simulator: int) -> int:
-        """Mint a fresh vid simulated by `simulator`; an unknown simulator
-        raises before a vid is spent."""
-        if simulator not in self.reals:
-            raise UnknownNodeError(f"simulator {simulator} is not a real node")
-        vid = self.vids.take()
-        self.declare_virtual(vid, simulator)
-        return vid
-
     def declare_virtual(self, vid: int, simulator: int) -> None:
         """Register a vid already minted from this graph's VidSource.
 
         Lets callers build structures (e.g. reconstruction trees) with fresh
-        vids before wiring them in. A vid can be declared at most once per
-        run, matching the no-reuse invariant. This is a one-declaration
-        `rewire` batch, so it raises as `rewire` does.
+        vids before wiring them in. This is a one-declaration `rewire`
+        batch, so it raises as `rewire` does.
         """
         self.rewire((), [(vid, simulator)], ())
 
@@ -208,15 +200,17 @@ class VirtualGraph:
         `edges`: one batch, in that order. Returns the batch's changes.
 
         A declared simulator that is not a real node raises
-        UnknownNodeError, a vid already declared in this run
-        DuplicateNodeError, and a vid not yet minted from `vids`
-        UnknownNodeError; `declare_virtual` is a batch of one declaration,
+        UnknownNodeError, and so does a vid not yet minted from `vids`. A
+        vid already declared in this batch, or at or below a vid an
+        earlier batch declared, raises DuplicateNodeError: a batch may
+        declare its vids in any order, and a dissolved vid is never
+        declared again. `declare_virtual` is a batch of one declaration,
         so these checks are its own. A self-loop or an endpoint not in the
         graph raises UnknownNodeError, an edge already present is skipped,
         and a vid to dissolve that is not a live virtual node raises
-        UnknownNodeError. No edge is both
-        added and dropped: each dropped edge has a dissolved endpoint, and
-        a dissolved vid cannot be declared again. The image counts are
+        UnknownNodeError. No edge is both added and dropped: each dropped
+        edge has a dissolved endpoint, and a dissolved vid cannot be
+        declared again. The image counts are
         summed per processor pair and each nonzero net change is applied
         once, at the end, even when a check raises part way; so the image
         changes only on a real move between 0 and nonzero.
@@ -225,6 +219,7 @@ class VirtualGraph:
         changes = RepairJournal()
         added, dropped = changes.virtual_added, changes.virtual_dropped
         net: dict[tuple[int, int], int] = {}
+        floor = below = self._declared_below
         try:
             for vid in dissolve:
                 if vid not in sim:
@@ -242,15 +237,16 @@ class VirtualGraph:
                         edge = (pv, pn) if pv < pn else (pn, pv)
                         net[edge] = net.get(edge, 0) - 1
                 hosted[pv].discard(vid)
-            reals, spent, minted = self.reals, self._spent_vids, self.vids.next_vid
+            reals, minted = self.reals, self.vids.next_vid
             for vid, simulator in declare:
                 if simulator not in reals:
                     raise UnknownNodeError(f"simulator {simulator} is not a real node")
-                if vid in spent:
-                    raise DuplicateNodeError(f"vid {vid} was already used in this run")
+                if vid < floor or vid in sim:
+                    raise DuplicateNodeError(f"vid {vid} is not above every vid declared before it")
                 if vid >= minted:
                     raise UnknownNodeError(f"vid {vid} was not minted from this graph's counter")
-                spent.add(vid)
+                if vid >= below:
+                    below = vid + 1
                 sim[vid] = simulator
                 held = hosted.get(simulator)
                 if held is None:
@@ -280,6 +276,7 @@ class VirtualGraph:
                     edge = (pa, pb) if pa < pb else (pb, pa)
                     net[edge] = net.get(edge, 0) + 1
         finally:
+            self._declared_below = below
             counts, image = self._multiplicity, self.image
             for edge, delta in net.items():
                 if not delta:
@@ -322,10 +319,6 @@ class VirtualGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(n) for n in self._adj.values()) // 2
-
-    def processor_of(self, x: VNode) -> int:
-        """The homomorphism H: a real node is its own processor."""
-        return x if x < VBASE else self.sim[x - VBASE]
 
     # -- de-simulation ------------------------------------------------------
 
@@ -378,8 +371,9 @@ class VirtualGraph:
                     f"hosted: {p} -> {sorted(self._hosted.get(p, ()))}, "
                     f"expected {sorted(hosted.get(p, ()))}"
                 )
-        for vid in sorted(self.virtuals - self._spent_vids):
-            problems.append(f"unspent-vid: {vid}")
+        for vid in sorted(self.virtuals):
+            if vid >= self._declared_below:
+                problems.append(f"unspent-vid: {vid}")
         return problems
 
     def _audit_image(self) -> list[str]:

@@ -134,15 +134,21 @@ def vg_adj(vg: VirtualGraph) -> dict:
     return {x: vg.neighbors(x) for x in nodes}
 
 
+def processor(vg: VirtualGraph, x) -> int:
+    """The homomorphism H: a real node is its own processor, a virtual one
+    is its simulator."""
+    return node_id(x) if is_real(x) else vg.sim[node_id(x)]
+
+
 def oracle_image(vg: VirtualGraph) -> Graph:
     """The homomorphic image recomputed from scratch: nodes are the live
     processors, edges the images of virtual-graph edges, self-loop images
     dropped and parallels collapsed."""
     adj = {p: set() for p in vg.reals}
     for a, nbrs in vg._adj.items():
-        pa = node_id(a) if is_real(a) else vg.sim[node_id(a)]
+        pa = processor(vg, a)
         for b in nbrs:
-            pb = node_id(b) if is_real(b) else vg.sim[node_id(b)]
+            pb = processor(vg, b)
             if pa != pb:
                 adj[pa].add(pb)
     g = Graph()
@@ -153,7 +159,7 @@ def oracle_image(vg: VirtualGraph) -> Graph:
 def _count_image(vg: VirtualGraph, a, b, delta: int) -> None:
     """Move the count of the image edge under virtual edge a-b by `delta`;
     the image edge appears as its count leaves 0 and goes as it returns."""
-    pa, pb = vg.processor_of(a), vg.processor_of(b)
+    pa, pb = processor(vg, a), processor(vg, b)
     if pa == pb:
         return
     edge = (min(pa, pb), max(pa, pb))
@@ -164,6 +170,13 @@ def _count_image(vg: VirtualGraph, a, b, delta: int) -> None:
     elif not before + delta:
         del vg._multiplicity[edge]
         vg.image.remove_edge(*edge)
+
+
+def add_virtual(vg: VirtualGraph, simulator: int) -> int:
+    """Mint a vid from the graph's counter and declare it on `simulator`."""
+    vid = vg.vids.take()
+    vg.declare_virtual(vid, simulator)
+    return vid
 
 
 def remove_virtual(vg: VirtualGraph, vid: int) -> None:
@@ -198,7 +211,7 @@ def edge_snapshot(vg: VirtualGraph) -> tuple[dict, set]:
     for a, nbrs in vg._adj.items():
         for b in nbrs:
             if a < b:
-                virtual[(a, b)] = (vg.processor_of(a), vg.processor_of(b))
+                virtual[(a, b)] = (processor(vg, a), processor(vg, b))
     return virtual, set(oracle_image(vg).edges())
 
 
@@ -269,7 +282,7 @@ def random_virtual_graph(
     for p in range(n_real):
         vg.add_real_node(p)
     for _ in range(rng.randint(0, max_virtuals)):
-        vg.add_virtual_node(rng.randrange(n_real))
+        add_virtual(vg, rng.randrange(n_real))
     nodes = [real(p) for p in range(n_real)] + [virt(v) for v in sorted(vg.virtuals)]
     if len(nodes) >= 2:
         for _ in range(rng.randint(0, 3 * len(nodes))):

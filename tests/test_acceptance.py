@@ -32,7 +32,7 @@ from selfheal.haft import Internal, LeafSlot, assign_simulators, leaves, validat
 from selfheal.virtual_graph import VidSource, node_id, real, virt
 from selfheal.adversary import write_trace
 
-from conftest import oracle_bfs, random_virtual_graph, vg_adj
+from conftest import oracle_bfs, processor, random_virtual_graph, vg_adj
 
 CORPUS_TRIALS = 500
 N0 = 32
@@ -210,9 +210,9 @@ def test_criterion_5_homomorphism_observations(capsys):
             assert image.degree(p) <= preimage, f"degree transfer failed, seed {seed}"
         for u in adj:
             du = oracle_bfs(adj, u)
-            hu = oracle_bfs(image_adj, vg.processor_of(u))
+            hu = oracle_bfs(image_adj, processor(vg, u))
             for v, d in du.items():
-                assert hu[vg.processor_of(v)] <= d, f"distance transfer failed, seed {seed}"
+                assert hu[processor(vg, v)] <= d, f"distance transfer failed, seed {seed}"
     announce(
         capsys,
         f"[PASS] criterion 5 homomorphism: distance and degree transfer hold "

@@ -216,12 +216,18 @@ class TestTraceFormat:
 
     def test_non_increasing_t_rejected(self):
         text = '{"t": 1, "op": "delete", "node": 1}\n{"t": 1, "op": "delete", "node": 2}\n'
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(TraceFormatError, match="line 2: t=1 not strictly increasing"):
             parse_trace(text)
 
     def test_bool_t_rejected(self):
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(TraceFormatError, match="t=True is not an integer"):
             parse_trace('{"t": true, "op": "delete", "node": 1}\n')
+
+    @pytest.mark.parametrize("t, shown", [("1.0", "1.0"), ('"1"', "'1'"), ("null", "None")])
+    def test_non_integer_t_named(self, t, shown):
+        with pytest.raises(TraceFormatError) as excinfo:
+            parse_trace(f'{{"t": {t}, "op": "delete", "node": 1}}\n')
+        assert str(excinfo.value) == f"line 1: t={shown} is not an integer"
 
     def test_bad_json_rejected(self):
         with pytest.raises(TraceFormatError):

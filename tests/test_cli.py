@@ -37,6 +37,32 @@ def test_parse_config_rejects_bad_line():
         parse_config("just words\n")
 
 
+@pytest.mark.parametrize("command", ["gen", "run", "verify", "bench"])
+def test_duplicate_config_key_exits_2(tmp_path, capsys, command):
+    # Used to keep the last value: `n = 5` then `n = 7` ran a 7-node path.
+    cfg = write(tmp_path / "c.cfg", "family = path\nn = 5\nn = 7\nT = 2\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 3: duplicate key 'n' (first on line 2)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_deeply_nested_trace_line_exits_2(tmp_path, capsys, command):
+    # Valid JSON that the decoder cannot nest into: it once raised
+    # RecursionError with a traceback and exit 1, which for verify means
+    # "violations found".
+    graph = write(tmp_path / "g.edges", "0 1\n1 2\n")
+    trace = write(tmp_path / "t.jsonl", "[" * 100000 + "]" * 100000 + "\n")
+    cfg = write(tmp_path / "r.cfg", f"graph = {graph}\ntrace = {trace}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 1: not valid JSON (nested too deeply)\n"
+    assert not out.exists()
+
+
 class TestGen:
     def test_path_family_edge_count(self, tmp_path):
         cfg = write(tmp_path / "g.cfg", "family = path\nn = 8\nstrategy = max-degree\nT = 0\n")

@@ -18,7 +18,6 @@ from selfheal.engine import (
     LiveMeasure,
     RunConfig,
     run,
-    shadow_distance,
     start,
     step,
 )
@@ -50,6 +49,12 @@ def scripted(events, initial, healer="haft", **kw):
         t_max=len(events),
         **kw,
     )
+
+
+def hops(oracle: DistanceOracle, u: int, v: int) -> float:
+    """The distance between u and v, read from the oracle's matrix."""
+    dist, index = oracle.matrix()
+    return float(dist[index[u], index[v]])
 
 
 class TestRun:
@@ -121,18 +126,17 @@ class TestStep:
     def test_shadow_distance_through_deleted(self):
         state = start(RunConfig(initial=path_graph(3), t_max=0))
         step(state, Event(op="delete", node=1))
-        assert shadow_distance(state, 0, 2) == 2
+        assert hops(state.oracle, 0, 2) == 2
 
     def test_shadow_distance_identity_and_unknown(self):
         state = start(RunConfig(initial=path_graph(2), t_max=0))
-        assert shadow_distance(state, 0, 0) == 0
-        with pytest.raises(UnknownNodeError):
-            shadow_distance(state, 0, 9)
+        assert hops(state.oracle, 0, 0) == 0
+        assert 9 not in state.oracle.matrix()[1]
 
     def test_shadow_distance_unjoined_components(self):
         g = Graph(nodes=[0, 1], edges=[])
         state = start(RunConfig(initial=g, t_max=0))
-        assert shadow_distance(state, 0, 1) == INF
+        assert hops(state.oracle, 0, 1) == INF
 
     def test_invalid_event_rejected(self):
         state = start(RunConfig(initial=path_graph(2), t_max=0))
@@ -270,7 +274,7 @@ def test_oracle_is_lazy_until_the_first_read(apsp_builds):
         shadow.add_edge(v, w)
         oracle.insert(v, [w])
     assert apsp_builds == []
-    assert oracle.distance(0, 7) == 5
+    assert hops(oracle, 0, 7) == 5
     assert oracle.diameter() == 5
     assert apsp_builds == [6]
 
@@ -693,7 +697,7 @@ def test_kept_stretch_of_a_stored_pair_whose_shadow_distance_fell(full_scans):
         g.add_edge(4, 3)
     oracle.shadow.insert(4, [0, 3])
     oracle.insert(4, [0, 3])
-    assert oracle.shadow.distance(0, 3) == 2 and oracle.distance(0, 3) == 1
+    assert hops(oracle.shadow, 0, 3) == 2 and hops(oracle, 0, 3) == 1
     assert kept_stretch(oracle, live, shadow, full_scans) == (1, 0)
 
 
@@ -965,3 +969,31 @@ def test_audit_names_the_step_and_the_structure(monkeypatch):
     monkeypatch.setattr(metrics, "degree_ratio_max", breach)
     with pytest.raises(InternalError, match="shadow degree 0"):
         engine.audit(state)
+
+
+def test_audit_builds_each_graph_once_per_exact_step(monkeypatch):
+    # The maximum stretch is scanned over the same live build that the
+    # live oracle's audit reads; it used to build the live matrix again.
+    config = RunConfig(
+        initial=random_tree(40, random.Random(7)),
+        strategy=StrategySpec(kind="mixed", p_delete=0.5, seed=7),
+        t_max=30,
+        seed=7,
+        exact_apsp_cap=128,
+        stretch_samples=0,
+    )
+    builds = []
+
+    def counted(g):
+        builds.append(g)
+        return all_pairs_distances(g)
+
+    def audited(state):
+        builds.clear()
+        assert engine.audit(state) == []
+        assert [id(g) for g in builds] == [id(state.live_graph()), id(state.shadow)]
+
+    monkeypatch.setattr(metrics, "all_pairs_distances", counted)
+    state = run(config, on_step=audited)
+    assert len(state.records) == 30
+    assert {r.stretch_mode for r in state.records} == {"exact"}

@@ -22,7 +22,6 @@ from selfheal.haft import (
     build_haft,
     ceil_log2,
     haft_slots,
-    haft_vids,
     leaf_depths,
     leaves,
     merge_hafts,
@@ -41,29 +40,25 @@ def make_slots(procs, origin_base=1000):
 
 def _materialize(h, assignment):
     """De-simulated image of a lone haft."""
-    vg = VirtualGraph(vids=VidSource(start=max(haft_vids(h), default=0) + 1))
+    vg = VirtualGraph(vids=VidSource(start=max(node_vids(h.root()), default=0) + 1))
     for slot in haft_slots(h):
         if slot.processor not in vg.reals:
             vg.add_real_node(slot.processor)
-    decls, edges = to_virtual_edges(h, assignment)
-    for vid, proc in decls:
-        vg.declare_virtual(vid, proc)
-    for a, b in edges:
-        vg.add_edge(a, b)
+    vg.rewire((), *to_virtual_edges(h, assignment))
     return vg.de_simulate()
 
 
 class TestBuild:
     def test_single_slot(self):
         h = build_haft(make_slots([1]), VidSource())
-        assert h.leaf_count == 1
-        assert haft_vids(h) == set()
+        assert sum(t.size for t in h.trees) == 1
+        assert node_vids(h.root()) == []
         assert leaf_depths(h) == [0]
 
     def test_power_of_two(self):
         h = build_haft(make_slots([1, 2, 3, 4]), VidSource())
         assert [t.size for t in h.trees] == [4]
-        assert len(haft_vids(h)) == 3
+        assert len(set(node_vids(h.root()))) == 3
         assert leaf_depths(h) == [2, 2, 2, 2]
 
     def test_five_slots(self):
@@ -118,8 +113,8 @@ class TestMerge:
         assert [t.size for t in m.trees] == [4, 2]
         assert len(m.spine) == 1
         # untouched complete trees keep their internal vids
-        assert set(node_vids(a.trees[0])) <= haft_vids(m)
-        assert set(node_vids(b.trees[0])) <= haft_vids(m)
+        assert set(node_vids(a.trees[0])) <= set(node_vids(m.root()))
+        assert set(node_vids(b.trees[0])) <= set(node_vids(m.root()))
 
     def test_untouched_trees_keep_assignments(self):
         vids = VidSource()
@@ -153,7 +148,7 @@ class TestAssignment:
         h = build_haft(make_slots(range(la)), vids)
         if la < L:  # merging carries, and the trees that do not carry keep their vids
             h = merge_hafts(h, build_haft(make_slots(range(100, 100 + L - la)), vids), vids)
-        assert h.leaf_count == L
+        assert sum(t.size for t in h.trees) == L
         assignment = assign_simulators(h)
         assert len(assignment) == L - 1
         stack = [h.root()]
@@ -401,7 +396,7 @@ def test_depth_bound_and_injectivity_exhaustive(L):
     depths = leaf_depths(h)
     assert max(depths) <= 2 * ceil_log2(L) + 1
     assignment = assign_simulators(h)
-    assert len(assignment) == len(haft_vids(h))
+    assert len(assignment) == len(set(node_vids(h.root())))
     assert len({s.origin for s in assignment.values()}) == len(assignment)
 
 

@@ -10,7 +10,7 @@ from selfheal import engine, healers
 from selfheal.adversary import StrategySpec, next_event, new_state
 from selfheal.families import connected_erdos_renyi, path_graph, random_tree, star_graph
 from selfheal.graph import Graph, UnknownNodeError
-from selfheal.haft import Haft, LeafSlot, haft_slots, haft_vids, leaves, walk
+from selfheal.haft import Haft, LeafSlot, haft_slots, leaves, node_vids, walk
 from selfheal.healers import HealerError, make_healer
 from selfheal.virtual_graph import VirtualGraph, is_real, node_id, node_name, real, virt
 
@@ -138,7 +138,7 @@ class TestDeleteHaft:
         report = h.on_delete(0)
         assert len(h.hafts) == 1
         (haft,) = h.hafts.values()
-        assert haft.leaf_count == 5
+        assert sum(t.size for t in haft.trees) == 5
         assert h.virtual_node_count() == 4
         assert report.virtual_nodes_created == 4
         assert h.live_graph().is_connected()
@@ -272,7 +272,8 @@ def _short_spine(h, hid):
 
 
 def _stray_virtual(h, hid):
-    vid = h.vg.add_virtual_node(2)
+    vid = h.vg.vids.take()
+    h.vg.declare_virtual(vid, 2)
     return f"virtual nodes outside any haft: [{vid}]"
 
 
@@ -459,7 +460,7 @@ def test_rebuild_dissolves_each_affected_haft_whole(seed, monkeypatch):
         direct = sorted(node_id(w) for w in healer.vg.neighbors(real(v)) if is_real(w))
         batches.clear()
         report = on_delete(healer, v)
-        vids = set().union(*map(haft_vids, affected))
+        vids = {vid for h in affected for vid in node_vids(h.root())}
         (dissolve,) = batches
         assert sorted(dissolve) == sorted(vid for vid in vids if sim[vid] != v)
         assert set(sim) - set(healer.vg.sim) == vids

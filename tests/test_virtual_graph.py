@@ -22,10 +22,12 @@ from selfheal.virtual_graph import (
 )
 
 from conftest import (
+    add_virtual,
     changes_between,
     edge_snapshot,
     oracle_bfs,
     oracle_image,
+    processor,
     random_virtual_graph,
     remove_virtual,
     rewire_in_sequence,
@@ -72,10 +74,10 @@ class TestVNode:
 
     def test_journal_keys_are_ascending_pairs(self):
         vg = VirtualGraph.from_graph(Graph(nodes=[5, 9]))
-        vid = vg.add_virtual_node(9)
+        vid = add_virtual(vg, 9)
         journal = vg.rewire((), (), [(virt(vid), real(5)), (real(9), real(5))])
         assert journal.virtual_added == {(real(5), virt(vid)): (5, 9), (real(5), real(9)): (5, 9)}
-        other = vg.add_virtual_node(5)
+        other = add_virtual(vg, 5)
         vg.rewire((), (), [(virt(other), virt(vid))])
         journal = vg.rewire([vid], (), ())
         # The processors follow the key's order, not their own.
@@ -103,7 +105,7 @@ class TestAddNodes:
     def test_add_virtual(self):
         vg = VirtualGraph()
         vg.add_real_node(1)
-        vid = vg.add_virtual_node(1)
+        vid = add_virtual(vg, 1)
         assert vid == 0
         assert vg.sim == {0: 1}
 
@@ -111,24 +113,43 @@ class TestAddNodes:
         vg = VirtualGraph()
         vg.add_real_node(1)
         vg.add_real_node(2)
-        a = vg.add_virtual_node(1)
-        b = vg.add_virtual_node(1)
+        a = add_virtual(vg, 1)
+        b = add_virtual(vg, 1)
         assert (a, b) == (0, 1)
         assert vg.sim == {0: 1, 1: 1}
 
     def test_unknown_simulator(self):
         vg = VirtualGraph()
         with pytest.raises(UnknownNodeError):
-            vg.add_virtual_node(9)
+            vg.declare_virtual(vg.vids.take(), 9)
+        assert vg.sim == {}
 
     def test_vids_never_reused(self):
         vg = VirtualGraph()
         vg.add_real_node(1)
-        vid = vg.add_virtual_node(1)
+        vid = add_virtual(vg, 1)
         remove_virtual(vg, vid)
-        assert vg.add_virtual_node(1) == vid + 1
+        assert add_virtual(vg, 1) == vid + 1
         with pytest.raises(DuplicateNodeError):
             vg.declare_virtual(vid, 1)
+
+    def test_vid_minted_before_an_earlier_declaring_batch_is_refused(self):
+        vg = VirtualGraph.from_graph(Graph(nodes=[1]))
+        early, late = vg.vids.take(), vg.vids.take()
+        vg.declare_virtual(late, 1)
+        with pytest.raises(DuplicateNodeError, match=f"vid {early} is not above every vid"):
+            vg.declare_virtual(early, 1)
+        assert vg.sim == {late: 1}
+        assert vg.audit() == []
+
+    def test_one_batch_declares_its_vids_in_any_order(self):
+        vg = VirtualGraph.from_graph(Graph(nodes=[1, 2]))
+        a, b, c = (vg.vids.take() for _ in range(3))
+        vg.rewire((), [(c, 2), (b, 1), (a, 1)], [(virt(c), virt(a)), (virt(b), real(2))])
+        assert vg.sim == {a: 1, b: 1, c: 2}
+        assert vg.audit() == []
+        with pytest.raises(DuplicateNodeError):
+            vg.rewire([a], [(a, 2)], ())
 
 
 class TestRemoveProcessor:
@@ -139,7 +160,7 @@ class TestRemoveProcessor:
         vg = VirtualGraph()
         vg.add_real_node(1)
         vg.add_real_node(2)
-        h = vg.add_virtual_node(1)
+        h = add_virtual(vg, 1)
         vg.add_edge(virt(h), real(2))
         assert vg.remove_processor(1) is None
         assert vg.reals == {2}
@@ -179,7 +200,7 @@ def test_remove_processor_keeps_image_and_counts(seed):
             vg.add_edge(hosted[0], real(p))
             if len(hosted) > 1:
                 vg.add_edge(hosted[0], hosted[1])
-            others = [x for x in nodes if vg.processor_of(x) != p]
+            others = [x for x in nodes if processor(vg, x) != p]
             if others:
                 vg.add_edge(hosted[-1], rng.choice(others))
     while vg.reals:
@@ -197,7 +218,7 @@ class TestDeSimulate:
         vg = VirtualGraph()
         for p in (1, 2, 3):
             vg.add_real_node(p)
-        h = vg.add_virtual_node(1)
+        h = add_virtual(vg, 1)
         vg.add_edge(virt(h), real(2))
         vg.add_edge(virt(h), real(3))
         vg.add_edge(real(1), real(2))
@@ -216,7 +237,7 @@ class TestDeSimulate:
     def test_self_loop_image_dropped(self):
         vg = VirtualGraph()
         vg.add_real_node(1)
-        h = vg.add_virtual_node(1)
+        h = add_virtual(vg, 1)
         vg.add_edge(virt(h), real(1))
         image = vg.de_simulate()
         assert set(image.edges()) == set()
@@ -229,7 +250,7 @@ class TestMaintainedImage:
         vg = VirtualGraph()
         for p in (1, 2):
             vg.add_real_node(p)
-        h = vg.add_virtual_node(1)
+        h = add_virtual(vg, 1)
         vg.add_edge(virt(h), real(2))
         vg.add_edge(real(1), real(2))
         remove_virtual(vg, h)
@@ -249,7 +270,7 @@ class TestMaintainedImage:
         vg = VirtualGraph()
         for p in (1, 2, 3):
             vg.add_real_node(p)
-        a, b = vg.add_virtual_node(1), vg.add_virtual_node(2)
+        a, b = add_virtual(vg, 1), add_virtual(vg, 2)
         vg.add_edge(virt(a), virt(b))
         vg.add_edge(virt(a), real(3))
         vg.remove_processor(1)
@@ -310,7 +331,7 @@ def _state(vg: VirtualGraph) -> tuple:
         vg._adj,
         vg.sim,
         vg._hosted,
-        vg._spent_vids,
+        vg._declared_below,
         vg._multiplicity,
         vg.image,
     )
@@ -360,7 +381,7 @@ def _random_batch(rng: random.Random, batched: VirtualGraph, sequential: Virtual
 def test_rewire_matches_the_per_operation_path(seed):
     # One batched rewire leaves exactly what remove_virtual, declare_virtual
     # and add_virtual_edge leave in sequence: adjacency, simulation map,
-    # hosted index, spent vids, image counts and the image; and it returns
+    # hosted index, declared watermark, image counts and the image; and it returns
     # the changes between snapshots taken before and after.
     batched, sequential = _twin_graphs(seed)
     batch = _random_batch(random.Random(seed + 1), batched, sequential)
@@ -392,7 +413,7 @@ class TestRewire:
         vg = VirtualGraph()
         for p in (1, 2):
             vg.add_real_node(p)
-        h = vg.add_virtual_node(1)
+        h = add_virtual(vg, 1)
         vg.add_edge(virt(h), real(2))
         image = _RecordingGraph()
         image._adj, image.calls = vg.image._adj, []
@@ -438,7 +459,7 @@ def _small_graph() -> VirtualGraph:
     vg = VirtualGraph()
     for p in range(4):
         vg.add_real_node(p)
-    a, b = vg.add_virtual_node(0), vg.add_virtual_node(1)
+    a, b = add_virtual(vg, 0), add_virtual(vg, 1)
     vg.add_edge(virt(a), real(2))
     vg.add_edge(virt(a), virt(b))
     vg.add_edge(virt(b), real(3))
@@ -489,7 +510,7 @@ class TestAudit:
         vg = VirtualGraph()
         for p in (1, 2, 3):
             vg.add_real_node(p)
-        h = vg.add_virtual_node(1)
+        h = add_virtual(vg, 1)
         vg.add_edge(virt(h), real(2))
         vg.add_edge(virt(h), real(3))
         vg.add_edge(real(1), real(2))
@@ -512,10 +533,10 @@ class TestAudit:
         vg = VirtualGraph()
         for p in (1, 2):
             vg.add_real_node(p)
-        h, g = vg.add_virtual_node(1), vg.add_virtual_node(2)
+        h, g = add_virtual(vg, 1), add_virtual(vg, 2)
         vg._hosted[1].discard(h)  # corrupt: h missing from its host's index
         vg._hosted[1].add(g)  # corrupt: g indexed under the wrong host
-        vg._spent_vids.discard(g)  # corrupt: a live vid not marked spent
+        vg._declared_below = g  # corrupt: a live vid at the watermark
         assert vg.audit() == [
             f"hosted: 1 -> [{g}], expected [{h}]",
             f"unspent-vid: {g}",
@@ -524,7 +545,7 @@ class TestAudit:
     def test_dangling_simulator(self):
         vg = VirtualGraph()
         vg.add_real_node(1)
-        h = vg.add_virtual_node(1)
+        h = add_virtual(vg, 1)
         vg.sim[h] = 99  # corrupt
         assert any(p.startswith("dangling-simulator") for p in vg.audit())
 
@@ -541,7 +562,7 @@ class TestDot:
     def test_shapes_and_labels(self):
         vg = VirtualGraph()
         vg.add_real_node(3)
-        h = vg.add_virtual_node(3)
+        h = add_virtual(vg, 3)
         vg.add_edge(virt(h), real(3))
         dot = vg.to_dot()
         assert 'shape=circle, label="3"' in dot
@@ -559,9 +580,9 @@ def test_distance_transfer_inequality(seed):
     image_adj = {v: image.neighbors(v) for v in image.nodes}
     for u in adj:
         du = oracle_bfs(adj, u)
-        hu = oracle_bfs(image_adj, vg.processor_of(u))
+        hu = oracle_bfs(image_adj, processor(vg, u))
         for v, d in du.items():
-            assert hu[vg.processor_of(v)] <= d
+            assert hu[processor(vg, v)] <= d
 
 
 @settings(max_examples=150, deadline=None)
