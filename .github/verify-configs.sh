@@ -53,6 +53,11 @@ row rebuild-clustered 0 'family = random-tree' 'n = 512' 'healer = rebuild' \
 # The haft healer under the articulation adversary.
 row articulation 0 'family = random-tree' 'n = 512' 'healer = haft' \
   'strategy = articulation' 'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'
+# The articulation adversary on graphs with no cut vertex: its cut search
+# spends its cap and falls back to Tarjan's list, and then to the
+# maximum degree.
+row articulation-er 0 'family = erdos-renyi' 'n = 512' 'p = 0.02' 'healer = haft' \
+  'strategy = articulation' 'T = 128' 'exact_apsp_cap = 0' 'stretch_samples = 0'
 # The rebuild healer under churn with exact stretch.
 row rebuild-churn 0 'family = random-tree' 'n = 160' 'healer = rebuild' 'strategy = random' \
   'T = 224' 'exact_apsp_cap = 512' 'stretch_samples = 0'

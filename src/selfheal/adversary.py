@@ -18,6 +18,10 @@ request for the maximum, so a strategy that never asks (`random`, `mixed`,
 or `articulation` while the graph has a cut vertex) never builds one. A
 state without an index, as a direct caller passes, gets a throwaway one
 built from the graphs; both make the same choices with the same draws.
+`articulation` walks the index's ascending live ids to the first cut
+vertex with `Graph.smallest_cut_vertex`, whose local searches cost about
+the side each cut vertex cuts off, and which scans the whole graph only
+once they pass their work cap.
 
 The pinned generator is CPython's `random.Random` (Mersenne Twister); its
 identity is recorded in every manifest the CLI writes.
@@ -218,8 +222,9 @@ def next_event(
     if spec.kind == "max-degree":
         return _emit_delete(index.max_degree_node(live), state)
     if spec.kind == "articulation":
-        cuts = live.articulation_points()
-        target = cuts[0] if cuts else index.max_degree_node(live)
+        target = live.smallest_cut_vertex(live_nodes)
+        if target is None:
+            target = index.max_degree_node(live)
         return _emit_delete(target, state)
     if spec.kind == "clustered":
         target = None

@@ -84,9 +84,19 @@ def _get_int(cfg: dict, key: str, default: int | None = None) -> int:
             raise ConfigError(f"missing config key {key!r}")
         return default
     try:
-        return int(cfg[key])
+        return _ascii_int(cfg[key])
     except ValueError:
         raise ConfigError(f"config key {key!r} must be an integer") from None
+
+
+def _ascii_int(text: str) -> int:
+    """The integer that ASCII digits with an optional leading '-' spell;
+    ValueError for any other text. `int` alone also takes '_' between
+    digits, a '+' sign, whitespace and other scripts' digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _get_count(cfg: dict, key: str, default: int | None = None) -> int:
@@ -380,7 +390,7 @@ def loglog_slope(points: list[tuple[int, float]]) -> float:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [_ascii_int(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"bad integer list {text!r}") from None
 

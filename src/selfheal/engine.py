@@ -24,7 +24,8 @@ connectivity witness (`LiveMeasure`); only the t = 0 measurement, and a
 step after a disconnected one, scan the whole live graph for
 connectivity. The adversary's index (`adversary.AdversaryIndex`) is
 refreshed from the same touched set after each event, so no step sorts
-or scans every live node outside a repair. `audit` checks each of these
+or scans every live node outside a repair, save where the `articulation`
+strategy's cut search passes its cap and falls back to Tarjan. `audit` checks each of these
 structures, and the healer's state, against a fresh build.
 
 Runs are deterministic: one master seed drives the adversary and the stretch
@@ -520,6 +521,9 @@ class RunState:
     oracle: DistanceOracle | None = None
     live_oracle: DistanceOracle | None = None
     measure: LiveMeasure | None = None
+    # Host seconds per phase of the loop: "adversary" (choosing each event
+    # in `run`, refreshing the index in `step`), "heal", "connectivity" and
+    # "metrics".
     timers: defaultdict[str, float] = field(default_factory=lambda: defaultdict(float))
 
     def live_graph(self) -> Graph:
@@ -576,9 +580,11 @@ def step(state: RunState, event: Event) -> RunState:
         else:
             state.deleted.add(event.node)
             report = state.healer.on_delete(event.node)
-        state.timers["heal"] += time.perf_counter() - t0
+        t1 = time.perf_counter()
+        state.timers["heal"] += t1 - t0
         if state.adversary.index is not None:
             state.adversary.index.update(event.op, event.node, report.touched)
+            state.timers["adversary"] += time.perf_counter() - t1
         state.t += 1
         state.events.append(event)
         state.records.append(_measure(state, event.op, event.node, report, event.neighbors))
@@ -597,7 +603,9 @@ def run(config: RunConfig, on_step: Callable[[RunState], None] | None = None) ->
     if on_step is not None:
         on_step(state)
     for _ in range(config.t_max):
+        t0 = time.perf_counter()
         event = _next(state)
+        state.timers["adversary"] += time.perf_counter() - t0
         if event is None:
             state.status = "exhausted"
             break

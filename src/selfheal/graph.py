@@ -7,10 +7,13 @@ integers that are never reused within a run, even after deletion.
 Distances and connectivity are computed by breadth-first traversal per
 query; no dynamic-connectivity structure is kept here. The engine follows
 the live graph's connectivity from event to event (`engine.LiveMeasure`)
-and keeps `is_connected` as its oracle. Cut vertices come
+and keeps `is_connected` as its oracle. The list of cut vertices comes
 from one iterative Tarjan low-link depth-first search, linear in nodes plus
-edges. The healed graph itself is maintained by
-`virtual_graph.VirtualGraph`.
+edges. The smallest cut vertex, which the `articulation` adversary asks for
+on every event, comes from local searches that stop at the first cut vertex
+in id order (`smallest_cut_vertex`); past a work cap linear in the node
+count they fall back to Tarjan's list. The healed graph itself is
+maintained by `virtual_graph.VirtualGraph`.
 
 Concurrency contract: a Graph is either exclusively owned while being mutated
 or treated as immutable once shared; instances hold no hidden shared state and
@@ -239,6 +242,33 @@ class Graph:
                 cuts.add(root)
         return sorted(cuts)
 
+    def smallest_cut_vertex(self, order: Iterable[int]) -> int | None:
+        """The first cut vertex in `order`, which lists every node ascending:
+        the same answer as `(self.articulation_points() or [None])[0]`.
+
+        Nodes of degree below 2 are never cut vertices and are skipped; each
+        other candidate is decided by one search in G - u (`_cut_search`).
+        The searches are charged one unit per adjacency entry they scan, a
+        candidate's own entries included. Past CUT_SEARCH_SHARE units per
+        node, the query gives up and returns Tarjan's answer instead, so it
+        is exact on every graph and costs at most that share more than
+        `articulation_points` where no cut vertex is found early.
+        """
+        adj = self._adj
+        budget = CUT_SEARCH_SHARE * len(adj)
+        for u in order:
+            if len(adj[u]) < 2:
+                continue
+            is_cut, budget = _cut_search(adj, u, budget)
+            if budget < 0:
+                break
+            if is_cut:
+                return u
+        else:
+            return None
+        cuts = self.articulation_points()
+        return cuts[0] if cuts else None
+
     def audit(self) -> list[str]:
         """Invariant walk: adjacency symmetry, no self-loops, key consistency."""
         problems = []
@@ -260,6 +290,75 @@ class Graph:
             lines.append(f'  "{u}" -- "{v}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+# The work cap of `Graph.smallest_cut_vertex`: adjacency entries its
+# searches may scan per node of the graph, before it falls back to Tarjan.
+CUT_SEARCH_SHARE = 1
+
+
+def _cut_search(adj: dict[int, set[int]], u: int, budget: int) -> tuple[bool, int]:
+    """Whether u (of degree at least 2) is a cut vertex, and the budget left
+    after the search; a negative budget means the search gave up undecided.
+
+    One search in G - u from all of u's neighbours at once, one group per
+    neighbour. The groups take turns, each expanding one node of its
+    breadth-first frontier per turn, and two groups merge (a union-find
+    over group ids) when one reaches a node the other holds. If one group
+    is left, the neighbours are connected without u. If a group has
+    nothing left to expand, it is a whole component of G - u that lacks
+    the other neighbours, so u is a cut vertex. Taking turns bounds the
+    cost of a cut vertex by the smallest side it cuts off, times the
+    number of groups.
+    """
+    nbrs = adj[u]
+    k = len(nbrs)
+    budget -= k
+    # Group k holds u alone: it is never expanded or merged.
+    owner = {u: k}
+    parent = list(range(k + 1))
+    queues: list[deque[int] | None] = []
+    for i, w in enumerate(nbrs):
+        owner[w] = i
+        queues.append(deque((w,)))
+    groups, turn = k, range(k)
+    while budget >= 0:
+        kept = []
+        for g in turn:
+            if parent[g] != g:
+                continue
+            q = queues[g]
+            if not q:
+                return True, budget
+            xn = adj[q.popleft()]
+            budget -= len(xn)
+            if budget < 0:
+                break
+            for w in xn:
+                o = owner.get(w)
+                if o is None:
+                    owner[w] = g
+                    q.append(w)
+                    continue
+                while parent[o] != o:
+                    o = parent[o]
+                if o == g or o == k:
+                    continue
+                groups -= 1
+                if groups == 1:
+                    return False, budget
+                # Merge o into g, the shorter frontier into the longer.
+                qo = queues[o]
+                if len(qo) > len(q):
+                    qo.extend(q)
+                    q = queues[g] = qo
+                else:
+                    q.extend(qo)
+                queues[o] = None
+                parent[o] = g
+            kept.append(g)
+        turn = kept
+    return False, budget
 
 
 # -- edge-list text format ------------------------------------------------
@@ -294,12 +393,14 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def _parse_id(token: str, lineno: int) -> int:
+    """An id is ASCII digits only: no sign, no '_' and no other script's
+    digits, all of which `int` would take."""
     try:
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError
         v = int(token)
     except ValueError:
         raise GraphError(f"line {lineno}: bad node id {token!r}") from None
-    if v < 0:
-        raise GraphError(f"line {lineno}: negative node id {v}")
     if v >= MAX_NODE_ID:
         raise GraphError(f"line {lineno}: node id {v} is not below {MAX_NODE_ID}")
     return v

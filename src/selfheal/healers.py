@@ -170,12 +170,10 @@ class Healer:
 
         # The processors of the added virtual edges.
         joined: set[int] = set().union(*journal.virtual_added.values())
-        touched = notified.union(
-            joined,
-            *journal.real_added,
-            *journal.real_dropped,
-            *journal.virtual_dropped.values(),
-        )
+        # `rewire` counts a real edge change only from the virtual edges it
+        # adds or drops, so every endpoint of a real change is already in
+        # `joined` or among the dropped edges' processors.
+        touched = notified.union(joined, *journal.virtual_dropped.values())
 
         v_changes = len(journal.virtual_added) + len(journal.virtual_dropped)
         return HealerReport(

@@ -23,6 +23,7 @@ from selfheal.engine import RunConfig, start, step
 from selfheal.families import erdos_renyi, path_graph, random_tree, star_graph
 from selfheal.graph import Graph
 from selfheal.healers import HEALER_NAMES
+from selfheal.metrics import records_to_csv
 
 from conftest import index_view, oracle_max_degree_node
 
@@ -367,6 +368,34 @@ def test_articulation_fallback_picks_the_maximum_degree_between_deletions(healer
             fallbacks.append(event.node)
         step(state, event)
     assert fallbacks[0] == 0 and len(fallbacks) >= rim // 2
+
+
+@pytest.mark.parametrize("healer", ["haft", "rebuild"])
+@pytest.mark.parametrize(
+    "family",
+    [lambda rng: random_tree(96, rng), lambda rng: erdos_renyi(48, 0.12, rng)],
+    ids=["random-tree", "erdos-renyi"],
+)
+def test_articulation_records_match_tarjans_choice(healer, family, monkeypatch):
+    # The cut search and Tarjan's list pick the same target at every step,
+    # so the records are byte for byte the same.
+    def csv():
+        config = RunConfig(
+            initial=family(random.Random(f"{healer}:cuts")),
+            healer=healer,
+            strategy=StrategySpec(kind="articulation", seed=3),
+            t_max=64,
+            seed=3,
+            exact_apsp_cap=0,
+            stretch_samples=0,
+        )
+        return records_to_csv(engine.run(config).records)
+
+    searched = csv()
+    monkeypatch.setattr(
+        Graph, "smallest_cut_vertex", lambda g, order: (g.articulation_points() or [None])[0]
+    )
+    assert csv() == searched
 
 
 def test_index_heap_is_rebuilt_once_stale_entries_pile_up():

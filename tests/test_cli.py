@@ -184,6 +184,17 @@ class TestRun:
         cfg = write(tmp_path / "r.cfg", f"graph = {graph}\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
+    # `int` reads each of these ids (as 10, 1 and 1), and they were once
+    # taken that way.
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661"], ids=["underscore", "plus", "arabic-indic"])
+    def test_edge_list_id_other_than_ascii_digits_exits_2(self, tmp_path, capsys, token):
+        graph = write(tmp_path / "g.edges", f"0 1\n1 {token}\n")
+        cfg = write(tmp_path / "r.cfg", f"graph = {graph}\nT = 1\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: line 2: bad node id {token!r}\n"
+        assert not out.exists()
+
     # 2^64 once died in the all-pairs build with OverflowError (exit 1).
     @pytest.mark.parametrize("big", [MAX_NODE_ID, 2**64], ids=["max", "2^64"])
     def test_edge_list_id_out_of_range_exits_2(self, tmp_path, capsys, big):
@@ -689,6 +700,24 @@ def test_config_that_would_run_empty_exits_2(tmp_path, capsys, command, text, me
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "verify", "bench"])
+@pytest.mark.parametrize("value", ["1_0", "+1", "\u0661\u0662"], ids=["underscore", "plus", "arabic-indic"])
+def test_config_integer_other_than_ascii_digits_exits_2(tmp_path, capsys, command, value):
+    # `int` reads these as 10, 1 and 12, and they were once taken that way.
+    cfg = write(tmp_path / "c.cfg", f"family = path\nn = 4\nT = {value}\nn_list = 4\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: config key 'T' must be an integer\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["4_0", "+4", "\u0664"], ids=["underscore", "plus", "arabic-indic"])
+def test_bench_size_list_other_than_ascii_digits_exits_2(tmp_path, capsys, value):
+    cfg = write(tmp_path / "c.cfg", BENCH_POINT.replace("n_list = 8", f"n_list = 8, {value}"))
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: bad integer list '8, {value}'\n"
 
 
 class TestSeeds:

@@ -953,6 +953,20 @@ def test_audit_is_clean_after_every_step(healer):
     assert {r.stretch_mode for r in state.records} == {"exact", "sampled"}
 
 
+def test_timers_cover_every_phase_of_the_loop():
+    config = RunConfig(
+        initial=random_tree(64, random.Random(5)),
+        strategy=StrategySpec(kind="articulation", seed=5),
+        t_max=32,
+        seed=5,
+        exact_apsp_cap=0,
+        stretch_samples=0,
+    )
+    timers = run(config).timers
+    assert {"adversary", "heal", "connectivity", "metrics"} <= timers.keys()
+    assert timers["adversary"] > 0
+
+
 def test_audit_names_the_step_and_the_structure(monkeypatch):
     state = start(RunConfig(initial=path_graph(6), exact_apsp_cap=64, stretch_samples=0))
     state.adversary.index.next_id += 1

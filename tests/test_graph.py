@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 from selfheal.families import make_family
 from selfheal.graph import (
     INF,
+    MAX_NODE_ID,
     DuplicateNodeError,
     Graph,
     GraphError,
     SelfLoopError,
     UnknownNodeError,
+    _cut_search,
     format_edge_list,
     parse_edge_list,
 )
@@ -153,6 +156,19 @@ class TestDiameter:
         assert Graph(nodes=[0, 1]).diameter() == INF
 
 
+def _count_tarjan(monkeypatch) -> list[Graph]:
+    """Record each graph `articulation_points` is called on."""
+    calls = []
+    tarjan = Graph.articulation_points
+
+    def counted(self):
+        calls.append(self)
+        return tarjan(self)
+
+    monkeypatch.setattr(Graph, "articulation_points", counted)
+    return calls
+
+
 class TestArticulation:
     def test_path_interior(self):
         assert path(3).articulation_points() == [1]
@@ -182,6 +198,32 @@ class TestArticulation:
         g = Graph(nodes=[8, 5, 3, 2, 1, 0], edges=[(8, 5), (5, 1), (1, 0), (5, 3), (3, 2)])
         assert g.articulation_points() == oracle_articulation_points(adj_of(g)) == [1, 3, 5]
 
+    def test_cycle_past_the_cap_falls_back_to_tarjan(self, monkeypatch):
+        # Each search on the cycle must walk around it to merge its two
+        # groups, which spends the cap on node 0; Tarjan then finds the
+        # one cut vertex, 99, which holds the pendant at the largest id.
+        g = Graph(edges=[(i, (i + 1) % 100) for i in range(100)] + [(99, 100)])
+        calls = _count_tarjan(monkeypatch)
+        assert g.smallest_cut_vertex(sorted(g.nodes)) == 99
+        assert calls == [g]
+
+    @pytest.mark.parametrize(
+        "g",
+        [Graph(edges=[(i, (i + 1) % 50) for i in range(50)]), Graph(edges=combinations(range(6), 2))],
+        ids=["cycle", "complete"],
+    )
+    def test_no_cut_vertex_gives_none(self, g, monkeypatch):
+        calls = _count_tarjan(monkeypatch)
+        assert g.smallest_cut_vertex(sorted(g.nodes)) is None
+        assert calls == [g]
+
+    def test_tree_is_decided_without_tarjan(self, monkeypatch):
+        g = make_family("random-tree", 3000, 0.0, random.Random("tarjan-tree"))
+        calls = _count_tarjan(monkeypatch)
+        first = min(v for v in g.nodes if g.degree(v) >= 2)
+        assert g.smallest_cut_vertex(sorted(g.nodes)) == first
+        assert calls == []
+
     def test_random_tree_cuts_are_inner_nodes(self):
         # In a tree the cut vertices are exactly the nodes of degree >= 2,
         # an oracle independent of the brute force. At 3,000 nodes a
@@ -206,6 +248,62 @@ def test_articulation_points_match_oracle(seed, p, shuffle):
         rng.shuffle(order)
         g = Graph(nodes=order, edges=g.edges())
     assert g.articulation_points() == oracle_articulation_points(adj_of(g))
+
+
+@st.composite
+def pieced_graphs(draw) -> Graph:
+    """Pieces of the shapes that set the cut search's cost, some joined by
+    an edge, under scattered ids: isolated nodes, paths and cycles of up to
+    40 nodes (long enough to spend the search's cap on a graph made mostly
+    of them), complete graphs and sparse random parts."""
+    pieces = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["isolated", "path", "cycle", "complete", "random"]),
+                st.integers(1, 40),
+                st.integers(0, 2**32),
+            ),
+            max_size=5,
+        )
+    )
+    edges, size = [], 0
+    for kind, k, seed in pieces:
+        if kind == "isolated":
+            k = 1
+        elif kind == "path":
+            edges += [(size + i, size + i + 1) for i in range(k - 1)]
+        elif kind == "cycle":
+            k = max(k, 3)
+            edges += [(size + i, size + (i + 1) % k) for i in range(k)]
+        elif kind == "complete":
+            k = min(k, 8)
+            edges += combinations(range(size, size + k), 2)
+        else:
+            rng = random.Random(seed)
+            edges += [(size + a, size + b) for a, b in combinations(range(k), 2) if rng.random() < 0.1]
+        size += k
+    if size:
+        joins = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        edges += [(a, b) for a, b in draw(st.lists(joins, max_size=4)) if a != b]
+    ids = draw(st.lists(st.integers(0, MAX_NODE_ID - 1), min_size=size, max_size=size, unique=True))
+    g = Graph(nodes=ids)
+    for a, b in edges:
+        g.add_edge(ids[a], ids[b])
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=pieced_graphs())
+def test_smallest_cut_vertex_is_tarjans_first(g):
+    cuts = g.articulation_points()
+    assert g.smallest_cut_vertex(sorted(g.nodes)) == (cuts or [None])[0]
+    # A search scans each adjacency entry once at most, so with that much
+    # budget it decides every candidate without Tarjan.
+    budget = 2 * g.edge_count + len(g)
+    for u in g.nodes:
+        if g.degree(u) >= 2:
+            is_cut, left = _cut_search(g._adj, u, budget)
+            assert left >= 0 and is_cut == (u in cuts)
 
 
 @settings(max_examples=120, deadline=None)
