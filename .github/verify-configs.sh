@@ -50,6 +50,11 @@ row rebuild 0 'family = random-tree' 'n = 216' 'healer = rebuild' 'strategy = ar
 # dissolve regions of several hafts.
 row rebuild-clustered 0 'family = random-tree' 'n = 512' 'healer = rebuild' \
   'strategy = clustered' 'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'
+# The rebuild healer's split with every vid marked: random churn on a
+# sparse graph keeps hafts apart, so some deletions dissolve several hafts
+# into one.
+row rebuild-er 0 'family = erdos-renyi' 'n = 512' 'p = 0.02' 'healer = rebuild' \
+  'strategy = random' 'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'
 # The haft healer under the articulation adversary.
 row articulation 0 'family = random-tree' 'n = 512' 'healer = haft' \
   'strategy = articulation' 'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'

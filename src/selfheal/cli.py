@@ -38,11 +38,12 @@ from statistics import median
 from .adversary import RNG_NAME, STRATEGY_KINDS, StrategySpec, format_trace, read_trace
 from .engine import InternalError, RunConfig, audit, run
 from .families import FAMILY_NAMES, make_family
-from .graph import Graph, dump_edge_list, load_edge_list
+from .graph import Graph, ascii_int, dump_edge_list, load_edge_list
 from .healers import HEALER_NAMES
 from .metrics import (
     DEFAULT_EXACT_APSP_CAP,
     DEFAULT_STRETCH_SAMPLES,
+    MetricsRecord,
     parse_csv,
     records_to_csv,
     summarize,
@@ -84,19 +85,17 @@ def _get_int(cfg: dict, key: str, default: int | None = None) -> int:
             raise ConfigError(f"missing config key {key!r}")
         return default
     try:
-        return _ascii_int(cfg[key])
+        return ascii_int(cfg[key])
     except ValueError:
         raise ConfigError(f"config key {key!r} must be an integer") from None
 
 
-def _ascii_int(text: str) -> int:
-    """The integer that ASCII digits with an optional leading '-' spell;
-    ValueError for any other text. `int` alone also takes '_' between
-    digits, a '+' sign, whitespace and other scripts' digits."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+def _named_int(name: str, text: str) -> int:
+    """A flag's or an environment variable's integer, by `ascii_int`."""
+    try:
+        return ascii_int(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {text!r}") from None
 
 
 def _get_count(cfg: dict, key: str, default: int | None = None) -> int:
@@ -110,8 +109,12 @@ def _get_count(cfg: dict, key: str, default: int | None = None) -> int:
 def _get_float(cfg: dict, key: str, default: float) -> float:
     if key not in cfg:
         return default
+    # `float` alone also takes '_' between digits and other scripts' digits.
+    text = cfg[key]
     try:
-        return float(cfg[key])
+        if not text.isascii() or "_" in text:
+            raise ValueError
+        return float(text)
     except ValueError:
         raise ConfigError(f"config key {key!r} must be a number") from None
 
@@ -311,11 +314,7 @@ def cmd_bench(cfg: dict, out: Path, seed: int, quiet: bool, trials_override: int
     for n in n_list:
         t_max = _get_count(cfg, "T", n // 2)
         for healer in healers:
-            messages: list[int] = []
-            rounds: list[int] = []
-            hops: list[int] = []
-            touched: list[int] = []
-            ratios: list[float] = []
+            deletions: list[MetricsRecord] = []
             for trial in range(trials):
                 trial_seed = seed + 7919 * trial
                 initial = make_family(family, n, p, random.Random(f"{trial_seed}:{n}:family"))
@@ -330,28 +329,21 @@ def cmd_bench(cfg: dict, out: Path, seed: int, quiet: bool, trials_override: int
                         stretch_samples=0,
                     )
                 )
-                for r in state.records:
-                    if r.op != "delete":
-                        continue
-                    messages.append(r.messages)
-                    rounds.append(r.rounds)
-                    hops.append(r.max_hops)
-                    touched.append(r.touched_count)
-                    ratios.append(float(r.max_degree_ratio))
-            if messages:
-                med_touched = float(median(touched))
+                deletions += [r for r in state.records if r.op == "delete"]
+            if deletions:
+                med_touched = float(median(r.touched_count for r in deletions))
                 touched_by_healer[healer].append((n, med_touched))
                 rows.append(
                     {
                         "n": n,
                         "healer": healer,
                         "trials": trials,
-                        "deletions": len(messages),
-                        "median_messages": float(median(messages)),
-                        "median_rounds": float(median(rounds)),
-                        "median_max_hops": float(median(hops)),
+                        "deletions": len(deletions),
+                        "median_messages": float(median(r.messages for r in deletions)),
+                        "median_rounds": float(median(r.rounds for r in deletions)),
+                        "median_max_hops": float(median(r.max_hops for r in deletions)),
                         "median_touched": med_touched,
-                        "max_degree_ratio": max(ratios),
+                        "max_degree_ratio": max(float(r.max_degree_ratio) for r in deletions),
                     }
                 )
     lines = [",".join(BENCH_COLUMNS)]
@@ -390,7 +382,7 @@ def loglog_slope(points: list[tuple[int, float]]) -> float:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [_ascii_int(tok.strip()) for tok in text.split(",") if tok.strip()]
+        return [ascii_int(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"bad integer list {text!r}") from None
 
@@ -417,9 +409,9 @@ def main(argv: list[str] | None = None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="key = value config file")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="master seed override")
+        sp.add_argument("--seed", default=None, help="master seed override")
         if name == "bench":
-            sp.add_argument("--trials", type=int, default=None, help="trials override")
+            sp.add_argument("--trials", default=None, help="trials override")
         else:
             sp.add_argument("--healer", default=None, help="healer name override")
         sp.add_argument("--quiet", action="store_true")
@@ -436,7 +428,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(cfg, out, seed, args.quiet)
         if args.command == "verify":
             return cmd_verify(cfg, out, seed, args.quiet)
-        return cmd_bench(cfg, out, seed, args.quiet, args.trials)
+        trials = None if args.trials is None else _named_int("--trials", args.trials)
+        return cmd_bench(cfg, out, seed, args.quiet, trials)
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
@@ -445,15 +438,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _resolve_seed(flag: int | None, cfg: dict) -> int:
+def _resolve_seed(flag: str | None, cfg: dict) -> int:
     if flag is not None:
-        return flag
+        return _named_int("--seed", flag)
     env = os.environ.get("SELFHEAL_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"SELFHEAL_SEED must be an integer, got {env!r}") from None
+        return _named_int("SELFHEAL_SEED", env)
     return _get_int(cfg, "seed", 0)
 
 

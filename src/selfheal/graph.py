@@ -392,13 +392,22 @@ def parse_edge_list(text: str) -> Graph:
     return g
 
 
+def ascii_int(text: str) -> int:
+    """The integer that ASCII digits with an optional leading '-' spell;
+    ValueError for any other text. `int` alone also takes '_' between
+    digits, a '+' sign, whitespace and other scripts' digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_id(token: str, lineno: int) -> int:
-    """An id is ASCII digits only: no sign, no '_' and no other script's
-    digits, all of which `int` would take."""
+    """An id is ASCII digits only: `ascii_int` without the sign."""
     try:
-        if not (token.isascii() and token.isdigit()):
+        if token.startswith("-"):
             raise ValueError
-        v = int(token)
+        v = ascii_int(token)
     except ValueError:
         raise GraphError(f"line {lineno}: bad node id {token!r}") from None
     if v >= MAX_NODE_ID:

@@ -28,7 +28,9 @@ internal node caches its subtree's leaf count, leftmost slot and smallest
 slot, set from its two children when it is built (a slot answers the same
 three questions about itself), so a subtree's size, the simulator of a new
 node and a piece's sort key cost O(1). `split_marked` splits a haft along
-the paths above its dead slots only. The whole-haft queries (`leaves`,
+the paths above its dead slots only; it also serves the `rebuild` healer,
+with every vid marked, where it splits the haft down to its surviving
+slots and dissolves every internal node. The whole-haft queries (`leaves`,
 `haft_slots`, `node_vids`, `leaf_depths`, `assign_simulators`,
 `to_virtual_edges`) all ride on one preorder walk, `walk`; they, `split_out`
 and `validate_haft` are the oracles that audits and tests check the fast
@@ -40,7 +42,7 @@ All structures here are immutable values; merging shares subtrees freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Container, Iterable, Iterator, NamedTuple, Union
 
 from .virtual_graph import VidSource, VNode, real, virt
 
@@ -330,7 +332,7 @@ def _split(
 
 
 def split_marked(
-    h: Haft, marked: set[int], dead_processor: int
+    h: Haft, marked: Container[int], dead_processor: int
 ) -> tuple[list[HaftNode], list[int]]:
     """`split_out` that walks only the marked paths.
 
@@ -339,6 +341,8 @@ def split_marked(
     whose root is unmarked holds no dead slot and is one piece as it
     stands, so the work is proportional to the marked vids plus the pieces.
     Returns what `split_out(h, dead_processor)` returns, in the same order.
+    With every vid marked, the pieces are the surviving slots in order and
+    every internal vid and the spine are dissolved.
     """
     pieces: list[HaftNode] = []
     dissolved: list[int] = []
@@ -350,7 +354,7 @@ def split_marked(
 
 def _split_marked(
     node: HaftNode,
-    marked: set[int],
+    marked: Container[int],
     dead_processor: int,
     pieces: list[HaftNode],
     dissolved: list[int],

@@ -14,10 +14,11 @@ wants to keep it calls `.copy()`.
 * null     - does nothing on deletion; negative control for the checkers.
 * star     - wires all orphans to the minimum-id orphan.
 * ring     - wires the orphans into a cycle by ascending id.
-* rebuild  - reconstruction trees rebuilt from scratch: every haft the
-             deleted node touched is dissolved whole, in one walk each,
-             and one fresh haft is built over all surviving slots;
-             messages and host time scale with the whole region.
+* rebuild  - reconstruction trees rebuilt from scratch: the `haft` split
+             with every vid marked, so every haft the deleted node touched
+             is dissolved whole and one fresh haft is built over all
+             surviving slots; messages and host time scale with the whole
+             region.
 * haft     - the flagship: surviving complete subtrees are preserved and
              merged by binary addition, so only the spine, the carries and
              the reassigned simulators are touched, and edges of dissolved
@@ -285,14 +286,13 @@ class HaftHealer(Healer):
     deletion walks up from the dead slots, splits only the marked paths
     and wires only the new carries and spine nodes, so it costs
     O(changed * log n). name "rebuild" finds the affected hafts the same
-    way, but splits none: it dissolves each whole, in one walk that
-    collects its live vids and surviving slots and clears its `parent`
-    keys, and rebuilds the whole affected region from those slots, which
-    costs time in proportion to that region. Either way the repair
-    only collects the vids it dissolves, the vids it declares and the edges
-    it adds, and applies them to the virtual graph as one batch,
-    `VirtualGraph.rewire`. `audit` recomputes the maps from whole-haft
-    walks.
+    way and runs the same split with every vid marked: each haft splits
+    down to its surviving slots, and the whole affected region is rebuilt
+    from them in slot order, which costs time in proportion to that
+    region. Either way the repair only collects the vids it dissolves, the
+    vids it declares and the edges it adds, and applies them to the
+    virtual graph as one batch, `VirtualGraph.rewire`. `audit` recomputes
+    the maps from whole-haft walks.
     """
 
     def __init__(self, name: str):
@@ -316,7 +316,8 @@ class HaftHealer(Healer):
     def _repair(self, v: int, direct: list[int]) -> tuple[RepairJournal, int]:
         """Dissolve the hafts that lost v, along the marked paths for
         "haft" and whole for "rebuild", then rebuild over what survives and
-        the slots of v's real neighbors."""
+        the slots of v's real neighbors. The name picks only the marked set
+        and the order of the items."""
         # Mark every vid above a dead slot; a path that meets a marked vid
         # has already been walked up to its haft's root.
         dead = self.slot_origins.pop(v, set())
@@ -331,51 +332,27 @@ class HaftHealer(Healer):
             if up is None:
                 roots.add(key)
 
+        # "rebuild" marks every vid: each affected haft splits down to its
+        # surviving slots, left to right, and dissolves whole.
+        split = _EVERY_VID if self.name == "rebuild" else marked
+        pieces: list[HaftNode] = []
+        dissolve: list[int] = []
+        for root in sorted(roots):
+            tree_pieces, dissolved = split_marked(self.hafts.pop(root), split, v)
+            pieces.extend(tree_pieces)
+            # The dead processor's own vids went with it.
+            dissolve += [vid for vid in dissolved if vid in sim]
+            for vid in dissolved:
+                parent.pop(vid, None)
+        # Dead leaves and the pieces' roots lose their parents too.
+        for key in (*dead, *(_key(piece) for piece in pieces)):
+            parent.pop(key, None)
         # `direct` ascends, so the new slots are already in slot order.
         new_slots = [LeafSlot(w, (min(v, w), max(v, w))) for w in direct]
-        dissolve: list[int] = []
-        items: list[HaftNode]
         if self.name == "rebuild":
-            # Dissolve every affected haft whole, in one walk each: every
-            # key in it leaves `parent`; the dead processor's vids, already
-            # gone from `sim`, and its slots are left out.
-            survivors: list[LeafSlot] = []
-            for root in sorted(roots):
-                haft = self.hafts.pop(root)
-                for vid in haft.spine:
-                    parent.pop(vid, None)
-                    if vid in sim:
-                        dissolve.append(vid)
-                stack: list[HaftNode] = list(haft.trees)
-                while stack:
-                    node = stack.pop()
-                    if node.__class__ is Internal:
-                        vid = node.vid
-                        parent.pop(vid, None)
-                        if vid in sim:
-                            dissolve.append(vid)
-                        stack.append(node.right)
-                        stack.append(node.left)
-                    else:
-                        parent.pop(node.origin, None)
-                        if node.processor != v:
-                            survivors.append(node)
-            items = sorted(survivors + new_slots)
+            items = sorted(pieces + new_slots)
         else:
-            pieces: list[HaftNode] = []
-            for root in sorted(roots):
-                tree_pieces, dissolved = split_marked(self.hafts.pop(root), marked, v)
-                pieces.extend(tree_pieces)
-                # The dead processor's own vids went with it.
-                dissolve += [vid for vid in dissolved if vid in sim]
-                for vid in dissolved:
-                    parent.pop(vid, None)
-            # Dead leaves and the pieces' roots lose their parents too.
-            for key in (*dead, *(_key(piece) for piece in pieces)):
-                parent.pop(key, None)
-            items = sorted(pieces, key=_piece_key)
-            items += new_slots
-
+            items = sorted(pieces, key=_piece_key) + new_slots
         return self._install(items, dissolve)
 
     def _install(
@@ -568,6 +545,18 @@ def _farthest(adj: dict[int, set[int]], v: int, targets: set[int]) -> int:
             else:
                 del balls[t]
     return farthest
+
+
+class _EveryVid:
+    """The marked set of a `rebuild` repair: it holds every vid."""
+
+    __slots__ = ()
+
+    def __contains__(self, vid: object) -> bool:
+        return True
+
+
+_EVERY_VID = _EveryVid()
 
 
 def _key(node: HaftNode) -> int | tuple[int, int]:

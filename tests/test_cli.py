@@ -184,9 +184,13 @@ class TestRun:
         cfg = write(tmp_path / "r.cfg", f"graph = {graph}\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
-    # `int` reads each of these ids (as 10, 1 and 1), and they were once
-    # taken that way.
-    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661"], ids=["underscore", "plus", "arabic-indic"])
+    # `int` reads each of these ids (as 10, 1, 1, -1 and 0), and the first
+    # three were once taken that way.
+    @pytest.mark.parametrize(
+        "token",
+        ["1_0", "+1", "\u0661", "-1", "-0"],
+        ids=["underscore", "plus", "arabic-indic", "minus", "minus-zero"],
+    )
     def test_edge_list_id_other_than_ascii_digits_exits_2(self, tmp_path, capsys, token):
         graph = write(tmp_path / "g.edges", f"0 1\n1 {token}\n")
         cfg = write(tmp_path / "r.cfg", f"graph = {graph}\nT = 1\n")
@@ -713,6 +717,24 @@ def test_config_integer_other_than_ascii_digits_exits_2(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "run", "verify", "bench"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("p", "\u0660.\u0665"), ("p", "0_5"), ("p_delete", "0_7"), ("p_delete", "\uff10.7")],
+    ids=["p-arabic-indic", "p-underscore", "p_delete-underscore", "p_delete-fullwidth"],
+)
+def test_config_float_other_than_ascii_exits_2(tmp_path, capsys, command, key, value):
+    # `float` reads these as 0.5, 5.0, 7.0 and 0.7.
+    cfg = write(
+        tmp_path / "c.cfg",
+        f"family = erdos-renyi\nn = 4\nT = 2\nn_list = 4\nstrategy = mixed\n{key} = {value}\n",
+    )
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: config key {key!r} must be a number\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["4_0", "+4", "\u0664"], ids=["underscore", "plus", "arabic-indic"])
 def test_bench_size_list_other_than_ascii_digits_exits_2(tmp_path, capsys, value):
     cfg = write(tmp_path / "c.cfg", BENCH_POINT.replace("n_list = 8", f"n_list = 8, {value}"))
@@ -739,6 +761,40 @@ class TestSeeds:
         cfg = write(tmp_path / "g.cfg", "family = path\nn = 4\nT = 0\n")
         monkeypatch.setenv("SELFHEAL_SEED", "pi")
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    # `int` reads each of these as 10, 3 and 1, and they were once taken
+    # that way: `--seed 1_0` wrote seed 10 to the manifest.
+    @pytest.mark.parametrize(
+        "command, flags, env, message",
+        [
+            ("gen", ["--seed", "1_0"], None, "--seed must be an integer, got '1_0'"),
+            ("run", ["--seed", "\u0663"], None, "--seed must be an integer, got '\u0663'"),
+            ("gen", [], "+3", "SELFHEAL_SEED must be an integer, got '+3'"),
+            ("verify", [], " 3", "SELFHEAL_SEED must be an integer, got ' 3'"),
+            ("bench", ["--trials", "0_1"], None, "--trials must be an integer, got '0_1'"),
+            ("bench", ["--trials", "+1"], None, "--trials must be an integer, got '+1'"),
+        ],
+        ids=["seed-underscore", "seed-arabic-indic", "env-plus", "env-space", "trials-underscore",
+             "trials-plus"],
+    )
+    def test_flag_or_env_integer_other_than_ascii_digits_exits_2(
+        self, tmp_path, monkeypatch, capsys, command, flags, env, message
+    ):
+        cfg = write(tmp_path / "c.cfg", "n = 4\n" + BENCH_POINT)
+        if env is None:
+            monkeypatch.delenv("SELFHEAL_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SELFHEAL_SEED", env)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_negative_seed_flag_accepted(self, tmp_path):
+        cfg = write(tmp_path / "g.cfg", "family = path\nn = 4\nT = 0\n")
+        main(["gen", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-5", "--quiet"])
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["seed"] == -5
 
 
 def test_loglog_slope():

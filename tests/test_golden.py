@@ -8,7 +8,8 @@ with the digests in `tests/golden/digests.json`. Two negative-control runs
 `ring` run pins the third baseline under inserts and deletions, one
 scripted run inserts ids out of order, one `haft` run has stretch off
 (every record `skipped`), one `haft` run crosses the exact-stretch cap both
-ways, and one `gen` case pins the generated edge list, trace and manifest.
+ways, one `gen` case pins the generated edge list, trace and manifest, and
+one `bench` case pins the scaling table, its slopes and the manifest.
 `summary.json` and `manifest.json` are hashed without `rng.python`, which
 embeds the interpreter version.
 
@@ -33,6 +34,7 @@ DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 OUTPUTS = {
     "run": ("metrics.csv", "live.dot", "virtual.dot", "summary.json"),
     "gen": ("graph.edges", "trace.jsonl", "manifest.json"),
+    "bench": ("bench.csv", "bench_summary.json", "manifest.json"),
 }
 
 FAMILIES = {
@@ -126,6 +128,13 @@ CASES["gen-mixed-tree"] = (
     "gen",
     FAMILIES["tree"] + "healer = haft\nstrategy = mixed\np_delete = 0.6\n"
     "trace = unused.jsonl\n",
+)
+
+# `bench` over two sizes, two trials each, and one healer of each kind:
+# the medians, the maximum degree ratio and the slopes of the table.
+CASES["bench"] = (
+    "bench",
+    "n_list = 16,32\nhealers = haft,rebuild,star\ntrials = 2\n",
 )
 
 
