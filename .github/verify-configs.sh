@@ -55,6 +55,11 @@ row rebuild-clustered 0 'family = random-tree' 'n = 512' 'healer = rebuild' \
 # into one.
 row rebuild-er 0 'family = erdos-renyi' 'n = 512' 'p = 0.02' 'healer = rebuild' \
   'strategy = random' 'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'
+# The rebuild healer on wide regions: clustered deletions at n = 2048 touch
+# a median of 188 nodes and up to 287, so the per-step wiring and
+# image-count audits run on minted batches far larger than other rows'.
+row rebuild-wide 0 'family = random-tree' 'n = 2048' 'healer = rebuild' \
+  'strategy = clustered' 'T = 128' 'exact_apsp_cap = 0' 'stretch_samples = 0'
 # The haft healer under the articulation adversary.
 row articulation 0 'family = random-tree' 'n = 512' 'healer = haft' \
   'strategy = articulation' 'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'

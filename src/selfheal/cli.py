@@ -415,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sp.add_argument("--healer", default=None, help="healer name override")
         sp.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = load_config(args.config)
         if getattr(args, "healer", None) is not None:
@@ -436,6 +436,27 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """argv with `--seed X` and `--trials X` joined into `--seed=X` and
+    `--trials=X` where X starts with a single '-' and is not `-h`. argparse
+    reads such a token as an option unless it spells a plain negative
+    number, so `--seed -1_0` would end in a usage block rather than in the
+    one-line error that `--seed 1_0` gives."""
+    out: list[str] = []
+    for token in argv:
+        if (
+            out
+            and out[-1] in ("--seed", "--trials")
+            and token.startswith("-")
+            and not token.startswith("--")
+            and token != "-h"
+        ):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _resolve_seed(flag: str | None, cfg: dict) -> int:

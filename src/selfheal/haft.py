@@ -213,27 +213,35 @@ def ceil_log2(x: int) -> int:
 # -- construction -----------------------------------------------------------
 
 
-def _assemble(items: list[HaftNode], vids: VidSource) -> Haft:
+def _assemble(items: list[HaftNode], vids: VidSource) -> tuple[Haft, list[Internal]]:
     """Binary-counter combine: complete trees of equal size pair under a fresh
     carry node, smallest sizes first; per size the queue order is input order
-    with carries appended. Spine vids are minted last, left to right."""
+    with carries appended. Spine vids are minted last, left to right.
+
+    Returns the haft and the carries in the order they were minted, so that
+    a caller wiring the new nodes need not walk the haft to find them; the
+    spine nodes are the first len(spine) nodes down the right edge of
+    `root()`."""
     queues: dict[int, list[HaftNode]] = {}
     for item in items:
         queues.setdefault(item.size, []).append(item)
     take = vids.take
     result: list[HaftNode] = []
+    carries: list[Internal] = []
     while queues:
         size = min(queues)
         queue = queues.pop(size)
         if len(queue) >= 2:
-            carries = queues.setdefault(size * 2, [])
+            above = queues.setdefault(size * 2, [])
             for i in range(0, len(queue) - 1, 2):
-                carries.append(Internal(take(), queue[i], queue[i + 1]))
+                carry = Internal(take(), queue[i], queue[i + 1])
+                above.append(carry)
+                carries.append(carry)
         if len(queue) & 1:
             result.append(queue[-1])
     trees = tuple(reversed(result))
     spine = tuple(take() for _ in range(len(trees) - 1))
-    return Haft(trees=trees, spine=spine)
+    return Haft(trees=trees, spine=spine), carries
 
 
 def build_haft(slots: Iterable[LeafSlot], vids: VidSource) -> Haft:
@@ -242,13 +250,13 @@ def build_haft(slots: Iterable[LeafSlot], vids: VidSource) -> Haft:
     if not slot_list:
         raise EmptySlotsError("cannot build a haft over zero slots")
     _check_origins(slot_list)
-    return _assemble(slot_list, vids)
+    return _assemble(slot_list, vids)[0]
 
 
 def merge_hafts(a: Haft, b: Haft, vids: VidSource) -> Haft:
     """Binary addition of two hafts; untouched complete trees keep their vids."""
     _check_origins(haft_slots(a) + haft_slots(b))
-    return _assemble(list(a.trees) + list(b.trees), vids)
+    return _assemble(list(a.trees) + list(b.trees), vids)[0]
 
 
 def _check_origins(slots: list[LeafSlot]) -> None:

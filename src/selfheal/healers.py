@@ -38,7 +38,10 @@ synchronous convention 1 + ceil(log2 |touched|) for the structural healers
 and 1 for the baselines. max_hops comes from a bidirectional breadth-first
 search between the deleted node and the touched nodes over the pre-deletion
 graph; for the search, the image takes that graph's shape in place, with
-the repair's real-edge changes undone. Every healer also reports a
+the repair's real-edge changes undone. The ball around the deleted node
+grows alone while it is the cheaper side, against one set of the touched
+nodes it has not reached; a ball around each of those is built only once
+the other side becomes the cheaper one. Every healer also reports a
 connectivity witness, the processors of the virtual edges its repair
 added, which that repair has joined by construction, so that the engine
 need not search for touched nodes the repair has already joined.
@@ -68,7 +71,7 @@ from .haft import (
     validate_haft,
     walk,
 )
-from .virtual_graph import VBASE, Edge, RepairJournal, VirtualGraph, VNode, node_name
+from .virtual_graph import VBASE, Edge, RepairJournal, VirtualGraph, node_name
 
 HEALER_NAMES = ("null", "star", "ring", "rebuild", "haft")
 
@@ -360,11 +363,13 @@ class HaftHealer(Healer):
     ) -> tuple[RepairJournal, int]:
         """Assemble the replacement structure over `items`, and apply it,
         with the dissolution of the vids in `dissolve`, to the virtual graph
-        in one `rewire`. Only the new internal nodes (carries and spine) are
-        declared, linked to their children and entered in the maps;
-        preserved subtrees are already wired, and their simulators are
-        checked before the graph changes. Returns the `rewire` changes and
-        the number of virtual nodes created."""
+        in one `rewire`. Only the new internal nodes are wired: the carries
+        `_assemble` minted and the spine nodes read down from the new root,
+        each declared with its simulator and linked to its two children in
+        the edges and the parent map. Every other node is an item, already
+        wired: a preserved subtree's root has its simulator checked before
+        the graph changes, and a slot enters `slot_origins`. Returns the
+        `rewire` changes and the number of virtual nodes created."""
         total = sum(it.size for it in items)
         if total <= 2 and len(items) == total:
             # A lone claimant keeps no structure, and two separate single
@@ -378,39 +383,39 @@ class HaftHealer(Healer):
             procs = sorted({slot.processor for slot in items})
             edges = [(procs[0], procs[1])] if len(procs) == 2 else []
             return self.vg.rewire(dissolve, (), edges), 0
-        new_haft = _assemble(items, self.vg.vids)
-        root = new_haft.root()
-        self.hafts[root.vid] = new_haft
         parent, sim, origins = self.parent, self.vg.sim, self.slot_origins
+        for item in items:
+            if item.__class__ is Internal:
+                vid, proc = item.vid, item.right.first.processor
+                if sim.get(vid) != proc:
+                    raise HealerError(
+                        f"preserved vid {vid} changed simulator {sim.get(vid)} -> {proc}"
+                    )
+            else:
+                held = origins.get(item.processor)
+                if held is None:
+                    origins[item.processor] = {item.origin}
+                else:
+                    held.add(item.origin)
+        new_haft, minted = _assemble(items, self.vg.vids)
+        root = node = new_haft.root()
+        self.hafts[root.vid] = new_haft
+        for _ in new_haft.spine:
+            minted.append(node)
+            node = node.right
         declare: list[tuple[int, int]] = []
         edges: list[Edge] = []
-        # Each entry carries the virtual-graph node of its parent.
-        stack: list[tuple[HaftNode, VNode | None]] = [(root, None)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            node, up = pop()
-            if node.__class__ is Internal:
-                vid = node.vid
-                me = VBASE + vid
-                proc = node.right.first.processor
-                if vid not in sim:  # a carry or spine node
-                    declare.append((vid, proc))
-                    left, right = node.left, node.right
-                    push((right, me))
-                    push((left, me))
-                    parent[left.vid if left.__class__ is Internal else left.origin] = vid
-                    parent[right.vid if right.__class__ is Internal else right.origin] = vid
-                elif sim[vid] != proc:  # a preserved subtree's root
-                    raise HealerError(f"preserved vid {vid} changed simulator {sim[vid]} -> {proc}")
-            else:
-                held = origins.get(node.processor)
-                if held is None:
-                    origins[node.processor] = {node.origin}
+        for node in minted:
+            vid = node.vid
+            me = VBASE + vid
+            declare.append((vid, node.right.first.processor))
+            for child in (node.left, node.right):
+                if child.__class__ is Internal:
+                    parent[child.vid] = vid
+                    edges.append((me, VBASE + child.vid))
                 else:
-                    held.add(node.origin)
-                me = node.processor
-            if up is not None:
-                edges.append((up, me))
+                    parent[child.origin] = vid
+                    edges.append((me, child.processor))
         return self.vg.rewire(dissolve, declare, edges), len(declare)
 
     def audit(self) -> list[str]:
@@ -497,13 +502,36 @@ def _farthest(adj: dict[int, set[int]], v: int, targets: set[int]) -> int:
     ball grows first, so that each target ball meets it at a node other
     than v. A target whose ball, or the ball around v, stops growing
     before they meet is unreachable and is left out.
+
+    While v's ball grows alone, each open target's ball is the target
+    itself, so the open targets are kept as one set; the balls and their
+    owner lists are built, for the targets still open, at the first step
+    that grows them. Often v's ball closes every target before that.
     """
     seen = {v}  # v's ball
     frontier = [v]
-    hops = radius = farthest = 0
+    hops = farthest = 0
+    open_targets = set(targets)
+    while open_targets and frontier:
+        if len(frontier) > SEARCH_FLOOR and len(frontier) > len(open_targets):
+            break
+        hops += 1
+        reached = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+                    if w in open_targets:
+                        open_targets.discard(w)
+                        farthest = hops
+        frontier = reached
+    if not (open_targets and frontier):
+        return farthest
+    radius = 0
     # An open target's ball frontier, and the open targets whose ball holds each node.
-    balls = {t: [t] for t in targets}
-    owners = {t: [t] for t in targets}
+    balls = {t: [t] for t in open_targets}
+    owners = {t: [t] for t in open_targets}
     while balls and frontier:
         if len(frontier) <= SEARCH_FLOOR or len(frontier) <= sum(map(len, balls.values())):
             hops += 1

@@ -10,7 +10,10 @@ whose edges are exactly the images of the virtual-graph edges.
 The image is maintained, not recomputed: `image` is a `Graph` kept up to
 date by every mutation, with a count of the virtual edges mapping onto each
 image edge. An image edge appears when its count leaves 0 and disappears
-when it returns to 0. `de_simulate` returns a copy of it. A processor ->
+when it returns to 0. The count alone says whether an image edge is
+there, so `rewire` writes the image's adjacency directly, without the
+checks of `Graph.add_edge` / `remove_edge`, and `audit` recounts the image
+from the virtual adjacency. `de_simulate` returns a copy of it. A processor ->
 hosted-vids index makes removing a processor proportional to what it
 simulates. The node sets are not stored apart: `reals` is a read-only view
 of the image's nodes and `virtuals` one of the simulation map's keys.
@@ -277,7 +280,11 @@ class VirtualGraph:
                     net[edge] = net.get(edge, 0) + 1
         finally:
             self._declared_below = below
-            counts, image = self._multiplicity, self.image
+            # Both ends are live processors, a count leaving 0 means the
+            # image edge is absent and one reaching 0 that it is there: the
+            # checks of `Graph.add_edge` / `remove_edge` hold already.
+            counts, image_adj = self._multiplicity, self.image._adj
+            real_added, real_dropped = changes.real_added, changes.real_dropped
             for edge, delta in net.items():
                 if not delta:
                     continue
@@ -288,11 +295,15 @@ class VirtualGraph:
                 else:
                     del counts[edge]
                 if not before:
-                    image.add_edge(*edge)
-                    changes.real_added.add(edge)
+                    pa, pb = edge
+                    image_adj[pa].add(pb)
+                    image_adj[pb].add(pa)
+                    real_added.add(edge)
                 elif not after:
-                    image.remove_edge(*edge)
-                    changes.real_dropped.add(edge)
+                    pa, pb = edge
+                    image_adj[pa].discard(pb)
+                    image_adj[pb].discard(pa)
+                    real_dropped.add(edge)
         return changes
 
     # -- views ------------------------------------------------------------

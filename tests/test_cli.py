@@ -773,9 +773,18 @@ class TestSeeds:
             ("verify", [], " 3", "SELFHEAL_SEED must be an integer, got ' 3'"),
             ("bench", ["--trials", "0_1"], None, "--trials must be an integer, got '0_1'"),
             ("bench", ["--trials", "+1"], None, "--trials must be an integer, got '+1'"),
+            # argparse takes a token that starts with '-' for an option
+            # unless it spells a plain negative number.
+            ("gen", ["--seed", "-1_0"], None, "--seed must be an integer, got '-1_0'"),
+            ("run", ["--seed", "-1_0"], None, "--seed must be an integer, got '-1_0'"),
+            ("verify", ["--seed", "-1_0"], None, "--seed must be an integer, got '-1_0'"),
+            ("bench", ["--seed", "-1_0"], None, "--seed must be an integer, got '-1_0'"),
+            ("bench", ["--trials", "-0_1"], None, "--trials must be an integer, got '-0_1'"),
         ],
         ids=["seed-underscore", "seed-arabic-indic", "env-plus", "env-space", "trials-underscore",
-             "trials-plus"],
+             "trials-plus", "gen-seed-dash-underscore", "run-seed-dash-underscore",
+             "verify-seed-dash-underscore", "bench-seed-dash-underscore",
+             "trials-dash-underscore"],
     )
     def test_flag_or_env_integer_other_than_ascii_digits_exits_2(
         self, tmp_path, monkeypatch, capsys, command, flags, env, message
@@ -792,6 +801,9 @@ class TestSeeds:
 
     def test_negative_seed_flag_accepted(self, tmp_path):
         cfg = write(tmp_path / "g.cfg", "family = path\nn = 4\nT = 0\n")
+        main(["gen", "--config", cfg, "--out", str(tmp_path / "j"), "--seed=-5", "--quiet"])
+        manifest = json.loads((tmp_path / "j" / "manifest.json").read_text())
+        assert manifest["seed"] == -5
         main(["gen", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-5", "--quiet"])
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["seed"] == -5

@@ -30,6 +30,7 @@ from selfheal.haft import (
     split_out,
     to_virtual_edges,
     validate_haft,
+    walk,
 )
 from selfheal.healers import _EVERY_VID
 from selfheal.virtual_graph import VidSource, VirtualGraph
@@ -503,8 +504,15 @@ def test_path_only_split_and_cached_facts_match_their_oracles(seed):
         items = pieces + fresh(rng.randint(0, 6))
         if not items:
             break
-        h = _assemble(items, vids)
+        before = vids.next_vid
+        h, carries = _assemble(items, vids)
         assert validate_haft(h) == []
+        # The carries are the vids minted below the spine, in mint order,
+        # and each is a node of the new haft.
+        minted = [vid for vid in range(before, vids.next_vid) if vid not in h.spine]
+        assert [carry.vid for carry in carries] == minted
+        in_haft = {id(x) for x, _, _ in walk(h.root())}
+        assert all(id(carry) in in_haft for carry in carries)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,7 +12,7 @@ from selfheal import engine, healers
 from selfheal.adversary import StrategySpec, next_event, new_state
 from selfheal.families import connected_erdos_renyi, path_graph, random_tree, star_graph
 from selfheal.graph import Graph, UnknownNodeError
-from selfheal.haft import Haft, LeafSlot, haft_slots, leaves, node_vids, walk
+from selfheal.haft import Haft, Internal, LeafSlot, haft_slots, leaves, node_vids, walk
 from selfheal.healers import HealerError, make_healer
 from selfheal.virtual_graph import VirtualGraph, is_real, node_id, node_name, real, virt
 
@@ -186,6 +188,19 @@ class TestDeleteHaft:
         h.vg.sim[kept.vid] = 8 if h.vg.sim[kept.vid] != 8 else 7  # corrupt
         with pytest.raises(HealerError, match="changed simulator"):
             h.on_delete(1)
+
+    def test_preserved_root_changing_simulator_raises_when_nothing_is_minted(self):
+        # Trees of 4 and 1 under one spine node, which the lone leaf, 5,
+        # simulates. Deleting 5 leaves the tree of 4 as the one piece: the
+        # new haft is that tree, and the repair mints nothing.
+        h = make_healer("haft")
+        h.preprocess(star_graph(6))
+        h.on_delete(0)
+        (haft,) = h.hafts.values()
+        kept = haft.trees[0]
+        h.vg.sim[kept.vid] = 1  # corrupt: it is simulated by 3
+        with pytest.raises(HealerError, match=f"preserved vid {kept.vid} changed simulator"):
+            h.on_delete(5)
 
     def test_one_slot_per_orphan(self):
         from selfheal.haft import LeafSlot, haft_slots
@@ -412,13 +427,36 @@ def test_haft_deletion_never_walks_a_whole_haft(monkeypatch):
     assert len(state.healer.hafts) > 0
 
 
-@pytest.mark.parametrize("floor", [0, 4, healers.SEARCH_FLOOR])
+REAL_FLOOR = healers.SEARCH_FLOOR
+
+
+def _closes_alone(dist: dict, targets: set, floor: int) -> bool:
+    """Whether `_farthest` ends before it grows any target's own ball, by
+    its rule read off the exact distances:
+    v's frontier after h hops is the nodes at distance h, and the ball
+    grows alone while that frontier holds at most `floor` nodes or no more
+    than the targets still open."""
+    layer = Counter(dist.values())
+    for hops in itertools.count():
+        still_open = sum(1 for t in targets if dist.get(t, hops + 1) > hops)
+        if not still_open or not layer[hops]:
+            return True
+        if layer[hops] > floor and layer[hops] > still_open:
+            return False
+
+
+@pytest.mark.parametrize("floor", [0, 4, REAL_FLOOR])
 @pytest.mark.parametrize("family", ["tree", "er"])
 def test_farthest_matches_a_full_bfs(family, floor, monkeypatch):
     # Graphs large enough for the search to grow balls around the targets
     # at the real floor; lower floors make it do so on every search. The
-    # sparse ER graphs fall apart, so some targets are out of reach.
+    # sparse ER graphs fall apart, so some targets are out of reach. Up to
+    # 12 targets anywhere, then up to 80, past the floor, either anywhere
+    # or, as a repair's touched nodes are, among the nodes nearest v: v's
+    # ball alone may then close every target, and otherwise the search
+    # switches to the balls of the targets still open.
     monkeypatch.setattr(healers, "SEARCH_FLOOR", floor)
+    paths = Counter()
     for seed in range(8):
         rng = random.Random(seed)
         if family == "tree":
@@ -429,12 +467,83 @@ def test_farthest_matches_a_full_bfs(family, floor, monkeypatch):
                 a, b = rng.sample(range(300), 2)
                 g.add_edge(a, b)
         adj = adj_of(g)
-        for _ in range(20):
-            v = rng.randrange(g.node_count)
-            targets = set(rng.sample(sorted(g.nodes - {v}), rng.randint(1, 12)))
-            dist = oracle_bfs(adj, v)
-            expected = max((dist[t] for t in targets if t in dist), default=0)
-            assert healers._farthest(g._adj, v, targets) == expected
+        for most, near in ((12, False), (80, False), (80, True)):
+            for _ in range(20):
+                v = rng.randrange(g.node_count)
+                dist = oracle_bfs(adj, v)
+                k = rng.randint(1, most)
+                pool = sorted(g.nodes - {v})
+                if near:
+                    pool = sorted(pool, key=lambda x: dist.get(x, len(pool)))[: 2 * k]
+                targets = set(rng.sample(pool, k))
+                expected = max((dist[t] for t in targets if t in dist), default=0)
+                assert healers._farthest(g._adj, v, targets) == expected
+                paths[len(targets) > REAL_FLOOR, _closes_alone(dist, targets, floor)] += 1
+    # Both paths run at every floor, and at the real one on sets past it.
+    assert {alone for _, alone in paths} == {True, False}, paths
+    if floor == REAL_FLOOR:
+        assert paths[True, True] and paths[True, False], paths
+
+
+@pytest.mark.parametrize("name", ["haft", "rebuild"])
+def test_install_wires_exactly_the_minted_nodes(name, monkeypatch):
+    # Against a walk of each new haft: a repair declares the vids that
+    # `_assemble` minted, carries and spine, each simulated by the leftmost
+    # slot of its right subtree, and adds one edge from each new node to
+    # each of its two children, and no other edge.
+    on_delete, assemble, rewire = healers.HaftHealer.on_delete, healers._assemble, VirtualGraph.rewire
+    assembled, batches, sizes = [], [], []
+
+    def recording_assemble(items, vids):
+        before = vids.next_vid
+        new_haft, carries = assemble(items, vids)
+        assembled.append((new_haft, range(before, vids.next_vid)))
+        return new_haft, carries
+
+    def recording_rewire(vg, dissolve, declare, edges):
+        declare, edges = list(declare), list(edges)
+        batches.append((declare, edges))
+        return rewire(vg, dissolve, declare, edges)
+
+    def checked_on_delete(healer, v):
+        assembled.clear()
+        batches.clear()
+        report = on_delete(healer, v)
+        ((declare, edges),) = batches
+        if not assembled:
+            assert declare == []
+            return report
+        ((new_haft, minted),) = assembled
+        new = [x for x, _, _ in walk(new_haft.root()) if isinstance(x, Internal) and x.vid in minted]
+        assert sorted(vid for vid, _ in declare) == list(minted) == sorted(x.vid for x in new)
+        simulators = dict(declare)
+        for x in new:
+            assert simulators[x.vid] == leaves(x.right)[0].processor
+        children = Counter(
+            (virt(x.vid), virt(c.vid) if isinstance(c, Internal) else real(c.processor))
+            for x in new
+            for c in (x.left, x.right)
+        )
+        assert Counter(edges) == children
+        sizes.append((len(new), len(new_haft.spine)))
+        return report
+
+    monkeypatch.setattr(healers, "_assemble", recording_assemble)
+    monkeypatch.setattr(VirtualGraph, "rewire", recording_rewire)
+    monkeypatch.setattr(healers.HaftHealer, "on_delete", checked_on_delete)
+    config = engine.RunConfig(
+        initial=random_tree(128, random.Random("install")),
+        healer=name,
+        strategy=StrategySpec(kind="clustered", seed=5),
+        t_max=48,
+        seed=5,
+        exact_apsp_cap=0,
+        stretch_samples=0,
+    )
+    state = engine.run(config)
+    # Every deletion repairs into a haft, and some mint carries too.
+    assert len(sizes) == 48 and any(size > spine for size, spine in sizes)
+    assert state.healer.audit() == []
 
 
 @pytest.mark.parametrize("seed", range(4))
