@@ -104,6 +104,11 @@ row null-churn 1 'family = random-tree' 'n = 160' 'healer = null' 'strategy = ra
 # 64, so every step samples its stretch.
 row sampled 0 'family = random-tree' 'n = 300' 'healer = haft' 'strategy = mixed' \
   'T = 40' 'exact_apsp_cap = 64' 'stretch_samples = 200'
+# The default stretch settings, the only row without an `exact_apsp_cap`
+# key: some 600 live nodes lie under the default cap, so every step
+# measures exact stretch.
+row default-cap 0 'family = random-tree' 'n = 600' 'healer = haft' 'strategy = mixed' \
+  'T = 24'
 # The largest legal node ids with exact stretch: ids run up to
 # MAX_NODE_ID - 1 = 2^62 - 1, and random churn inserts ids above it; every
 # real id stays below the virtual nodes' VBASE.

@@ -415,7 +415,17 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sp.add_argument("--healer", default=None, help="healer name override")
         sp.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
+    # Every option that takes a value, read from the subcommands' parsers.
+    takes_value = {
+        option
+        for sp in sub.choices.values()
+        for action in sp._actions
+        if action.nargs is None
+        for option in action.option_strings
+    }
+    args = parser.parse_args(
+        _attach_dash_values(sys.argv[1:] if argv is None else argv, takes_value)
+    )
     try:
         cfg = load_config(args.config)
         if getattr(args, "healer", None) is not None:
@@ -438,17 +448,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _attach_dash_values(argv: list[str]) -> list[str]:
-    """argv with `--seed X` and `--trials X` joined into `--seed=X` and
-    `--trials=X` where X starts with a single '-' and is not `-h`. argparse
-    reads such a token as an option unless it spells a plain negative
-    number, so `--seed -1_0` would end in a usage block rather than in the
-    one-line error that `--seed 1_0` gives."""
+def _attach_dash_values(argv: list[str], takes_value: set[str]) -> list[str]:
+    """argv with `--opt X` joined into `--opt=X` for each option in
+    `takes_value` where X starts with a single '-' and is not `-h`.
+    argparse reads such a token as an option unless it spells a plain
+    negative number, so `--seed -1_0` or `--healer -x` would end in a usage
+    block rather than in the one-line error that `--seed 1_0` or
+    `--healer=-x` gives, and `--out -o` would not write to `-o`."""
     out: list[str] = []
     for token in argv:
         if (
             out
-            and out[-1] in ("--seed", "--trials")
+            and out[-1] in takes_value
             and token.startswith("-")
             and not token.startswith("--")
             and token != "-h"

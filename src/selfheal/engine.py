@@ -10,10 +10,12 @@ the shadow nodes minus the deleted set.
 Exact distances are maintained, not recomputed (`DistanceOracle`). The
 shadow matrix is built when a measurement first needs it and then updated
 per insert. The live matrix exists only while exact stretch is on and
-1 < live count <= `exact_apsp_cap`: it is built on the first such step,
+1 < live count <= `exact_apsp_cap`: it starts on the first such step,
 fed each event's node, neighbours and the repair's added and dropped
 edges, dropped on a step with sampled or skipped stretch, and built afresh
-when the live count comes back under the cap. A deletion rebuilds the
+when the live count comes back under the cap. It starts as a copy of the
+shadow matrix while nothing has been deleted, for the live graph is then
+the shadow graph, and as a full build otherwise. A deletion rebuilds the
 matrix when some distance grows and leaves it as it is otherwise. Without
 a build no distance grows, so the maximum stretch and both diameters are
 kept, each with the pair that attains it, from the entries each event
@@ -91,13 +93,18 @@ class DistanceOracle:
 
     The matrix is built lazily: the first `matrix()` call runs the full APSP
     (`build`, by default `all_pairs_distances`), so a run that never reads
-    it never pays for it; until then every update is a no-op. After that it
-    is maintained in place, in one float32 capacity buffer that grows by a
-    quarter when full (entries are hop counts < 2^24, so float32 is exact).
-    Rows are in arrival order, and `nodes` names the node of each: a build
-    lays them out ascending, an insert appends a row and column, and a
-    removal moves the last ones into the freed slot, so no update shifts
-    the matrix. Three updates:
+    it never pays for it; until then every update is a no-op. A live oracle
+    whose graph is still the shadow graph (nothing deleted yet) starts
+    instead from a copy of the shadow oracle's matrix (`copy_shadow`). After
+    that it is maintained in place, in one float32 capacity buffer that
+    grows by a sixteenth when full (entries are hop counts < 2^24, so
+    float32 is exact); a build's own matrix becomes the buffer, and the old
+    buffer is let go before the build runs, so that the two are never held
+    at once. Rows are in arrival order, and `nodes` names the node of each:
+    a build lays them out ascending, a copy as the shadow oracle holds
+    them, an insert appends a row and column, and a removal moves the last
+    ones into the freed slot, so no update shifts the matrix. Three
+    updates:
 
     * `insert(v, neighbors)` (Ausiello et al., "Incremental algorithms for
       minimal length paths", 1991): v's row is one more than the nearest
@@ -121,8 +128,9 @@ class DistanceOracle:
     So without a build no distance grows: an update lowers the entries it
     writes, adds v's row or drops it, and moves rows only whole. Two
     maxima are kept on that ground, each with the pair that attains it,
-    and scanned for in full only after a build, on the first read, or when
-    that pair's entry changed and no written entry reaches the old value:
+    and scanned for in full only after a build, on the first read (but for
+    the stretch after a copy), or when that pair's entry changed and no
+    written entry reaches the old value:
 
     * The diameter (`diameter`): an update keeps the pair if its entry is
       unchanged, for every other entry is at most that, and an insert
@@ -130,14 +138,14 @@ class DistanceOracle:
     * The maximum stretch L/S of a live oracle, one given the shadow
       graph's oracle as `shadow`; `stretch` returns it as the step's
       `metrics.StretchResult`. `srow` holds the shadow row of each live
-      row: it is appended on insert, moved with the last row on removal
-      and rebuilt by a build. While `changed` is a list, each
-      `_relax` that writes appends its (near a, near b) block to it, which
-      stands for its mirror image too, and each insert its new row, as
-      (rows, columns) index arrays in the row order that holds after the
-      update; a build sets it to None, "every entry", and so does a
-      removal that finds blocks still unread, for it moves a row under
-      them. A shadow insert of v needs no blocks: it lowers S(x, y) only
+      row: it is appended on insert, moved with the last row on removal,
+      rebuilt by a build and 0, 1, 2, ... after a copy. While `changed` is
+      a list, each `_relax` that writes appends its (near a, near b) block
+      to it, which stands for its mirror image too, and each insert its
+      new row, as (rows, columns) index arrays in the row order that holds
+      after the update; a build sets it to None, "every entry", and so
+      does a removal that finds blocks still unread, for it moves a row
+      under them. A shadow insert of v needs no blocks: it lowers S(x, y) only
       when the new shortest path runs through v, and then S(x, y) =
       S(x, v) + S(v, y) while L(x, y) <= L(x, v) + L(v, y), so the new
       ratio is at most that of (x, v) or (v, y), which v's live row holds.
@@ -169,16 +177,40 @@ class DistanceOracle:
         self._best: tuple[float, int | None, int | None] | None = None
 
     def _load(self) -> None:
-        dist, self._index = (self._build or all_pairs_distances)(self._graph)
-        self.nodes = sorted(self._index, key=self._index.__getitem__)
-        n = len(self.nodes)
-        if self._buf is None or self._buf.shape[0] < n:
-            self._buf = np.empty((n, n), dtype=np.float32)
-        self._buf[:n, :n] = dist
-        self.changed = self._far = None
+        """A full build, which becomes the buffer; the old buffer goes
+        first."""
+        self._buf = None
+        dist, index = (self._build or all_pairs_distances)(self._graph)
+        nodes = sorted(index, key=index.__getitem__)
+        srow = None
         if self.shadow is not None:
             shadow_index = self.shadow.matrix()[1]
-            self._srow = np.fromiter(map(shadow_index.__getitem__, self.nodes), np.intp, n)
+            srow = np.fromiter(map(shadow_index.__getitem__, nodes), np.intp, len(nodes))
+        self._set(dist, nodes, index, srow)
+
+    def copy_shadow(self) -> None:
+        """Start a live oracle from a copy of its shadow oracle's matrix
+        instead of a build. Sound only while nothing has been deleted: the
+        live graph is then the shadow graph, for every insert gave both the
+        same edges. So every joined pair has stretch exactly 1, and the
+        first read needs no full scan: the first maximum in row-major order
+        is that of rows 0 and 1, unless the graph is disconnected, which
+        the read finds from the diameter."""
+        dist, index = self.shadow.matrix()
+        nodes = list(self.shadow.nodes)
+        self._set(dist.copy(), nodes, dict(index), np.arange(len(nodes), dtype=np.intp))
+        self.changed, self._shadow_seen, self._inserted = [], len(nodes), 0
+        self._best = (1.0, nodes[0], nodes[1])
+
+    def _set(
+        self, dist: np.ndarray, nodes: list[int], index: dict[int, int], srow: np.ndarray | None
+    ) -> None:
+        """Take `dist` as the buffer, with its rows' nodes, index and shadow
+        rows; every kept maximum is due for a full scan."""
+        self._buf, self.nodes, self._index = dist, nodes, index
+        if srow is not None:
+            self._srow = srow
+        self.changed = self._far = None
 
     def insert(self, v: int, neighbors: Iterable[int]) -> None:
         """Add node v, joined to `neighbors` (already in the matrix)."""
@@ -189,7 +221,7 @@ class DistanceOracle:
         row = self._buf[rows, :n].min(axis=0)
         row += 1.0
         if n == self._buf.shape[0]:
-            cap = n + n // 4 + 1
+            cap = n + n // 16 + 1
             grown = np.empty((cap, cap), dtype=np.float32)
             grown[:n, :n] = self._buf[:n, :n]
             self._buf = grown
@@ -258,13 +290,14 @@ class DistanceOracle:
             return
         # v's former neighbours are the rows at distance 1 from it.
         i = self._index.pop(v)
-        buf, adj = self._buf, self._graph._adj
-        near = [self.nodes[r] for r in np.flatnonzero(buf[i, : len(self.nodes)] == 1.0)]
+        adj = self._graph._adj
+        near = [self.nodes[r] for r in np.flatnonzero(self._buf[i, : len(self.nodes)] == 1.0)]
         if dropped or any(
             b not in adj[a] and adj[a].isdisjoint(adj[b]) for a, b in combinations(near, 2)
         ):
             self._load()
             return
+        buf = self._buf
         if self.changed:
             # Blocks not yet read name the last row by its old slot.
             self.changed = None
@@ -340,7 +373,7 @@ class DistanceOracle:
             else:
                 best = top if top[0] >= ratio else None
         if best is None:
-            ratio, i, j = metrics.stretch_argmax(dist, shadow_dist[srow][:, srow])
+            ratio, i, j = metrics.stretch_argmax(dist, shadow_dist, srow)
             best = (ratio, self.nodes[i], self.nodes[j]) if ratio else (0.0, None, None)
         self._best = best
         _, u, w = best
@@ -353,24 +386,24 @@ class DistanceOracle:
     def _changed_max(
         self, changed: list, shadow_dist: np.ndarray
     ) -> tuple[float, int | None, int | None]:
-        """The largest stretch over the entries of the blocks, and its pair;
-        (0.0, None, None) when no entry has a finite shadow distance."""
-        if not changed:
-            return 0.0, None, None
-        # Each entry as one flat index into the capacity buffer.
-        cap = self._buf.shape[0]
-        at = np.concatenate([(rows[:, None] * cap + cols).ravel() for rows, cols in changed])
-        i = at // cap
-        j = at - i * cap
-        ratio = np.divide(
-            self._buf.reshape(-1).take(at),
-            shadow_dist[self._srow[i], self._srow[j]],
-            dtype=np.float64,
-        )
-        k = int(ratio.argmax()) if ratio.size else 0
-        if not (ratio.size and ratio[k]):
-            return 0.0, None, None
-        return float(ratio[k]), self.nodes[i[k]], self.nodes[j[k]]
+        """The largest stretch over the entries of the blocks, the first in
+        their order, and its pair; (0.0, None, None) when no entry has a
+        finite shadow distance. One block at a time, so that its
+        temporaries take 16 bytes an entry of the largest block."""
+        best: tuple[float, int | None, int | None] = (0.0, None, None)
+        buf, srow = self._buf, self._srow
+        for rows, cols in changed:
+            ratio = np.divide(
+                buf[rows[:, None], cols],
+                shadow_dist[srow[rows][:, None], srow[cols]],
+                dtype=np.float64,
+            )
+            k = int(ratio.argmax())
+            top = float(ratio.flat[k])
+            if top > best[0]:
+                i, j = divmod(k, cols.size)
+                best = (top, self.nodes[rows[i]], self.nodes[cols[j]])
+        return best
 
 
 class LiveMeasure:
@@ -677,18 +710,20 @@ def _measure(
     t0 = time.perf_counter()
     ratio = state.measure.refresh(live, op, node, report.touched)
     # The live distances are kept only while every step measures exact
-    # stretch over them: built on the first such step, fed each event, and
-    # dropped on a step that measures none.
+    # stretch over them: started on the first such step, fed each event,
+    # and dropped on a step that measures none, before its stretch is
+    # sampled.
     exact = 1 < live.node_count <= config.exact_apsp_cap
-    live_oracle = state.live_oracle
     if not exact:
         state.live_oracle = None
-    elif live_oracle is None:
+    elif state.live_oracle is None:
         state.live_oracle = DistanceOracle(live, metrics.all_pairs_distances, state.oracle)
+        if not state.deleted:
+            state.live_oracle.copy_shadow()
     elif op == "insert":
-        live_oracle.insert(node, neighbors)
+        state.live_oracle.insert(node, neighbors)
     elif op == "delete":
-        live_oracle.remove(node, report.edges_added, report.edges_dropped)
+        state.live_oracle.remove(node, report.edges_added, report.edges_dropped)
     # Stretch off (no cap, no samples) skips every step, the empty and
     # one-node graphs included.
     if config.stretch_samples <= 0 and (

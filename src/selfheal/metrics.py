@@ -193,8 +193,13 @@ def diameter_from(dist: np.ndarray) -> object:
 
 # Exact stretch up to this many live nodes, and this many sampled pairs
 # above it: the defaults of `RunConfig` and of the config keys
-# `exact_apsp_cap` and `stretch_samples`.
-DEFAULT_EXACT_APSP_CAP = 256
+# `exact_apsp_cap` and `stretch_samples`. The cap is the largest power of
+# two whose exact runs stay under a 300 MB peak RSS budget: 262 MB on a
+# random tree of 4096 nodes under `haft`/`mixed` (T = 32), where the two
+# float32 matrices take 64 MiB each. Below it, exact stretch costs a small
+# fraction of what sampling does per event, and a sample gives only a
+# lower bound.
+DEFAULT_EXACT_APSP_CAP = 4096
 DEFAULT_STRETCH_SAMPLES = 1000
 
 
@@ -244,25 +249,57 @@ def stretch_exact(
         return StretchResult(INF, "exact", INF)
     nodes = list(live_index)
     rows = np.fromiter(map(shadow_index.__getitem__, nodes), np.intp, len(nodes))
-    ratio, i, j = stretch_argmax(live_dist, shadow_dist[rows][:, rows])
+    ratio, i, j = stretch_argmax(live_dist, shadow_dist, rows)
     if not ratio:
         return StretchResult(Fraction(1), "exact", diameter_live)
     value = _ratio(int(live_dist[i, j]), int(shadow_dist[rows[i], rows[j]]))
     return StretchResult(value, "exact", diameter_live, (nodes[i], nodes[j]))
 
 
-def stretch_argmax(live_dist: np.ndarray, shadow_sub: np.ndarray) -> tuple[float, int, int]:
-    """The largest ratio `live_dist / shadow_sub` over the off-diagonal
-    entries of two square matrices, and its row and column. The ratios are
-    float64 whatever the matrices store, so that ties break one way. A
-    shadow-infinite pair gives 0 and drops out, so the ratio is 0 when no
-    pair is joined in the shadow graph."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.divide(live_dist, shadow_sub, dtype=np.float64)
-    # 0/0 on the diagonal.
-    np.fill_diagonal(ratio, 0.0)
-    i, j = divmod(int(ratio.argmax()), ratio.shape[1])
-    return float(ratio[i, j]), i, j
+# The bytes a row block of `stretch_argmax` may hold in temporaries. At 16
+# bytes per entry of a shadow row, a scan with up to 1024 shadow rows runs
+# in one block.
+STRETCH_BLOCK_BYTES = 1 << 24
+
+
+def stretch_block_height(width: int) -> int:
+    """Rows per block of `stretch_argmax` over a shadow matrix `width`
+    wide. A block gathers its shadow rows whole (4 bytes an entry) and then
+    at the live rows' columns (4 more), and divides into float64 ratios (8
+    more), so it holds at most 16 bytes per entry of its shadow rows."""
+    return max(1, STRETCH_BLOCK_BYTES // (16 * width))
+
+
+def stretch_argmax(
+    live_dist: np.ndarray, shadow_dist: np.ndarray, rows: np.ndarray
+) -> tuple[float, int, int]:
+    """The largest ratio `live_dist[i, j] / shadow_dist[rows[i], rows[j]]`
+    over the off-diagonal entries, and its i and j: the first in row-major
+    order. The ratios are float64 whatever the matrices store, so that ties
+    break one way. A shadow-infinite pair gives 0 and drops out, so the
+    ratio is 0 when no pair is joined in the shadow graph. The scan runs in
+    blocks of `stretch_block_height` rows, so that its temporaries stay
+    within `STRETCH_BLOCK_BYTES` whatever the size; a later block wins only
+    with a larger ratio, which keeps the first maximum."""
+    n = live_dist.shape[0]
+    height = stretch_block_height(shadow_dist.shape[1])
+    best = (0.0, 0, 0)
+    for lo in range(0, n, height):
+        block = rows[lo : lo + height]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.divide(
+                live_dist[lo : lo + block.size],
+                shadow_dist[block][:, rows],
+                dtype=np.float64,
+            )
+        # 0/0 on the diagonal, at (r, lo + r) of the block.
+        ratio.reshape(-1)[lo :: n + 1] = 0.0
+        k = int(ratio.argmax())
+        top = float(ratio.flat[k])
+        del ratio  # before the next block's temporaries
+        if top > best[0]:
+            best = (top, lo + k // n, k % n)
+    return best
 
 
 @lru_cache(maxsize=None)

@@ -809,6 +809,43 @@ class TestSeeds:
         assert manifest["seed"] == -5
 
 
+def test_default_cap_measures_exact_stretch_over_300_live_nodes(tmp_path):
+    # No `exact_apsp_cap` key: 300 nodes and 8 events keep some 292 to 308
+    # live, above the old default of 256 and within the new one, so every
+    # step measures exact stretch.
+    text = "family = random-tree\nn = 300\nhealer = haft\nstrategy = mixed\nT = 8\n"
+    cfg = write(tmp_path / "c.cfg", text)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out), "--seed", "1", "--quiet"]) == 0
+    rows = metrics.parse_csv((out / "metrics.csv").read_text(encoding="utf-8"))
+    assert len(rows) == 8 and 300 + 8 <= metrics.DEFAULT_EXACT_APSP_CAP
+    assert [row["stretch_mode"] for row in rows] == ["exact"] * 8
+
+
+# A value that starts with '-' belongs to the option before it, for every
+# option that takes a value, as it does when written `--option=value`.
+def test_dash_healer_value_is_a_healer_name(tmp_path, capsys):
+    cfg = write(tmp_path / "c.cfg", "family = path\nn = 4\nT = 0\n")
+    out = tmp_path / "o"
+    assert main(["gen", "--config", cfg, "--healer", "-x", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown healer '-x'\n"
+    assert not out.exists()
+
+
+def test_dash_out_value_is_the_output_directory(tmp_path, monkeypatch):
+    cfg = write(tmp_path / "c.cfg", "family = path\nn = 4\nT = 2\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", cfg, "--out", "-o", "--quiet"]) == 0
+    assert (tmp_path / "-o" / "metrics.csv").is_file()
+
+
+def test_dash_config_value_is_the_config_path(tmp_path, monkeypatch):
+    write(tmp_path / "-c", "family = path\nn = 4\nT = 2\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "-c", "--out", "o", "--quiet"]) == 0
+    assert (tmp_path / "o" / "metrics.csv").is_file()
+
+
 def test_loglog_slope():
     points = [(10, 10.0), (100, 100.0), (1000, 1000.0)]
     assert abs(loglog_slope(points) - 1.0) < 1e-9

@@ -442,24 +442,70 @@ def test_live_oracle_dropped_at_one_live_node_and_rebuilt():
     assert [r.stretch_mode for r in state.records] == ["exact"] * 6
 
 
-def test_live_oracle_crosses_the_cap_both_ways():
+@pytest.fixture
+def live_loads(monkeypatch):
+    """Count the full builds of live oracles (`DistanceOracle._load` on an
+    oracle given a shadow), by live node count."""
+    calls = []
+    load = DistanceOracle._load
+
+    def counted(self):
+        if self.shadow is not None:
+            calls.append(self._graph.node_count)
+        load(self)
+
+    monkeypatch.setattr(DistanceOracle, "_load", counted)
+    return calls
+
+
+def test_live_oracle_crosses_the_cap_both_ways(live_loads):
     # 40 live nodes under a cap of 38: mixed churn moves the live count
-    # across it several times, and the matrix is dropped and rebuilt.
+    # across it several times, and the matrix is dropped and rebuilt. Each
+    # return under the cap follows a deletion, so it is a full build, not
+    # a copy of the shadow matrix.
     config = live_config("haft", "mixed", random_tree(40, random.Random(7)), 7)
     config.exact_apsp_cap, config.stretch_samples, config.t_max = 38, 100, 60
     config.strategy = StrategySpec(kind="mixed", p_delete=0.5, seed=7)
-    oracles = []
+    oracles, loads = [], []
 
     def check(state):
         assert_live_oracle_matches(state)
         oracles.append(state.live_oracle)
+        loads.append(len(live_loads))
 
     state = run(config, on_step=check)
     modes = [r.stretch_mode for r in state.records]
     assert "sampled" in modes and "exact" in modes
-    rebuilt = [b for a, b in zip(oracles, oracles[1:]) if a is None and b is not None]
+    rebuilt = [t for t, (a, b) in enumerate(zip(oracles, oracles[1:])) if a is None and b]
     dropped = [a for a, b in zip(oracles, oracles[1:]) if a is not None and b is None]
     assert len(rebuilt) >= 2 and len(dropped) >= 2
+    assert all(loads[t + 1] > loads[t] for t in rebuilt)
+
+
+def test_live_oracle_starts_from_a_copy_of_the_shadow_matrix(
+    apsp_builds, live_loads, full_scans
+):
+    # Until the first deletion the live graph is the shadow graph, so the
+    # t = 0 measurement copies the shadow matrix instead of building its
+    # own, and knows its stretch, 1, without a full scan. The copy shares
+    # no memory with the shadow matrix: the insert and the deletion that
+    # follow update the two apart, and both stay exact.
+    events = [Event(op="insert", node=20, neighbors=(0, 7)), Event(op="delete", node=3)]
+    initial = random_tree(12, random.Random(5))
+    state = start(scripted(events, initial, exact_apsp_cap=64, stretch_samples=0))
+    live, shadow = state.live_oracle, state.oracle
+    assert apsp_builds == [12] and live_loads == [] and full_scans == []
+    assert state.initial_record.max_stretch == 1
+    assert not np.shares_memory(live._buf, shadow._buf)
+    assert live.nodes == shadow.nodes and live.nodes is not shadow.nodes
+    assert live._index == shadow._index and live._index is not shadow._index
+    assert live._srow.tolist() == list(range(12))
+    assert engine.audit(state) == []
+    for event in events:
+        step(state, event)
+        assert state.live_oracle is live
+        assert_live_oracle_matches(state)
+    assert apsp_builds == [12] and live_loads in ([], [12])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -663,12 +709,46 @@ def full_scans(monkeypatch):
     """Count the full scans for the maximum stretch."""
     calls = []
 
-    def counted(live_dist, shadow_sub):
+    def counted(live_dist, shadow_dist, rows):
         calls.append(live_dist.shape[0])
-        return stretch_argmax(live_dist, shadow_sub)
+        return stretch_argmax(live_dist, shadow_dist, rows)
 
     monkeypatch.setattr(metrics, "stretch_argmax", counted)
     return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_full_stretch_scans_in_row_blocks_match_one_block(seed, monkeypatch):
+    # Both full scans, a live oracle's first `stretch` read and
+    # `metrics.stretch_exact` (`engine.audit`'s), give the same maximum and
+    # pair at every block height. The shadow graph is a sparse ER graph, so
+    # some pairs are never joined in it; the live graph is what is left
+    # after four deletions, its components chained by one edge each.
+    rng = random.Random(seed)
+    shadow = erdos_renyi(24, 0.1, rng)
+    live = shadow.copy()
+    for v in rng.sample(sorted(live.nodes), 4):
+        live.remove_node(v)
+    ends, left = [], set(live.nodes)
+    while left:
+        ends.append(rng.choice(sorted(left)))
+        left -= live.bfs_distances(ends[-1]).keys()
+    for a, b in zip(ends, ends[1:]):
+        live.add_edge(a, b)
+    assert np.isinf(all_pairs_distances(shadow)[0]).any()
+
+    def scans():
+        held = DistanceOracle(live, shadow=DistanceOracle(shadow)).stretch()
+        fresh = metrics.stretch_exact(all_pairs_distances(live), *all_pairs_distances(shadow))
+        return (held.max_stretch, held.argmax_pair), (fresh.max_stretch, fresh.argmax_pair)
+
+    one_block = scans()
+    assert one_block[0] == one_block[1] and one_block[0][0] > 1
+    n = live.node_count
+    for height in (1, 2, n - 1, n):
+        monkeypatch.setattr(metrics, "STRETCH_BLOCK_BYTES", height * 16 * shadow.node_count)
+        assert metrics.stretch_block_height(shadow.node_count) == height
+        assert scans() == one_block
 
 
 def kept_stretch(oracle: DistanceOracle, live: Graph, shadow: Graph, full_scans) -> tuple:

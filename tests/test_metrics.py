@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from selfheal import metrics
 from selfheal.adversary import Event, StrategySpec
 from selfheal.engine import RunConfig, run
 from selfheal.families import path_graph
@@ -281,6 +282,43 @@ class TestStretch:
         result = stretch_max(shadow, sdist, sindex, exact_cap=8, samples=0)
         assert result.mode == "skipped"
         assert result.max_stretch is None
+
+
+def one_block_argmax(live_dist, shadow_dist, rows):
+    """`stretch_argmax` in one piece, the whole ratio matrix at once: the
+    reference for the row-block scan."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(live_dist, shadow_dist[rows][:, rows], dtype=np.float64)
+    np.fill_diagonal(ratio, 0.0)
+    i, j = divmod(int(ratio.argmax()), ratio.shape[1])
+    return float(ratio[i, j]), i, j
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stretch_argmax_row_blocks_match_one_block(seed, monkeypatch):
+    # Hop counts of 1 to 3 tie often, and a fifth of the shadow entries are
+    # infinite. The maximum, 9, is planted at (0, n - 1), at (n - 1, 0) and,
+    # on odd seeds, at (1, 0): the first in row-major order must win at
+    # every block height, whichever blocks hold the others.
+    rng = np.random.default_rng(seed)
+    n, width = 7 + seed, 11 + seed
+    live = rng.integers(1, 4, (n, n)).astype(np.float32)
+    shadow = rng.integers(1, 4, (width, width)).astype(np.float32)
+    shadow[rng.random((width, width)) < 0.2] = np.inf
+    np.fill_diagonal(live, 0.0)
+    np.fill_diagonal(shadow, 0.0)
+    rows = rng.permutation(width)[:n]
+    for i, j in [(0, n - 1), (n - 1, 0), (1, 0)][: 3 if seed % 2 else 2]:
+        live[i, j], shadow[rows[i], rows[j]] = 9.0, 1.0
+    want = one_block_argmax(live, shadow, rows)
+    assert want == (9.0, 0, n - 1)
+    all_apart = np.where(np.eye(width, dtype=bool), np.float32(0.0), np.float32(np.inf))
+    for height in (1, 2, n - 1, n):
+        monkeypatch.setattr(metrics, "STRETCH_BLOCK_BYTES", height * 16 * width)
+        assert metrics.stretch_block_height(width) == height
+        assert metrics.stretch_argmax(live, shadow, rows) == want
+        # No pair joined in the shadow graph: ratio 0 at (0, 0).
+        assert metrics.stretch_argmax(live, all_apart, rows) == (0.0, 0, 0)
 
 
 def make_record(**kw) -> MetricsRecord:
