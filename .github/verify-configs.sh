@@ -109,6 +109,10 @@ row sampled 0 'family = random-tree' 'n = 300' 'healer = haft' 'strategy = mixed
 # measures exact stretch.
 row default-cap 0 'family = random-tree' 'n = 600' 'healer = haft' 'strategy = mixed' \
   'T = 24'
+# Start at scale: the bulk lift of a 65536-node initial graph, its t = 0
+# measurement and audit, and a short loop after them.
+row bulk-start 0 'family = random-tree' 'n = 65536' 'healer = haft' 'strategy = clustered' \
+  'T = 8' 'exact_apsp_cap = 0' 'stretch_samples = 0'
 # The largest legal node ids with exact stretch: ids run up to
 # MAX_NODE_ID - 1 = 2^62 - 1, and random churn inserts ids above it; every
 # real id stays below the virtual nodes' VBASE.

@@ -30,6 +30,15 @@ or scans every live node outside a repair, save where the `articulation`
 strategy's cut search passes its cap and falls back to Tarjan. `audit` checks each of these
 structures, and the healer's state, against a fresh build.
 
+`start` builds its state in bulk: the healer lifts the initial graph in
+one pass per structure (`VirtualGraph.from_graph`), and the t = 0
+measurement reads each live node once. `start` and `run` pause CPython's
+cyclic collector while they run (`graph.gc_paused`). The engine makes no
+reference cycles, so reference counting frees all it lets go, and a
+collection would only walk the heap the run builds. `RunState.timers`
+holds all of `start` under "start", so the loop's phase timers count
+events only.
+
 Runs are deterministic: one master seed drives the adversary and the stretch
 sampler, and all iteration orders are sorted. Running the same config twice
 produces identical records, byte for byte once serialized.
@@ -63,7 +72,7 @@ from .adversary import (
     next_event,
     validate_event,
 )
-from .graph import INF, Graph, UnknownNodeError
+from .graph import INF, Graph, UnknownNodeError, gc_paused
 from .healers import Healer, make_healer
 from .metrics import MetricsRecord, StretchResult, ZeroShadowDegreeError, all_pairs_distances
 
@@ -458,8 +467,17 @@ class LiveMeasure:
         drop a deleted `node`, and return the maximum degree ratio."""
         live_adj, shadow_adj = live._adj, self._shadow._adj
         if op == "init":
-            self._pair, self._count = {}, {}
-            touched = sorted(live_adj)
+            self._pair, self._count = pairs, count = {}, {}
+            # One pass without the checks while no node is deleted. A node
+            # that fails one stops it, and the checked loop below then
+            # raises for the first such node in id order.
+            for v, nbrs in () if self._deleted else live_adj.items():
+                shadow_nbrs = shadow_adj.get(v)
+                if shadow_nbrs is None or nbrs and not shadow_nbrs:
+                    break
+                pair = pairs[v] = (len(nbrs), len(shadow_nbrs))
+                count[pair] = count.get(pair, 0) + 1
+            touched = () if len(pairs) == len(live_adj) else sorted(live_adj)
         elif op == "delete":
             touched = [*touched, node]
         pairs, count, deleted = self._pair, self._count, self._deleted
@@ -554,9 +572,9 @@ class RunState:
     oracle: DistanceOracle | None = None
     live_oracle: DistanceOracle | None = None
     measure: LiveMeasure | None = None
-    # Host seconds per phase of the loop: "adversary" (choosing each event
-    # in `run`, refreshing the index in `step`), "heal", "connectivity" and
-    # "metrics".
+    # Host seconds per phase: "start", all of `start`, then per phase of
+    # the loop's events, "adversary" (choosing each event in `run`,
+    # refreshing the index in `step`), "heal", "connectivity" and "metrics".
     timers: defaultdict[str, float] = field(default_factory=lambda: defaultdict(float))
 
     def live_graph(self) -> Graph:
@@ -568,8 +586,10 @@ class RunState:
         return self.shadow.node_count - len(self.deleted)
 
 
+@gc_paused
 def start(config: RunConfig) -> RunState:
     """Preprocessing: build healer state and the shadow graph, snapshot G0."""
+    t0 = time.perf_counter()
     healer = make_healer(config.healer)
     # The healer name is known and the graph well formed, so a ValueError
     # from here on is the library's own.
@@ -591,6 +611,9 @@ def start(config: RunConfig) -> RunState:
             state.warnings.append("initial graph is not connected")
     except ValueError as exc:
         raise InternalError(str(exc)) from exc
+    # The t = 0 measurement counts as start, not as a phase of the loop.
+    state.timers.clear()
+    state.timers["start"] = time.perf_counter() - t0
     return state
 
 
@@ -626,11 +649,14 @@ def step(state: RunState, event: Event) -> RunState:
     return state
 
 
+@gc_paused
 def run(config: RunConfig, on_step: Callable[[RunState], None] | None = None) -> RunState:
     """The full loop: T events or until the strategy/network gives out.
 
     `on_step`, if given, is called with the started state (t = 0) and
-    with the state after every step.
+    with the state after every step. The cyclic collector is paused for
+    the whole run (`graph.gc_paused`), so cycles that `on_step` makes are
+    collected after it.
     """
     state = start(config)
     if on_step is not None:

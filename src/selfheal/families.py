@@ -1,34 +1,42 @@
-"""Initial-graph families for trace generation and benchmarks."""
+"""Initial-graph families for trace generation and benchmarks.
+
+The path, star and random-tree builders write the adjacency directly,
+each neighbour set filled in the order `Graph.add_edge` calls would fill
+it, so a set iterates as it would after those calls.
+"""
 
 from __future__ import annotations
 
 import random
 
-from .graph import Graph
+from .graph import Graph, gc_paused
 
 FAMILY_NAMES = ("path", "star", "random-tree", "erdos-renyi")
 
 
 def path_graph(n: int) -> Graph:
-    g = Graph(nodes=range(n))
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
+    g = Graph()
+    g._adj = {i: {j for j in (i - 1, i + 1) if 0 <= j < n} for i in range(n)}
     return g
 
 
 def star_graph(n: int) -> Graph:
     """Center 0 plus n-1 leaves."""
-    g = Graph(nodes=range(n))
-    for i in range(1, n):
-        g.add_edge(0, i)
+    g = Graph()
+    g._adj = {i: {0} for i in range(n)}
+    if n:
+        g._adj[0] = set(range(1, n))
     return g
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
     """Random attachment tree: node i picks a parent uniformly among 0..i-1."""
-    g = Graph(nodes=range(n))
+    g = Graph()
+    adj = g._adj = {i: set() for i in range(n)}
     for i in range(1, n):
-        g.add_edge(i, rng.randrange(i))
+        parent = rng.randrange(i)
+        adj[i].add(parent)
+        adj[parent].add(i)
     return g
 
 
@@ -52,6 +60,7 @@ def connected_erdos_renyi(
     raise ValueError(f"no connected G({n}, {p}) after {max_tries} tries")
 
 
+@gc_paused
 def make_family(name: str, n: int, p: float, rng: random.Random) -> Graph:
     if n < 1:
         raise ValueError(f"graph family size n must be at least 1, got {n}")

@@ -13,7 +13,9 @@ edges. The smallest cut vertex, which the `articulation` adversary asks for
 on every event, comes from local searches that stop at the first cut vertex
 in id order (`smallest_cut_vertex`); past a work cap linear in the node
 count they fall back to Tarjan's list. The healed graph itself is
-maintained by `virtual_graph.VirtualGraph`.
+maintained by `virtual_graph.VirtualGraph`. `gc_paused` runs a call with
+CPython's cyclic garbage collector paused; the engine's `start` and `run`
+and `families.make_family` run under it.
 
 Concurrency contract: a Graph is either exclusively owned while being mutated
 or treated as immutable once shared; instances hold no hidden shared state and
@@ -22,8 +24,10 @@ may be handed freely between threads.
 
 from __future__ import annotations
 
+import functools
+import gc
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 INF = float("inf")
 
@@ -47,6 +51,34 @@ class UnknownNodeError(GraphError):
 
 class SelfLoopError(GraphError):
     pass
+
+
+_F = TypeVar("_F", bound=Callable)
+
+
+def gc_paused(fn: _F) -> _F:
+    """`fn` with CPython's cyclic garbage collector paused while it runs,
+    and the caller's setting restored on every exit, a raise included.
+
+    The library makes no reference cycles, so reference counting frees all
+    it lets go, and a collection would only walk the heap a run builds,
+    again and again as it grows. A call made while the collector is off
+    leaves it off; cycles that the caller makes meanwhile are collected
+    once it is back on. The setting is the process's: with calls in
+    several threads, the first to switch it off switches it back on.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused  # type: ignore[return-value]
 
 
 class Graph:
@@ -170,11 +202,20 @@ class Graph:
         return dist
 
     def is_connected(self) -> bool:
-        """Empty and singleton graphs count as connected."""
-        if len(self._adj) <= 1:
+        """Empty and singleton graphs count as connected. One search that
+        keeps only the set of nodes it has seen."""
+        adj = self._adj
+        if len(adj) <= 1:
             return True
-        start = next(iter(self._adj))
-        return len(self.bfs_distances(start)) == len(self._adj)
+        start = next(iter(adj))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == len(adj)
 
     def distance(self, u: int, v: int) -> float:
         """Minimum hop count, 0 for u == v, INF when disconnected."""

@@ -137,10 +137,12 @@ class Healer:
 
     def preprocess(self, initial: Graph) -> HealerReport:
         self.vg = VirtualGraph.from_graph(initial)
+        # Each initial edge is its own image edge, counted once.
+        edges = len(self.vg._multiplicity)
         return HealerReport(
-            messages=2 * initial.edge_count,
-            rounds=1 if initial.edge_count else 0,
-            touched=set(initial.nodes),
+            messages=2 * edges,
+            rounds=1 if edges else 0,
+            touched=set(initial._adj),
         )
 
     def on_insert(self, v: int, neighbors: set[int]) -> HealerReport:

@@ -18,10 +18,12 @@ hosted-vids index makes removing a processor proportional to what it
 simulates. The node sets are not stored apart: `reals` is a read-only view
 of the image's nodes and `virtuals` one of the simulation map's keys.
 
-Edges between live nodes change in one place, `rewire`: it dissolves vids,
-declares new ones and adds edges as one batch, sums the count changes per
-processor pair, and applies each net change once. So an image edge whose
-count falls to 0 and climbs back within the batch is never touched.
+Edges between live nodes change in one place, `rewire`, once the initial
+graph is lifted (`from_graph` writes that graph's edges, each its own
+image, directly). `rewire` dissolves vids, declares new ones and adds
+edges as one batch, sums the count changes per processor pair, and
+applies each net change once. So an image edge whose count falls to 0
+and climbs back within the batch is never touched.
 `rewire` returns the batch's virtual and real edge changes as a
 `RepairJournal`: a healer reads the edges its repair changed from it
 instead of diffing snapshots. Removing a processor needs no counting: the
@@ -144,11 +146,29 @@ class VirtualGraph:
 
     @classmethod
     def from_graph(cls, g: Graph) -> "VirtualGraph":
-        """Lift a real graph: every node real, no virtual nodes."""
+        """Lift a real graph: every node real, no virtual nodes.
+
+        Every edge joins two real nodes, so it is its own image with count
+        1, and the lift writes the adjacency, the image and the counts
+        directly, in one pass over the nodes. It builds what
+        `add_real_node` on each node in ascending order and one `rewire`
+        over `g.edges()` would, down to the order in which each set and
+        dict is filled, and shares no set with `g`. An id at or above
+        VBASE raises GraphError, the smallest such id named.
+        """
+        nodes = sorted(g._adj)
+        if nodes and nodes[-1] >= VBASE:
+            bad = next(v for v in nodes if v >= VBASE)
+            raise GraphError(f"processor id {bad} is not below {VBASE}")
         vg = cls()
-        for v in sorted(g.nodes):
-            vg.add_real_node(v)
-        vg.rewire((), (), g.edges())
+        adj, image_adj, counts = vg._adj, vg.image._adj, vg._multiplicity
+        for v in nodes:
+            nbrs = sorted(g._adj[v])
+            adj[v] = set(nbrs)
+            image_adj[v] = set(nbrs)
+            for w in nbrs:
+                if v < w:
+                    counts[(v, w)] = 1
         return vg
 
     def add_real_node(self, processor: int) -> None:

@@ -10,7 +10,9 @@ simulation map, and the degree ratio with one Fraction per node.
 `rewire_in_sequence` is the sequential oracle of the batched
 `VirtualGraph.rewire`: it changes the graph one operation and one edge at a
 time, with its own image-count bookkeeping, and reads the changes off
-snapshots taken before and after.
+snapshots taken before and after. `lift_per_edge` is the oracle of the
+bulk `VirtualGraph.from_graph`: it goes through the checked per-node and
+per-edge calls.
 """
 
 from __future__ import annotations
@@ -259,6 +261,22 @@ def oracle_degree_ratio_max(live: Graph, shadow: Graph, deleted: set[int] | None
         if ratio > best:
             best, arg = ratio, v
     return best, arg
+
+
+def lift_per_edge(g: Graph) -> VirtualGraph:
+    """`VirtualGraph.from_graph` one checked call at a time: `add_real_node`
+    on each node in ascending order, then one `rewire` over `g.edges()`."""
+    vg = VirtualGraph()
+    for v in sorted(g.nodes):
+        vg.add_real_node(v)
+    vg.rewire((), (), g.edges())
+    return vg
+
+
+def same_layout(a: dict, b: dict) -> bool:
+    """Whether two adjacency dicts are equal and iterate alike: the keys,
+    and each key's neighbour set, in the same order."""
+    return list(a) == list(b) and all(list(a[v]) == list(b[v]) for v in a)
 
 
 # -- generators --------------------------------------------------------------

@@ -69,7 +69,8 @@ def corpus():
         state = run(_corpus_config(seed))
         assert state.healer.audit() == [], f"trial {seed}: healer state audit failed"
         heal_time += state.timers.get("heal", 0.0)
-        conn_time += state.timers.get("connectivity", 0.0)
+        # The t = 0 connectivity scan is timed with the rest of start.
+        conn_time += state.timers.get("connectivity", 0.0) + state.timers["start"]
         records.extend(state.records)
     return {
         "records": records,
@@ -93,7 +94,7 @@ def test_criterion_1_connectivity(corpus, capsys):
         capsys,
         f"[{'PASS' if ok else 'FAIL'}] criterion 1 connectivity: "
         f"{len(violations)} violations over {len(records)} timesteps in "
-        f"{CORPUS_TRIALS} trials; heal+connectivity {budget:.1f}s (budget 60s)",
+        f"{CORPUS_TRIALS} trials; heal+connectivity+start {budget:.1f}s (budget 60s)",
     )
     assert violations == []
     assert budget <= 60.0

@@ -3,6 +3,7 @@ per-event measurement against its full-scan oracles."""
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from selfheal.engine import (
     start,
     step,
 )
-from selfheal.families import erdos_renyi, path_graph, random_tree, star_graph
+from selfheal.families import erdos_renyi, make_family, path_graph, random_tree, star_graph
 from selfheal.graph import Graph, UnknownNodeError
 from selfheal.healers import HEALER_NAMES, make_healer
 from selfheal.metrics import (
@@ -962,6 +963,15 @@ def test_live_measure_raises_for_a_broken_refreshed_node(op, breach, error, mess
         measure.refresh(live, op, 3, {1, 3})
 
 
+def test_live_measure_init_names_the_smallest_broken_node():
+    # Nodes listed out of id order: 5 and 4 have live edges and no shadow
+    # edge, and the error names 4, as a scan in id order finds it.
+    live = Graph(nodes=[5, 0, 4, 1], edges=[(5, 0), (4, 1), (0, 1)])
+    shadow = Graph(nodes=[5, 0, 4, 1], edges=[(0, 1)])
+    with pytest.raises(ZeroShadowDegreeError, match="live node 4 has shadow degree 0"):
+        LiveMeasure(shadow, set()).refresh(live, "init", -1, ())
+
+
 def test_live_measure_init_reads_every_node():
     # The t = 0 measurement of a live graph that differs from its shadow:
     # node 1 has live degree 3 and shadow degree 1.
@@ -1043,8 +1053,81 @@ def test_timers_cover_every_phase_of_the_loop():
         stretch_samples=0,
     )
     timers = run(config).timers
-    assert {"adversary", "heal", "connectivity", "metrics"} <= timers.keys()
+    assert {"start", "adversary", "heal", "connectivity", "metrics"} <= timers.keys()
     assert timers["adversary"] > 0
+    # The t = 0 measurement counts as start: no phase of the loop has run.
+    assert start(config).timers.keys() == {"start"}
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """The cyclic collector switched on or off for the test, and the
+    setting before it restored after it."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+def test_start_run_and_make_family_leave_the_collector_as_they_found_it(collector):
+    initial = make_family("random-tree", 40, 0.0, random.Random(1))
+    assert gc.isenabled() is collector
+    config = RunConfig(initial=initial, strategy=StrategySpec(kind="clustered", seed=1), t_max=8)
+    start(config)
+    assert gc.isenabled() is collector
+    paused = []
+    run(config, on_step=lambda state: paused.append(not gc.isenabled()))
+    assert gc.isenabled() is collector
+    # Paused over the whole run, the callback included.
+    assert paused == [True] * 9
+    with pytest.raises(ValueError, match="at least 1"):
+        make_family("path", 0, 0.0, random.Random(1))
+    assert gc.isenabled() is collector
+
+
+def test_a_run_that_raises_leaves_the_collector_as_it_found_it(collector):
+    with pytest.raises(InvalidEventError):
+        run(scripted([Event(op="delete", node=1), Event(op="delete", node=77)], path_graph(3)))
+    assert gc.isenabled() is collector
+
+    def fail(state):
+        if state.t == 2:
+            raise RuntimeError("on_step failed")
+
+    config = RunConfig(initial=path_graph(8), strategy=StrategySpec(kind="random", seed=2), t_max=5)
+    with pytest.raises(RuntimeError, match="on_step failed"):
+        run(config, on_step=fail)
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("cap, samples", [(64, 0), (8, 50)], ids=["exact", "sampled"])
+@pytest.mark.parametrize("healer", HEALER_NAMES)
+def test_a_run_leaves_no_cyclic_garbage(healer, cap, samples):
+    # The premise of pausing the collector over a run: reference counting
+    # alone frees all that the run, its audits and its state let go.
+    config = RunConfig(
+        initial=random_tree(24, random.Random(healer)),
+        healer=healer,
+        strategy=StrategySpec(kind="mixed", p_delete=0.6, seed=3),
+        t_max=40,
+        seed=3,
+        exact_apsp_cap=cap,
+        stretch_samples=samples,
+    )
+    problems: list[str] = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        state = run(config, on_step=lambda s: problems.extend(engine.audit(s)))
+        modes = {r.stretch_mode for r in state.records}
+        del state
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert problems == []
+    assert modes == {"exact" if samples == 0 else "sampled"}
 
 
 def test_audit_names_the_step_and_the_structure(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfheal.families import make_family
+from selfheal.families import make_family, path_graph, random_tree, star_graph
 from selfheal.graph import (
     INF,
     MAX_NODE_ID,
@@ -29,6 +29,7 @@ from conftest import (
     oracle_articulation_points,
     oracle_bfs,
     random_graph,
+    same_layout,
 )
 
 
@@ -36,6 +37,20 @@ def path(n: int) -> Graph:
     g = Graph(nodes=range(n))
     for i in range(n - 1):
         g.add_edge(i, i + 1)
+    return g
+
+
+def star(n: int) -> Graph:
+    g = Graph(nodes=range(n))
+    for i in range(1, n):
+        g.add_edge(0, i)
+    return g
+
+
+def random_tree_by_add_edge(n: int, rng: random.Random) -> Graph:
+    g = Graph(nodes=range(n))
+    for i in range(1, n):
+        g.add_edge(i, rng.randrange(i))
     return g
 
 
@@ -110,6 +125,28 @@ class TestConnectivity:
     def test_empty_connected_by_convention(self):
         assert Graph().is_connected()
         assert Graph(nodes=[7]).is_connected()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_a_breadth_first_oracle(self, seed):
+        g = random_graph(random.Random(seed), max_nodes=30, p=0.08)
+        adj = adj_of(g)
+        assert g.is_connected() == (len(oracle_bfs(adj, min(adj))) == len(adj))
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 100])
+    def test_path_and_star_match_the_add_edge_builds(self, n):
+        assert same_layout(path_graph(n)._adj, path(n)._adj)
+        assert same_layout(star_graph(n)._adj, star(n)._adj)
+
+    @pytest.mark.parametrize("n, seed", [(0, 0), (1, 0), (2, 1), (5, 2), (64, 3), (1000, 4), (5000, 5)])
+    def test_random_tree_matches_the_add_edge_build(self, n, seed):
+        bulk_rng, oracle_rng = random.Random(seed), random.Random(seed)
+        bulk = random_tree(n, bulk_rng)
+        assert same_layout(bulk._adj, random_tree_by_add_edge(n, oracle_rng)._adj)
+        # The same draws, so a generator shared with later calls goes on alike.
+        assert bulk_rng.getstate() == oracle_rng.getstate()
+        assert bulk.audit() == []
 
 
 class TestDistance:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfheal.families import erdos_renyi, path_graph, random_tree, star_graph
 from selfheal.graph import MAX_NODE_ID, DuplicateNodeError, Graph, GraphError, UnknownNodeError
 from selfheal.virtual_graph import (
     VBASE,
@@ -25,12 +26,15 @@ from conftest import (
     add_virtual,
     changes_between,
     edge_snapshot,
+    lift_per_edge,
     oracle_bfs,
     oracle_image,
     processor,
+    random_graph,
     random_virtual_graph,
     remove_virtual,
     rewire_in_sequence,
+    same_layout,
     vg_adj,
 )
 
@@ -150,6 +154,75 @@ class TestAddNodes:
         assert vg.audit() == []
         with pytest.raises(DuplicateNodeError):
             vg.rewire([a], [(a, 2)], ())
+
+
+def _scattered_tree(n: int, seed: int) -> Graph:
+    """A random tree over ids spread up to just below VBASE, its nodes and
+    edges added in shuffled order."""
+    rng = random.Random(seed)
+    ids = rng.sample(range(10**12), n - 2) + [MAX_NODE_ID - 1, VBASE - 1]
+    rng.shuffle(ids)
+    edges = [(ids[u], ids[v]) for u, v in random_tree(n, rng).edges()]
+    rng.shuffle(edges)
+    return Graph(nodes=ids, edges=edges)
+
+
+LIFT_CASES = {
+    "path": lambda: path_graph(12),
+    "star": lambda: star_graph(12),
+    "random-tree": lambda: random_tree(300, random.Random(3)),
+    "erdos-renyi": lambda: erdos_renyi(60, 0.1, random.Random(4)),
+    "empty": Graph,
+    "one-node": lambda: Graph(nodes=[7]),
+    "isolated-nodes": lambda: Graph(nodes=[4, 0, 9, 2], edges=[(9, 0)]),
+    "scattered-ids": lambda: _scattered_tree(80, 5),
+}
+
+
+class TestFromGraph:
+    @pytest.mark.parametrize("case", LIFT_CASES)
+    def test_bulk_lift_matches_the_per_edge_lift(self, case):
+        g = LIFT_CASES[case]()
+        bulk, per_edge = VirtualGraph.from_graph(g), lift_per_edge(g)
+        # Equal, and filled in the same order, so every set iterates alike.
+        assert same_layout(bulk._adj, per_edge._adj)
+        assert same_layout(bulk.image._adj, per_edge.image._adj)
+        assert bulk._multiplicity == per_edge._multiplicity
+        assert list(bulk._multiplicity) == list(per_edge._multiplicity)
+        assert bulk.sim == per_edge.sim == {}
+        assert bulk._hosted == per_edge._hosted == {}
+        assert bulk._declared_below == per_edge._declared_below == 0
+        assert bulk.vids.next_vid == 0
+        assert bulk.audit() == []
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bulk_lift_matches_on_random_graphs(self, seed):
+        g = random_graph(random.Random(seed), max_nodes=40, p=0.15)
+        bulk, per_edge = VirtualGraph.from_graph(g), lift_per_edge(g)
+        assert same_layout(bulk._adj, per_edge._adj)
+        assert same_layout(bulk.image._adj, per_edge.image._adj)
+        assert bulk._multiplicity == per_edge._multiplicity
+        assert bulk.audit() == []
+
+    def test_lift_shares_no_set_with_its_input(self):
+        g = random_tree(50, random.Random(1))
+        vg = VirtualGraph.from_graph(g)
+        inputs = {id(s) for s in g._adj.values()}
+        lifted = [id(s) for s in vg._adj.values()]
+        imaged = [id(s) for s in vg.image._adj.values()]
+        assert len(inputs | set(lifted) | set(imaged)) == 3 * 50
+        g.add_edge(0, 49)
+        assert 49 not in vg._adj[0] and 49 not in vg.image._adj[0]
+        assert vg.audit() == []
+
+    def test_an_id_at_vbase_is_refused_as_the_per_edge_lift_refuses_it(self):
+        g = Graph(nodes=[VBASE + 3, 1, VBASE, VBASE - 1], edges=[(1, VBASE)])
+        with pytest.raises(GraphError) as bulk:
+            VirtualGraph.from_graph(g)
+        with pytest.raises(GraphError) as per_edge:
+            lift_per_edge(g)
+        assert str(bulk.value) == str(per_edge.value) == f"processor id {VBASE} is not below {VBASE}"
+        assert VirtualGraph.from_graph(Graph(nodes=[VBASE - 1])).reals == {VBASE - 1}
 
 
 class TestRemoveProcessor:
