@@ -8,8 +8,9 @@ with the digests in `tests/golden/digests.json`. Two negative-control runs
 `ring` run pins the third baseline under inserts and deletions, one
 scripted run inserts ids out of order, one `haft` run has stretch off
 (every record `skipped`), one `haft` run crosses the exact-stretch cap both
-ways, one `gen` case pins the generated edge list, trace and manifest, and
-one `bench` case pins the scaling table, its slopes and the manifest.
+ways, one `haft` run samples the stretch of every step, one `gen` case pins
+the generated edge list, trace and manifest, and one `bench` case pins the
+scaling table, its slopes and the manifest.
 `summary.json` and `manifest.json` are hashed without `rng.python`, which
 embeds the interpreter version.
 
@@ -72,6 +73,13 @@ CASES["haft-mixed-capcross"] = (
     "run",
     FAMILIES["tree"] + "healer = haft\nstrategy = mixed\np_delete = 0.5\nT = 40\n"
     "exact_apsp_cap = 38\nstretch_samples = 100\n",
+)
+# Sampled stretch on every step: some 300 live nodes against a cap of 64
+# (CI's `sampled` verify row).
+CASES["haft-mixed-sampled"] = (
+    "run",
+    "family = random-tree\nn = 300\nhealer = haft\nstrategy = mixed\nT = 40\n"
+    "exact_apsp_cap = 64\nstretch_samples = 200\n",
 )
 # Negative controls: the star healer breaks the 4x degree bound, and the null
 # healer disconnects the tree (infinite stretch), so `violations` is filled.
