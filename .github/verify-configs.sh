@@ -109,6 +109,10 @@ row sampled 0 'family = random-tree' 'n = 300' 'healer = haft' 'strategy = mixed
 # measures exact stretch.
 row default-cap 0 'family = random-tree' 'n = 600' 'healer = haft' 'strategy = mixed' \
   'T = 24'
+# Sampled stretch at the default settings, with no stretch key: some 8192
+# live nodes lie above the default cap, so every step samples its stretch.
+row default-sampled 0 'family = random-tree' 'n = 8192' 'healer = haft' 'strategy = mixed' \
+  'T = 4'
 # Start at scale: the bulk lift of a 65536-node initial graph, its t = 0
 # measurement and audit, and a short loop after them.
 row bulk-start 0 'family = random-tree' 'n = 65536' 'healer = haft' 'strategy = clustered' \

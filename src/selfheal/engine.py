@@ -750,23 +750,18 @@ def _measure(
         state.live_oracle.insert(node, neighbors)
     elif op == "delete":
         state.live_oracle.remove(node, report.edges_added, report.edges_dropped)
-    # Stretch off (no cap, no samples) skips every step, the empty and
-    # one-node graphs included.
-    if config.stretch_samples <= 0 and (
-        config.exact_apsp_cap <= 0 or live.node_count > config.exact_apsp_cap
-    ):
-        result = StretchResult(None, "skipped", None)
-    elif exact:
+    # The one place a step's stretch mode is chosen. Without samples only
+    # the live oracle measures, save that at most one live node is exact 1
+    # unless stretch is off (no cap, no samples).
+    if state.live_oracle is not None:
         result = state.live_oracle.stretch()
+    elif config.stretch_samples <= 0 and (config.exact_apsp_cap <= 0 or live.node_count > 1):
+        result = StretchResult(None, "skipped", None)
+    elif live.node_count <= 1:
+        result = StretchResult(Fraction(1), "exact", 0)
     else:
-        # At most one live node, or sampled stretch.
-        result = metrics.stretch_max(
-            live,
-            *state.oracle.matrix(),
-            exact_cap=config.exact_apsp_cap,
-            samples=config.stretch_samples,
-            rng=random.Random(f"{config.seed}:stretch:{state.t}"),
-        )
+        rng = random.Random(f"{config.seed}:stretch:{state.t}")
+        result = metrics.stretch_sampled(live, *state.oracle.matrix(), config.stretch_samples, rng)
     diameter_shadow = None if result.mode == "skipped" else state.oracle.diameter()
     state.timers["metrics"] += time.perf_counter() - t0
 

@@ -8,22 +8,21 @@ through deleted nodes.
 Ratios are kept as exact integer Fractions until CSV formatting, so outputs
 are byte-stable across platforms.
 
-A full all-pairs build is a bit-parallel breadth-first search from every
-node at once: each row's reached set is packed 64 sources to a uint64
-word, and each distance level grows every row with one gather and one
-`bitwise_or.reduceat` over the nodes' closed neighbour lists, numpy only.
-The engine runs it only to start or rebuild the distance matrices it
-maintains (`engine.DistanceOracle`), whose live oracle keeps the exact
-maximum stretch itself. `stretch_max` builds the live APSP and scans
-every pair (`stretch_exact`, which `verify` hands its own build): it is
-the snapshot reference that tests and `verify` check the kept maximum
-against. The pure-BFS implementations in `graph` stay the independent
-oracle of the build;
-the test suite cross-checks the two entry by entry on random graphs
-whose sizes cross the 64-bit word boundaries, with isolated nodes,
-several components and scattered ids. Above the exact cap,
-stretch falls back to a seeded sample of live pairs, and the record
-notes which mode produced it.
+Every distance the engine reads comes from one kernel,
+`all_pairs_distances`: a bit-parallel breadth-first search from many
+sources at once, every node by default. Each row's reached set is packed
+64 sources to a uint64 word, and each distance level grows every row with
+one gather and one `bitwise_or.reduceat` over the nodes' closed neighbour
+lists, numpy only. The engine runs it from every node to start or rebuild
+the matrices it maintains (`engine.DistanceOracle`), whose live oracle
+keeps the exact maximum stretch itself, and, above the exact cap, from
+the first nodes of a seeded sample of live pairs (`stretch_sampled`); the
+record notes which mode produced the stretch. `verify` audits the kept
+maximum with `stretch_exact` over fresh builds; `stretch_max` is the
+snapshot reference of tests. The pure-BFS implementations in `graph` stay
+the kernel's independent oracle; the test suite cross-checks the two entry
+by entry on random graphs whose sizes cross the 64-bit word boundaries,
+with isolated nodes, several components and scattered ids.
 
 All functions are pure snapshots-in, values-out; records from finished runs
 can be crunched in parallel.
@@ -127,24 +126,28 @@ def degree_ratio_max(
 # -- exact all-pairs distances ---------------------------------------------------
 
 
-def all_pairs_distances(g: Graph) -> tuple[np.ndarray, dict[int, int]]:
+def all_pairs_distances(
+    g: Graph, sources: list[int] | None = None
+) -> tuple[np.ndarray, dict[int, int]]:
     """Dense float32 hop-count matrix (np.inf where disconnected) and
-    node -> row index, rows in ascending node order.
+    node -> row index, rows in ascending node order. Column j holds the
+    distances from `sources[j]`, which must be distinct nodes of `g`; by
+    default every node is a source, in row order.
 
-    A breadth-first search from every node at once, 64 sources to a word:
-    row i holds the set of rows reached from i, packed into uint64 words.
-    Each level ORs together the sets of i's closed neighbourhood (i and its
-    neighbours), one gather over those lists laid end to end and one
-    `bitwise_or.reduceat`, until a level changes nothing. Before each
+    A breadth-first search from every source at once, 64 sources to a
+    word: row i holds the set of sources that reach i, packed into uint64
+    words. Each level ORs together the sets of i's closed neighbourhood (i
+    and its neighbours), one gather over those lists laid end to end and
+    one `bitwise_or.reduceat`, until a level changes nothing. Before each
     level, the pairs still apart gain 1 in a uint16 level counter, so an
     entry ends as its hop count; the counter becomes the float32 matrix
     once, at the end, and pairs never reached become INF. A count can
     reach 2^16 only after 2^16 levels, that is on a path of more than
     2^16 nodes, whose n x n float32 matrix alone would take over 16 GiB.
-    O(diam * m * n/64) word operations; float32 is exact for hop counts
-    < 2^24.
+    O(diam * m * k/64) word operations for k sources; float32 is exact
+    for hop counts < 2^24.
     """
-    nodes = sorted(g.nodes)
+    nodes = sorted(g._adj)
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
     if n == 0:
@@ -160,15 +163,18 @@ def all_pairs_distances(g: Graph) -> tuple[np.ndarray, dict[int, int]]:
     others[starts] = False
     ids = np.fromiter(chain.from_iterable(lists), np.int64, closed.size - n)
     closed[others] = np.searchsorted(np.array(nodes, dtype=np.int64), ids)
-    words = -(-n // 64)
+    src = rows if sources is None else np.fromiter(map(index.__getitem__, sources), np.intp)
+    k = src.size
+    cols = np.arange(k)
+    words = -(-k // 64)
     # Bit j of row i, counted in little-endian bytes, is source j.
     packed = np.zeros((n, 8 * words), dtype=np.uint8)
-    packed[rows, rows >> 3] = (1 << (rows & 7)).astype(np.uint8)
+    packed[src, cols >> 3] = (1 << (cols & 7)).astype(np.uint8)
     reached = packed.view(np.uint64)
     gathered = np.empty((closed.size, words), dtype=np.uint64)
-    levels = np.zeros((n, n), dtype=np.uint16)
+    levels = np.zeros((n, k), dtype=np.uint16)
     while True:
-        levels += np.unpackbits(~packed, axis=1, count=n, bitorder="little")
+        levels += np.unpackbits(~packed, axis=1, count=k, bitorder="little")
         np.take(reached, closed, axis=0, out=gathered)
         grown = np.bitwise_or.reduceat(gathered, starts, axis=0)
         if np.array_equal(grown, reached):
@@ -176,7 +182,7 @@ def all_pairs_distances(g: Graph) -> tuple[np.ndarray, dict[int, int]]:
         reached = grown
         packed = reached.view(np.uint8)
     dist = levels.astype(np.float32)
-    dist[np.unpackbits(packed, axis=1, count=n, bitorder="little") == 0] = np.inf
+    dist[np.unpackbits(packed, axis=1, count=k, bitorder="little") == 0] = np.inf
     return dist, index
 
 
@@ -196,9 +202,9 @@ def diameter_from(dist: np.ndarray) -> object:
 # `exact_apsp_cap` and `stretch_samples`. The cap is the largest power of
 # two whose exact runs stay under a 300 MB peak RSS budget: 262 MB on a
 # random tree of 4096 nodes under `haft`/`mixed` (T = 32), where the two
-# float32 matrices take 64 MiB each. Below it, exact stretch costs a small
-# fraction of what sampling does per event, and a sample gives only a
-# lower bound.
+# float32 matrices take 64 MiB each. Below it, exact stretch costs less per
+# event than sampling (22.6 against 31.4 ms at n = 2048), and a sample
+# gives only a lower bound.
 DEFAULT_EXACT_APSP_CAP = 4096
 DEFAULT_STRETCH_SAMPLES = 1000
 
@@ -231,7 +237,7 @@ def stretch_max(
         return stretch_exact(all_pairs_distances(live), shadow_dist, shadow_index)
     if samples <= 0:
         return StretchResult(None, "skipped", None)
-    return _stretch_sampled(live, shadow_dist, shadow_index, samples, rng or random.Random(0))
+    return stretch_sampled(live, shadow_dist, shadow_index, samples, rng or random.Random(0))
 
 
 def stretch_exact(
@@ -309,31 +315,29 @@ def _ratio(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _stretch_sampled(
+def stretch_sampled(
     live: Graph,
     shadow_dist: np.ndarray,
     shadow_index: dict[int, int],
     samples: int,
     rng: random.Random,
 ) -> StretchResult:
-    nodes = sorted(live.nodes)
-    best: object = Fraction(1)
-    best_pair = None
-    diameter_seen = 0
-    cache: dict[int, dict[int, int]] = {}
-    for _ in range(samples):
-        u, v = rng.sample(nodes, 2)
-        if u not in cache:
-            cache[u] = live.bfs_distances(u)
-        d_live = cache[u].get(v)
-        if d_live is None:
+    """`stretch_max` over `samples` pairs of live nodes drawn with `rng`,
+    scanned in draw order: INF at the first pair apart, the diameter of the
+    pairs drawn. One kernel run from the pairs' distinct first nodes."""
+    nodes = sorted(live._adj)
+    pairs = [rng.sample(nodes, 2) for _ in range(samples)]
+    sources = list(dict.fromkeys(u for u, _ in pairs))
+    dist, index = all_pairs_distances(live, sources)
+    column = {u: j for j, u in enumerate(sources)}
+    best, best_pair, diameter_seen = Fraction(1), None, 0
+    for u, v in pairs:
+        d_live = dist[index[v], column[u]]
+        if d_live == np.inf:
             return StretchResult(INF, "sampled", INF, (u, v))
-        diameter_seen = max(diameter_seen, d_live)
+        diameter_seen = max(diameter_seen, int(d_live))
         d_shadow = shadow_dist[shadow_index[u], shadow_index[v]]
-        if not np.isfinite(d_shadow):
-            continue
-        ratio = _ratio(d_live, int(d_shadow))
-        if ratio > best:
+        if np.isfinite(d_shadow) and (ratio := _ratio(int(d_live), int(d_shadow))) > best:
             best, best_pair = ratio, (u, v)
     return StretchResult(best, "sampled", diameter_seen, best_pair)
 

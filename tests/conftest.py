@@ -3,7 +3,7 @@
 The oracles here are written from scratch against plain adjacency dicts so
 they stay independent of the library code they check: breadth-first search
 with an explicit queue, all-pairs distances by Floyd-Warshall and by one
-such search per source, cut
+such search per source, sampled stretch by one search per drawn source, cut
 vertices by deleting each vertex and recounting components, the
 homomorphic image of a virtual graph recomputed from its adjacency and
 simulation map, and the degree ratio with one Fraction per node.
@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from selfheal.graph import Graph, UnknownNodeError
-from selfheal.metrics import ZeroShadowDegreeError
+from selfheal.metrics import StretchResult, ZeroShadowDegreeError
 from selfheal.virtual_graph import RepairJournal, VirtualGraph, is_real, node_id, real, virt
 
 INF = float("inf")
@@ -77,6 +77,35 @@ def oracle_apsp_bfs(adj: dict) -> tuple[np.ndarray, dict]:
         for v, d in oracle_bfs(adj, u).items():
             dist[index[u], index[v]] = d
     return dist, index
+
+
+def oracle_stretch_sampled(
+    live: Graph, shadow_dist: np.ndarray, shadow_index: dict, samples: int, rng: random.Random
+) -> StretchResult:
+    """Sampled stretch drawn and scanned one pair at a time, the live
+    distances from one `Graph.bfs_distances` per distinct first node: the
+    oracle of `metrics.stretch_sampled`, which draws every pair first and
+    reads the live distances from one bit-parallel build."""
+    nodes = sorted(live.nodes)
+    best = Fraction(1)
+    best_pair = None
+    diameter_seen = 0
+    cache: dict = {}
+    for _ in range(samples):
+        u, v = rng.sample(nodes, 2)
+        if u not in cache:
+            cache[u] = live.bfs_distances(u)
+        d_live = cache[u].get(v)
+        if d_live is None:
+            return StretchResult(INF, "sampled", INF, (u, v))
+        diameter_seen = max(diameter_seen, d_live)
+        d_shadow = shadow_dist[shadow_index[u], shadow_index[v]]
+        if not np.isfinite(d_shadow):
+            continue
+        ratio = Fraction(d_live, int(d_shadow))
+        if ratio > best:
+            best, best_pair = ratio, (u, v)
+    return StretchResult(best, "sampled", diameter_seen, best_pair)
 
 
 def oracle_articulation_points(adj: dict) -> list:

@@ -349,6 +349,71 @@ def test_stretch_off_skips_the_annihilating_step(apsp_builds):
     assert apsp_builds == []
 
 
+# A star on 0..4 with the tail 4-5-6, deleted down to one node, joined by an
+# insert and deleted to none: the live count runs 7, 6, ..., 1, 2, 1, 0.
+CELL_EVENTS = tuple(
+    [Event(op="delete", node=v) for v in (0, 5, 2, 3, 6, 1)]
+    + [Event(op="insert", node=10, neighbors=(4,))]
+    + [Event(op="delete", node=v) for v in (4, 10)]
+)
+# Per (exact_apsp_cap, stretch_samples), each record's live count,
+# stretch_mode, max_stretch, diameter_live and diameter_shadow, t = 0 first,
+# as `metrics.csv` writes them. Cap 4 puts 7, 6 and 5 live nodes above the
+# cap and 4, 3 and 2 within it; one live node and none are exact 1 unless
+# stretch is off.
+CELL_RECORDS = {
+    (0, 0): [f"{n} skipped na na na" for n in (7, 6, 5, 4, 3, 2, 1, 2, 1, 0)],
+    (0, 6): [
+        "7 sampled 1.0 4 4",
+        "6 sampled 1.3333333333333333 5 4",
+        "5 sampled 1.5 4 4",
+        "4 sampled 1.0 2 4",
+        "3 sampled 1.0 2 4",
+        "2 sampled 1.0 1 4",
+        "1 exact 1.0 0 4",
+        "2 sampled 1.0 1 4",
+        "1 exact 1.0 0 4",
+        "0 exact 1.0 0 4",
+    ],
+    (4, 0): [
+        "7 skipped na na na",
+        "6 skipped na na na",
+        "5 skipped na na na",
+        "4 exact 1.0 2 4",
+        "3 exact 0.5 2 4",
+        "2 exact 0.5 1 4",
+        "1 exact 1.0 0 4",
+        "2 exact 1.0 1 4",
+        "1 exact 1.0 0 4",
+        "0 exact 1.0 0 4",
+    ],
+    (4, 6): [
+        "7 sampled 1.0 4 4",
+        "6 sampled 1.3333333333333333 5 4",
+        "5 sampled 1.5 4 4",
+        "4 exact 1.0 2 4",
+        "3 exact 0.5 2 4",
+        "2 exact 0.5 1 4",
+        "1 exact 1.0 0 4",
+        "2 exact 1.0 1 4",
+        "1 exact 1.0 0 4",
+        "0 exact 1.0 0 4",
+    ],
+}
+
+
+@pytest.mark.parametrize(("cap", "samples"), sorted(CELL_RECORDS))
+def test_every_stretch_mode_cell(cap, samples):
+    initial = Graph(nodes=range(7), edges=[(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)])
+    config = scripted(CELL_EVENTS, initial, seed=3, exact_apsp_cap=cap, stretch_samples=samples)
+    state = run(config)
+    assert state.status == "annihilated"
+    fields = ("live_nodes", "stretch_mode", "max_stretch", "diameter_live", "diameter_shadow")
+    records = [state.initial_record, *state.records]
+    got = [" ".join(metrics.format_number(getattr(r, f)) for f in fields) for r in records]
+    assert got == CELL_RECORDS[(cap, samples)]
+
+
 # -- the maintained live distances against a per-source BFS ---------------------
 
 

@@ -24,6 +24,7 @@ from selfheal.metrics import (
     parse_csv,
     records_to_csv,
     stretch_max,
+    stretch_sampled,
     summarize,
 )
 
@@ -36,7 +37,9 @@ from conftest import (
     adj_of,
     oracle_apsp_bfs,
     oracle_apsp_floyd,
+    oracle_bfs,
     oracle_degree_ratio_max,
+    oracle_stretch_sampled,
     random_graph,
 )
 
@@ -282,6 +285,86 @@ class TestStretch:
         result = stretch_max(shadow, sdist, sindex, exact_cap=8, samples=0)
         assert result.mode == "skipped"
         assert result.max_stretch is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k", [1, 63, 64, 65, "all"])
+def test_sources_are_columns_of_the_full_matrix(k, seed):
+    # Scattered ids, isolated nodes and several components; the sources in
+    # draw order, not id order.
+    rng = random.Random(seed)
+    g = scattered_graph(rng, 150)
+    nodes = sorted(g.nodes)
+    sources = rng.sample(nodes, len(nodes) if k == "all" else k)
+    full, index = all_pairs_distances(g)
+    dist, got_index = all_pairs_distances(g, sources)
+    assert got_index == index
+    assert dist.dtype == np.float32 and dist.shape == (len(nodes), len(sources))
+    np.testing.assert_array_equal(dist, full[:, [index[s] for s in sources]])
+
+
+def healed_graphs(rng: random.Random, n: int, parts: int, deleted: int, join: bool):
+    """A shadow graph on n scattered ids in `parts` components, each a
+    random tree plus chords, and a live graph on all but `deleted` of its
+    nodes: the shadow edges among them and a few healing edges and, when
+    `join`, one more edge between each two consecutive live components."""
+    ids = rng.sample(range(5 * n), n)
+    shadow = Graph(nodes=ids)
+    bounds = [0, *sorted(rng.sample(range(1, n), parts - 1)), n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = ids[lo:hi]
+        for k in range(1, len(part)):
+            shadow.add_edge(part[k], part[rng.randrange(k)])
+        for _ in range(len(part) // 8):
+            shadow.add_edge(*rng.sample(part, 2))
+    gone = set(rng.sample(ids, deleted))
+    live = Graph(nodes=[v for v in ids if v not in gone])
+    for u, v in shadow.edges():
+        if u not in gone and v not in gone:
+            live.add_edge(u, v)
+    live_ids = sorted(live.nodes)
+    for _ in range(len(live_ids) // 10):
+        live.add_edge(*rng.sample(live_ids, 2))
+    if join:
+        adj, firsts, seen = adj_of(live), [], set()
+        for v in live_ids:
+            if v not in seen:
+                firsts.append(v)
+                seen |= oracle_bfs(adj, v).keys()
+        for a, b in zip(firsts, firsts[1:]):
+            live.add_edge(a, b)
+    return live, shadow
+
+
+# (shadow nodes, shadow components, deleted, live joined, samples)
+SAMPLED_CASES = {
+    "connected": (120, 1, 12, True, 300),
+    "live-disconnected": (120, 1, 12, False, 300),
+    "shadow-disconnected": (150, 3, 10, True, 300),
+    "repeated-first-nodes": (12, 1, 3, True, 200),
+    "over-64-sources": (400, 2, 30, True, 1000),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", sorted(SAMPLED_CASES))
+def test_sampled_stretch_matches_the_per_source_bfs_sampler(case, seed):
+    n, parts, deleted, join, samples = SAMPLED_CASES[case]
+    live, shadow = healed_graphs(random.Random(seed), n, parts, deleted, join)
+    sdist, sindex = all_pairs_distances(shadow)
+    got = stretch_sampled(live, sdist, sindex, samples, random.Random(seed))
+    assert got == oracle_stretch_sampled(live, sdist, sindex, samples, random.Random(seed))
+    assert got.mode == "sampled"
+    assert (got.max_stretch is INF) == (case == "live-disconnected")
+    nodes = sorted(live.nodes)
+    rng = random.Random(seed)
+    firsts = {rng.sample(nodes, 2)[0] for _ in range(samples)}
+    if case == "shadow-disconnected":
+        assert np.isinf(sdist).any()
+    elif case == "repeated-first-nodes":
+        assert len(firsts) <= len(nodes) < samples
+    elif case == "over-64-sources":
+        assert len(firsts) > 64
 
 
 def one_block_argmax(live_dist, shadow_dist, rows):
