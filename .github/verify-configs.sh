@@ -133,5 +133,8 @@ row over-ids 2 'graph = ci-verify/over-ids.edges' 'T = 1' 'exact_apsp_cap = 512'
 printf '%s\n' '0 1' '1 2' > ci-verify/nested.edges
 python3 -c "print('[' * 100000 + ']' * 100000)" > ci-verify/nested.jsonl
 row nested-trace 2 'graph = ci-verify/nested.edges' 'trace = ci-verify/nested.jsonl'
+# A config key that no subcommand reads, here a misspelt cap, is rejected
+# with exit 2 rather than run with the cap's default.
+row unknown-key 2 'family = path' 'n = 5' 'T = 2' 'exact_apsp_capp = 0'
 
 exit "$failed"

@@ -8,9 +8,9 @@ Usage:
 
 Every subcommand takes --config, --out, --seed and --quiet; gen, run and
 verify also take --healer, and bench takes --trials. Config files are flat
-"key = value" lines with '#' comments, each key on one line at most. The
-master seed comes from --seed, else the SELFHEAL_SEED environment variable,
-else the config's `seed` key.
+"key = value" lines with '#' comments, each key one of `CONFIG_KEYS` and
+on one line at most. The master seed comes from --seed, else the
+SELFHEAL_SEED environment variable, else the config's `seed` key.
 Exit codes: 0 success (for verify: zero violations), 1 verification found
 violations, 2 parse/config/I-O failure, 3 internal invariant breach (any
 library check that fails while preprocessing the initial graph or on an
@@ -54,6 +54,14 @@ class ConfigError(ValueError):
     pass
 
 
+# Every key a subcommand reads. Any other key is refused, so that a
+# misspelt one cannot leave its setting at the default.
+CONFIG_KEYS = frozenset(
+    "seed family graph n p healer trace T strategy p_delete insert_degree"
+    " exact_apsp_cap stretch_samples csv n_list healers trials".split()
+)
+
+
 def parse_config(text: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
     first: dict[str, int] = {}
@@ -64,6 +72,8 @@ def parse_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in first:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {first[key]})")
         first[key] = lineno

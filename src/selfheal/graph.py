@@ -4,10 +4,11 @@ Everything downstream (virtual graphs, healers, metrics) builds on this module.
 Graphs are plain dict-of-sets adjacency structures; node ids are non-negative
 integers that are never reused within a run, even after deletion.
 
-Distances and connectivity are computed by breadth-first traversal per
-query; no dynamic-connectivity structure is kept here. The engine follows
-the live graph's connectivity from event to event (`engine.LiveMeasure`)
-and keeps `is_connected` as its oracle. The list of cut vertices comes
+Connectivity is one search per query; no dynamic-connectivity structure
+is kept here. Hop distances come from `metrics.all_pairs_distances`,
+whose independent oracles live with the tests. The engine follows the
+live graph's connectivity from event to event (`engine.LiveMeasure`) and
+keeps `is_connected` as its oracle. The list of cut vertices comes
 from one iterative Tarjan low-link depth-first search, linear in nodes plus
 edges. The smallest cut vertex, which the `articulation` adversary asks for
 on every event, comes from local searches that stop at the first cut vertex
@@ -185,21 +186,7 @@ class Graph:
             self._adj[u].discard(v)
         return orphans
 
-    # -- traversal & distances -------------------------------------------
-
-    def bfs_distances(self, source: int) -> dict[int, int]:
-        if source not in self._adj:
-            raise UnknownNodeError(f"node {source} not in graph")
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            d = dist[u] + 1
-            for w in self._adj[u]:
-                if w not in dist:
-                    dist[w] = d
-                    queue.append(w)
-        return dist
+    # -- traversal -------------------------------------------------------
 
     def is_connected(self) -> bool:
         """Empty and singleton graphs count as connected. One search that
@@ -216,27 +203,6 @@ class Graph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == len(adj)
-
-    def distance(self, u: int, v: int) -> float:
-        """Minimum hop count, 0 for u == v, INF when disconnected."""
-        if v not in self._adj:
-            raise UnknownNodeError(f"node {v} not in graph")
-        dist = self.bfs_distances(u)
-        return dist.get(v, INF)
-
-    def diameter(self) -> float:
-        """Max pairwise distance; 0 for <= 1 node, INF when disconnected."""
-        if len(self._adj) <= 1:
-            return 0
-        best = 0
-        for v in self._adj:
-            dist = self.bfs_distances(v)
-            if len(dist) != len(self._adj):
-                return INF
-            ecc = max(dist.values())
-            if ecc > best:
-                best = ecc
-        return best
 
     def articulation_points(self) -> list[int]:
         """Cut vertices, ascending, in O(n + m).

@@ -17,12 +17,14 @@ lists, numpy only. The engine runs it from every node to start or rebuild
 the matrices it maintains (`engine.DistanceOracle`), whose live oracle
 keeps the exact maximum stretch itself, and, above the exact cap, from
 the first nodes of a seeded sample of live pairs (`stretch_sampled`); the
-record notes which mode produced the stretch. `verify` audits the kept
-maximum with `stretch_exact` over fresh builds; `stretch_max` is the
-snapshot reference of tests. The pure-BFS implementations in `graph` stay
-the kernel's independent oracle; the test suite cross-checks the two entry
-by entry on random graphs whose sizes cross the 64-bit word boundaries,
-with isolated nodes, several components and scattered ids.
+record notes which mode produced the stretch; `engine._measure` alone
+picks that mode. `verify` audits the kept maximum with `stretch_exact`
+over fresh builds; `stretch_max` is the tests' snapshot reference, exact
+stretch over one fresh build. The kernel's independent oracle is one
+plain breadth-first search per source, kept with the tests
+(`oracle_apsp_bfs`), which cross-check the two entry by entry on random
+graphs whose sizes cross the 64-bit word boundaries, with isolated nodes,
+several components and scattered ids.
 
 All functions are pure snapshots-in, values-out; records from finished runs
 can be crunched in parallel.
@@ -218,26 +220,14 @@ class StretchResult:
 
 
 def stretch_max(
-    live: Graph,
-    shadow_dist: np.ndarray,
-    shadow_index: dict[int, int],
-    exact_cap: int = DEFAULT_EXACT_APSP_CAP,
-    samples: int = DEFAULT_STRETCH_SAMPLES,
-    rng: random.Random | None = None,
+    live: Graph, shadow_dist: np.ndarray, shadow_index: dict[int, int]
 ) -> StretchResult:
-    """max over live pairs of dist_live(u, v) / dist_shadow(u, v).
-
-    Exact over all pairs while the live graph fits the cap, else over a
-    seeded sample of pairs. INF when the live graph is disconnected; pairs
-    never joined in the shadow graph contribute nothing. Returns 1 when
-    there are fewer than two live nodes.
-    """
-    n = live.node_count
-    if n <= 1 or n <= exact_cap:
-        return stretch_exact(all_pairs_distances(live), shadow_dist, shadow_index)
-    if samples <= 0:
-        return StretchResult(None, "skipped", None)
-    return stretch_sampled(live, shadow_dist, shadow_index, samples, rng or random.Random(0))
+    """max over live pairs of dist_live(u, v) / dist_shadow(u, v), exact,
+    from a fresh build of `live`: INF when the live graph is disconnected,
+    and 1 when there are fewer than two live nodes. Pairs never joined in
+    the shadow graph contribute nothing. The snapshot reference of tests;
+    a run picks its stretch mode in `engine._measure`."""
+    return stretch_exact(all_pairs_distances(live), shadow_dist, shadow_index)
 
 
 def stretch_exact(

@@ -179,19 +179,6 @@ class VirtualGraph:
         self._adj[processor] = set()
         self.image.add_node(processor)
 
-    def declare_virtual(self, vid: int, simulator: int) -> None:
-        """Register a vid already minted from this graph's VidSource.
-
-        Lets callers build structures (e.g. reconstruction trees) with fresh
-        vids before wiring them in. This is a one-declaration `rewire`
-        batch, so it raises as `rewire` does.
-        """
-        self.rewire((), [(vid, simulator)], ())
-
-    def add_edge(self, a: VNode, b: VNode) -> bool:
-        """Add edge a-b; returns False if already present."""
-        return bool(self.rewire((), (), [(a, b)]).virtual_added)
-
     # -- removal ----------------------------------------------------------
 
     def remove_processor(self, processor: int) -> None:
@@ -227,16 +214,15 @@ class VirtualGraph:
         vid already declared in this batch, or at or below a vid an
         earlier batch declared, raises DuplicateNodeError: a batch may
         declare its vids in any order, and a dissolved vid is never
-        declared again. `declare_virtual` is a batch of one declaration,
-        so these checks are its own. A self-loop or an endpoint not in the
-        graph raises UnknownNodeError, an edge already present is skipped,
-        and a vid to dissolve that is not a live virtual node raises
-        UnknownNodeError. No edge is both added and dropped: each dropped
-        edge has a dissolved endpoint, and a dissolved vid cannot be
-        declared again. The image counts are
-        summed per processor pair and each nonzero net change is applied
-        once, at the end, even when a check raises part way; so the image
-        changes only on a real move between 0 and nonzero.
+        declared again. A self-loop or an endpoint not in the graph raises
+        UnknownNodeError, an edge already present is skipped, and a vid to
+        dissolve that is not a live virtual node raises UnknownNodeError.
+        No edge is both added and dropped: each dropped edge has a
+        dissolved endpoint, and a dissolved vid cannot be declared again.
+        The image counts are summed per processor pair and each nonzero net
+        change is applied once, at the end, even when a check raises part
+        way; so the image changes only on a real move between 0 and
+        nonzero.
         """
         adj, sim, hosted = self._adj, self.sim, self._hosted
         changes = RepairJournal()
@@ -335,11 +321,6 @@ class VirtualGraph:
         if x not in self._adj:
             raise UnknownNodeError(f"{node_name(x)} not in virtual graph")
         return set(self._adj[x])
-
-    def degree(self, x: VNode) -> int:
-        if x not in self._adj:
-            raise UnknownNodeError(f"{node_name(x)} not in virtual graph")
-        return len(self._adj[x])
 
     def edges(self) -> Iterator[tuple[VNode, VNode]]:
         for a in sorted(self._adj):

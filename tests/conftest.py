@@ -83,18 +83,19 @@ def oracle_stretch_sampled(
     live: Graph, shadow_dist: np.ndarray, shadow_index: dict, samples: int, rng: random.Random
 ) -> StretchResult:
     """Sampled stretch drawn and scanned one pair at a time, the live
-    distances from one `Graph.bfs_distances` per distinct first node: the
-    oracle of `metrics.stretch_sampled`, which draws every pair first and
-    reads the live distances from one bit-parallel build."""
+    distances from one `oracle_bfs` per distinct first node: the oracle of
+    `metrics.stretch_sampled`, which draws every pair first and reads the
+    live distances from one bit-parallel build."""
     nodes = sorted(live.nodes)
     best = Fraction(1)
     best_pair = None
     diameter_seen = 0
     cache: dict = {}
+    adj = adj_of(live)
     for _ in range(samples):
         u, v = rng.sample(nodes, 2)
         if u not in cache:
-            cache[u] = live.bfs_distances(u)
+            cache[u] = oracle_bfs(adj, u)
         d_live = cache[u].get(v)
         if d_live is None:
             return StretchResult(INF, "sampled", INF, (u, v))
@@ -206,7 +207,7 @@ def _count_image(vg: VirtualGraph, a, b, delta: int) -> None:
 def add_virtual(vg: VirtualGraph, simulator: int) -> int:
     """Mint a vid from the graph's counter and declare it on `simulator`."""
     vid = vg.vids.take()
-    vg.declare_virtual(vid, simulator)
+    vg.rewire((), [(vid, simulator)], ())
     return vid
 
 
@@ -222,8 +223,8 @@ def remove_virtual(vg: VirtualGraph, vid: int) -> None:
 
 
 def add_virtual_edge(vg: VirtualGraph, a, b) -> None:
-    """Add one virtual edge, with the errors of `VirtualGraph.add_edge`; an
-    edge already present is left alone."""
+    """Add one virtual edge, with the errors `VirtualGraph.rewire` gives
+    an edge; an edge already present is left alone."""
     if a == b:
         raise UnknownNodeError(f"self-loop at {a}")
     for x in (a, b):
@@ -259,13 +260,14 @@ def changes_between(before: tuple[dict, set], after: tuple[dict, set]) -> Repair
 
 def rewire_in_sequence(vg: VirtualGraph, dissolve, declare, edges) -> RepairJournal:
     """What `vg.rewire(dissolve, declare, edges)` does, one operation at a
-    time: `remove_virtual`, then `declare_virtual`, then `add_virtual_edge`.
-    Returns the changes between snapshots taken before and after."""
+    time: `remove_virtual`, then one `rewire` per declaration, whose checks
+    are the batch's own, then `add_virtual_edge`. Returns the changes
+    between snapshots taken before and after."""
     before = edge_snapshot(vg)
     for vid in dissolve:
         remove_virtual(vg, vid)
-    for vid, simulator in declare:
-        vg.declare_virtual(vid, simulator)
+    for declaration in declare:
+        vg.rewire((), [declaration], ())
     for a, b in edges:
         add_virtual_edge(vg, a, b)
     return changes_between(before, edge_snapshot(vg))
@@ -333,6 +335,5 @@ def random_virtual_graph(
     nodes = [real(p) for p in range(n_real)] + [virt(v) for v in sorted(vg.virtuals)]
     if len(nodes) >= 2:
         for _ in range(rng.randint(0, 3 * len(nodes))):
-            a, b = rng.sample(nodes, 2)
-            vg.add_edge(a, b)
+            vg.rewire((), (), [tuple(rng.sample(nodes, 2))])
     return vg

@@ -11,7 +11,7 @@ import pytest
 
 from selfheal import metrics
 from selfheal.adversary import AdversaryIndex, read_trace
-from selfheal.cli import loglog_slope, main, parse_config
+from selfheal.cli import CONFIG_KEYS, loglog_slope, main, parse_config
 from selfheal.engine import DistanceOracle, LiveMeasure
 from selfheal.graph import MAX_NODE_ID, Graph, UnknownNodeError
 from selfheal.haft import Haft, Internal, haft_slots
@@ -46,6 +46,23 @@ def test_duplicate_config_key_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err == "error: line 3: duplicate key 'n' (first on line 2)\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "verify", "bench"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, command):
+    # Used to run with exit 0 and the default cap, the misspelt key showing
+    # only in manifest.json.
+    cfg = write(tmp_path / "c.cfg", "family = path\nn = 5\nT = 2\nexact_apsp_capp = 0\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: line 4: unknown config key 'exact_apsp_capp'\n"
+    assert not out.exists()
+
+
+def test_every_config_key_is_accepted():
+    text = "".join(f"{key} = 1\n" for key in sorted(CONFIG_KEYS))
+    assert parse_config(text) == {key: "1" for key in CONFIG_KEYS}
+    assert len(CONFIG_KEYS) == 17
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

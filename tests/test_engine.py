@@ -35,7 +35,7 @@ from selfheal.metrics import (
 )
 from selfheal.virtual_graph import is_real, node_id
 
-from conftest import INF, adj_of, oracle_apsp_bfs
+from conftest import INF, adj_of, oracle_apsp_bfs, oracle_bfs
 
 
 def triangle() -> Graph:
@@ -439,8 +439,8 @@ def assert_live_oracle_matches(state) -> None:
         best = state.live_oracle._best
         if record.max_stretch != INF and best[1] is not None:
             u, w = best[1:]
-            live_hops = live.bfs_distances(u)[w]
-            shadow_hops = state.shadow.bfs_distances(u)[w]
+            live_hops = oracle_bfs(adj_of(live), u)[w]
+            shadow_hops = oracle_bfs(adj_of(state.shadow), u)[w]
             assert Fraction(live_hops, shadow_hops) == record.max_stretch
 
 
@@ -630,7 +630,7 @@ def test_live_oracle_updates_match_fresh_apsp(seed):
             if kept.argmax_pair is not None:
                 # Ties may pick another pair, so its ratio is what must match.
                 u, w = kept.argmax_pair
-                hops = Fraction(g.bfs_distances(u)[w], shadow.bfs_distances(u)[w])
+                hops = Fraction(oracle_bfs(adj_of(g), u)[w], oracle_bfs(adj_of(shadow), u)[w])
                 assert hops == kept.max_stretch
 
 
@@ -761,7 +761,7 @@ def test_stretch_over_rows_out_of_id_order_matches_a_fresh_build():
         )
         # The pair reported has the maximum stretch, read by BFS.
         u, w = held.argmax_pair
-        hops = Fraction(live.bfs_distances(u)[w], shadow.bfs_distances(u)[w])
+        hops = Fraction(oracle_bfs(adj_of(live), u)[w], oracle_bfs(adj_of(shadow), u)[w])
         assert hops == held.max_stretch
         orders.append(list(oracle.nodes))
         stretches.append(fresh.max_stretch)
@@ -798,7 +798,7 @@ def test_full_stretch_scans_in_row_blocks_match_one_block(seed, monkeypatch):
     ends, left = [], set(live.nodes)
     while left:
         ends.append(rng.choice(sorted(left)))
-        left -= live.bfs_distances(ends[-1]).keys()
+        left -= oracle_bfs(adj_of(live), ends[-1]).keys()
     for a, b in zip(ends, ends[1:]):
         live.add_edge(a, b)
     assert np.isinf(all_pairs_distances(shadow)[0]).any()

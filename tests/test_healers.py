@@ -288,7 +288,7 @@ def _short_spine(h, hid):
 
 def _stray_virtual(h, hid):
     vid = h.vg.vids.take()
-    h.vg.declare_virtual(vid, 2)
+    h.vg.rewire((), [(vid, 2)], ())
     return f"virtual nodes outside any haft: [{vid}]"
 
 

@@ -11,7 +11,7 @@ import pytest
 from selfheal import metrics
 from selfheal.adversary import Event, StrategySpec
 from selfheal.engine import RunConfig, run
-from selfheal.families import path_graph
+from selfheal.families import erdos_renyi, path_graph
 from selfheal.graph import Graph
 from selfheal.metrics import (
     INF,
@@ -275,16 +275,26 @@ class TestStretch:
         shadow = path_graph(30)
         sdist, sindex = all_pairs_distances(shadow)
         rng = random.Random(0)
-        result = stretch_max(shadow, sdist, sindex, exact_cap=8, samples=50, rng=rng)
+        result = stretch_sampled(shadow, sdist, sindex, 50, rng)
         assert result.mode == "sampled"
         assert result.max_stretch == Fraction(1)
 
-    def test_skipped_mode(self):
-        shadow = path_graph(30)
+    @pytest.mark.parametrize("live_count", [0, 1, 2, "random"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stretch_max_is_exact_over_a_fresh_build(self, live_count, seed):
+        # The snapshot reference has no mode of its own: whatever the size,
+        # it is `stretch_exact` over the live graph's build.
+        rng = random.Random(f"stretch-max:{live_count}:{seed}")
+        shadow = erdos_renyi(24, 0.15, rng)
+        k = rng.randint(3, 24) if live_count == "random" else live_count
+        live = Graph(nodes=rng.sample(sorted(shadow.nodes), k))
+        for u, v in shadow.edges():
+            if u in live and v in live and rng.random() < 0.8:
+                live.add_edge(u, v)
         sdist, sindex = all_pairs_distances(shadow)
-        result = stretch_max(shadow, sdist, sindex, exact_cap=8, samples=0)
-        assert result.mode == "skipped"
-        assert result.max_stretch is None
+        got = stretch_max(live, sdist, sindex)
+        assert got == metrics.stretch_exact(all_pairs_distances(live), sdist, sindex)
+        assert got.mode == "exact"
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -125,7 +125,7 @@ class TestAddNodes:
     def test_unknown_simulator(self):
         vg = VirtualGraph()
         with pytest.raises(UnknownNodeError):
-            vg.declare_virtual(vg.vids.take(), 9)
+            vg.rewire((), [(vg.vids.take(), 9)], ())
         assert vg.sim == {}
 
     def test_vids_never_reused(self):
@@ -135,14 +135,14 @@ class TestAddNodes:
         remove_virtual(vg, vid)
         assert add_virtual(vg, 1) == vid + 1
         with pytest.raises(DuplicateNodeError):
-            vg.declare_virtual(vid, 1)
+            vg.rewire((), [(vid, 1)], ())
 
     def test_vid_minted_before_an_earlier_declaring_batch_is_refused(self):
         vg = VirtualGraph.from_graph(Graph(nodes=[1]))
         early, late = vg.vids.take(), vg.vids.take()
-        vg.declare_virtual(late, 1)
+        vg.rewire((), [(late, 1)], ())
         with pytest.raises(DuplicateNodeError, match=f"vid {early} is not above every vid"):
-            vg.declare_virtual(early, 1)
+            vg.rewire((), [(early, 1)], ())
         assert vg.sim == {late: 1}
         assert vg.audit() == []
 
@@ -234,7 +234,7 @@ class TestRemoveProcessor:
         vg.add_real_node(1)
         vg.add_real_node(2)
         h = add_virtual(vg, 1)
-        vg.add_edge(virt(h), real(2))
+        vg.rewire((), (), [(virt(h), real(2))])
         assert vg.remove_processor(1) is None
         assert vg.reals == {2}
         assert vg.virtuals == set()
@@ -270,12 +270,12 @@ def test_remove_processor_keeps_image_and_counts(seed):
     for p in sorted(vg.reals):
         hosted = [virt(v) for v in sorted(vg.virtuals) if vg.sim[v] == p]
         if hosted:
-            vg.add_edge(hosted[0], real(p))
+            vg.rewire((), (), [(hosted[0], real(p))])
             if len(hosted) > 1:
-                vg.add_edge(hosted[0], hosted[1])
+                vg.rewire((), (), [(hosted[0], hosted[1])])
             others = [x for x in nodes if processor(vg, x) != p]
             if others:
-                vg.add_edge(hosted[-1], rng.choice(others))
+                vg.rewire((), (), [(hosted[-1], rng.choice(others))])
     while vg.reals:
         p = rng.choice(sorted(vg.reals))
         vg.remove_processor(p)
@@ -292,9 +292,7 @@ class TestDeSimulate:
         for p in (1, 2, 3):
             vg.add_real_node(p)
         h = add_virtual(vg, 1)
-        vg.add_edge(virt(h), real(2))
-        vg.add_edge(virt(h), real(3))
-        vg.add_edge(real(1), real(2))
+        vg.rewire((), (), [(virt(h), real(2)), (virt(h), real(3)), (real(1), real(2))])
         image = vg.de_simulate()
         assert set(image.edges()) == {(1, 2), (1, 3)}
 
@@ -302,7 +300,7 @@ class TestDeSimulate:
         vg = VirtualGraph()
         vg.add_real_node(1)
         vg.add_real_node(2)
-        vg.add_edge(real(1), real(2))
+        vg.rewire((), (), [(real(1), real(2))])
         image = vg.de_simulate()
         assert image.nodes == {1, 2}
         assert set(image.edges()) == {(1, 2)}
@@ -311,7 +309,7 @@ class TestDeSimulate:
         vg = VirtualGraph()
         vg.add_real_node(1)
         h = add_virtual(vg, 1)
-        vg.add_edge(virt(h), real(1))
+        vg.rewire((), (), [(virt(h), real(1))])
         image = vg.de_simulate()
         assert set(image.edges()) == set()
         assert image.nodes == {1}
@@ -324,8 +322,7 @@ class TestMaintainedImage:
         for p in (1, 2):
             vg.add_real_node(p)
         h = add_virtual(vg, 1)
-        vg.add_edge(virt(h), real(2))
-        vg.add_edge(real(1), real(2))
+        vg.rewire((), (), [(virt(h), real(2)), (real(1), real(2))])
         remove_virtual(vg, h)
         assert set(vg.image.edges()) == {(1, 2)}
         vg.remove_processor(2)
@@ -344,8 +341,7 @@ class TestMaintainedImage:
         for p in (1, 2, 3):
             vg.add_real_node(p)
         a, b = add_virtual(vg, 1), add_virtual(vg, 2)
-        vg.add_edge(virt(a), virt(b))
-        vg.add_edge(virt(a), real(3))
+        vg.rewire((), (), [(virt(a), virt(b)), (virt(a), real(3))])
         vg.remove_processor(1)
         assert vg.reals == {2, 3}
         assert vg.virtuals == {b}
@@ -452,8 +448,8 @@ def _random_batch(rng: random.Random, batched: VirtualGraph, sequential: Virtual
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_rewire_matches_the_per_operation_path(seed):
-    # One batched rewire leaves exactly what remove_virtual, declare_virtual
-    # and add_virtual_edge leave in sequence: adjacency, simulation map,
+    # One batched rewire leaves exactly what remove_virtual, one-declaration
+    # batches and add_virtual_edge leave in sequence: adjacency, simulation map,
     # hosted index, declared watermark, image counts and the image; and it returns
     # the changes between snapshots taken before and after.
     batched, sequential = _twin_graphs(seed)
@@ -487,7 +483,7 @@ class TestRewire:
         for p in (1, 2):
             vg.add_real_node(p)
         h = add_virtual(vg, 1)
-        vg.add_edge(virt(h), real(2))
+        vg.rewire((), (), [(virt(h), real(2))])
         image = _RecordingGraph()
         image._adj, image.calls = vg.image._adj, []
         vg.image = image
@@ -504,7 +500,7 @@ class TestRewire:
         vg = VirtualGraph()
         for p in (1, 2):
             vg.add_real_node(p)
-        vg.add_edge(real(1), real(2))
+        vg.rewire((), (), [(real(1), real(2))])
         assert vg.rewire([], [], [(real(2), real(1)), (real(1), real(2))]) == RepairJournal()
         assert vg._multiplicity == {(1, 2): 1}
         assert vg.neighbors(real(1)) == {real(2)}
@@ -533,9 +529,7 @@ def _small_graph() -> VirtualGraph:
     for p in range(4):
         vg.add_real_node(p)
     a, b = add_virtual(vg, 0), add_virtual(vg, 1)
-    vg.add_edge(virt(a), real(2))
-    vg.add_edge(virt(a), virt(b))
-    vg.add_edge(virt(b), real(3))
+    vg.rewire((), (), [(virt(a), real(2)), (virt(a), virt(b)), (virt(b), real(3))])
     vg.vids.take()
     return vg
 
@@ -555,24 +549,6 @@ def test_rewire_raises_as_the_per_operation_path(case):
     assert batched.audit() == []
 
 
-@pytest.mark.parametrize(
-    "declaration, error",
-    [((2, 8), UnknownNodeError), ((0, 2), DuplicateNodeError), ((9, 0), UnknownNodeError)],
-    ids=["simulator-not-real", "spent-vid", "unminted-vid"],
-)
-def test_declare_virtual_raises_as_rewire(declaration, error):
-    # The declare checks live in one place: a lone declaration and one in a
-    # batch fail with the same exception and leave the same healthy graph.
-    single, batched = _small_graph(), _small_graph()
-    with pytest.raises(error) as single_error:
-        single.declare_virtual(*declaration)
-    with pytest.raises(error) as batch_error:
-        batched.rewire((), [declaration], [(virt(0), real(3))])
-    assert str(single_error.value) == str(batch_error.value)
-    assert single.audit() == [] and batched.audit() == []
-    assert _state(single) == _state(batched)
-
-
 class TestAudit:
     def test_clean(self):
         rng = random.Random(1)
@@ -584,9 +560,7 @@ class TestAudit:
         for p in (1, 2, 3):
             vg.add_real_node(p)
         h = add_virtual(vg, 1)
-        vg.add_edge(virt(h), real(2))
-        vg.add_edge(virt(h), real(3))
-        vg.add_edge(real(1), real(2))
+        vg.rewire((), (), [(virt(h), real(2)), (virt(h), real(3)), (real(1), real(2))])
         assert vg.audit() == []
         vg._multiplicity[(1, 2)] += 1  # corrupt: over-counted
         del vg._multiplicity[(1, 3)]  # corrupt: lost
@@ -626,7 +600,7 @@ class TestAudit:
         vg = VirtualGraph()
         vg.add_real_node(1)
         vg.add_real_node(2)
-        vg.add_edge(real(1), real(2))
+        vg.rewire((), (), [(real(1), real(2))])
         vg._adj[real(1)].add(virt(42))  # corrupt
         assert any(p.startswith("dangling-edge") for p in vg.audit())
 
@@ -636,7 +610,7 @@ class TestDot:
         vg = VirtualGraph()
         vg.add_real_node(3)
         h = add_virtual(vg, 3)
-        vg.add_edge(virt(h), real(3))
+        vg.rewire((), (), [(virt(h), real(3))])
         dot = vg.to_dot()
         assert 'shape=circle, label="3"' in dot
         assert f'shape=triangle, label="{h}/3"' in dot
@@ -665,8 +639,8 @@ def test_degree_sum_inequality(seed):
     vg = random_virtual_graph(random.Random(seed))
     image = vg.de_simulate()
     for p in vg.reals:
-        preimage_total = vg.degree(real(p)) + sum(
-            vg.degree(virt(v)) for v in vg.virtuals if vg.sim[v] == p
+        preimage_total = len(vg.neighbors(real(p))) + sum(
+            len(vg.neighbors(virt(v))) for v in vg.virtuals if vg.sim[v] == p
         )
         assert image.degree(p) <= preimage_total
 
