@@ -3,7 +3,10 @@
 # the repository root, and prints one PASS or FAIL line per config. Exits 1
 # if any config failed. Configs, outputs and stderr go to ci-verify/.
 #
-# Usage: .github/verify-configs.sh   (needs `selfheal` on PATH)
+# Usage: .github/verify-configs.sh
+#
+# Each row runs `python -m selfheal.cli verify` with PYTHONPATH=src, so the
+# table checks this checkout's sources and needs no install.
 #
 # A row passes when verify exits with the row's code. A row expected to
 # exit 1 (a baseline healer that breaks a hard bound by design) must also
@@ -19,7 +22,8 @@ row() {
   local name=$1 expect=$2 status=0 why=
   shift 2
   printf '%s\n' "$@" > "ci-verify/$name.cfg"
-  selfheal verify --config "ci-verify/$name.cfg" --out "ci-verify/$name-out" --seed 1 \
+  PYTHONPATH=src python -m selfheal.cli verify --config "ci-verify/$name.cfg" \
+    --out "ci-verify/$name-out" --seed 1 \
     2> "ci-verify/$name.err" || status=$?
   cat "ci-verify/$name.err"
   if [ "$status" -ne "$expect" ]; then
@@ -136,5 +140,8 @@ row nested-trace 2 'graph = ci-verify/nested.edges' 'trace = ci-verify/nested.js
 # A config key that no subcommand reads, here a misspelt cap, is rejected
 # with exit 2 rather than run with the cap's default.
 row unknown-key 2 'family = path' 'n = 5' 'T = 2' 'exact_apsp_capp = 0'
+# A key that only another subcommand reads, here bench's `healers` for
+# `healer`, is rejected with exit 2 rather than run with the default healer.
+row other-key 2 'family = path' 'n = 5' 'T = 2' 'healers = rebuild'
 
 exit "$failed"

@@ -9,8 +9,10 @@ Usage:
 Every subcommand takes --config, --out, --seed and --quiet; gen, run and
 verify also take --healer, and bench takes --trials. Config files are flat
 "key = value" lines with '#' comments, each key one of `CONFIG_KEYS` and
-on one line at most. The master seed comes from --seed, else the
-SELFHEAL_SEED environment variable, else the config's `seed` key.
+on one line at most. A subcommand reads its values first and then refuses
+a key that only another subcommand reads (`COMMAND_KEYS`), before it does
+any work. The master seed comes from --seed, else the SELFHEAL_SEED
+environment variable, else the config's `seed` key.
 Exit codes: 0 success (for verify: zero violations), 1 verification found
 violations, 2 parse/config/I-O failure, 3 internal invariant breach (any
 library check that fails while preprocessing the initial graph or on an
@@ -54,17 +56,35 @@ class ConfigError(ValueError):
     pass
 
 
-# Every key a subcommand reads. Any other key is refused, so that a
-# misspelt one cannot leave its setting at the default.
-CONFIG_KEYS = frozenset(
+_RUN_KEYS = frozenset(
     "seed family graph n p healer trace T strategy p_delete insert_degree"
-    " exact_apsp_cap stretch_samples csv n_list healers trials".split()
+    " exact_apsp_cap stretch_samples".split()
 )
+# The keys each subcommand reads. A key in none of them is refused as the
+# file is parsed, and one that only other subcommands read by the
+# subcommand itself, so that a misspelt key cannot leave its setting at
+# the default. gen takes a run's config and ignores its `trace`,
+# `exact_apsp_cap` and `stretch_samples`.
+COMMAND_KEYS = {
+    "gen": _RUN_KEYS,
+    "run": _RUN_KEYS,
+    "verify": _RUN_KEYS | {"csv"},
+    "bench": frozenset(
+        "seed family p T strategy p_delete insert_degree n_list healers trials".split()
+    ),
+}
+CONFIG_KEYS = frozenset().union(*COMMAND_KEYS.values())
 
 
-def parse_config(text: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
-    first: dict[str, int] = {}
+class Config(dict):
+    """A parsed config: key -> value, and `lines`, key -> its line number."""
+
+    lines: dict[str, int]
+
+
+def parse_config(text: str) -> Config:
+    cfg = Config()
+    cfg.lines = lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -74,19 +94,30 @@ def parse_config(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        if key in first:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {first[key]})")
-        first[key] = lineno
+        if key in lines:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {lines[key]})")
+        lines[key] = lineno
         cfg[key] = value
     return cfg
 
 
-def load_config(path: str) -> dict[str, str]:
+def load_config(path: str) -> Config:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)
+
+
+def _refuse_keys_of_others(cfg: Config, command: str) -> None:
+    """Refuse the first key, by line, that `command` does not read."""
+    foreign = cfg.keys() - COMMAND_KEYS[command]
+    if foreign:
+        key = min(foreign, key=cfg.lines.__getitem__)
+        readers = ", ".join(name for name, keys in COMMAND_KEYS.items() if key in keys)
+        raise ConfigError(
+            f"line {cfg.lines[key]}: config key {key!r} is read by {readers}, not by {command}"
+        )
 
 
 def _get_int(cfg: dict, key: str, default: int | None = None) -> int:
@@ -179,7 +210,7 @@ def _write_manifest(out: Path, command: str, cfg: dict, seed: int) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_gen(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
+def cmd_gen(cfg: Config, out: Path, seed: int, quiet: bool) -> int:
     """Write an initial graph, a scripted trace, and a manifest."""
     # Online strategies see the healed graph, so trace generation replays
     # the loop against the named healer (recorded in the manifest). gen
@@ -188,6 +219,7 @@ def cmd_gen(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     config = replace(
         _run_config({"T": "32", **online}, seed), exact_apsp_cap=0, stretch_samples=0
     )
+    _refuse_keys_of_others(cfg, "gen")
     state = run(config)
     # Formatted first: a trace that `run` would refuse writes no file.
     trace = format_trace(state.events)
@@ -223,9 +255,11 @@ def _run_config(cfg: dict, seed: int) -> RunConfig:
     )
 
 
-def cmd_run(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
+def cmd_run(cfg: Config, out: Path, seed: int, quiet: bool) -> int:
     """Execute a run; write metrics CSV, DOT exports, and a summary."""
-    state = run(_run_config(cfg, seed))
+    config = _run_config(cfg, seed)
+    _refuse_keys_of_others(cfg, "run")
+    state = run(config)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(records_to_csv(state.records), encoding="utf-8")
     (out / "live.dot").write_text(state.live_graph().to_dot("live"), encoding="utf-8")
@@ -253,7 +287,7 @@ def cmd_run(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
+def cmd_verify(cfg: Config, out: Path, seed: int, quiet: bool) -> int:
     """Replay a run and check every invariant level.
 
     On the started state (t = 0) and after every step, `engine.audit`
@@ -268,7 +302,9 @@ def cmd_verify(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     checks implying the real ones is the point; both are exercised.
     """
     violations: list[str] = []
-    state = run(_run_config(cfg, seed), on_step=lambda s: violations.extend(audit(s)))
+    config = _run_config(cfg, seed)
+    _refuse_keys_of_others(cfg, "verify")
+    state = run(config, on_step=lambda s: violations.extend(audit(s)))
     violations.extend(summarize(state.records).violations)
     if "csv" in cfg:
         try:
@@ -309,7 +345,7 @@ BENCH_COLUMNS = (
 )
 
 
-def cmd_bench(cfg: dict, out: Path, seed: int, quiet: bool, trials_override: int | None) -> int:
+def cmd_bench(cfg: Config, out: Path, seed: int, quiet: bool, trials_override: int | None) -> int:
     """Sweep (n, healer) points; write a scaling table and log-log slopes."""
     n_list = _int_list(cfg.get("n_list", "64,128,256"))
     healers = _name_list(cfg.get("healers", "haft,rebuild"), HEALER_NAMES)
@@ -319,10 +355,13 @@ def cmd_bench(cfg: dict, out: Path, seed: int, quiet: bool, trials_override: int
     family = cfg.get("family", "random-tree")
     p = _get_float(cfg, "p", 0.15)
     strategy = _strategy_from({"strategy": "clustered", **cfg}, seed)
+    # T defaults to n/2 at each size.
+    t_fixed = _get_count(cfg, "T") if "T" in cfg else None
+    _refuse_keys_of_others(cfg, "bench")
     rows = []
     touched_by_healer: dict[str, list[tuple[int, float]]] = {h: [] for h in healers}
     for n in n_list:
-        t_max = _get_count(cfg, "T", n // 2)
+        t_max = n // 2 if t_fixed is None else t_fixed
         for healer in healers:
             deletions: list[MetricsRecord] = []
             for trial in range(trials):

@@ -6,8 +6,10 @@ lifts the initial graph into the virtual graph, then `on_insert` /
 `on_delete` per adversary event each return a HealerReport with the edge
 changes and cost accounting. A deletion removes the processor and everything
 it simulates, then a healer-specific `_repair` rewires the survivors in one
-`VirtualGraph.rewire` batch, which returns every edge it changes; the report
-is read off those changes. `live_graph` returns the maintained image itself,
+`VirtualGraph.rewire` batch. The report is read off the batch's
+`RepairJournal`: the real edges it changed, the numbers of virtual edges
+it added and dropped, and the processors at their ends, with no second
+pass over the edges. `live_graph` returns the maintained image itself,
 not a copy: it is read-only and valid until the next event, so a caller that
 wants to keep it calls `.copy()`.
 
@@ -174,14 +176,12 @@ class Healer:
         # Everything from here on is healer work.
         journal, created_virtuals = self._repair(v, direct)
 
-        # The processors of the added virtual edges.
-        joined: set[int] = set().union(*journal.virtual_added.values())
         # `rewire` counts a real edge change only from the virtual edges it
         # adds or drops, so every endpoint of a real change is already in
-        # `joined` or among the dropped edges' processors.
-        touched = notified.union(joined, *journal.virtual_dropped.values())
+        # `joined` or `parted`.
+        touched = notified.union(journal.joined, journal.parted)
 
-        v_changes = len(journal.virtual_added) + len(journal.virtual_dropped)
+        v_changes = journal.virtual_added + journal.virtual_dropped
         return HealerReport(
             edges_added=journal.real_added,
             edges_dropped=journal.real_dropped,
@@ -190,7 +190,7 @@ class Healer:
             rounds=self._rounds(len(touched)) if touched else 0,
             touched=touched,
             max_hops=self._max_hops(v, notified, journal, touched),
-            witness=joined,
+            witness=journal.joined,
         )
 
     def _max_hops(
@@ -358,10 +358,10 @@ class HaftHealer(Healer):
             items = sorted(pieces + new_slots)
         else:
             items = sorted(pieces, key=_piece_key) + new_slots
-        return self._install(items, dissolve)
+        return self._install(items, dissolve, new_slots)
 
     def _install(
-        self, items: list[HaftNode], dissolve: list[int]
+        self, items: list[HaftNode], dissolve: list[int], new_slots: list[LeafSlot]
     ) -> tuple[RepairJournal, int]:
         """Assemble the replacement structure over `items`, and apply it,
         with the dissolution of the vids in `dissolve`, to the virtual graph
@@ -370,12 +370,15 @@ class HaftHealer(Healer):
         each declared with its simulator and linked to its two children in
         the edges and the parent map. Every other node is an item, already
         wired: a preserved subtree's root has its simulator checked before
-        the graph changes, and a slot enters `slot_origins`. Returns the
-        `rewire` changes and the number of virtual nodes created."""
+        the graph changes. Of the slots, only `new_slots`, the items that
+        no haft held before, enter `slot_origins`: a surviving slot is in
+        it already. Returns the `rewire` changes and the number of virtual
+        nodes created."""
         total = sum(it.size for it in items)
         if total <= 2 and len(items) == total:
             # A lone claimant keeps no structure, and two separate single
-            # slots get a direct real edge; neither is a haft any more.
+            # slots get a direct real edge; neither is a haft any more. A
+            # new slot is not in `slot_origins`, so its discard does nothing.
             for slot in items:
                 origins = self.slot_origins.get(slot.processor)
                 if origins is not None:
@@ -393,12 +396,12 @@ class HaftHealer(Healer):
                     raise HealerError(
                         f"preserved vid {vid} changed simulator {sim.get(vid)} -> {proc}"
                     )
+        for slot in new_slots:
+            held = origins.get(slot.processor)
+            if held is None:
+                origins[slot.processor] = {slot.origin}
             else:
-                held = origins.get(item.processor)
-                if held is None:
-                    origins[item.processor] = {item.origin}
-                else:
-                    held.add(item.origin)
+                held.add(slot.origin)
         new_haft, minted = _assemble(items, self.vg.vids)
         root = node = new_haft.root()
         self.hafts[root.vid] = new_haft

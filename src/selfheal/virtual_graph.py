@@ -24,9 +24,11 @@ image, directly). `rewire` dissolves vids, declares new ones and adds
 edges as one batch, sums the count changes per processor pair, and
 applies each net change once. So an image edge whose count falls to 0
 and climbs back within the batch is never touched.
-`rewire` returns the batch's virtual and real edge changes as a
-`RepairJournal`: a healer reads the edges its repair changed from it
-instead of diffing snapshots. Removing a processor needs no counting: the
+`rewire` returns what the batch changed as a `RepairJournal`, built in
+the loops that apply it: the numbers of virtual edges added and dropped,
+the processors at their ends, and the real edges added and dropped. A
+healer reads its report from it instead of diffing snapshots, and no
+virtual edge is stored for that. Removing a processor needs no counting: the
 virtual edges it loses are exactly those that map onto its image edges (or
 onto none), so those image edges and their counts go with it.
 
@@ -47,7 +49,7 @@ A virtual-graph node is a plain int. Real processor p is p, and virtual
 vid is `VBASE + vid`. Processor ids stay below VBASE: input ids are below
 `graph.MAX_NODE_ID`, and a run's inserts add one each from there. So int
 order is the order (kind, id) with "r" before "v": every real node sorts
-before every virtual one, and edges, journal keys and the DOT export sort
+before every virtual one, and edges and the DOT export sort
 with no key. `node_name` spells a node "r3" / "v12" for messages. VBASE
 is 2^62 + 2^60, whose hash is 2^60 + 2, so a virtual node's hash does not
 equal a small processor id's.
@@ -108,15 +110,19 @@ Edge = tuple[VNode, VNode]
 
 @dataclass
 class RepairJournal:
-    """The edge changes of one `VirtualGraph.rewire` batch.
+    """What one `VirtualGraph.rewire` batch changed.
 
-    Virtual edges are ascending VNode pairs, each mapped to the
-    processors of its endpoints (for a dropped edge, as they were at its
-    removal). Real edges are image edges as (min, max) processor pairs.
+    `virtual_added` and `virtual_dropped` count the virtual edges the batch
+    added and dropped. `joined` holds the processors at both ends of every
+    added virtual edge, and `parted` those of every dropped one, each as it
+    was at the edge's removal. Real edges are image edges as (min, max)
+    processor pairs.
     """
 
-    virtual_added: dict[Edge, tuple[int, int]] = field(default_factory=dict)
-    virtual_dropped: dict[Edge, tuple[int, int]] = field(default_factory=dict)
+    virtual_added: int = 0
+    virtual_dropped: int = 0
+    joined: set[int] = field(default_factory=set)
+    parted: set[int] = field(default_factory=set)
     real_added: set[tuple[int, int]] = field(default_factory=set)
     real_dropped: set[tuple[int, int]] = field(default_factory=set)
 
@@ -226,8 +232,9 @@ class VirtualGraph:
         """
         adj, sim, hosted = self._adj, self.sim, self._hosted
         changes = RepairJournal()
-        added, dropped = changes.virtual_added, changes.virtual_dropped
+        joined, parted = changes.joined, changes.parted
         net: dict[tuple[int, int], int] = {}
+        n_added = n_dropped = 0
         floor = below = self._declared_below
         try:
             for vid in dissolve:
@@ -235,13 +242,14 @@ class VirtualGraph:
                     raise UnknownNodeError(f"virtual node {vid} not present")
                 node = VBASE + vid
                 pv = sim.pop(vid)
-                for nbr in adj.pop(node):
+                nbrs = adj.pop(node)
+                if nbrs:
+                    n_dropped += len(nbrs)
+                    parted.add(pv)
+                for nbr in nbrs:
                     adj[nbr].discard(node)
                     pn = nbr if nbr < VBASE else sim[nbr - VBASE]
-                    if node < nbr:
-                        dropped[(node, nbr)] = (pv, pn)
-                    else:
-                        dropped[(nbr, node)] = (pn, pv)
+                    parted.add(pn)
                     if pv != pn:
                         edge = (pv, pn) if pv < pn else (pn, pv)
                         net[edge] = net.get(edge, 0) - 1
@@ -275,17 +283,17 @@ class VirtualGraph:
                     continue
                 nbrs.add(b)
                 adj[b].add(a)
+                n_added += 1
                 pa = a if a < VBASE else sim[a - VBASE]
                 pb = b if b < VBASE else sim[b - VBASE]
-                if a < b:
-                    added[(a, b)] = (pa, pb)
-                else:
-                    added[(b, a)] = (pb, pa)
+                joined.add(pa)
+                joined.add(pb)
                 if pa != pb:
                     edge = (pa, pb) if pa < pb else (pb, pa)
                     net[edge] = net.get(edge, 0) + 1
         finally:
             self._declared_below = below
+            changes.virtual_added, changes.virtual_dropped = n_added, n_dropped
             # Both ends are live processors, a count leaving 0 means the
             # image edge is absent and one reaching 0 that it is there: the
             # checks of `Graph.add_edge` / `remove_edge` hold already.

@@ -248,11 +248,17 @@ def edge_snapshot(vg: VirtualGraph) -> tuple[dict, set]:
 
 
 def changes_between(before: tuple[dict, set], after: tuple[dict, set]) -> RepairJournal:
-    """The edge changes from one `edge_snapshot` to a later one."""
+    """The edge changes from one `edge_snapshot` to a later one: the
+    counts of virtual edges added and dropped, the processors at their
+    ends (a dropped edge's as in `before`), and the real edge changes."""
     (v0, r0), (v1, r1) = before, after
+    added = [p for e, p in v1.items() if e not in v0]
+    dropped = [p for e, p in v0.items() if e not in v1]
     return RepairJournal(
-        virtual_added={e: p for e, p in v1.items() if e not in v0},
-        virtual_dropped={e: p for e, p in v0.items() if e not in v1},
+        virtual_added=len(added),
+        virtual_dropped=len(dropped),
+        joined=set().union(*added),
+        parted=set().union(*dropped),
         real_added=r1 - r0,
         real_dropped=r0 - r1,
     )

@@ -59,6 +59,32 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("gen", "family = path\nn = 5\nT = 2\nn_list = 4\n",
+         "line 4: config key 'n_list' is read by bench, not by gen"),
+        ("run", "family = path\nn = 5\nhealers = rebuild\nT = 2\n",
+         "line 3: config key 'healers' is read by bench, not by run"),
+        ("run", "family = path\nn = 5\nT = 2\ncsv = nothere.csv\n",
+         "line 4: config key 'csv' is read by verify, not by run"),
+        ("verify", "family = path\nn = 5\nT = 2\ntrials = 1\nhealers = rebuild\n",
+         "line 4: config key 'trials' is read by bench, not by verify"),
+        ("bench", "n_list = 8\nhealers = haft\ntrials = 1\nfamily = path\nT = 2\nhealer = star\n",
+         "line 6: config key 'healer' is read by gen, run, verify, not by bench"),
+    ],
+    ids=["gen-n_list", "run-healers", "run-csv", "verify-trials", "bench-healer"],
+)
+def test_key_of_another_subcommand_exits_2(tmp_path, capsys, command, text, message):
+    # Each used to exit 0: `healers = rebuild`, a slip for `healer`, ran
+    # the default `haft`, and `csv` was read by verify alone.
+    cfg = write(tmp_path / "c.cfg", text)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_every_config_key_is_accepted():
     text = "".join(f"{key} = 1\n" for key in sorted(CONFIG_KEYS))
     assert parse_config(text) == {key: "1" for key in CONFIG_KEYS}

@@ -76,21 +76,6 @@ class TestVNode:
             vg.add_real_node(VBASE)
         assert vg.reals == {VBASE - 1}
 
-    def test_journal_keys_are_ascending_pairs(self):
-        vg = VirtualGraph.from_graph(Graph(nodes=[5, 9]))
-        vid = add_virtual(vg, 9)
-        journal = vg.rewire((), (), [(virt(vid), real(5)), (real(9), real(5))])
-        assert journal.virtual_added == {(real(5), virt(vid)): (5, 9), (real(5), real(9)): (5, 9)}
-        other = add_virtual(vg, 5)
-        vg.rewire((), (), [(virt(other), virt(vid))])
-        journal = vg.rewire([vid], (), ())
-        # The processors follow the key's order, not their own.
-        assert vid < other
-        assert journal.virtual_dropped == {
-            (real(5), virt(vid)): (5, 9),
-            (virt(vid), virt(other)): (9, 5),
-        }
-
 
 class TestAddNodes:
     def test_add_real(self):
@@ -362,10 +347,37 @@ class TestJournal:
         assert first.real_added == {(1, 2)}
         h = vg.vids.take()
         second = vg.rewire((), [(h, 3)], [(virt(h), real(1))])
-        assert second == RepairJournal(
-            virtual_added={(real(1), virt(h)): (1, 3)}, real_added={(1, 3)}
-        )
+        assert second == RepairJournal(virtual_added=1, joined={1, 3}, real_added={(1, 3)})
         assert first.real_added == {(1, 2)}
+
+    def test_batch_counts_and_processors(self):
+        vg = VirtualGraph.from_graph(Graph(nodes=[5, 9]))
+        vid = add_virtual(vg, 9)
+        journal = vg.rewire((), (), [(virt(vid), real(5)), (real(9), real(5))])
+        assert journal == RepairJournal(virtual_added=2, joined={5, 9}, real_added={(5, 9)})
+        other = add_virtual(vg, 5)
+        vg.rewire((), (), [(virt(other), virt(vid))])
+        journal = vg.rewire([vid], (), ())
+        # Both edges of vid go, and r9-r5 still carries the image edge.
+        assert journal == RepairJournal(virtual_dropped=2, parted={5, 9})
+
+    def test_dissolved_vid_without_edges_parts_nothing(self):
+        vg = VirtualGraph.from_graph(Graph(nodes=[1, 2, 3]))
+        lone, wired = add_virtual(vg, 1), add_virtual(vg, 3)
+        vg.rewire((), (), [(virt(wired), real(2))])
+        assert vg.rewire([lone], (), ()) == RepairJournal()
+        journal = vg.rewire([wired], (), ())
+        assert journal == RepairJournal(virtual_dropped=1, parted={2, 3}, real_dropped={(2, 3)})
+
+    def test_edge_within_one_processor_is_virtual_only(self):
+        # v(h) on 1 joined to r1 maps onto no image edge: a virtual change
+        # at processor 1, and no real one.
+        vg = VirtualGraph.from_graph(Graph(nodes=[1, 2]))
+        h = add_virtual(vg, 1)
+        journal = vg.rewire((), (), [(virt(h), real(1))])
+        assert journal == RepairJournal(virtual_added=1, joined={1})
+        assert vg.rewire([h], (), ()) == RepairJournal(virtual_dropped=1, parted={1})
+        assert set(vg.image.edges()) == set() and vg._multiplicity == {}
 
 
 @settings(max_examples=100, deadline=None)
@@ -492,9 +504,9 @@ class TestRewire:
         assert image.calls == []
         assert vg._multiplicity == {(1, 2): 1}
         assert set(image.edges()) == {(1, 2)}
-        assert journal.real_added == journal.real_dropped == set()
-        assert journal.virtual_dropped == {(real(2), virt(h)): (2, 1)}
-        assert journal.virtual_added == {(real(2), virt(g)): (2, 1)}
+        assert journal == RepairJournal(
+            virtual_added=1, virtual_dropped=1, joined={1, 2}, parted={1, 2}
+        )
 
     def test_edge_already_present_is_skipped(self):
         vg = VirtualGraph()
@@ -504,6 +516,10 @@ class TestRewire:
         assert vg.rewire([], [], [(real(2), real(1)), (real(1), real(2))]) == RepairJournal()
         assert vg._multiplicity == {(1, 2): 1}
         assert vg.neighbors(real(1)) == {real(2)}
+        # Beside a new edge, the present one counts nowhere either.
+        vg.add_real_node(3)
+        journal = vg.rewire((), (), [(real(2), real(1)), (real(3), real(2))])
+        assert journal == RepairJournal(virtual_added=1, joined={2, 3}, real_added={(2, 3)})
 
 
 # Malformed batches for `_small_graph`: reals 0..3, vids 0 (on 0) and 1
