@@ -128,6 +128,12 @@ printf '%s\n' '0 1' '1 4611686018427387903' '2 4611686018427387903' '3 2' \
   '4611686018427387902 0' > ci-verify/top-ids.edges
 row top-ids 0 'graph = ci-verify/top-ids.edges' 'healer = haft' 'strategy = random' \
   'T = 6' 'exact_apsp_cap = 512' 'stretch_samples = 0'
+# Isolated nodes next to a tree, from an edge list: the lift and the t = 0
+# degree ratio start on 0/0 degree pairs, and inserts may attach to them.
+# The initial graph is disconnected, so verify exits 1, with no audit line.
+printf '%s\n' '0 1' '1 2' '1 3' '3 4' '4 5' '7' '2 6' '9' > ci-verify/isolated.edges
+row isolated 1 'graph = ci-verify/isolated.edges' 'healer = haft' 'strategy = mixed' \
+  'T = 12' 'exact_apsp_cap = 512' 'stretch_samples = 0'
 # A node id at MAX_NODE_ID is rejected with exit 2.
 printf '%s\n' '0 1' '1 4611686018427387904' > ci-verify/over-ids.edges
 row over-ids 2 'graph = ci-verify/over-ids.edges' 'T = 1' 'exact_apsp_cap = 512' \

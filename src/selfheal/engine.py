@@ -30,14 +30,16 @@ or scans every live node outside a repair, save where the `articulation`
 strategy's cut search passes its cap and falls back to Tarjan. `audit` checks each of these
 structures, and the healer's state, against a fresh build.
 
-`start` builds its state in bulk: the healer lifts the initial graph in
-one pass per structure (`VirtualGraph.from_graph`), and the t = 0
-measurement reads each live node once. `start` and `run` pause CPython's
-cyclic collector while they run (`graph.gc_paused`). The engine makes no
-reference cycles, so reference counting frees all it lets go, and a
-collection would only walk the heap the run builds. `RunState.timers`
-holds all of `start` under "start", so the loop's phase timers count
-events only.
+`start` builds its state in bulk, and keeps only what differs from the
+lift of the initial graph: the healer lifts it in one pass per structure
+(`VirtualGraph.from_graph`), storing no image count, and the t = 0
+degree ratio stores no degree pair, for no live node's degree then
+differs from its shadow degree (`LiveMeasure`). `start` and `run` pause
+CPython's cyclic collector while they run (`graph.gc_paused`). The engine
+makes no reference cycles, so reference counting frees all it lets go,
+and a collection would only walk the heap the run builds.
+`RunState.timers` holds all of `start` under "start", so the loop's phase
+timers count events only.
 
 Runs are deterministic: one master seed drives the adversary and the stretch
 sampler, and all iteration orders are sorted. Running the same config twice
@@ -435,10 +437,17 @@ class LiveMeasure:
     search runs. Otherwise a search from one of them stops once it has
     seen them all. After a disconnected step the full BFS decides.
 
-    Degree ratio: each live node's (live degree, shadow degree) pair and a
-    count of nodes per distinct pair. The maximum is taken over the
-    distinct pairs by integer cross-multiplication, from 1 as in
+    Degree ratio: the (live degree, shadow degree) pair of each live node
+    whose two degrees differ, and a count of nodes per distinct pair. A
+    node with equal degrees has ratio 1 (or 0/0), which never beats the
+    starting maximum of 1, so it is not stored. The maximum is taken over
+    the distinct pairs by integer cross-multiplication, from 1 as in
     `degree_ratio_max`; a Fraction is built only when the maximum changes.
+    At t = 0 the live graph is the lifted initial graph, equal to the
+    shadow graph, so `init` stores nothing after one comparison of the two
+    adjacencies. When they differ, or a node is deleted, a checked pass
+    over every live node in id order runs instead, with the same checks
+    and errors as each event's pass over its touched nodes.
     """
 
     def __init__(self, shadow: Graph, deleted: set[int]):
@@ -467,25 +476,17 @@ class LiveMeasure:
         drop a deleted `node`, and return the maximum degree ratio."""
         live_adj, shadow_adj = live._adj, self._shadow._adj
         if op == "init":
-            self._pair, self._count = pairs, count = {}, {}
-            # One pass without the checks while no node is deleted. A node
-            # that fails one stops it, and the checked loop below then
-            # raises for the first such node in id order.
-            for v, nbrs in () if self._deleted else live_adj.items():
-                shadow_nbrs = shadow_adj.get(v)
-                if shadow_nbrs is None or nbrs and not shadow_nbrs:
-                    break
-                pair = pairs[v] = (len(nbrs), len(shadow_nbrs))
-                count[pair] = count.get(pair, 0) + 1
-            touched = () if len(pairs) == len(live_adj) else sorted(live_adj)
+            self._pair, self._count = {}, {}
+            # Equal adjacencies pass every check and hold no pair to store.
+            same = not self._deleted and live_adj == shadow_adj
+            touched = () if same else sorted(live_adj)
         elif op == "delete":
             touched = [*touched, node]
         pairs, count, deleted = self._pair, self._count, self._deleted
         for v in touched:
             nbrs = live_adj.get(v)
-            if nbrs is None:
-                old = pairs.pop(v, None)
-            else:
+            pair = None
+            if nbrs is not None:
                 if v in deleted:
                     raise ZeroShadowDegreeError(f"node {v} is both live and deleted")
                 shadow_nbrs = shadow_adj.get(v)
@@ -493,10 +494,14 @@ class LiveMeasure:
                     raise UnknownNodeError(f"node {v} not in graph")
                 if nbrs and not shadow_nbrs:
                     raise ZeroShadowDegreeError(f"live node {v} has shadow degree 0")
-                pair = (len(nbrs), len(shadow_nbrs))
-                old = pairs.get(v)
-                if old == pair:
-                    continue
+                if len(nbrs) != len(shadow_nbrs):
+                    pair = (len(nbrs), len(shadow_nbrs))
+            old = pairs.get(v)
+            if old == pair:
+                continue
+            if pair is None:
+                del pairs[v]
+            else:
                 pairs[v] = pair
                 count[pair] = count.get(pair, 0) + 1
             if old is not None:
@@ -505,7 +510,6 @@ class LiveMeasure:
                     count[old] = left
                 else:
                     del count[old]
-        # A (0, 0) pair, an isolated node without shadow edges, never wins.
         best = (1, 1)
         for n, d in count:
             if n * best[1] > best[0] * d:

@@ -109,7 +109,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return sum(map(len, self._adj.values())) // 2
 
     def has_node(self, v: int) -> bool:
         return v in self._adj

@@ -54,6 +54,7 @@ nothing and may run in parallel.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 from .graph import Graph, UnknownNodeError
@@ -89,8 +90,8 @@ class HealerReport:
     touched covers every endpoint of every added or dropped real edge, plus
     the deleted node's former live neighbours (on insert: the new node and
     its neighbours), so it holds every node whose live or shadow degree the
-    event changed. messages is always at least |edges_added| +
-    |edges_dropped|.
+    event changed; at preprocessing it is a view of every node. messages is
+    always at least |edges_added| + |edges_dropped|.
     max_hops is the farthest touched node from the deleted node, measured in
     the pre-deletion live graph.
     witness holds the processors at the endpoints of the virtual edges a
@@ -109,7 +110,7 @@ class HealerReport:
     virtual_nodes_created: int = 0
     messages: int = 0
     rounds: int = 0
-    touched: set[int] = field(default_factory=set)
+    touched: Set[int] = field(default_factory=set)
     max_hops: int = 0
     witness: set[int] = field(default_factory=set)
 
@@ -139,12 +140,11 @@ class Healer:
 
     def preprocess(self, initial: Graph) -> HealerReport:
         self.vg = VirtualGraph.from_graph(initial)
-        # Each initial edge is its own image edge, counted once.
-        edges = len(self.vg._multiplicity)
+        edges = initial.edge_count
         return HealerReport(
             messages=2 * edges,
             rounds=1 if edges else 0,
-            touched=set(initial._adj),
+            touched=initial._adj.keys(),
         )
 
     def on_insert(self, v: int, neighbors: set[int]) -> HealerReport:

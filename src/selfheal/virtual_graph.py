@@ -10,19 +10,22 @@ whose edges are exactly the images of the virtual-graph edges.
 The image is maintained, not recomputed: `image` is a `Graph` kept up to
 date by every mutation, with a count of the virtual edges mapping onto each
 image edge. An image edge appears when its count leaves 0 and disappears
-when it returns to 0. The count alone says whether an image edge is
-there, so `rewire` writes the image's adjacency directly, without the
-checks of `Graph.add_edge` / `remove_edge`, and `audit` recounts the image
-from the virtual adjacency. `de_simulate` returns a copy of it. A processor ->
+when it returns to 0. Only counts of 2 or more are stored: a pair with no
+stored count has count 1 if the image has the edge and 0 if it does not.
+So the lift of a real graph, where every edge is its own image, stores no
+count at all. The count alone says whether an image edge is there, so
+`rewire` writes the image's adjacency directly, without the checks of
+`Graph.add_edge` / `remove_edge`, and `audit` recounts the image from the
+virtual adjacency. `de_simulate` returns a copy of it. A processor ->
 hosted-vids index makes removing a processor proportional to what it
 simulates. The node sets are not stored apart: `reals` is a read-only view
 of the image's nodes and `virtuals` one of the simulation map's keys.
 
 Edges between live nodes change in one place, `rewire`, once the initial
 graph is lifted (`from_graph` writes that graph's edges, each its own
-image, directly). `rewire` dissolves vids, declares new ones and adds
-edges as one batch, sums the count changes per processor pair, and
-applies each net change once. So an image edge whose count falls to 0
+image with count 1, directly). `rewire` dissolves vids, declares new ones
+and adds edges as one batch, sums the count changes per processor pair,
+and applies each net change once. So an image edge whose count falls to 0
 and climbs back within the batch is never touched.
 `rewire` returns what the batch changed as a `RepairJournal`, built in
 the loops that apply it: the numbers of virtual edges added and dropped,
@@ -30,7 +33,7 @@ the processors at their ends, and the real edges added and dropped. A
 healer reads its report from it instead of diffing snapshots, and no
 virtual edge is stored for that. Removing a processor needs no counting: the
 virtual edges it loses are exactly those that map onto its image edges (or
-onto none), so those image edges and their counts go with it.
+onto none), so those image edges and their stored counts go with it.
 
 Two consequences of the homomorphism that downstream bounds lean on, and
 that the property tests check against a breadth-first oracle:
@@ -138,6 +141,7 @@ class VirtualGraph:
         self._adj: dict[VNode, set[VNode]] = {}
         self._declared_below = 0
         self._hosted: dict[int, set[int]] = {}
+        # Image counts of 2 or more; see the module docstring.
         self._multiplicity: dict[tuple[int, int], int] = {}
 
     @property
@@ -155,8 +159,8 @@ class VirtualGraph:
         """Lift a real graph: every node real, no virtual nodes.
 
         Every edge joins two real nodes, so it is its own image with count
-        1, and the lift writes the adjacency, the image and the counts
-        directly, in one pass over the nodes. It builds what
+        1, which is not stored, and the lift writes the adjacency and the
+        image directly, in one pass over the nodes. It builds what
         `add_real_node` on each node in ascending order and one `rewire`
         over `g.edges()` would, down to the order in which each set and
         dict is filled, and shares no set with `g`. An id at or above
@@ -167,14 +171,11 @@ class VirtualGraph:
             bad = next(v for v in nodes if v >= VBASE)
             raise GraphError(f"processor id {bad} is not below {VBASE}")
         vg = cls()
-        adj, image_adj, counts = vg._adj, vg.image._adj, vg._multiplicity
+        adj, image_adj = vg._adj, vg.image._adj
         for v in nodes:
             nbrs = sorted(g._adj[v])
             adj[v] = set(nbrs)
             image_adj[v] = set(nbrs)
-            for w in nbrs:
-                if v < w:
-                    counts[(v, w)] = 1
         return vg
 
     def add_real_node(self, processor: int) -> None:
@@ -190,7 +191,7 @@ class VirtualGraph:
     def remove_processor(self, processor: int) -> None:
         """Remove a processor, cascading to every virtual node it simulates,
         and all their edges; the image loses the processor and its edges,
-        with their counts, and no other count changes."""
+        with their stored counts, and no other count changes."""
         if processor not in self.reals:
             raise UnknownNodeError(f"real node {processor} not present")
         hosted = self._hosted.pop(processor, ())
@@ -198,8 +199,9 @@ class VirtualGraph:
         for node in (processor, *[VBASE + vid for vid in hosted]):
             for nbr in adj.pop(node):
                 adj[nbr].discard(node)
+        counts = self._multiplicity
         for q in self.image.remove_node(processor):
-            del self._multiplicity[(processor, q) if processor < q else (q, processor)]
+            counts.pop((processor, q) if processor < q else (q, processor), None)
         for vid in hosted:
             del self.sim[vid]
 
@@ -302,19 +304,20 @@ class VirtualGraph:
             for edge, delta in net.items():
                 if not delta:
                     continue
-                before = counts.get(edge, 0)
+                pa, pb = edge
+                before = counts.get(edge)
+                if before is None:
+                    before = 1 if pb in image_adj[pa] else 0
                 after = before + delta
-                if after:
+                if after >= 2:
                     counts[edge] = after
-                else:
+                elif before >= 2:
                     del counts[edge]
                 if not before:
-                    pa, pb = edge
                     image_adj[pa].add(pb)
                     image_adj[pb].add(pa)
                     real_added.add(edge)
                 elif not after:
-                    pa, pb = edge
                     image_adj[pa].discard(pb)
                     image_adj[pb].discard(pa)
                     real_dropped.add(edge)
@@ -398,7 +401,10 @@ class VirtualGraph:
 
     def _audit_image(self) -> list[str]:
         """The image counts and edges against a recount from the adjacency
-        and the simulation map."""
+        and the simulation map. A count is read as stored, else as 1 on an
+        image edge and 0 off one, and checked wherever it is stored or the
+        recount is 2 or more; the image's edges decide the rest, and a
+        stored count below 2 is flagged."""
         counts: dict[tuple[int, int], int] = {}
         for a, nbrs in self._adj.items():
             pa = a if a < VBASE else self.sim.get(a - VBASE)
@@ -408,11 +414,13 @@ class VirtualGraph:
                     edge = (pa, pb) if pa < pb else (pb, pa)
                     counts[edge] = counts.get(edge, 0) + 1
         problems = []
-        for edge in sorted(counts.keys() | self._multiplicity.keys()):
-            kept, expected = self._multiplicity.get(edge, 0), counts.get(edge, 0)
+        stored, image = self._multiplicity, set(self.image.edges())
+        for edge in sorted(stored.keys() | {e for e, c in counts.items() if c >= 2}):
+            kept, expected = stored.get(edge, int(edge in image)), counts.get(edge, 0)
             if kept != expected:
                 problems.append(f"image-count: {edge} is {kept}, expected {expected}")
-        image = set(self.image.edges())
+            if edge in stored and kept < 2:
+                problems.append(f"image-count: {edge} is stored as {kept}, below 2")
         for edge in sorted(image - counts.keys()):
             problems.append(f"image-edge: {edge} is in the image, but no virtual edge maps onto it")
         for edge in sorted(counts.keys() - image):

@@ -5,8 +5,9 @@ they stay independent of the library code they check: breadth-first search
 with an explicit queue, all-pairs distances by Floyd-Warshall and by one
 such search per source, sampled stretch by one search per drawn source, cut
 vertices by deleting each vertex and recounting components, the
-homomorphic image of a virtual graph recomputed from its adjacency and
-simulation map, and the degree ratio with one Fraction per node.
+homomorphic image of a virtual graph and its edge counts recomputed from
+its adjacency and simulation map, and the degree ratio with one Fraction
+per node.
 `rewire_in_sequence` is the sequential oracle of the batched
 `VirtualGraph.rewire`: it changes the graph one operation and one edge at a
 time, with its own image-count bookkeeping, and reads the changes off
@@ -190,18 +191,48 @@ def oracle_image(vg: VirtualGraph) -> Graph:
 
 def _count_image(vg: VirtualGraph, a, b, delta: int) -> None:
     """Move the count of the image edge under virtual edge a-b by `delta`;
-    the image edge appears as its count leaves 0 and goes as it returns."""
+    the image edge appears as its count leaves 0 and goes as it returns.
+    Only counts of 2 or more are stored, as `VirtualGraph` stores them."""
     pa, pb = processor(vg, a), processor(vg, b)
     if pa == pb:
         return
     edge = (min(pa, pb), max(pa, pb))
-    before = vg._multiplicity.get(edge, 0)
-    vg._multiplicity[edge] = before + delta
+    before = effective_count(vg, edge)
+    after = before + delta
+    if after >= 2:
+        vg._multiplicity[edge] = after
+    else:
+        vg._multiplicity.pop(edge, None)
     if not before:
         vg.image.add_edge(*edge)
-    elif not before + delta:
-        del vg._multiplicity[edge]
+    elif not after:
         vg.image.remove_edge(*edge)
+
+
+def effective_count(vg: VirtualGraph, edge: tuple[int, int]) -> int:
+    """The image count of a processor pair as the graph reads it: the
+    stored count, else 1 if the image has the edge and 0 if it does not."""
+    return vg._multiplicity.get(edge, int(vg.image.has_edge(*edge)))
+
+
+def effective_counts(vg: VirtualGraph) -> dict[tuple[int, int], int]:
+    """The effective count of every image edge and every stored pair."""
+    pairs = set(vg.image.edges()) | vg._multiplicity.keys()
+    return {edge: effective_count(vg, edge) for edge in pairs}
+
+
+def oracle_image_counts(vg: VirtualGraph) -> dict[tuple[int, int], int]:
+    """The number of virtual edges mapping onto each image edge, recounted
+    from the adjacency and the simulation map."""
+    counts: dict[tuple[int, int], int] = {}
+    for a, nbrs in vg._adj.items():
+        pa = processor(vg, a)
+        for b in nbrs:
+            pb = processor(vg, b)
+            if a < b and pa != pb:
+                edge = (min(pa, pb), max(pa, pb))
+                counts[edge] = counts.get(edge, 0) + 1
+    return counts
 
 
 def add_virtual(vg: VirtualGraph, simulator: int) -> int:
@@ -302,7 +333,9 @@ def oracle_degree_ratio_max(live: Graph, shadow: Graph, deleted: set[int] | None
 
 def lift_per_edge(g: Graph) -> VirtualGraph:
     """`VirtualGraph.from_graph` one checked call at a time: `add_real_node`
-    on each node in ascending order, then one `rewire` over `g.edges()`."""
+    on each node in ascending order, then one `rewire` over `g.edges()`.
+    Every edge is its own image with count 1, so, by the rule that `rewire`
+    and `_count_image` follow, no count is stored."""
     vg = VirtualGraph()
     for v in sorted(g.nodes):
         vg.add_real_node(v)

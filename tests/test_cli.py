@@ -146,6 +146,19 @@ class TestGen:
         lines = (tmp_path / "r" / "metrics.csv").read_text().splitlines()
         assert len(lines) == len(events) + 1
 
+    def test_run_only_stretch_keys_are_accepted_and_ignored(self, tmp_path):
+        # README: `gen` takes a `run` config whole and ignores its stretch
+        # keys, even ones that would turn stretch off on every step.
+        base = "family = random-tree\nn = 12\nstrategy = mixed\np_delete = 0.4\nT = 20\n"
+        outputs = []
+        for name, extra in [("plain", ""), ("keyed", "exact_apsp_cap = 0\nstretch_samples = 5\n")]:
+            cfg = write(tmp_path / f"{name}.cfg", base + extra)
+            out = tmp_path / name
+            assert main(["gen", "--config", cfg, "--out", str(out), "--seed", "3", "--quiet"]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("graph.edges", "trace.jsonl")])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1]
+
     def test_trace_that_run_would_refuse_exits_2_and_writes_nothing(self, tmp_path, capsys):
         # The largest legal ids: random churn inserts one above them at t = 1,
         # which `gen` once wrote and `run` then refused.

@@ -1048,6 +1048,72 @@ def test_live_measure_init_reads_every_node():
 
 
 @pytest.mark.parametrize(
+    "edges, error, message",
+    [
+        # 5 and 7 are in the shadow graph without an edge there.
+        ([(5, 7)], ZeroShadowDegreeError, "live node 5 has shadow degree 0"),
+        # 4 is not in the shadow graph at all.
+        ([(3, 4)], UnknownNodeError, "node 4 not in graph"),
+        # Both breaches: the checked loop names the smallest id, 4.
+        ([(3, 4), (5, 7)], UnknownNodeError, "node 4 not in graph"),
+        # Both breaches: 5 comes before 8.
+        ([(3, 8), (5, 7)], ZeroShadowDegreeError, "live node 5 has shadow degree 0"),
+    ],
+)
+def test_live_measure_init_on_a_live_graph_unlike_its_shadow_takes_the_checked_loop(
+    edges, error, message
+):
+    # Shadow: the path 0-1-2-3 and the isolated nodes 5 and 7. The live
+    # graph adds `edges`, so the t = 0 comparison of the two adjacencies
+    # fails, and the init reads every live node in id order with each
+    # event's checks, raising what the full scan raises.
+    shadow = Graph(nodes=[0, 1, 2, 3, 5, 7], edges=[(0, 1), (1, 2), (2, 3)])
+    live = Graph(nodes=[0, 1, 2, 3, 5, 7], edges=[(0, 1), (1, 2), (2, 3), *edges])
+    with pytest.raises(error, match=message):
+        degree_ratio_max(live, shadow, set())
+    with pytest.raises(error, match=message):
+        LiveMeasure(shadow, set()).refresh(live, "init", -1, ())
+
+
+def test_live_measure_stores_only_the_pairs_that_differ():
+    # Node 1 has live degree 3 and shadow degree 1; node 2 has degree 1 in
+    # both, with another neighbour; 5 and 7 are 0/0. Only node 1's pair is
+    # kept, and a node whose degrees come back equal drops out.
+    shadow = Graph(nodes=[0, 1, 2, 3, 5, 7], edges=[(0, 1), (0, 2), (0, 3)])
+    live = Graph(nodes=[0, 1, 2, 3, 5, 7], edges=[(0, 1), (1, 2), (1, 3)])
+    measure = LiveMeasure(shadow, set())
+    assert measure.refresh(live, "init", -1, ()) == 3 == degree_ratio_max(live, shadow)[0]
+    assert measure._pair == {0: (1, 3), 1: (3, 1)}
+    assert measure._count == {(1, 3): 1, (3, 1): 1}
+    for a, b in [(0, 2), (0, 3)]:
+        live.add_edge(a, b)
+    live.remove_edge(1, 2)
+    live.remove_edge(1, 3)
+    assert measure.refresh(live, "insert", -1, {0, 1, 2, 3}) == 1
+    assert measure._pair == {} and measure._count == {}
+
+
+def test_live_measure_init_on_the_lifted_graph_reads_no_node():
+    # At t = 0 the live graph equals the shadow graph: one comparison of the
+    # two adjacencies, and no degree pair is read or stored.
+    class Unread(dict):
+        def __getitem__(self, v):
+            raise AssertionError(f"read node {v}")
+
+        get = __getitem__
+
+        def __iter__(self):
+            raise AssertionError("iterated the live nodes")
+
+    shadow = random_tree(40, random.Random(2))
+    live = shadow.copy()
+    live._adj = Unread(live._adj)
+    measure = LiveMeasure(shadow, set())
+    assert measure.refresh(live, "init", -1, ()) == 1
+    assert measure._pair == {} and measure._count == {}
+
+
+@pytest.mark.parametrize(
     "touched, witness, joined",
     [
         ({1, 3, 5}, {1, 3}, True),  # 5 is outside the witness and reaches it

@@ -26,9 +26,11 @@ from conftest import (
     add_virtual,
     changes_between,
     edge_snapshot,
+    effective_counts,
     lift_per_edge,
     oracle_bfs,
     oracle_image,
+    oracle_image_counts,
     processor,
     random_graph,
     random_virtual_graph,
@@ -172,8 +174,9 @@ class TestFromGraph:
         # Equal, and filled in the same order, so every set iterates alike.
         assert same_layout(bulk._adj, per_edge._adj)
         assert same_layout(bulk.image._adj, per_edge.image._adj)
-        assert bulk._multiplicity == per_edge._multiplicity
-        assert list(bulk._multiplicity) == list(per_edge._multiplicity)
+        # Every edge is its own image with count 1, and none is stored.
+        assert bulk._multiplicity == per_edge._multiplicity == {}
+        assert effective_counts(bulk) == effective_counts(per_edge) == oracle_image_counts(bulk)
         assert bulk.sim == per_edge.sim == {}
         assert bulk._hosted == per_edge._hosted == {}
         assert bulk._declared_below == per_edge._declared_below == 0
@@ -186,7 +189,8 @@ class TestFromGraph:
         bulk, per_edge = VirtualGraph.from_graph(g), lift_per_edge(g)
         assert same_layout(bulk._adj, per_edge._adj)
         assert same_layout(bulk.image._adj, per_edge.image._adj)
-        assert bulk._multiplicity == per_edge._multiplicity
+        assert bulk._multiplicity == per_edge._multiplicity == {}
+        assert effective_counts(bulk) == effective_counts(per_edge) == oracle_image_counts(bulk)
         assert bulk.audit() == []
 
     def test_lift_shares_no_set_with_its_input(self):
@@ -266,6 +270,7 @@ def test_remove_processor_keeps_image_and_counts(seed):
         vg.remove_processor(p)
         assert vg.audit() == []
         assert vg.image == oracle_image(vg)
+        assert effective_counts(vg) == oracle_image_counts(vg)
         assert not any(p in edge for edge in vg._multiplicity)
 
 
@@ -401,6 +406,7 @@ def test_image_and_journal_match_recomputation(seed):
             edges = [tuple(rng.sample(nodes, 2))] if len(nodes) >= 2 else []
             changes = vg.rewire((), (), edges)
         assert vg.image == oracle_image(vg)
+        assert effective_counts(vg) == oracle_image_counts(vg)
         assert changes == changes_between(before, edge_snapshot(vg))
 
 
@@ -462,13 +468,16 @@ def _random_batch(rng: random.Random, batched: VirtualGraph, sequential: Virtual
 def test_rewire_matches_the_per_operation_path(seed):
     # One batched rewire leaves exactly what remove_virtual, one-declaration
     # batches and add_virtual_edge leave in sequence: adjacency, simulation map,
-    # hosted index, declared watermark, image counts and the image; and it returns
-    # the changes between snapshots taken before and after.
+    # hosted index, declared watermark, stored image counts and the image; and it
+    # returns the changes between snapshots taken before and after. The
+    # effective count of every image edge is the recount.
     batched, sequential = _twin_graphs(seed)
     batch = _random_batch(random.Random(seed + 1), batched, sequential)
     assert batched.rewire(*batch) == rewire_in_sequence(sequential, *batch)
     assert _state(batched) == _state(sequential)
     assert batched.image == oracle_image(batched)
+    assert effective_counts(batched) == effective_counts(sequential) == oracle_image_counts(batched)
+    assert all(count >= 2 for count in batched._multiplicity.values())
     assert batched.audit() == []
 
 
@@ -502,7 +511,8 @@ class TestRewire:
         g = vg.vids.take()
         journal = vg.rewire([h], [(g, 1)], [(virt(g), real(2))])
         assert image.calls == []
-        assert vg._multiplicity == {(1, 2): 1}
+        assert vg._multiplicity == {}
+        assert effective_counts(vg) == oracle_image_counts(vg) == {(1, 2): 1}
         assert set(image.edges()) == {(1, 2)}
         assert journal == RepairJournal(
             virtual_added=1, virtual_dropped=1, joined={1, 2}, parted={1, 2}
@@ -514,7 +524,8 @@ class TestRewire:
             vg.add_real_node(p)
         vg.rewire((), (), [(real(1), real(2))])
         assert vg.rewire([], [], [(real(2), real(1)), (real(1), real(2))]) == RepairJournal()
-        assert vg._multiplicity == {(1, 2): 1}
+        assert vg._multiplicity == {}
+        assert effective_counts(vg) == oracle_image_counts(vg) == {(1, 2): 1}
         assert vg.neighbors(real(1)) == {real(2)}
         # Beside a new edge, the present one counts nowhere either.
         vg.add_real_node(3)
@@ -562,6 +573,7 @@ def test_rewire_raises_as_the_per_operation_path(case):
         rewire_in_sequence(sequential, *batch)
     assert batched_error.type is sequential_error.type
     assert _state(batched) == _state(sequential)
+    assert effective_counts(batched) == effective_counts(sequential) == oracle_image_counts(batched)
     assert batched.audit() == []
 
 
@@ -572,25 +584,35 @@ class TestAudit:
 
     def test_image_count_and_edge(self):
         # reals {1, 2, 3}; h on 1 with edges to 2 and 3; 1-2 also directly.
+        # So (1, 2) has count 2, stored, and (1, 3) count 1, not stored.
         vg = VirtualGraph()
         for p in (1, 2, 3):
             vg.add_real_node(p)
         h = add_virtual(vg, 1)
         vg.rewire((), (), [(virt(h), real(2)), (virt(h), real(3)), (real(1), real(2))])
+        assert vg._multiplicity == {(1, 2): 2}
         assert vg.audit() == []
         vg._multiplicity[(1, 2)] += 1  # corrupt: over-counted
-        del vg._multiplicity[(1, 3)]  # corrupt: lost
+        vg._multiplicity[(1, 3)] = 1  # corrupt: a count of 1 stored
         vg.image.add_edge(2, 3)  # corrupt: no preimage
         assert vg.audit() == [
             "image-count: (1, 2) is 3, expected 2",
-            "image-count: (1, 3) is 0, expected 1",
+            "image-count: (1, 3) is stored as 1, below 2",
             "image-edge: (2, 3) is in the image, but no virtual edge maps onto it",
         ]
-        vg._multiplicity[(1, 3)] = 1
-        vg._multiplicity[(1, 2)] = 2
+        vg._multiplicity[(1, 3)] = 2  # corrupt: over-counted, and no longer below 2
+        assert vg.audit()[1] == "image-count: (1, 3) is 2, expected 1"
+        del vg._multiplicity[(1, 3)]
+        del vg._multiplicity[(1, 2)]  # corrupt: a count of 2 lost, read as 1
         vg.image.remove_edge(2, 3)
+        assert vg.audit() == ["image-count: (1, 2) is 1, expected 2"]
+        vg._multiplicity[(1, 2)] = 2
+        assert vg.audit() == []
         vg.image.remove_edge(1, 3)  # corrupt: an edge with a preimage
         assert vg.audit() == ["image-edge: (1, 3) is missing from the image"]
+        vg.image.add_edge(1, 3)
+        vg.image.remove_edge(1, 2)  # corrupt: an edge with a stored count
+        assert vg.audit() == ["image-edge: (1, 2) is missing from the image"]
 
     def test_hosted_and_spent(self):
         vg = VirtualGraph()
