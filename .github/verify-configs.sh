@@ -81,6 +81,12 @@ row stretch 0 'family = random-tree' 'n = 160' 'healer = haft' 'strategy = rando
 # Exact stretch past four words of the all-pairs build.
 row stretch-wide 0 'family = random-tree' 'n = 300' 'healer = haft' 'strategy = random' \
   'T = 150' 'exact_apsp_cap = 512' 'stretch_samples = 0'
+# Exact stretch on a long path: the live diameter falls from 259 to 254
+# over the first steps, so the per-step audit checks builds on both sides
+# of the kernel's step from 8 to 9 bit planes, where its level matrix
+# widens from uint8 to uint16.
+row path-exact 0 'family = path' 'n = 300' 'healer = haft' 'strategy = mixed' \
+  'T = 24' 'exact_apsp_cap = 512' 'stretch_samples = 0'
 # The live distances over deletions that drop edges.
 row dropped 0 'family = random-tree' 'n = 160' 'healer = haft' 'strategy = clustered' \
   'T = 120' 'exact_apsp_cap = 512' 'stretch_samples = 0'

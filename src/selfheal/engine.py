@@ -189,10 +189,11 @@ class DistanceOracle:
 
     def _load(self) -> None:
         """A full build, which becomes the buffer; the old buffer goes
-        first."""
+        first. The build's index lists the rows in order, as
+        `all_pairs_distances` makes it."""
         self._buf = None
         dist, index = (self._build or all_pairs_distances)(self._graph)
-        nodes = sorted(index, key=index.__getitem__)
+        nodes = list(index)
         srow = None
         if self.shadow is not None:
             shadow_index = self.shadow.matrix()[1]

@@ -349,9 +349,10 @@ class HaftHealer(Healer):
             dissolve += [vid for vid in dissolved if vid in sim]
             for vid in dissolved:
                 parent.pop(vid, None)
-        # Dead leaves and the pieces' roots lose their parents too.
-        for key in (*dead, *(_key(piece) for piece in pieces)):
-            parent.pop(key, None)
+        # Dead leaves lose their parents too; `_install` rewrites or drops
+        # those of the pieces' roots.
+        for origin in dead:
+            parent.pop(origin, None)
         # `direct` ascends, so the new slots are already in slot order.
         new_slots = [LeafSlot(w, (min(v, w), max(v, w))) for w in direct]
         if self.name == "rebuild":
@@ -372,14 +373,18 @@ class HaftHealer(Healer):
         wired: a preserved subtree's root has its simulator checked before
         the graph changes. Of the slots, only `new_slots`, the items that
         no haft held before, enter `slot_origins`: a surviving slot is in
-        it already. Returns the `rewire` changes and the number of virtual
-        nodes created."""
+        it already. Every item but the new root gets its parent written
+        over; the root's old entry, and a lone claimant's, are dropped.
+        Returns the `rewire` changes and the number of virtual nodes
+        created."""
+        parent = self.parent
         total = sum(it.size for it in items)
         if total <= 2 and len(items) == total:
             # A lone claimant keeps no structure, and two separate single
             # slots get a direct real edge; neither is a haft any more. A
-            # new slot is not in `slot_origins`, so its discard does nothing.
+            # new slot is in neither map, so its pop and discard do nothing.
             for slot in items:
+                parent.pop(slot.origin, None)
                 origins = self.slot_origins.get(slot.processor)
                 if origins is not None:
                     origins.discard(slot.origin)
@@ -388,7 +393,7 @@ class HaftHealer(Healer):
             procs = sorted({slot.processor for slot in items})
             edges = [(procs[0], procs[1])] if len(procs) == 2 else []
             return self.vg.rewire(dissolve, (), edges), 0
-        parent, sim, origins = self.parent, self.vg.sim, self.slot_origins
+        sim, origins = self.vg.sim, self.slot_origins
         for item in items:
             if item.__class__ is Internal:
                 vid, proc = item.vid, item.right.first.processor
@@ -405,6 +410,7 @@ class HaftHealer(Healer):
         new_haft, minted = _assemble(items, self.vg.vids)
         root = node = new_haft.root()
         self.hafts[root.vid] = new_haft
+        parent.pop(root.vid, None)
         for _ in new_haft.spine:
             minted.append(node)
             node = node.right

@@ -13,18 +13,21 @@ Every distance the engine reads comes from one kernel,
 sources at once, every node by default. Each row's reached set is packed
 64 sources to a uint64 word, and each distance level grows every row with
 one gather and one `bitwise_or.reduceat` over the nodes' closed neighbour
-lists, numpy only. The engine runs it from every node to start or rebuild
-the matrices it maintains (`engine.DistanceOracle`), whose live oracle
-keeps the exact maximum stretch itself, and, above the exact cap, from
-the first nodes of a seeded sample of live pairs (`stretch_sampled`); the
-record notes which mode produced the stretch; `engine._measure` alone
-picks that mode. `verify` audits the kept maximum with `stretch_exact`
-over fresh builds; `stretch_max` is the tests' snapshot reference, exact
-stretch over one fresh build. The kernel's independent oracle is one
-plain breadth-first search per source, kept with the tests
-(`oracle_apsp_bfs`), which cross-check the two entry by entry on random
-graphs whose sizes cross the 64-bit word boundaries, with isolated nodes,
-several components and scattered ids.
+lists, numpy only, and ORs the pairs it adds into the bit planes that
+count levels; the planes become hop counts once, at the end. The engine
+runs it from every node to start or rebuild the matrices it maintains
+(`engine.DistanceOracle`), whose live oracle keeps the exact maximum
+stretch itself, and, above the exact cap, from the first nodes of a
+seeded sample of live pairs (`stretch_sampled`); the record notes which
+mode produced the stretch; `engine._measure` alone picks that mode.
+`verify` audits the kept maximum with `stretch_exact` over fresh builds;
+`stretch_max` is the tests' snapshot reference, exact stretch over one
+fresh build. The kernel's independent oracle is one plain breadth-first
+search per source, kept with the tests (`oracle_apsp_bfs`), which
+cross-check the two entry by entry on random graphs whose sizes cross
+the 64-bit word boundaries, with isolated nodes, several components and
+scattered ids, and on paths whose diameters cross the bit-plane
+boundaries.
 
 All functions are pure snapshots-in, values-out; records from finished runs
 can be crunched in parallel.
@@ -132,20 +135,29 @@ def all_pairs_distances(
     g: Graph, sources: list[int] | None = None
 ) -> tuple[np.ndarray, dict[int, int]]:
     """Dense float32 hop-count matrix (np.inf where disconnected) and
-    node -> row index, rows in ascending node order. Column j holds the
-    distances from `sources[j]`, which must be distinct nodes of `g`; by
-    default every node is a source, in row order.
+    node -> row index, rows in ascending node order, which is also the
+    index's insertion order. Column j holds the distances from
+    `sources[j]`, which must be distinct nodes of `g`; by default every
+    node is a source, in row order.
 
     A breadth-first search from every source at once, 64 sources to a
     word: row i holds the set of sources that reach i, packed into uint64
     words. Each level ORs together the sets of i's closed neighbourhood (i
     and its neighbours), one gather over those lists laid end to end and
-    one `bitwise_or.reduceat`, until a level changes nothing. Before each
-    level, the pairs still apart gain 1 in a uint16 level counter, so an
-    entry ends as its hop count; the counter becomes the float32 matrix
-    once, at the end, and pairs never reached become INF. A count can
-    reach 2^16 only after 2^16 levels, that is on a path of more than
-    2^16 nodes, whose n x n float32 matrix alone would take over 16 GiB.
+    one `bitwise_or.reduceat`; the pairs it adds are those at that hop
+    count, and the search stops at the first level that adds none. The
+    counts are kept in bit planes of the same packed layout: plane b holds
+    the pairs whose count has bit b set, and level l ORs its new pairs
+    into the planes of l's set bits, so that a level does the search step
+    and little else. After the search each plane is unpacked once, top
+    plane first, into a level matrix of the narrowest unsigned type that
+    holds 2^planes - 1: uint8 below 256 levels, uint16 below 65536, and
+    so on, so no count wraps however long the graph or few the sources.
+    That matrix becomes the float32 matrix, and pairs never reached become
+    INF. So the kernel ends holding the n x k float32 matrix (4 bytes an
+    entry) and, in turn, the level matrix (1 byte an entry below 256
+    levels) and the unreached mask (1 byte), besides its packed sets and
+    planes (1/8 byte an entry each), each plane freed once read.
     O(diam * m * k/64) word operations for k sources; float32 is exact
     for hop counts < 2^24.
     """
@@ -174,17 +186,36 @@ def all_pairs_distances(
     packed[src, cols >> 3] = (1 << (cols & 7)).astype(np.uint8)
     reached = packed.view(np.uint64)
     gathered = np.empty((closed.size, words), dtype=np.uint64)
-    levels = np.zeros((n, k), dtype=np.uint16)
+    # Plane b holds the pairs whose level has bit b set.
+    planes: list[np.ndarray] = []
+    level = 0
     while True:
-        levels += np.unpackbits(~packed, axis=1, count=k, bitorder="little")
         np.take(reached, closed, axis=0, out=gathered)
         grown = np.bitwise_or.reduceat(gathered, starts, axis=0)
-        if np.array_equal(grown, reached):
+        new = grown ^ reached
+        if not new.any():
             break
+        level += 1
+        if level.bit_length() > len(planes):
+            # Level 2^b, whose only set bit is b: the plane may be `new`
+            # itself, for no other plane is set at this level.
+            planes.append(new)
+        else:
+            for b, plane in enumerate(planes):
+                if level >> b & 1:
+                    plane |= new
         reached = grown
-        packed = reached.view(np.uint8)
+    # Top plane first: doubling and ORing in the next plane down makes each
+    # entry its level, and frees each plane once read.
+    levels = np.zeros((n, k), dtype=np.min_scalar_type((1 << len(planes)) - 1))
+    while planes:
+        levels += levels
+        levels |= np.unpackbits(planes.pop().view(np.uint8), axis=1, count=k, bitorder="little")
     dist = levels.astype(np.float32)
-    dist[np.unpackbits(packed, axis=1, count=k, bitorder="little") == 0] = np.inf
+    del levels
+    # The complement's bits, 0 or 1 a byte, are the mask of pairs never reached.
+    apart = np.unpackbits(~reached.view(np.uint8), axis=1, count=k, bitorder="little")
+    dist[apart.view(bool)] = np.inf
     return dist, index
 
 

@@ -162,10 +162,11 @@ def scattered_graph(rng: random.Random, n: int) -> Graph:
 
 def assert_matches_per_source_bfs(g: Graph) -> np.ndarray:
     """`all_pairs_distances` against one breadth-first search per source:
-    the ascending index, then every entry, INF where a pair is unreached."""
+    the ascending index, listed in row order as `DistanceOracle._load`
+    reads it, then every entry, INF where a pair is unreached."""
     dist, index = all_pairs_distances(g)
     want, want_index = oracle_apsp_bfs(adj_of(g))
-    assert index == want_index
+    assert index == want_index and list(index) == list(want_index)
     np.testing.assert_array_equal(dist, want)
     return dist
 
@@ -199,6 +200,34 @@ class TestAllPairs:
     @given(seed=st.integers(0, 10**9), n=st.integers(0, 140))
     def test_matches_per_source_bfs_on_random_graphs(self, seed, n):
         assert_matches_per_source_bfs(scattered_graph(random.Random(seed), n))
+
+    @pytest.mark.parametrize(
+        "diameter", [*range(1, 18), 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257]
+    )
+    def test_paths_across_the_bit_plane_boundaries(self, diameter):
+        # Level counts need one more bit plane at each power of two, and a
+        # wider level matrix past 255. The path runs through scattered ids
+        # in random order; each source set is checked against the columns
+        # of one breadth-first search per node. The path's first node
+        # alone reaches the far end at the diameter, so a sampled build
+        # from few sources crosses the same boundary.
+        rng = random.Random(diameter)
+        order = rng.sample(range(7 * (diameter + 1)), diameter + 1)
+        g = Graph(nodes=order, edges=zip(order, order[1:]))
+        nodes = sorted(order)
+        want, want_index = oracle_apsp_bfs(adj_of(g))
+        for sources in (
+            None,
+            order[:1],
+            rng.sample(nodes, min(3, len(nodes))),
+            rng.sample(nodes, min(len(nodes), 100)),
+        ):
+            dist, index = all_pairs_distances(g, sources)
+            assert list(index) == nodes and index == want_index
+            cols = list(range(len(nodes))) if sources is None else [index[s] for s in sources]
+            assert dist.dtype == np.float32
+            np.testing.assert_array_equal(dist, want[:, cols])
+        assert diameter_from(all_pairs_distances(g)[0]) == diameter
 
     def test_long_path_counts_past_255_levels(self):
         # Diameter 299: a one-byte level counter would wrap.
