@@ -64,6 +64,13 @@ row rebuild-er 0 'family = erdos-renyi' 'n = 512' 'p = 0.02' 'healer = rebuild' 
 # image-count audits run on minted batches far larger than other rows'.
 row rebuild-wide 0 'family = random-tree' 'n = 2048' 'healer = rebuild' \
   'strategy = clustered' 'T = 128' 'exact_apsp_cap = 0' 'stretch_samples = 0'
+# The haft healer on hafts that share processors: random churn on a sparse
+# graph keeps up to 32 hafts live at once, and up to 171 processors hold
+# slots in more than one of them. So in 23 deletions the virtual
+# neighbours of the deleted node, the parents of its slots, lead into two
+# or more hafts.
+row haft-er 0 'family = erdos-renyi' 'n = 512' 'p = 0.02' 'healer = haft' \
+  'strategy = random' 'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'
 # The haft healer under the articulation adversary.
 row articulation 0 'family = random-tree' 'n = 512' 'healer = haft' \
   'strategy = articulation' 'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'

@@ -24,8 +24,10 @@ wants to keep it calls `.copy()`.
 * haft     - the flagship: surviving complete subtrees are preserved and
              merged by binary addition, so only the spine, the carries and
              the reassigned simulators are touched, and edges of dissolved
-             internal nodes are dropped. Parent maps and cached subtree
-             facts keep the host work to O(changed * log n) as well.
+             internal nodes are dropped. The dead processor's virtual
+             neighbours, which are its slots' parents, one vid -> parent
+             vid map and cached subtree facts keep the host work to
+             O(changed * log n) as well.
 
 The three baselines mint no virtual nodes: each real edge they add is one
 virtual edge, so their virtual graph is their healed graph.
@@ -169,12 +171,14 @@ class Healer:
         if v not in self.vg.reals:
             raise UnknownNodeError(f"processor {v} is not live")
         notified = self.vg.image.neighbors(v)
-        direct = sorted(w for w in self.vg._adj[v] if w < VBASE)
+        nbrs = self.vg._adj[v]
+        direct = sorted(w for w in nbrs if w < VBASE)
+        parents = [w - VBASE for w in nbrs if w >= VBASE]
 
         # Adversary's removal: v, everything v simulates, their edges.
         self.vg.remove_processor(v)
         # Everything from here on is healer work.
-        journal, created_virtuals = self._repair(v, direct)
+        journal, created_virtuals = self._repair(v, direct, parents)
 
         # `rewire` counts a real edge change only from the virtual edges it
         # adds or drops, so every endpoint of a real change is already in
@@ -224,10 +228,11 @@ class Healer:
                 adj[a].add(b)
                 adj[b].add(a)
 
-    def _repair(self, v: int, direct: list[int]) -> tuple[RepairJournal, int]:
+    def _repair(self, v: int, direct: list[int], parents: list[int]) -> tuple[RepairJournal, int]:
         """Rewire the survivors after v's removal in one `rewire` call;
-        `direct` lists v's former real neighbors in ascending order. Returns
-        that call's changes and the number of virtual nodes created."""
+        `direct` lists v's former real neighbors in ascending order, and
+        `parents` the vids of its former virtual neighbors. Returns that
+        call's changes and the number of virtual nodes created."""
         raise NotImplementedError
 
     def _rounds(self, touched: int) -> int:
@@ -251,21 +256,21 @@ class Healer:
 class NullHealer(Healer):
     name = "null"
 
-    def _repair(self, v: int, direct: list[int]) -> tuple[RepairJournal, int]:
+    def _repair(self, v: int, direct: list[int], parents: list[int]) -> tuple[RepairJournal, int]:
         return RepairJournal(), 0
 
 
 class StarHealer(Healer):
     name = "star"
 
-    def _repair(self, v: int, direct: list[int]) -> tuple[RepairJournal, int]:
+    def _repair(self, v: int, direct: list[int], parents: list[int]) -> tuple[RepairJournal, int]:
         return self.vg.rewire((), (), [(direct[0], w) for w in direct[1:]]), 0
 
 
 class RingHealer(Healer):
     name = "ring"
 
-    def _repair(self, v: int, direct: list[int]) -> tuple[RepairJournal, int]:
+    def _repair(self, v: int, direct: list[int], parents: list[int]) -> tuple[RepairJournal, int]:
         pairs = list(zip(direct, direct[1:]))
         if len(direct) > 2:
             pairs.append((direct[-1], direct[0]))
@@ -279,13 +284,13 @@ class HaftHealer(Healer):
     (`hafts`, keyed by the vid of the haft's root, which is always an
     internal node: a haft holds at least 3 slots or one tree of 2);
     simulators live only in `vg.sim`. Each deletion adds one slot per
-    former real neighbor. Two maps find the part of a haft a deletion
-    touches without walking the haft:
-
-    * `slot_origins`: processor -> origins of its live slots;
-    * `parent`: child -> parent vid, spine links included, keyed by origin
-      for a leaf (a `LeafSlot`) and by vid for an internal node; the walk
-      up from a slot ends at its haft's key.
+    former real neighbor. The part of a haft a deletion touches is found
+    without walking the haft. Each leaf is wired to its parent by a virtual
+    edge, and those are the only virtual edges at a real node, so the
+    virtual neighbors of a processor are the parent vids of its slots (two
+    sibling slots of one processor share one edge). From there one map,
+    `parent` (internal vid -> parent vid, spine links included), leads up
+    to the haft's key.
 
     name "haft" merges surviving complete subtrees by binary addition. Its
     deletion walks up from the dead slots, splits only the marked paths
@@ -297,7 +302,7 @@ class HaftHealer(Healer):
     region. Either way the repair only collects the vids it dissolves, the
     vids it declares and the edges it adds, and applies them to the
     virtual graph as one batch, `VirtualGraph.rewire`. `audit` recomputes
-    the maps from whole-haft walks.
+    the map and the virtual edges from whole-haft walks.
     """
 
     def __init__(self, name: str):
@@ -306,31 +311,31 @@ class HaftHealer(Healer):
         super().__init__()
         self.name = name
         self.hafts: dict[int, Haft] = {}
-        self.slot_origins: dict[int, set[tuple[int, int]]] = {}
-        self.parent: dict[int | tuple[int, int], int] = {}
+        self.parent: dict[int, int] = {}
 
     def preprocess(self, initial: Graph) -> HealerReport:
         self.hafts.clear()
-        self.slot_origins.clear()
         self.parent.clear()
         return super().preprocess(initial)
 
     def _rounds(self, touched: int) -> int:
         return 1 + ceil_log2(touched)
 
-    def _repair(self, v: int, direct: list[int]) -> tuple[RepairJournal, int]:
+    def _repair(self, v: int, direct: list[int], parents: list[int]) -> tuple[RepairJournal, int]:
         """Dissolve the hafts that lost v, along the marked paths for
         "haft" and whole for "rebuild", then rebuild over what survives and
-        the slots of v's real neighbors. The name picks only the marked set
-        and the order of the items."""
+        the slots of v's real neighbors. v's former virtual neighbors,
+        `parents`, are the parents of its slots in every haft. The name
+        picks only the marked set and the order of the items."""
         # Mark every vid above a dead slot; a path that meets a marked vid
         # has already been walked up to its haft's root.
-        dead = self.slot_origins.pop(v, set())
         parent, sim = self.parent, self.vg.sim
         marked: set[int] = set()
         roots: set[int] = set()
-        for origin in dead:
-            key: int | tuple[int, int] = origin
+        for key in parents:
+            if key in marked:
+                continue
+            marked.add(key)
             while (up := parent.get(key)) is not None and up not in marked:
                 marked.add(up)
                 key = up
@@ -349,51 +354,34 @@ class HaftHealer(Healer):
             dissolve += [vid for vid in dissolved if vid in sim]
             for vid in dissolved:
                 parent.pop(vid, None)
-        # Dead leaves lose their parents too; `_install` rewrites or drops
-        # those of the pieces' roots.
-        for origin in dead:
-            parent.pop(origin, None)
         # `direct` ascends, so the new slots are already in slot order.
         new_slots = [LeafSlot(w, (min(v, w), max(v, w))) for w in direct]
         if self.name == "rebuild":
             items = sorted(pieces + new_slots)
         else:
             items = sorted(pieces, key=_piece_key) + new_slots
-        return self._install(items, dissolve, new_slots)
+        return self._install(items, dissolve)
 
-    def _install(
-        self, items: list[HaftNode], dissolve: list[int], new_slots: list[LeafSlot]
-    ) -> tuple[RepairJournal, int]:
+    def _install(self, items: list[HaftNode], dissolve: list[int]) -> tuple[RepairJournal, int]:
         """Assemble the replacement structure over `items`, and apply it,
         with the dissolution of the vids in `dissolve`, to the virtual graph
         in one `rewire`. Only the new internal nodes are wired: the carries
         `_assemble` minted and the spine nodes read down from the new root,
-        each declared with its simulator and linked to its two children in
-        the edges and the parent map. Every other node is an item, already
-        wired: a preserved subtree's root has its simulator checked before
-        the graph changes. Of the slots, only `new_slots`, the items that
-        no haft held before, enter `slot_origins`: a surviving slot is in
-        it already. Every item but the new root gets its parent written
-        over; the root's old entry, and a lone claimant's, are dropped.
-        Returns the `rewire` changes and the number of virtual nodes
-        created."""
-        parent = self.parent
+        each declared with its simulator and linked to its two children by
+        virtual edges, and to its internal children in the parent map as
+        well. Every other node is an item, already wired: a preserved
+        subtree's root has its simulator checked before the graph changes.
+        Every internal item but the new root gets its parent written over;
+        the root's old entry is dropped. Returns the `rewire` changes and
+        the number of virtual nodes created."""
         total = sum(it.size for it in items)
         if total <= 2 and len(items) == total:
             # A lone claimant keeps no structure, and two separate single
-            # slots get a direct real edge; neither is a haft any more. A
-            # new slot is in neither map, so its pop and discard do nothing.
-            for slot in items:
-                parent.pop(slot.origin, None)
-                origins = self.slot_origins.get(slot.processor)
-                if origins is not None:
-                    origins.discard(slot.origin)
-                    if not origins:
-                        del self.slot_origins[slot.processor]
+            # slots get a direct real edge; neither is a haft any more.
             procs = sorted({slot.processor for slot in items})
             edges = [(procs[0], procs[1])] if len(procs) == 2 else []
             return self.vg.rewire(dissolve, (), edges), 0
-        sim, origins = self.vg.sim, self.slot_origins
+        sim, parent = self.vg.sim, self.parent
         for item in items:
             if item.__class__ is Internal:
                 vid, proc = item.vid, item.right.first.processor
@@ -401,12 +389,6 @@ class HaftHealer(Healer):
                     raise HealerError(
                         f"preserved vid {vid} changed simulator {sim.get(vid)} -> {proc}"
                     )
-        for slot in new_slots:
-            held = origins.get(slot.processor)
-            if held is None:
-                origins[slot.processor] = {slot.origin}
-            else:
-                held.add(slot.origin)
         new_haft, minted = _assemble(items, self.vg.vids)
         root = node = new_haft.root()
         self.hafts[root.vid] = new_haft
@@ -425,21 +407,24 @@ class HaftHealer(Healer):
                     parent[child.vid] = vid
                     edges.append((me, VBASE + child.vid))
                 else:
-                    parent[child.origin] = vid
                     edges.append((me, child.processor))
         return self.vg.rewire(dissolve, declare, edges), len(declare)
 
     def audit(self) -> list[str]:
         """State consistency: virtual and healed graph invariants, haft
         shapes and cached subtree facts, each haft's wiring and simulators
-        (recomputed from its shape) against the virtual graph, each haft's
-        key against its root, and the two maps against the same maps
-        recomputed from the shapes."""
+        (recomputed from its shape) against the virtual graph, both ways,
+        each haft's key against its root, and the parent map against the
+        same map recomputed from the shapes. The virtual edges are the only
+        record of which vid holds which slot, so a virtual edge that no
+        haft has is flagged as well as a haft edge the graph lacks."""
         problems = super().audit()
         seen_vids: set[int] = set()
         seen_origins: set[tuple[int, int]] = set()
-        slot_origins: dict[int, set[tuple[int, int]]] = {}
-        parent: dict[int | tuple[int, int], int] = {}
+        parent: dict[int, int] = {}
+        # Every edge with a virtual end, and those the hafts' wiring holds.
+        virtual_edges = {e for e in self.vg.edge_set() if e[1] >= VBASE}
+        wired: set[Edge] = set()
         for hid in sorted(self.hafts):
             haft = self.hafts[hid]
             for issue in validate_haft(haft):
@@ -454,10 +439,12 @@ class HaftHealer(Healer):
                 except HaftError as exc:
                     problems.append(f"haft {hid}: {exc}")
                 root = haft.root()
-                key = None if root is None else _key(root)
+                key = root.vid if isinstance(root, Internal) else root
                 if key != hid:
                     problems.append(f"haft {hid}: root key is {key!r}")
-                parent.update((_key(x), up.vid) for x, up, _ in walk(root) if up is not None)
+                for x, up, _ in walk(root):
+                    if up is not None and isinstance(x, Internal):
+                        parent[x.vid] = up.vid
             for vid, proc in decls:
                 if vid in seen_vids:
                     problems.append(f"haft {hid}: vid {vid} in two hafts")
@@ -467,7 +454,9 @@ class HaftHealer(Healer):
                 elif self.vg.sim[vid] != proc:
                     problems.append(f"haft {hid}: vid {vid} simulator mismatch")
             for a, b in vedges:
-                if not (self.vg.has_node(a) and b in self.vg.neighbors(a)):
+                edge = (a, b) if a < b else (b, a)
+                wired.add(edge)
+                if edge not in virtual_edges:
                     problems.append(
                         f"haft {hid}: edge {node_name(a)}-{node_name(b)} missing from virtual graph"
                     )
@@ -475,19 +464,16 @@ class HaftHealer(Healer):
                 if slot.origin in seen_origins:
                     problems.append(f"haft {hid}: origin {slot.origin} in two slots")
                 seen_origins.add(slot.origin)
-                slot_origins.setdefault(slot.processor, set()).add(slot.origin)
         if seen_vids != self.vg.virtuals:
             stray = sorted(self.vg.virtuals - seen_vids)
             problems.append(f"virtual nodes outside any haft: {stray}")
-        for name, live, expected in (
-            ("slot_origins", self.slot_origins, slot_origins),
-            ("parent", self.parent, parent),
-        ):
-            for key in sorted(live.keys() | expected.keys(), key=repr):
-                if live.get(key) != expected.get(key):
-                    problems.append(
-                        f"{name}[{key}]: {live.get(key)!r}, expected {expected.get(key)!r}"
-                    )
+        for a, b in sorted(virtual_edges - wired):
+            problems.append(f"virtual edge {node_name(a)}-{node_name(b)} in no haft")
+        for key in sorted(self.parent.keys() | parent.keys()):
+            if self.parent.get(key) != parent.get(key):
+                problems.append(
+                    f"parent[{key}]: {self.parent.get(key)!r}, expected {parent.get(key)!r}"
+                )
         return problems
 
 
@@ -596,11 +582,6 @@ class _EveryVid:
 
 
 _EVERY_VID = _EveryVid()
-
-
-def _key(node: HaftNode) -> int | tuple[int, int]:
-    """A node's key in the healer's maps: its vid, or a leaf's origin."""
-    return node.vid if isinstance(node, Internal) else node.origin
 
 
 def _piece_key(node: HaftNode) -> tuple[int, LeafSlot]:

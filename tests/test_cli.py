@@ -429,7 +429,7 @@ _on_delete = HaftHealer.on_delete
 def _delete_with_a_false_witness(self, v):
     """A haft deletion that leaves the hole open, yet reports every orphan
     in its witness, as if the repair had joined them."""
-    self._repair = lambda v, direct: (RepairJournal(), 0)
+    self._repair = lambda v, direct, parents: (RepairJournal(), 0)
     report = _on_delete(self, v)
     report.witness = set(report.touched)
     return report
@@ -438,11 +438,11 @@ def _delete_with_a_false_witness(self, v):
 _repair = HaftHealer._repair
 
 
-def _repair_sharing_a_simulator(self, v, direct):
+def _repair_sharing_a_simulator(self, v, direct, parents):
     """A haft repair that then reshapes every haft into two subtrees over
     the same two slots, so that the second slot would simulate two
     internals."""
-    result = _repair(self, v, direct)
+    result = _repair(self, v, direct, parents)
     for hid, haft in self.hafts.items():
         a, b = haft_slots(haft)[:2]
         self.hafts[hid] = Haft((Internal(hid, Internal(-1, a, b), Internal(-2, a, b)),), ())

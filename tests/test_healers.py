@@ -254,9 +254,12 @@ def _corrupt_parent(h, hid):
     return f"parent[{key}]: -1, expected {h.hafts[hid].trees[0].vid}"
 
 
-def _corrupt_slot_origins(h, hid):
-    h.slot_origins[2].add((98, 99))
-    return "slot_origins[2]: "
+def _extra_virtual_edge(h, hid):
+    # The virtual edges alone say which vid holds which slot, so an edge
+    # that no haft has would mark the wrong path at 8's deletion.
+    vid = h.hafts[hid].trees[0].vid
+    h.vg.rewire((), (), [(virt(vid), 8)])
+    return f"virtual edge r8-v{vid} in no haft"
 
 
 def _corrupt_haft_key(h, hid):
@@ -296,7 +299,7 @@ def _stray_virtual(h, hid):
     "corrupt",
     [
         _corrupt_parent,
-        _corrupt_slot_origins,
+        _extra_virtual_edge,
         _corrupt_haft_key,
         _corrupt_virtual_edge,
         _corrupt_simulator,
@@ -321,13 +324,35 @@ def test_parent_chain_runs_from_each_slot_through_the_spine_to_the_haft_key():
         # trees[i] hangs from spine[i], and the last tree from the last spine node.
         spine_path = [haft.spine[j] for j in range(min(i, last), -1, -1)]
         for slot in leaves(tree):
-            chain, key = [], slot.origin
-            while key in h.parent:
-                key = h.parent[key]
-                chain.append(key)
+            # Every slot here has a processor of its own, so the
+            # processor's one virtual neighbour is the slot's parent.
+            (up,) = h.vg._adj[slot.processor] - h.vg.reals
+            chain = [node_id(up)]
+            while chain[-1] in h.parent:
+                chain.append(h.parent[chain[-1]])
             assert len(chain) == depth[slot.origin]
             assert chain[len(chain) - len(spine_path) :] == spine_path
     assert spine_path[-1] == hid
+
+
+@pytest.mark.parametrize("name,messages", [("rebuild", 5), ("haft", 3)])
+def test_sibling_slots_of_one_processor_share_one_virtual_edge(name, messages):
+    # K(2,3), hubs 0 and 1 and leaves 2-4: after 0, 1 and 2 go, the four
+    # surviving slots pair up by processor, so slots (0, 3) and (1, 3) are
+    # siblings under one vid, wired to 3 by one virtual edge.
+    g = Graph(nodes=range(5), edges=[(hub, leaf) for hub in (0, 1) for leaf in (2, 3, 4)])
+    h = make_healer(name)
+    h.preprocess(g)
+    for v in (0, 1, 2):
+        h.on_delete(v)
+        assert h.audit() == []
+    (hid,) = h.hafts
+    (up,) = h.vg._adj[3] - h.vg.reals
+    sibling = Internal(node_id(up), LeafSlot(3, (0, 3)), LeafSlot(3, (1, 3)))
+    assert h.hafts[hid].trees[0].left == sibling
+    report = h.on_delete(3)
+    assert h.audit() == []
+    assert report.messages == messages
 
 
 def scripted_churn(healer_name: str, seed: int, n0: int = 24, steps: int = 60):
