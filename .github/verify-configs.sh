@@ -54,7 +54,7 @@ row rebuild 0 'family = random-tree' 'n = 216' 'healer = rebuild' 'strategy = ar
 # dissolve regions of several hafts.
 row rebuild-clustered 0 'family = random-tree' 'n = 512' 'healer = rebuild' \
   'strategy = clustered' 'T = 256' 'exact_apsp_cap = 0' 'stretch_samples = 0'
-# The rebuild healer's split with every vid marked: random churn on a
+# The rebuild healer's whole-haft split: random churn on a
 # sparse graph keeps hafts apart, so some deletions dissolve several hafts
 # into one.
 row rebuild-er 0 'family = erdos-renyi' 'n = 512' 'p = 0.02' 'healer = rebuild' \
@@ -134,6 +134,17 @@ row default-sampled 0 'family = random-tree' 'n = 8192' 'healer = haft' 'strateg
 # measurement and audit, and a short loop after them.
 row bulk-start 0 'family = random-tree' 'n = 65536' 'healer = haft' 'strategy = clustered' \
   'T = 8' 'exact_apsp_cap = 0' 'stretch_samples = 0'
+# A gen trace replays through verify. gen writes the initial graph after
+# its run, so an insert that leaked into the caller's graph would put the
+# inserted nodes in graph.edges, and the replay would refuse the trace.
+printf '%s\n' 'family = star' 'n = 512' 'healer = haft' 'strategy = mixed' 'insert_degree = 3' \
+  'T = 256' > ci-verify/gen-star.cfg
+PYTHONPATH=src python -m selfheal.cli gen --config ci-verify/gen-star.cfg \
+  --out ci-verify/gen-star-out --seed 1 --quiet 2> ci-verify/gen-star.err
+cat ci-verify/gen-star.err
+row gen-replay 0 'graph = ci-verify/gen-star-out/graph.edges' \
+  'trace = ci-verify/gen-star-out/trace.jsonl' 'healer = haft' 'exact_apsp_cap = 0' \
+  'stretch_samples = 0'
 # The largest legal node ids with exact stretch: ids run up to
 # MAX_NODE_ID - 1 = 2^62 - 1, and random churn inserts ids above it; every
 # real id stays below the virtual nodes' VBASE.

@@ -34,7 +34,12 @@ structures, and the healer's state, against a fresh build.
 lift of the initial graph: the healer lifts it in one pass per structure
 (`VirtualGraph.from_graph`), storing no image count, and the t = 0
 degree ratio stores no degree pair, for no live node's degree then
-differs from its shadow degree (`LiveMeasure`). `start` and `run` pause
+differs from its shadow degree (`LiveMeasure`). Only an insert changes
+the shadow graph, so it starts as a new dict over the initial graph's own
+neighbour sets, and `step` copies a set the first time an insert adds to
+it. A run never writes to `RunConfig.initial`, and copies only the sets
+its inserts touch; the caller must not change `initial` while a run, or
+a state it made, is in use. `start` and `run` pause
 CPython's cyclic collector while they run (`graph.gc_paused`). The engine
 makes no reference cycles, so reference counting frees all it lets go,
 and a collection would only walk the heap the run builds.
@@ -90,6 +95,11 @@ class InternalError(RuntimeError):
 
 @dataclass
 class RunConfig:
+    """What a run starts from and how it goes on. `initial` stays the
+    caller's: no run writes to it, but the run's shadow graph shares its
+    neighbour sets until an insert touches one, so it must not change while
+    a run, or a `RunState` made from this config, is in use."""
+
     initial: Graph
     healer: str = "haft"
     strategy: StrategySpec = field(default_factory=StrategySpec)
@@ -564,6 +574,9 @@ def _one_component(
 class RunState:
     config: RunConfig
     healer: Healer
+    # G': every node ever created, with original and insertion edges. It
+    # shares `config.initial`'s neighbour sets until an insert touches one
+    # (`start`, `step`).
     shadow: Graph
     deleted: set[int] = field(default_factory=set)
     records: list[MetricsRecord] = field(default_factory=list)
@@ -593,17 +606,24 @@ class RunState:
 
 @gc_paused
 def start(config: RunConfig) -> RunState:
-    """Preprocessing: build healer state and the shadow graph, snapshot G0."""
+    """Preprocessing: build healer state and the shadow graph, snapshot G0.
+
+    The shadow graph is a new dict over `config.initial`'s neighbour sets,
+    not a copy of them: `step` copies a set before an insert adds to it, so
+    `initial` is never written to, and must not change while the state is
+    in use."""
     t0 = time.perf_counter()
     healer = make_healer(config.healer)
     # The healer name is known and the graph well formed, so a ValueError
     # from here on is the library's own.
     try:
         setup = healer.preprocess(config.initial)
+        shadow = Graph()
+        shadow._adj = dict(config.initial._adj)
         state = RunState(
             config=config,
             healer=healer,
-            shadow=config.initial.copy(),
+            shadow=shadow,
             adversary=new_state(config.strategy, config.seed),
             setup_messages=setup.messages,
         )
@@ -632,8 +652,12 @@ def step(state: RunState, event: Event) -> RunState:
     try:
         t0 = time.perf_counter()
         if event.op == "insert":
+            shadow, initial = state.shadow._adj, state.config.initial._adj
             state.shadow.add_node(event.node)
             for w in event.neighbors:
+                # A set still the caller's is copied before it is added to.
+                if shadow[w] is initial.get(w):
+                    shadow[w] = set(shadow[w])
                 state.shadow.add_edge(event.node, w)
             if state.oracle is not None:
                 state.oracle.insert(event.node, event.neighbors)

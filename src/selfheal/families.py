@@ -3,6 +3,14 @@
 The path, star and random-tree builders write the adjacency directly,
 each neighbour set filled in the order `Graph.add_edge` calls would fill
 it, so a set iterates as it would after those calls.
+
+`random_tree` draws each parent below i with the loop that
+`random.Random.randrange(i)` runs inside itself: `getrandbits` of i's bit
+length, drawn again while the value is i or more. So it makes the same
+draws, builds the same tree and leaves the generator in the same state,
+without `randrange`'s argument handling, which took about a third of the
+family's time at n = 512. `tests/test_graph.py` checks the tree and the
+generator's state against a `randrange` build.
 """
 
 from __future__ import annotations
@@ -30,11 +38,16 @@ def star_graph(n: int) -> Graph:
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
-    """Random attachment tree: node i picks a parent uniformly among 0..i-1."""
+    """Random attachment tree: node i picks a parent uniformly among 0..i-1,
+    drawn as `rng.randrange(i)` draws it (see the module docstring)."""
     g = Graph()
     adj = g._adj = {i: set() for i in range(n)}
+    getrandbits = rng.getrandbits
     for i in range(1, n):
-        parent = rng.randrange(i)
+        k = i.bit_length()
+        parent = getrandbits(k)
+        while parent >= i:
+            parent = getrandbits(k)
         adj[i].add(parent)
         adj[parent].add(i)
     return g

@@ -28,9 +28,9 @@ internal node caches its subtree's leaf count, leftmost slot and smallest
 slot, set from its two children when it is built (a slot answers the same
 three questions about itself), so a subtree's size, the simulator of a new
 node and a piece's sort key cost O(1). `split_marked` splits a haft along
-the paths above its dead slots only; it also serves the `rebuild` healer,
-with every vid marked, where it splits the haft down to its surviving
-slots and dissolves every internal node. The whole-haft queries (`leaves`,
+the paths above its dead slots only. `split_whole` serves the `rebuild`
+healer: one walk that splits the haft down to its surviving slots and
+dissolves every internal node. The whole-haft queries (`leaves`,
 `haft_slots`, `node_vids`, `leaf_depths`, `assign_simulators`,
 `to_virtual_edges`) all ride on one preorder walk, `walk`; they, `split_out`
 and `validate_haft` are the oracles that audits and tests check the fast
@@ -349,8 +349,6 @@ def split_marked(
     whose root is unmarked holds no dead slot and is one piece as it
     stands, so the work is proportional to the marked vids plus the pieces.
     Returns what `split_out(h, dead_processor)` returns, in the same order.
-    With every vid marked, the pieces are the surviving slots in order and
-    every internal vid and the spine are dissolved.
     """
     pieces: list[HaftNode] = []
     dissolved: list[int] = []
@@ -376,6 +374,30 @@ def _split_marked(
         dissolved.append(node.vid)
     else:
         pieces.append(node)
+
+
+def split_whole(h: Haft, dead_processor: int) -> tuple[list[LeafSlot], list[int]]:
+    """`split_marked` with every vid marked, as one walk: the slots of `h`
+    that `dead_processor` does not hold, left to right, and every internal
+    vid, each tree's children before parents and the spine last.
+
+    The walk takes each node before its subtrees and the right subtree
+    before the left: the wanted order backwards, so both lists are
+    reversed at the end."""
+    slots: list[LeafSlot] = []
+    vids: list[int] = []
+    stack: list[HaftNode] = list(h.trees)
+    while stack:
+        node = stack.pop()
+        if node.__class__ is Internal:
+            vids.append(node.vid)
+            stack += (node.left, node.right)
+        elif node.processor != dead_processor:
+            slots.append(node)
+    slots.reverse()
+    vids.reverse()
+    vids += h.spine
+    return slots, vids
 
 
 # -- validation ---------------------------------------------------------------

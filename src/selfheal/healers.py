@@ -16,9 +16,9 @@ wants to keep it calls `.copy()`.
 * null     - does nothing on deletion; negative control for the checkers.
 * star     - wires all orphans to the minimum-id orphan.
 * ring     - wires the orphans into a cycle by ascending id.
-* rebuild  - reconstruction trees rebuilt from scratch: the `haft` split
-             with every vid marked, so every haft the deleted node touched
-             is dissolved whole and one fresh haft is built over all
+* rebuild  - reconstruction trees rebuilt from scratch: every haft the
+             deleted node touched is split down to its slots and dissolved
+             whole (`haft.split_whole`), and one fresh haft is built over all
              surviving slots; messages and host time scale with the whole
              region.
 * haft     - the flagship: surviving complete subtrees are preserved and
@@ -72,6 +72,7 @@ from .haft import (
     haft_slots,
     split_marked,
     split_out,  # noqa: F401  (unused here; the benchmark's tracer wraps this name)
+    split_whole,
     to_virtual_edges,
     validate_haft,
     walk,
@@ -296,8 +297,8 @@ class HaftHealer(Healer):
     deletion walks up from the dead slots, splits only the marked paths
     and wires only the new carries and spine nodes, so it costs
     O(changed * log n). name "rebuild" finds the affected hafts the same
-    way and runs the same split with every vid marked: each haft splits
-    down to its surviving slots, and the whole affected region is rebuilt
+    way and splits each down to its surviving slots in one walk
+    (`split_whole`), and the whole affected region is rebuilt
     from them in slot order, which costs time in proportion to that
     region. Either way the repair only collects the vids it dissolves, the
     vids it declares and the edges it adds, and applies them to the
@@ -326,7 +327,7 @@ class HaftHealer(Healer):
         "haft" and whole for "rebuild", then rebuild over what survives and
         the slots of v's real neighbors. v's former virtual neighbors,
         `parents`, are the parents of its slots in every haft. The name
-        picks only the marked set and the order of the items."""
+        picks only the split and the order of the items."""
         # Mark every vid above a dead slot; a path that meets a marked vid
         # has already been walked up to its haft's root.
         parent, sim = self.parent, self.vg.sim
@@ -342,13 +343,12 @@ class HaftHealer(Healer):
             if up is None:
                 roots.add(key)
 
-        # "rebuild" marks every vid: each affected haft splits down to its
-        # surviving slots, left to right, and dissolves whole.
-        split = _EVERY_VID if self.name == "rebuild" else marked
+        rebuild = self.name == "rebuild"
         pieces: list[HaftNode] = []
         dissolve: list[int] = []
         for root in sorted(roots):
-            tree_pieces, dissolved = split_marked(self.hafts.pop(root), split, v)
+            h = self.hafts.pop(root)
+            tree_pieces, dissolved = split_whole(h, v) if rebuild else split_marked(h, marked, v)
             pieces.extend(tree_pieces)
             # The dead processor's own vids went with it.
             dissolve += [vid for vid in dissolved if vid in sim]
@@ -356,7 +356,7 @@ class HaftHealer(Healer):
                 parent.pop(vid, None)
         # `direct` ascends, so the new slots are already in slot order.
         new_slots = [LeafSlot(w, (min(v, w), max(v, w))) for w in direct]
-        if self.name == "rebuild":
+        if rebuild:
             items = sorted(pieces + new_slots)
         else:
             items = sorted(pieces, key=_piece_key) + new_slots
@@ -570,18 +570,6 @@ def _farthest(adj: dict[int, set[int]], v: int, targets: set[int]) -> int:
             else:
                 del balls[t]
     return farthest
-
-
-class _EveryVid:
-    """The marked set of a `rebuild` repair: it holds every vid."""
-
-    __slots__ = ()
-
-    def __contains__(self, vid: object) -> bool:
-        return True
-
-
-_EVERY_VID = _EveryVid()
 
 
 def _piece_key(node: HaftNode) -> tuple[int, LeafSlot]:

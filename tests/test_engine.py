@@ -147,6 +147,51 @@ class TestStep:
             step(state, Event(op="insert", node=0, neighbors=(1,)))  # id reuse
 
 
+def contents_of(g: Graph) -> tuple[list, dict[int, set[int]]]:
+    """The edge list and a copy of every neighbour set of `g`."""
+    return list(g.edges()), {v: set(nbrs) for v, nbrs in g._adj.items()}
+
+
+class TestCallersGraph:
+    """The shadow graph shares the initial graph's neighbour sets until an
+    insert touches one, and no run writes to the caller's graph."""
+
+    @pytest.mark.parametrize("kind", ["mixed", "random"])
+    @pytest.mark.parametrize("healer", HEALER_NAMES)
+    def test_a_run_leaves_the_initial_graph_as_it_was(self, healer, kind):
+        for seed in range(3):
+            config = live_config(healer, kind, random_tree(30, random.Random(seed)), seed)
+            before = contents_of(config.initial)
+            state = run(config)
+            assert any(e.op == "insert" for e in state.events)
+            assert contents_of(config.initial) == before
+
+    def test_inserts_at_one_initial_node_copy_only_its_set(self):
+        initial = path_graph(5)
+        before = contents_of(initial)
+        events = [
+            Event(op="insert", node=10, neighbors=(2,)),
+            Event(op="insert", node=11, neighbors=(2, 10)),
+            Event(op="insert", node=12, neighbors=(11, 2)),
+        ]
+        config = scripted(events, initial, exact_apsp_cap=64, stretch_samples=0)
+        state = run(config)
+        assert contents_of(initial) == before
+        assert state.shadow.neighbors(2) == {1, 3, 10, 11, 12}
+        shared = {v for v in initial._adj if state.shadow._adj[v] is initial._adj[v]}
+        assert shared == {0, 1, 3, 4}
+        # A second run from the same graph starts from it unchanged.
+        assert run(config).records == state.records
+
+    def test_a_delete_only_run_copies_no_set(self):
+        config = live_config("haft", "clustered", random_tree(60, random.Random(1)), 1)
+        state = run(config)
+        assert len(state.events) == config.t_max
+        assert all(e.op == "delete" for e in state.events)
+        assert state.shadow._adj.keys() == config.initial._adj.keys()
+        assert all(state.shadow._adj[v] is nbrs for v, nbrs in config.initial._adj.items())
+
+
 class TestInvariants:
     def test_replay_equivalence(self):
         cfg = RunConfig(

@@ -28,11 +28,11 @@ from selfheal.haft import (
     node_vids,
     split_marked,
     split_out,
+    split_whole,
     to_virtual_edges,
     validate_haft,
     walk,
 )
-from selfheal.healers import _EVERY_VID
 from selfheal.virtual_graph import VidSource, VirtualGraph
 
 
@@ -518,9 +518,9 @@ def test_path_only_split_and_cached_facts_match_their_oracles(seed):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_split_with_every_vid_marked_leaves_the_surviving_slots(seed):
-    # The `rebuild` healer's use of `split_marked`: every vid is marked,
-    # so every internal node and the spine dissolve, and the pieces are
-    # the slots the dead processor does not own, left to right.
+    # The `rebuild` healer's split: every internal node and the spine
+    # dissolve, and the pieces are the slots the dead processor does not
+    # own, left to right.
     rng = random.Random(seed)
     vids = VidSource()
     h = build_haft(make_slots([rng.randrange(8) for _ in range(rng.randint(1, 40))]), vids)
@@ -528,7 +528,10 @@ def test_split_with_every_vid_marked_leaves_the_surviving_slots(seed):
         procs = [rng.randrange(8) for _ in range(rng.randint(1, 24))]
         h = merge_hafts(h, build_haft(make_slots(procs, origin_base=2000 * (i + 1)), vids), vids)
     dead = rng.randrange(9)
-    pieces, dissolved = split_marked(h, _EVERY_VID, dead)
+    pieces, dissolved = split_whole(h, dead)
     assert pieces == [s for s in haft_slots(h) if s.processor != dead]
     everything = [*h.spine, *(vid for tree in h.trees for vid in node_vids(tree))]
     assert sorted(dissolved) == sorted(everything)
+    # In the order of `split_marked` with every vid marked, which the
+    # repair hands to `rewire`.
+    assert (pieces, dissolved) == split_marked(h, set(everything), dead)
