@@ -145,6 +145,39 @@ cat ci-verify/gen-star.err
 row gen-replay 0 'graph = ci-verify/gen-star-out/graph.edges' \
   'trace = ci-verify/gen-star-out/trace.jsonl' 'healer = haft' 'exact_apsp_cap = 0' \
   'stretch_samples = 0'
+# Set order is no contract: a random tree's edge list written in reverse
+# line order gives the same graph with other set layouts (52 of its 512
+# neighbour sets iterate otherwise), and `run` on the gen trace must write
+# the same files from both lists.
+printf '%s\n' 'family = random-tree' 'n = 512' 'healer = haft' 'strategy = mixed' 'T = 128' \
+  > ci-verify/layout-gen.cfg
+PYTHONPATH=src python -m selfheal.cli gen --config ci-verify/layout-gen.cfg \
+  --out ci-verify/layout-gen-out --seed 1 --quiet 2> ci-verify/layout-gen.err
+cat ci-verify/layout-gen.err
+cp ci-verify/layout-gen-out/graph.edges ci-verify/layout-given.edges
+tac ci-verify/layout-gen-out/graph.edges > ci-verify/layout-reversed.edges
+why=
+for order in given reversed; do
+  printf '%s\n' "graph = ci-verify/layout-$order.edges" \
+    'trace = ci-verify/layout-gen-out/trace.jsonl' 'healer = haft' 'exact_apsp_cap = 1024' \
+    > "ci-verify/layout-$order-run.cfg"
+  PYTHONPATH=src python -m selfheal.cli run --config "ci-verify/layout-$order-run.cfg" \
+    --out "ci-verify/layout-$order-run-out" --seed 1 --quiet 2> "ci-verify/layout-$order-run.err" ||
+    why="$why run-$order"
+  cat "ci-verify/layout-$order-run.err"
+done
+for f in metrics.csv live.dot virtual.dot summary.json; do
+  cmp -s "ci-verify/layout-given-run-out/$f" "ci-verify/layout-reversed-run-out/$f" ||
+    why="$why $f"
+done
+if [ -z "$why" ]; then
+  echo "PASS layout-order"
+else
+  echo "FAIL layout-order: failed or differ:$why"
+  failed=1
+fi
+row layout-reversed 0 'graph = ci-verify/layout-reversed.edges' \
+  'trace = ci-verify/layout-gen-out/trace.jsonl' 'healer = haft' 'exact_apsp_cap = 1024'
 # The largest legal node ids with exact stretch: ids run up to
 # MAX_NODE_ID - 1 = 2^62 - 1, and random churn inserts ids above it; every
 # real id stays below the virtual nodes' VBASE.

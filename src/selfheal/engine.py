@@ -47,7 +47,8 @@ and a collection would only walk the heap the run builds.
 timers count events only.
 
 Runs are deterministic: one master seed drives the adversary and the stretch
-sampler, and all iteration orders are sorted. Running the same config twice
+sampler, and wherever set or dict order could reach an output a `sorted`
+or `min` fixes it (README lists where). Running the same config twice
 produces identical records, byte for byte once serialized.
 
 A run ends early with status "annihilated" if the adversary deletes the

@@ -278,16 +278,7 @@ class Graph:
 
     def audit(self) -> list[str]:
         """Invariant walk: adjacency symmetry, no self-loops, key consistency."""
-        problems = []
-        for u, nbrs in self._adj.items():
-            if u in nbrs:
-                problems.append(f"self-loop: {u}")
-            for v in nbrs:
-                if v not in self._adj:
-                    problems.append(f"dangling-edge: {u}-{v}")
-                elif u not in self._adj[v]:
-                    problems.append(f"asymmetric-adjacency: {u}-{v}")
-        return problems
+        return audit_adjacency(self._adj)
 
     def to_dot(self, name: str = "g") -> str:
         lines = [f"graph {name} {{"]
@@ -297,6 +288,22 @@ class Graph:
             lines.append(f'  "{u}" -- "{v}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def audit_adjacency(adj: dict[int, set[int]], name: Callable[[int], str] = str) -> list[str]:
+    """The self-loops, dangling and one-way edges of `adj`, named by `name`,
+    in id order: by node, a self-loop first, then by neighbour. Only the
+    problems found are sorted, so a healthy adjacency sorts nothing."""
+    bad = []
+    for u, nbrs in adj.items():
+        if u in nbrs:
+            bad.append((u, -1, "self-loop"))
+        for v in nbrs:
+            if v not in adj:
+                bad.append((u, v, "dangling-edge"))
+            elif u not in adj[v]:
+                bad.append((u, v, "asymmetric-adjacency"))
+    return [f"{kind}: {name(u)}" + (f"-{name(v)}" if v >= 0 else "") for u, v, kind in sorted(bad)]
 
 
 # The work cap of `Graph.smallest_cut_vertex`: adjacency entries its

@@ -156,11 +156,11 @@ class Healer:
             raise HealerError(f"insert reuses live id {v}")
         if not neighbors:
             raise HealerError("insert must attach to at least one live node")
-        for w in neighbors:
-            if not live.has_node(w):
-                raise UnknownNodeError(f"insert neighbor {w} is not live")
+        missing = [w for w in neighbors if not live.has_node(w)]
+        if missing:
+            raise UnknownNodeError(f"insert neighbor {min(missing)} is not live")
         self.vg.add_real_node(v)
-        self.vg.rewire((), (), [(v, w) for w in sorted(neighbors)])
+        self.vg.rewire((), (), [(v, w) for w in neighbors])
         return HealerReport(
             messages=len(neighbors),
             rounds=1,

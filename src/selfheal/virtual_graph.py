@@ -64,6 +64,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, KeysView
 
 from .graph import MAX_NODE_ID, DuplicateNodeError, Graph, GraphError, UnknownNodeError
+from .graph import audit_adjacency
 
 VNode = int
 VBASE = MAX_NODE_ID + 2**60
@@ -159,23 +160,18 @@ class VirtualGraph:
         """Lift a real graph: every node real, no virtual nodes.
 
         Every edge joins two real nodes, so it is its own image with count
-        1, which is not stored, and the lift writes the adjacency and the
-        image directly, in one pass over the nodes. It builds what
-        `add_real_node` on each node in ascending order and one `rewire`
-        over `g.edges()` would, down to the order in which each set and
-        dict is filled, and shares no set with `g`. An id at or above
-        VBASE raises GraphError, the smallest such id named.
+        1, which is not stored. The lift copies each of `g`'s neighbour
+        sets, as it stands, into the adjacency and again into the image,
+        and shares no set with `g`. An id at or above VBASE raises
+        GraphError, the smallest such id named.
         """
-        nodes = sorted(g._adj)
-        if nodes and nodes[-1] >= VBASE:
-            bad = next(v for v in nodes if v >= VBASE)
+        src = g._adj
+        if src and max(src) >= VBASE:
+            bad = min(v for v in src if v >= VBASE)
             raise GraphError(f"processor id {bad} is not below {VBASE}")
         vg = cls()
-        adj, image_adj = vg._adj, vg.image._adj
-        for v in nodes:
-            nbrs = sorted(g._adj[v])
-            adj[v] = set(nbrs)
-            image_adj[v] = set(nbrs)
+        vg._adj = {v: set(nbrs) for v, nbrs in src.items()}
+        vg.image._adj = {v: set(nbrs) for v, nbrs in src.items()}
         return vg
 
     def add_real_node(self, processor: int) -> None:
@@ -376,14 +372,7 @@ class VirtualGraph:
         for node in sorted(expected):
             if node not in self._adj:
                 problems.append(f"missing-adjacency-key: {node_name(node)}")
-        for a in sorted(self._adj):
-            if a in self._adj[a]:
-                problems.append(f"self-loop: {node_name(a)}")
-            for b in self._adj[a]:
-                if b not in self._adj:
-                    problems.append(f"dangling-edge: {node_name(a)}-{node_name(b)}")
-                elif a not in self._adj[b]:
-                    problems.append(f"asymmetric-adjacency: {node_name(a)}-{node_name(b)}")
+        problems += audit_adjacency(self._adj, node_name)
         problems += self._audit_image()
         hosted: dict[int, set[int]] = {}
         for vid, p in self.sim.items():

@@ -349,6 +349,37 @@ def same_layout(a: dict, b: dict) -> bool:
     return list(a) == list(b) and all(list(a[v]) == list(b[v]) for v in a)
 
 
+class _Placeholder:
+    """A set member that hashes as `key` does and equals only itself."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, key):
+        self._hash = hash(key)
+
+    def __hash__(self):
+        return self._hash
+
+
+def relaid(members: set) -> set:
+    """A new set equal to `members` that iterates otherwise where its table
+    lets it: a placeholder first takes each member's home slot, so that the
+    members, added in descending order, land in the slots after, and then
+    the placeholders go. (Growing the table alone is not enough: a set of
+    small ids iterates in ascending order in any table large enough.)"""
+    placeholders = [_Placeholder(m) for m in members]
+    out = set(placeholders)
+    out.update(sorted(members, reverse=True))
+    out.difference_update(placeholders)
+    return out
+
+
+def relaid_adjacency(adj: dict) -> dict:
+    """`adj` with every neighbour set `relaid` and the keys in reverse
+    order: the same graph, laid out otherwise."""
+    return {v: relaid(adj[v]) for v in reversed(adj)}
+
+
 # -- generators --------------------------------------------------------------
 
 

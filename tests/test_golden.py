@@ -11,6 +11,8 @@ scripted run inserts ids out of order, one `haft` run has stretch off
 ways, one `haft` run samples the stretch of every step, one `gen` case pins
 the generated edge list, trace and manifest, and one `bench` case pins the
 scaling table, its slopes and the manifest.
+`test_outputs_do_not_read_set_order` runs every `run` case again with the
+initial graph laid out otherwise, and requires the same outputs.
 `summary.json` and `manifest.json` are hashed without `rng.python`, which
 embeds the interpreter version.
 
@@ -25,11 +27,17 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from selfheal.cli import main
+from selfheal.cli import _run_config, main, parse_config
+from selfheal.engine import run
+from selfheal.graph import Graph
+from selfheal.metrics import records_to_csv, summarize
+
+from conftest import relaid_adjacency
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 OUTPUTS = {
@@ -155,12 +163,18 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(name: str, workdir: Path) -> dict[str, str]:
-    command, text = CASES[name]
+def case_text(name: str, workdir: Path) -> str:
+    """The case's config; a scripted case's trace is written to `workdir`."""
+    text = CASES[name][1]
     if name in TRACES:
         trace = workdir / f"{name}.jsonl"
         trace.write_text(TRACES[name], encoding="utf-8")
         text = text.replace("{trace}", str(trace))
+    return text
+
+
+def run_case(name: str, workdir: Path) -> dict[str, str]:
+    command, text = CASES[name][0], case_text(name, workdir)
     cfg = workdir / f"{name}.cfg"
     cfg.write_text(text, encoding="utf-8")
     out = workdir / name
@@ -173,6 +187,35 @@ def run_case(name: str, workdir: Path) -> dict[str, str]:
 def test_golden_digest(name, tmp_path):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert run_case(name, tmp_path) == expected[name]
+
+
+def _run_outputs(config) -> tuple:
+    """What `selfheal run` writes, before serialising."""
+    state = run(config)
+    return (
+        records_to_csv(state.records),
+        state.live_graph().to_dot("live"),
+        state.healer.vg.to_dot("virtual"),
+        summarize(state.records),
+        state.status,
+        state.warnings,
+        state.setup_messages,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (command, _) in CASES.items() if command == "run"))
+def test_outputs_do_not_read_set_order(name, tmp_path):
+    # No output may read the order in which a set or dict iterates: each
+    # run at seeds 1-3 gives the same outputs from the initial graph as
+    # given and from the same graph with every neighbour set rebuilt and
+    # the keys reversed, some set of which then iterates otherwise.
+    cfg = parse_config(case_text(name, tmp_path))
+    for seed in (1, 2, 3):
+        config = _run_config(cfg, seed)
+        given, relaid = config.initial._adj, Graph()
+        relaid._adj = relaid_adjacency(given)
+        assert any(list(relaid._adj[v]) != list(given[v]) for v in given)
+        assert _run_outputs(replace(config, initial=relaid)) == _run_outputs(config)
 
 
 if __name__ == "__main__":

@@ -72,6 +72,18 @@ class TestInsert:
         with pytest.raises(UnknownNodeError):
             h.on_insert(9, {0, 77})
 
+    @pytest.mark.parametrize("fill", [(0, 24, 8), (0, 8, 24)])
+    def test_the_smallest_unknown_neighbor_is_named(self, fill):
+        # 8 and 24 share a home slot, so `fill` decides which the set
+        # yields first; the message names 8 either way.
+        neighbors = set()
+        for w in fill:
+            neighbors.add(w)
+        h = make_healer("haft")
+        h.preprocess(triangle())
+        with pytest.raises(UnknownNodeError, match="insert neighbor 8 is not live"):
+            h.on_insert(9, neighbors)
+
 
 class TestDeleteBaselines:
     def test_null_disconnects_path(self):

@@ -12,12 +12,20 @@ recount from before/after snapshots of the real and virtual graphs: its
 edge changes, message count, touched set and max_hops, and every
 deletion's connectivity witness, the processors of the virtual edges its
 repair added, which must lie in one live component.
+
+The `haft` and `rebuild` machines also drive a twin state, started from a
+copy of the same initial graph and given the same events. A rule rebuilds
+every neighbour set of the twin's virtual graph, image and shadow graph so
+that it may iterate otherwise, and after every step the twin's last record
+and both DOT exports must equal the main state's, and its audit must be
+clean: no output may read set order, the sets `rewire` makes included.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -27,11 +35,12 @@ from selfheal.adversary import Event, StrategySpec
 from selfheal.engine import RunConfig, audit, start, step
 from selfheal.virtual_graph import is_real, node_id, real, virt
 
-from conftest import adj_of, oracle_bfs, oracle_image, random_graph
+from conftest import adj_of, oracle_bfs, oracle_image, random_graph, relaid
 
 
 class HealerMachine(RuleBasedStateMachine):
     mode = "haft"
+    with_twin = True
 
     @initialize(seed=st.integers(0, 10**9))
     def start(self, seed):
@@ -47,6 +56,7 @@ class HealerMachine(RuleBasedStateMachine):
             stretch_samples=0,
         )
         self.state = start(config)
+        self.twin = start(replace(config, initial=initial.copy())) if self.with_twin else None
         healer = self.state.healer
         healer.on_insert = self.captured(healer.on_insert)
         healer.on_delete = self.captured(healer.on_delete)
@@ -62,6 +72,8 @@ class HealerMachine(RuleBasedStateMachine):
 
     def apply(self, event):
         step(self.state, event)
+        if self.twin is not None:
+            step(self.twin, event)
         return self.report
 
     @property
@@ -133,6 +145,25 @@ class HealerMachine(RuleBasedStateMachine):
             assert report.rounds == (1 if touched else 0)
             assert not vg.virtuals  # a baseline adds real edges only
 
+    @precondition(lambda self: self.twin is not None)
+    @rule()
+    def relay_twin(self):
+        # Each set is replaced, none written in place, so the twin's
+        # initial graph, whose sets its shadow graph may share, is kept.
+        vg = self.twin.healer.vg
+        for adj in (vg._adj, vg.image._adj, self.twin.shadow._adj):
+            for v, nbrs in adj.items():
+                adj[v] = relaid(nbrs)
+
+    @invariant()
+    def twin_agrees(self):
+        if getattr(self, "twin", None) is not None:
+            state, twin = self.state, self.twin
+            assert twin.records[-1:] == state.records[-1:]
+            assert twin.live_graph().to_dot() == state.live_graph().to_dot()
+            assert twin.healer.vg.to_dot() == state.healer.vg.to_dot()
+            assert audit(twin) == []
+
     @invariant()
     def image_matches_oracle(self):
         if hasattr(self, "state"):
@@ -151,14 +182,17 @@ class RebuildMachine(HealerMachine):
 
 class NullMachine(HealerMachine):
     mode = "null"
+    with_twin = False
 
 
 class StarMachine(HealerMachine):
     mode = "star"
+    with_twin = False
 
 
 class RingMachine(HealerMachine):
     mode = "ring"
+    with_twin = False
 
 
 SETTINGS = settings(max_examples=60, stateful_step_count=40, deadline=None)

@@ -36,7 +36,6 @@ from conftest import (
     random_virtual_graph,
     remove_virtual,
     rewire_in_sequence,
-    same_layout,
     vg_adj,
 )
 
@@ -171,9 +170,9 @@ class TestFromGraph:
     def test_bulk_lift_matches_the_per_edge_lift(self, case):
         g = LIFT_CASES[case]()
         bulk, per_edge = VirtualGraph.from_graph(g), lift_per_edge(g)
-        # Equal, and filled in the same order, so every set iterates alike.
-        assert same_layout(bulk._adj, per_edge._adj)
-        assert same_layout(bulk.image._adj, per_edge.image._adj)
+        # Equal in content: set order is no contract.
+        assert bulk._adj == per_edge._adj
+        assert bulk.image._adj == per_edge.image._adj
         # Every edge is its own image with count 1, and none is stored.
         assert bulk._multiplicity == per_edge._multiplicity == {}
         assert effective_counts(bulk) == effective_counts(per_edge) == oracle_image_counts(bulk)
@@ -187,8 +186,8 @@ class TestFromGraph:
     def test_bulk_lift_matches_on_random_graphs(self, seed):
         g = random_graph(random.Random(seed), max_nodes=40, p=0.15)
         bulk, per_edge = VirtualGraph.from_graph(g), lift_per_edge(g)
-        assert same_layout(bulk._adj, per_edge._adj)
-        assert same_layout(bulk.image._adj, per_edge.image._adj)
+        assert bulk._adj == per_edge._adj
+        assert bulk.image._adj == per_edge.image._adj
         assert bulk._multiplicity == per_edge._multiplicity == {}
         assert effective_counts(bulk) == effective_counts(per_edge) == oracle_image_counts(bulk)
         assert bulk.audit() == []
@@ -641,6 +640,24 @@ class TestAudit:
         vg.rewire((), (), [(real(1), real(2))])
         vg._adj[real(1)].add(virt(42))  # corrupt
         assert any(p.startswith("dangling-edge") for p in vg.audit())
+
+    def test_problems_come_in_id_order_whatever_the_layout(self):
+        # Node 1 of a broken lift has dangling edges to 8 and 16, which
+        # share a home slot in a small set, so the order they go in decides
+        # the order the set iterates in. Both audits read alike either way.
+        audits, layouts = [], []
+        for fill in ((0, 8, 16), (0, 16, 8)):
+            vg = VirtualGraph.from_graph(Graph(nodes=[0, 1], edges=[(0, 1)]))
+            for adj in (vg._adj, vg.image._adj):
+                adj[1] = set()
+                for w in fill:
+                    adj[1].add(w)  # corrupt: 8 and 16 are not nodes
+            layouts.append(list(vg._adj[1]))
+            audits.append((vg.audit(), vg.image.audit()))
+        assert layouts[0] != layouts[1]
+        assert audits[0] == audits[1]
+        assert audits[0][1] == ["dangling-edge: 1-8", "dangling-edge: 1-16"]
+        assert audits[0][0][:2] == ["dangling-edge: r1-r8", "dangling-edge: r1-r16"]
 
 
 class TestDot:
