@@ -2,8 +2,9 @@
 
 The oracles here are written from scratch against plain adjacency dicts so
 they stay independent of the library code they check: breadth-first search
-with an explicit queue, all-pairs distances by Floyd-Warshall and by one
-such search per source, sampled stretch by one search per drawn source, cut
+with an explicit queue (and, read off it, whether `_farthest` closes every
+target from the deleted node's side alone), all-pairs distances by
+Floyd-Warshall and by one such search per source, sampled stretch by one search per drawn source, cut
 vertices by deleting each vertex and recounting components, the
 homomorphic image of a virtual graph and its edge counts recomputed from
 its adjacency and simulation map, and the degree ratio with one Fraction
@@ -18,8 +19,9 @@ per-edge calls.
 
 from __future__ import annotations
 
+import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +46,21 @@ def oracle_bfs(adj: dict, source) -> dict:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def _closes_alone(dist: dict, targets: set, floor: int) -> bool:
+    """Whether `healers._farthest` ends before it grows any target's own
+    ball, by its rule read off the exact distances from v, `dist` (an
+    `oracle_bfs`): v's frontier after h hops is the nodes at distance h,
+    and the ball grows alone while that frontier holds at most `floor`
+    nodes or no more than the targets still open."""
+    layer = Counter(dist.values())
+    for hops in itertools.count():
+        still_open = sum(1 for t in targets if dist.get(t, hops + 1) > hops)
+        if not still_open or not layer[hops]:
+            return True
+        if layer[hops] > floor and layer[hops] > still_open:
+            return False
 
 
 def oracle_apsp_floyd(adj: dict) -> dict:

@@ -32,12 +32,13 @@ from pathlib import Path
 
 import pytest
 
+from selfheal import healers
 from selfheal.cli import _run_config, main, parse_config
 from selfheal.engine import run
 from selfheal.graph import Graph
 from selfheal.metrics import records_to_csv, summarize
 
-from conftest import relaid_adjacency
+from conftest import _closes_alone, oracle_bfs, relaid_adjacency
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 OUTPUTS = {
@@ -73,6 +74,18 @@ CASES["haft-clustered-nostretch"] = (
     "run",
     "family = random-tree\nn = 96\nhealer = haft\nstrategy = clustered\n"
     "T = 64\nexact_apsp_cap = 0\nstretch_samples = 0\n",
+)
+# Wide regions, stretch off: at these sizes some of `max_hops`'s searches
+# outgrow the ball around the deleted node and grow balls around the
+# touched nodes too, `_farthest`'s second phase, which the smaller cases
+# never reach (`test_wide_cases_grow_target_balls`).
+WIDE = {
+    "haft-clustered-wide": "n = 1024\nhealer = haft\nstrategy = clustered\nT = 256\n",
+    "rebuild-articulation-wide": "n = 216\nhealer = rebuild\nstrategy = articulation\nT = 200\n",
+}
+CASES.update(
+    (name, ("run", f"family = random-tree\n{text}exact_apsp_cap = 0\nstretch_samples = 0\n"))
+    for name, text in WIDE.items()
 )
 # Exact stretch under churn with the live count crossing `exact_apsp_cap`
 # both ways (40 nodes, cap 38): steps switch between exact and sampled
@@ -201,6 +214,22 @@ def _run_outputs(config) -> tuple:
         state.warnings,
         state.setup_messages,
     )
+
+
+@pytest.mark.parametrize("name", sorted(WIDE))
+def test_wide_cases_grow_target_balls(name, tmp_path, monkeypatch):
+    # Read off exact distances, some searches of the digested run (seed 7,
+    # as `run_case` passes) grow balls around the touched nodes, so the
+    # digests pin `_farthest`'s second phase.
+    farthest, grown = healers._farthest, []
+
+    def recording(adj, v, targets):
+        grown.append(not _closes_alone(oracle_bfs(adj, v), targets, healers.SEARCH_FLOOR))
+        return farthest(adj, v, targets)
+
+    monkeypatch.setattr(healers, "_farthest", recording)
+    run(_run_config(parse_config(case_text(name, tmp_path)), 7))
+    assert any(grown), f"no search of {len(grown)} grew a target's ball"
 
 
 @pytest.mark.parametrize("name", sorted(n for n, (command, _) in CASES.items() if command == "run"))

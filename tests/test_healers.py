@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter
 
@@ -16,7 +15,7 @@ from selfheal.haft import Haft, Internal, LeafSlot, haft_slots, leaves, node_vid
 from selfheal.healers import HealerError, make_healer
 from selfheal.virtual_graph import VirtualGraph, is_real, node_id, node_name, real, virt
 
-from conftest import adj_of, oracle_bfs
+from conftest import _closes_alone, adj_of, oracle_bfs
 
 def triangle() -> Graph:
     return Graph(nodes=[0, 1, 2], edges=[(0, 1), (1, 2), (0, 2)])
@@ -465,21 +464,6 @@ def test_haft_deletion_never_walks_a_whole_haft(monkeypatch):
 
 
 REAL_FLOOR = healers.SEARCH_FLOOR
-
-
-def _closes_alone(dist: dict, targets: set, floor: int) -> bool:
-    """Whether `_farthest` ends before it grows any target's own ball, by
-    its rule read off the exact distances:
-    v's frontier after h hops is the nodes at distance h, and the ball
-    grows alone while that frontier holds at most `floor` nodes or no more
-    than the targets still open."""
-    layer = Counter(dist.values())
-    for hops in itertools.count():
-        still_open = sum(1 for t in targets if dist.get(t, hops + 1) > hops)
-        if not still_open or not layer[hops]:
-            return True
-        if layer[hops] > floor and layer[hops] > still_open:
-            return False
 
 
 @pytest.mark.parametrize("floor", [0, 4, REAL_FLOOR])
