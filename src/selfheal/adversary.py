@@ -307,6 +307,10 @@ def format_trace(events: list[Event]) -> str:
 
 
 def parse_trace(text: str) -> list[Event]:
+    """The events of a JSONL trace, one per non-blank line. A delete line
+    holds the keys `t`, `op` and `node`, and an insert line may add
+    `neighbors`; any other key is refused, as is any malformed line, with
+    a `TraceFormatError` that names the line."""
     events = []
     last_t = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -334,16 +338,23 @@ def parse_trace(text: str) -> list[Event]:
         last_t = t
         _check_id(node, lineno, "node")
         if op == "insert":
-            neighbors = obj.get("neighbors", [])
-            if not isinstance(neighbors, list):
-                raise TraceFormatError(f"line {lineno}: neighbors must be a list")
-            for w in neighbors:
-                _check_id(w, lineno, "neighbor")
-            events.append(Event(op="insert", node=node, neighbors=tuple(sorted(neighbors))))
+            keys = {"t", "op", "node", "neighbors"}
         elif op == "delete":
-            events.append(Event(op="delete", node=node))
+            keys = {"t", "op", "node"}
         else:
             raise TraceFormatError(f"line {lineno}: unknown op {op!r}")
+        extra = obj.keys() - keys
+        if extra:
+            raise TraceFormatError(f"line {lineno}: {op} takes no key {min(extra)!r}")
+        if op == "delete":
+            events.append(Event(op="delete", node=node))
+            continue
+        neighbors = obj.get("neighbors", [])
+        if not isinstance(neighbors, list):
+            raise TraceFormatError(f"line {lineno}: neighbors must be a list")
+        for w in neighbors:
+            _check_id(w, lineno, "neighbor")
+        events.append(Event(op="insert", node=node, neighbors=tuple(sorted(neighbors))))
     return events
 
 

@@ -28,13 +28,13 @@ internal node caches its subtree's leaf count, leftmost slot and smallest
 slot, set from its two children when it is built (a slot answers the same
 three questions about itself), so a subtree's size, the simulator of a new
 node and a piece's sort key cost O(1). `split_marked` splits a haft along
-the paths above its dead slots only. `split_whole` serves the `rebuild`
-healer: one walk that splits the haft down to its surviving slots and
-dissolves every internal node. The whole-haft queries (`leaves`,
-`haft_slots`, `node_vids`, `leaf_depths`, `assign_simulators`,
-`to_virtual_edges`) all ride on one preorder walk, `walk`; they, `split_out`
-and `validate_haft` are the oracles that audits and tests check the fast
-paths against.
+the paths above its dead slots only, in one walk; with every vid marked
+(`marked=None`, the `rebuild` healer's split) that walk takes the haft
+down to its surviving slots and dissolves every internal node. The
+whole-haft queries (`leaves`, `haft_slots`, `node_vids`, `leaf_depths`,
+`assign_simulators`, `to_virtual_edges`) all ride on one preorder walk,
+`walk`; they, `split_out` and `validate_haft` are the oracles that audits
+and tests check the fast paths against.
 
 All structures here are immutable values; merging shares subtrees freely.
 """
@@ -340,64 +340,39 @@ def _split(
 
 
 def split_marked(
-    h: Haft, marked: Container[int], dead_processor: int
+    h: Haft, marked: Container[int] | None, dead_processor: int
 ) -> tuple[list[HaftNode], list[int]]:
     """`split_out` that walks only the marked paths.
 
     `marked` holds the vids on the paths from every dead slot of `h` up to
     its tree root (vids of other hafts may be in it too). A tree or subtree
     whose root is unmarked holds no dead slot and is one piece as it
-    stands, so the work is proportional to the marked vids plus the pieces.
-    Returns what `split_out(h, dead_processor)` returns, in the same order.
-    """
-    pieces: list[HaftNode] = []
-    dissolved: list[int] = []
-    for tree in h.trees:
-        _split_marked(tree, marked, dead_processor, pieces, dissolved)
-    dissolved.extend(h.spine)
-    return pieces, dissolved
-
-
-def _split_marked(
-    node: HaftNode,
-    marked: Container[int],
-    dead_processor: int,
-    pieces: list[HaftNode],
-    dissolved: list[int],
-) -> None:
-    if not isinstance(node, Internal):
-        if node.processor != dead_processor:
-            pieces.append(node)
-    elif node.vid in marked:
-        _split_marked(node.left, marked, dead_processor, pieces, dissolved)
-        _split_marked(node.right, marked, dead_processor, pieces, dissolved)
-        dissolved.append(node.vid)
-    else:
-        pieces.append(node)
-
-
-def split_whole(h: Haft, dead_processor: int) -> tuple[list[LeafSlot], list[int]]:
-    """`split_marked` with every vid marked, as one walk: the slots of `h`
-    that `dead_processor` does not hold, left to right, and every internal
-    vid, each tree's children before parents and the spine last.
+    stands, so the work is proportional to the marked vids plus the
+    pieces. Returns what `split_out(h, dead_processor)` returns, in the
+    same order. None marks every vid: the pieces are then the slots that
+    `dead_processor` does not hold, left to right, and every vid of `h`
+    dissolves.
 
     The walk takes each node before its subtrees and the right subtree
     before the left: the wanted order backwards, so both lists are
     reversed at the end."""
-    slots: list[LeafSlot] = []
-    vids: list[int] = []
+    pieces: list[HaftNode] = []
+    dissolved: list[int] = []
     stack: list[HaftNode] = list(h.trees)
     while stack:
         node = stack.pop()
-        if node.__class__ is Internal:
-            vids.append(node.vid)
+        if node.__class__ is not Internal:
+            if node.processor != dead_processor:
+                pieces.append(node)
+        elif marked is None or node.vid in marked:
+            dissolved.append(node.vid)
             stack += (node.left, node.right)
-        elif node.processor != dead_processor:
-            slots.append(node)
-    slots.reverse()
-    vids.reverse()
-    vids += h.spine
-    return slots, vids
+        else:
+            pieces.append(node)
+    pieces.reverse()
+    dissolved.reverse()
+    dissolved += h.spine
+    return pieces, dissolved
 
 
 # -- validation ---------------------------------------------------------------

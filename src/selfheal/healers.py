@@ -18,9 +18,9 @@ wants to keep it calls `.copy()`.
 * ring     - wires the orphans into a cycle by ascending id.
 * rebuild  - reconstruction trees rebuilt from scratch: every haft the
              deleted node touched is split down to its slots and dissolved
-             whole (`haft.split_whole`), and one fresh haft is built over all
-             surviving slots; messages and host time scale with the whole
-             region.
+             whole (`haft.split_marked` with every vid marked), and one
+             fresh haft is built over all surviving slots; messages and host
+             time scale with the whole region.
 * haft     - the flagship: surviving complete subtrees are preserved and
              merged by binary addition, so only the spine, the carries and
              the reassigned simulators are touched, and edges of dissolved
@@ -44,8 +44,9 @@ search between the deleted node and the touched nodes over the pre-deletion
 graph; for the search, the image takes that graph's shape in place, with
 the repair's real-edge changes undone. The ball around the deleted node
 grows alone while it is the cheaper side, against one set of the touched
-nodes it has not reached; a ball around each of those is built only once
-the other side becomes the cheaper one. Every healer also reports a
+nodes it has not reached; once the other side is the cheaper one, the
+balls around those nodes grow together as one labelled frontier, one bit
+per node. Every healer also reports a
 connectivity witness, the processors of the virtual edges its repair
 added, which that repair has joined by construction, so that the engine
 need not search for touched nodes the repair has already joined.
@@ -72,7 +73,6 @@ from .haft import (
     haft_slots,
     split_marked,
     split_out,  # noqa: F401  (unused here; the benchmark's tracer wraps this name)
-    split_whole,
     to_virtual_edges,
     validate_haft,
     walk,
@@ -297,13 +297,14 @@ class HaftHealer(Healer):
     deletion walks up from the dead slots, splits only the marked paths
     and wires only the new carries and spine nodes, so it costs
     O(changed * log n). name "rebuild" finds the affected hafts the same
-    way and splits each down to its surviving slots in one walk
-    (`split_whole`), and the whole affected region is rebuilt
-    from them in slot order, which costs time in proportion to that
-    region. Either way the repair only collects the vids it dissolves, the
-    vids it declares and the edges it adds, and applies them to the
-    virtual graph as one batch, `VirtualGraph.rewire`. `audit` recomputes
-    the map and the virtual edges from whole-haft walks.
+    way and splits each down to its surviving slots with the same walk,
+    every vid marked (`split_marked(h, None, v)`), and the whole affected
+    region is rebuilt from them in slot order, which costs time in
+    proportion to that region. Either way the repair only collects the
+    vids it dissolves, the vids it declares and the edges it adds, and
+    applies them to the virtual graph as one batch, `VirtualGraph.rewire`.
+    `audit` recomputes the map and the virtual edges from whole-haft
+    walks.
     """
 
     def __init__(self, name: str):
@@ -324,10 +325,11 @@ class HaftHealer(Healer):
 
     def _repair(self, v: int, direct: list[int], parents: list[int]) -> tuple[RepairJournal, int]:
         """Dissolve the hafts that lost v, along the marked paths for
-        "haft" and whole for "rebuild", then rebuild over what survives and
-        the slots of v's real neighbors. v's former virtual neighbors,
-        `parents`, are the parents of its slots in every haft. The name
-        picks only the split and the order of the items."""
+        "haft" and whole for "rebuild" (`split_marked` with every vid
+        marked), then rebuild over what survives and the slots of v's real
+        neighbors. v's former virtual neighbors, `parents`, are the parents
+        of its slots in every haft. The name picks only the marks and the
+        order of the items."""
         # Mark every vid above a dead slot; a path that meets a marked vid
         # has already been walked up to its haft's root.
         parent, sim = self.parent, self.vg.sim
@@ -344,11 +346,11 @@ class HaftHealer(Healer):
                 roots.add(key)
 
         rebuild = self.name == "rebuild"
+        split = None if rebuild else marked
         pieces: list[HaftNode] = []
         dissolve: list[int] = []
         for root in sorted(roots):
-            h = self.hafts.pop(root)
-            tree_pieces, dissolved = split_whole(h, v) if rebuild else split_marked(h, marked, v)
+            tree_pieces, dissolved = split_marked(self.hafts.pop(root), split, v)
             pieces.extend(tree_pieces)
             # The dead processor's own vids went with it.
             dissolve += [vid for vid in dissolved if vid in sim]
@@ -501,9 +503,13 @@ def _farthest(adj: dict[int, set[int]], v: int, targets: set[int]) -> int:
     before they meet is unreachable and is left out.
 
     While v's ball grows alone, each open target's ball is the target
-    itself, so the open targets are kept as one set; the balls and their
-    owner lists are built, for the targets still open, at the first step
-    that grows them. Often v's ball closes every target before that.
+    itself, so the open targets are kept as one set. Often v's ball closes
+    every target before it stops growing alone. The targets still open
+    then get one bit each, and their balls grow as one labelled frontier:
+    `labels` holds, per node, the bits of the balls that hold it, and
+    `fresh`, per node of the frontier, the bits it gained at the last
+    level. A frontier node passes on only those bits: one it held before
+    has already reached every neighbour.
     """
     seen = {v}  # v's ball
     frontier = [v]
@@ -526,11 +532,11 @@ def _farthest(adj: dict[int, set[int]], v: int, targets: set[int]) -> int:
     if not (open_targets and frontier):
         return farthest
     radius = 0
-    # An open target's ball frontier, and the open targets whose ball holds each node.
-    balls = {t: [t] for t in open_targets}
-    owners = {t: [t] for t in open_targets}
-    while balls and frontier:
-        if len(frontier) <= SEARCH_FLOOR or len(frontier) <= sum(map(len, balls.values())):
+    labels = {t: 1 << i for i, t in enumerate(open_targets)}
+    fresh = labels.copy()
+    live = (1 << len(labels)) - 1  # the open targets' bits
+    while live and fresh and frontier:
+        if len(frontier) <= SEARCH_FLOOR or len(frontier) <= len(fresh):
             hops += 1
             reached = []
             for u in frontier:
@@ -538,37 +544,30 @@ def _farthest(adj: dict[int, set[int]], v: int, targets: set[int]) -> int:
                     if w not in seen:
                         seen.add(w)
                         reached.append(w)
-                        for t in owners.get(w, ()):
-                            if balls.pop(t, None) is not None:
-                                farthest = hops + radius  # never falls
+                        if w in labels and labels[w] & live:
+                            live &= ~labels[w]
+                            farthest = hops + radius  # never falls
             frontier = reached
             continue
         radius += 1
-        for t, ball in list(balls.items()):
-            reached = []
-            met = False
-            for u in ball:
-                for w in adj[u]:
-                    ts = owners.get(w)
-                    if ts is None:
-                        owners[w] = [t]
-                    elif t in ts:
-                        continue
-                    else:
-                        ts.append(t)
-                    if w in seen:
-                        met = True
-                        break
-                    reached.append(w)
-                if met:
+        grown: dict[int, int] = {}
+        for u, bits in fresh.items():
+            bits &= live
+            if not bits:
+                continue
+            for w in adj[u]:
+                if w in seen:
+                    # Every ball that holds u meets v's ball at w.
+                    live ^= bits
+                    farthest = hops + radius
                     break
-            if met:
-                del balls[t]
-                farthest = hops + radius
-            elif reached:
-                balls[t] = reached
-            else:
-                del balls[t]
+                held = labels.get(w)
+                if held is None:
+                    labels[w] = grown[w] = bits
+                elif new := bits & ~held:
+                    labels[w] = held | new
+                    grown[w] = grown.get(w, 0) | new
+        fresh = grown
     return farthest
 
 

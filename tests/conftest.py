@@ -4,11 +4,11 @@ The oracles here are written from scratch against plain adjacency dicts so
 they stay independent of the library code they check: breadth-first search
 with an explicit queue (and, read off it, whether `_farthest` closes every
 target from the deleted node's side alone), all-pairs distances by
-Floyd-Warshall and by one such search per source, sampled stretch by one search per drawn source, cut
-vertices by deleting each vertex and recounting components, the
-homomorphic image of a virtual graph and its edge counts recomputed from
-its adjacency and simulation map, and the degree ratio with one Fraction
-per node.
+Floyd-Warshall and by one such search per source, sampled stretch by one
+search per drawn source, cut vertices by deleting each vertex and
+recounting components, the homomorphic image of a virtual graph and its
+edge counts recomputed from its adjacency and simulation map, and the
+degree ratio with one Fraction per node.
 `rewire_in_sequence` is the sequential oracle of the batched
 `VirtualGraph.rewire`: it changes the graph one operation and one edge at a
 time, with its own image-count bookkeeping, and reads the changes off

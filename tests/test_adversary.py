@@ -242,6 +242,28 @@ class TestTraceFormat:
         with pytest.raises(TraceFormatError):
             parse_trace('{"t": 1, "op": "delete"}\n')
 
+    # A key the reader does not read is refused, not dropped: a delete's
+    # `neighbors` would hide from `validate_event`'s `delete-with-neighbors`
+    # check, and a misspelt `neighbours` would leave an insert unattached.
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (
+                '{"t": 1, "op": "delete", "node": 1, "neighbors": [2]}',
+                "line 1: delete takes no key 'neighbors'",
+            ),
+            (
+                '{"t": 1, "op": "insert", "node": 9, "neighbours": [1]}',
+                "line 1: insert takes no key 'neighbours'",
+            ),
+        ],
+        ids=["delete-with-neighbors", "misspelt-neighbors"],
+    )
+    def test_key_the_reader_does_not_read_is_refused(self, line, message):
+        with pytest.raises(TraceFormatError) as excinfo:
+            parse_trace(line + "\n")
+        assert str(excinfo.value) == message
+
 
 # -- the maintained index against one rebuilt from the graphs -------------------
 

@@ -235,6 +235,29 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "not a non-negative integer" in capsys.readouterr().err
 
+    # The reader used to drop the first key without a word, and to read the
+    # second line as an insert with no neighbours, which `run` then refused
+    # as an illegal event.
+    @pytest.mark.parametrize(
+        "line, op, key",
+        [
+            ('{"t": 2, "op": "delete", "node": 2, "neighbors": [1]}', "delete", "neighbors"),
+            ('{"t": 2, "op": "insert", "node": 9, "neighbours": [1]}', "insert", "neighbours"),
+        ],
+        ids=["delete-with-neighbors", "misspelt-neighbors"],
+    )
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_trace_key_the_reader_does_not_read_exits_2(
+        self, tmp_path, capsys, command, line, op, key
+    ):
+        graph = write(tmp_path / "g.edges", "0 1\n1 2\n")
+        trace = write(tmp_path / "t.jsonl", '{"t": 1, "op": "delete", "node": 0}\n' + line + "\n")
+        cfg = write(tmp_path / "r.cfg", f"graph = {graph}\ntrace = {trace}\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: line 2: {op} takes no key {key!r}\n"
+        assert not out.exists()
+
     def test_malformed_edge_list_exits_2(self, tmp_path):
         graph = write(tmp_path / "g.edges", "0 1\n1 x\n")
         cfg = write(tmp_path / "r.cfg", f"graph = {graph}\n")

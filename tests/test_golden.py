@@ -7,10 +7,12 @@ with the digests in `tests/golden/digests.json`. Two negative-control runs
 (`star`, `null`) pin a `summary.json` with non-empty `violations`, one
 `ring` run pins the third baseline under inserts and deletions, one
 scripted run inserts ids out of order, one `haft` run has stretch off
-(every record `skipped`), one `haft` run crosses the exact-stretch cap both
-ways, one `haft` run samples the stretch of every step, one `gen` case pins
-the generated edge list, trace and manifest, and one `bench` case pins the
-scaling table, its slopes and the manifest.
+(every record `skipped`), two wide runs with stretch off (one `haft`, one
+`rebuild`) reach the second phase of the `max_hops` search, one `haft` run
+crosses the exact-stretch cap both ways, one `haft` run samples the
+stretch of every step, one `gen` case pins the generated edge list, trace
+and manifest, and one `bench` case pins the scaling table, its slopes and
+the manifest.
 `test_outputs_do_not_read_set_order` runs every `run` case again with the
 initial graph laid out otherwise, and requires the same outputs.
 `summary.json` and `manifest.json` are hashed without `rng.python`, which
@@ -77,8 +79,8 @@ CASES["haft-clustered-nostretch"] = (
 )
 # Wide regions, stretch off: at these sizes some of `max_hops`'s searches
 # outgrow the ball around the deleted node and grow balls around the
-# touched nodes too, `_farthest`'s second phase, which the smaller cases
-# never reach (`test_wide_cases_grow_target_balls`).
+# touched nodes too, `_farthest`'s second phase, which no other case
+# reaches (`test_wide_cases_grow_target_balls`).
 WIDE = {
     "haft-clustered-wide": "n = 1024\nhealer = haft\nstrategy = clustered\nT = 256\n",
     "rebuild-articulation-wide": "n = 216\nhealer = rebuild\nstrategy = articulation\nT = 200\n",

@@ -28,7 +28,6 @@ from selfheal.haft import (
     node_vids,
     split_marked,
     split_out,
-    split_whole,
     to_virtual_edges,
     validate_haft,
     walk,
@@ -379,6 +378,7 @@ def test_helpers_leave_no_cyclic_garbage():
         to_virtual_edges(h, assignment)
         split_out(h, 5)
         split_marked(h, set(node_vids(h.trees[0])), 5)
+        split_marked(h, None, 5)
         leaf_depths(h)
         validate_haft(h)
         del assignment
@@ -528,10 +528,9 @@ def test_split_with_every_vid_marked_leaves_the_surviving_slots(seed):
         procs = [rng.randrange(8) for _ in range(rng.randint(1, 24))]
         h = merge_hafts(h, build_haft(make_slots(procs, origin_base=2000 * (i + 1)), vids), vids)
     dead = rng.randrange(9)
-    pieces, dissolved = split_whole(h, dead)
+    pieces, dissolved = split_marked(h, None, dead)
     assert pieces == [s for s in haft_slots(h) if s.processor != dead]
     everything = [*h.spine, *(vid for tree in h.trees for vid in node_vids(tree))]
     assert sorted(dissolved) == sorted(everything)
-    # In the order of `split_marked` with every vid marked, which the
-    # repair hands to `rewire`.
+    # None is every vid marked, in the order the repair hands to `rewire`.
     assert (pieces, dissolved) == split_marked(h, set(everything), dead)

@@ -477,6 +477,11 @@ def test_farthest_matches_a_full_bfs(family, floor, monkeypatch):
     # ball alone may then close every target, and otherwise the search
     # switches to the balls of the targets still open.
     monkeypatch.setattr(healers, "SEARCH_FLOOR", floor)
+    # The smallest case on which the balls' frontier gets 3, not 4, at floor
+    # 0 if each node passes on every bit it holds: target 6's ball gains
+    # target 10's bit at radius 1 and must not pass it on before radius 2.
+    edges = [(0, 1), (0, 4), (0, 8), (1, 2), (1, 7), (1, 11), (2, 3), (2, 5), (4, 6), (6, 9), (6, 10)]
+    assert healers._farthest(Graph(edges=edges)._adj, 1, {6, 8, 10}) == 4
     paths = Counter()
     for seed in range(8):
         rng = random.Random(seed)
